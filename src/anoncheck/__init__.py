@@ -15,8 +15,9 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           independence_obligations, parallel_subjects,
                           structural_formula)
 from .formula import (TRUE, FALSE, And, Atom, Const, Evaluator, Formula, Iff,
-                      Implies, Knows, Not, Or, ParseError, Poss, Verdict,
-                      check_names, conj, disj, evaluate, parse, render, valid)
+                      Implies, Knows, Not, Or, ParseError, Poss, RunMasks,
+                      Verdict, check_names, conj, disj, evaluate, parse,
+                      render, valid)
 from .properties import (PropertyKind, PropertyReport, PropertySpec,
                          anonymous_up_to, check_property, compile_property,
                          maximally_identified, maximally_onymous,
@@ -44,7 +45,8 @@ __all__ = [
     "HYPOTHESIS_IMPLICATIONS", "Iff", "Implies", "IndependenceKind",
     "InterpretedSystem", "Knows", "Not", "ObserverPartition", "Or",
     "PAPER_SYSTEM_NAMES", "ParallelSchema", "ParseError", "Poss",
-    "PropertyKind", "PropertyReport", "PropertySpec", "Run", "ScenarioError",
+    "PropertyKind", "PropertyReport", "PropertySpec", "Run", "RunMasks",
+    "ScenarioError",
     "SequentialSchema", "StructuralCondition", "StructuralKind",
     "SweepReport", "SysFileError", "TRUE", "ValidationError", "Verdict",
     "anonymous_up_to", "build_system", "check_claim", "check_independence",

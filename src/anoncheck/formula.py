@@ -192,6 +192,97 @@ class Evaluator:
         return Verdict(True, None)
 
 
+class RunMasks:
+    """Evaluates formulas over one system as run bitmasks.
+
+    Bit ``i`` of a mask is the formula's truth at ``system.runs[i]``, so a
+    whole formula is evaluated once per system instead of once per run: an
+    atom is the mask of the runs holding its fact, ``P[j]`` is the union of
+    the observer's blocks that the child's mask meets, and ``K[j]`` the
+    union of the blocks it covers.  ``&``, ``|`` and ``->`` skip their right
+    operand when the left one already decides every run.
+
+    Every node's mask is memoized by object identity, which pays off on
+    hash-consed formulas where equal subformulas are one object.  Each
+    formula passed to :meth:`mask` is kept alive for the evaluator's
+    lifetime, so an id in the memo is never reused by another node.  Like
+    :class:`Evaluator`, it does not validate names (see :func:`check_names`).
+    """
+
+    __slots__ = ("system", "full", "_memo", "_blocks", "_roots")
+
+    def __init__(self, system: InterpretedSystem):
+        self.system = system
+        self.full = (1 << len(system.runs)) - 1
+        self._memo: dict[int, int] = {}
+        self._blocks: dict[str, tuple[int, ...]] = {}
+        self._roots: list[Formula] = []
+
+    def mask(self, f: Formula) -> int:
+        """The runs where ``f`` holds, as a bitmask."""
+        self._roots.append(f)
+        return self._mask(f)
+
+    def first_failure(self, f: Formula) -> str | None:
+        """Id of the first run (in declaration order) where ``f`` fails."""
+        missing = self.full & ~self.mask(f)
+        if not missing:
+            return None
+        return self.system.runs[(missing & -missing).bit_length() - 1].run_id
+
+    def _mask(self, f: Formula) -> int:
+        m = self._memo.get(id(f))
+        if m is not None:
+            return m
+        t = type(f)
+        full = self.full
+        if t is Atom:
+            fact = (f.agent, f.action)
+            m = 0
+            for i, run in enumerate(self.system.runs):
+                if fact in run.facts:
+                    m |= 1 << i
+        elif t is And:
+            m = self._mask(f.left)
+            if m:
+                m &= self._mask(f.right)
+        elif t is Poss or t is Knows:
+            child = self._mask(f.child)
+            if child == 0 or child == full:
+                m = child
+            else:
+                blocks = self._blocks.get(f.observer)
+                if blocks is None:
+                    blocks = self._blocks[f.observer] = self.system.block_masks(f.observer)
+                m = 0
+                if t is Poss:
+                    for b in blocks:
+                        if b & child:
+                            m |= b
+                else:
+                    for b in blocks:
+                        if b & child == b:
+                            m |= b
+        elif t is Not:
+            m = full ^ self._mask(f.child)
+        elif t is Implies:
+            m = full ^ self._mask(f.left)
+            if m != full:
+                m |= self._mask(f.right)
+        elif t is Or:
+            m = self._mask(f.left)
+            if m != full:
+                m |= self._mask(f.right)
+        elif t is Iff:
+            m = full ^ self._mask(f.left) ^ self._mask(f.right)
+        elif t is Const:
+            m = full if f.value else 0
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._memo[id(f)] = m
+        return m
+
+
 def check_names(system: InterpretedSystem, f: Formula) -> None:
     """Reject formulas mentioning undeclared agents, actions, or observers."""
     stack = [f]

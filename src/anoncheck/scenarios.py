@@ -9,8 +9,9 @@ exist to hammer on exactly that, and to demonstrate hypothesis necessity by
 re-running searches with a hypothesis dropped.
 
 Hypotheses and conclusions are compiled once per declaration shape into
-shared formula objects and evaluated through the standard evaluator; all
-semantics lives in the formula/property/composition modules.
+hash-consed formulas and evaluated once per system as run bitmasks
+(:class:`~anoncheck.formula.RunMasks`); all semantics lives in the
+formula/property/composition modules.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, derive_parallel,
                           derive_sequential, independence_obligations,
                           parallel_subjects, structural_formula)
-from .formula import And, Atom, Evaluator, Formula, Implies, Poss, conj
+from .formula import (And, Atom, Const, Formula, Implies, Knows, Not,
+                      Poss, RunMasks, conj)
 from .properties import (PropertySpec, anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
@@ -99,7 +101,7 @@ class _Obligation:
 class ClaimContext:
     """One system under scrutiny, with lazily derived composition."""
 
-    __slots__ = ("base", "schema", "flavor", "_derived", "_ev_base", "_ev_derived")
+    __slots__ = ("base", "schema", "flavor", "_derived", "_masks_base", "_masks_derived")
 
     def __init__(self, base: InterpretedSystem, schema, flavor: str,
                  derived: InterpretedSystem | None = None):
@@ -107,8 +109,8 @@ class ClaimContext:
         self.schema = schema
         self.flavor = flavor
         self._derived = derived
-        self._ev_base = None
-        self._ev_derived = None
+        self._masks_base = None
+        self._masks_derived = None
 
     @property
     def derived(self) -> InterpretedSystem:
@@ -119,14 +121,22 @@ class ClaimContext:
                 self._derived = derive_sequential(self.base, self.schema)
         return self._derived
 
-    def evaluator(self, target: str) -> Evaluator:
+    def masks(self, target: str) -> RunMasks:
         if target == "base":
-            if self._ev_base is None:
-                self._ev_base = Evaluator(self.base)
-            return self._ev_base
-        if self._ev_derived is None:
-            self._ev_derived = Evaluator(self.derived)
-        return self._ev_derived
+            if self._masks_base is None:
+                self._masks_base = RunMasks(self.base)
+            return self._masks_base
+        if self._masks_derived is None:
+            self._masks_derived = RunMasks(self.derived)
+        return self._masks_derived
+
+
+def _all_valid(masks: RunMasks, obligations) -> bool:
+    full = masks.full
+    for ob in obligations:
+        if masks.mask(ob.formula) != full:
+            return False
+    return True
 
 
 class _AllValid:
@@ -140,21 +150,14 @@ class _AllValid:
         self.obligations = tuple(obligations)
 
     def holds(self, ctx: ClaimContext) -> bool:
-        ev = ctx.evaluator(self.target)
-        runs = ev.system.runs
-        for ob in self.obligations:
-            f = ob.formula
-            for run in runs:
-                if not ev.evaluate(f, run):
-                    return False
-        return True
+        return _all_valid(ctx.masks(self.target), self.obligations)
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
-        ev = ctx.evaluator(self.target)
+        masks = ctx.masks(self.target)
         for ob in self.obligations:
-            for run in ev.system.runs:
-                if not ev.evaluate(ob.formula, run):
-                    return f"{ob.label} @ {run.run_id}"
+            run_id = masks.first_failure(ob.formula)
+            if run_id is not None:
+                return f"{ob.label} @ {run_id}"
         return None
 
 
@@ -169,19 +172,20 @@ class _AnyOfEachValid:
         self.target = target
         self.items = tuple(items)  # (label, (formula, ...))
 
-    def _valid(self, ev, f) -> bool:
-        return all(ev.evaluate(f, run) for run in ev.system.runs)
+    def _first_unmet(self, ctx: ClaimContext) -> str | None:
+        masks = ctx.masks(self.target)
+        full = masks.full
+        for label, fs in self.items:
+            if not any(masks.mask(f) == full for f in fs):
+                return label
+        return None
 
     def holds(self, ctx: ClaimContext) -> bool:
-        ev = ctx.evaluator(self.target)
-        return all(any(self._valid(ev, f) for f in fs) for _, fs in self.items)
+        return self._first_unmet(ctx) is None
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
-        ev = ctx.evaluator(self.target)
-        for label, fs in self.items:
-            if not any(self._valid(ev, f) for f in fs):
-                return f"{label} (no alternative holds)"
-        return None
+        label = self._first_unmet(ctx)
+        return None if label is None else f"{label} (no alternative holds)"
 
 
 class _EquivalenceValid:
@@ -198,20 +202,16 @@ class _EquivalenceValid:
         self.left_label = left_label
         self.right_label = right_label
 
-    def _all_valid(self, ev, obligations) -> bool:
-        for ob in obligations:
-            for run in ev.system.runs:
-                if not ev.evaluate(ob.formula, run):
-                    return False
-        return True
+    def _verdicts(self, ctx: ClaimContext) -> tuple[bool, bool]:
+        masks = ctx.masks(self.target)
+        return _all_valid(masks, self.left), _all_valid(masks, self.right)
 
     def holds(self, ctx: ClaimContext) -> bool:
-        ev = ctx.evaluator(self.target)
-        return self._all_valid(ev, self.left) == self._all_valid(ev, self.right)
+        lv, rv = self._verdicts(ctx)
+        return lv == rv
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
-        ev = ctx.evaluator(self.target)
-        lv, rv = self._all_valid(ev, self.left), self._all_valid(ev, self.right)
+        lv, rv = self._verdicts(ctx)
         if lv == rv:
             return None
         return (f"{self.left_label}={'holds' if lv else 'fails'} but "
@@ -222,8 +222,10 @@ class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
     A suite is reusable across every system sharing the declaration (the
-    sweep generates thousands of such systems); compiled formulas are shared
-    so the evaluator's per-block memo pays off.
+    sweep generates thousands of such systems).  The formulas of all its
+    checkers are hash-consed: structurally equal subformulas become one
+    object, so the :class:`RunMasks` memo of a system evaluates each of
+    them once, whichever obligation or checker reaches it first.
     """
 
     def __init__(self, flavor: str, schema, observer: str,
@@ -235,6 +237,7 @@ class CheckSuite:
         self.bound = bound
         self._ref_derived: InterpretedSystem | None = None
         self._checkers: dict[str, object] = {}
+        self._interned: dict[tuple, Formula] = {}
 
     @property
     def ref_derived(self) -> InterpretedSystem:
@@ -258,17 +261,48 @@ class CheckSuite:
 
     # -- builders ---------------------------------------------------------
 
+    def _intern(self, f: Formula) -> Formula:
+        """The suite's one object structurally equal to ``f``.
+
+        Children are interned first and swapped into ``f`` in place; the
+        swap keeps ``f`` structurally the same, so this is safe even for
+        formulas shared with other owners.
+        """
+        t = type(f)
+        if t is Atom:
+            key = (f.agent, f.action.family, f.action.param)
+        elif t is Not or t is Knows or t is Poss:
+            child = self._intern(f.child)
+            if child is not f.child:
+                object.__setattr__(f, "child", child)
+            key = (t, getattr(f, "observer", None), id(child))
+        elif t is Const:
+            key = (t, f.value)
+        else:
+            left, right = self._intern(f.left), self._intern(f.right)
+            if left is not f.left:
+                object.__setattr__(f, "left", left)
+            if right is not f.right:
+                object.__setattr__(f, "right", right)
+            key = (t, id(left), id(right))
+        return self._interned.setdefault(key, f)
+
+    def _obligation(self, label: str, f: Formula) -> _Obligation:
+        return _Obligation(label, self._intern(f))
+
     def _props(self, ref: InterpretedSystem, target: str, name: str, specs):
         obligations = []
         for spec in specs:
             label = f"{spec.kind.value}({spec.subject}, {spec.action})"
-            obligations.append(_Obligation(label, compile_property(ref, spec)))
+            obligations.append(self._obligation(label, compile_property(ref, spec)))
         return _AllValid(name, target, obligations)
 
-    def _independence(self, name: str, kind: IndependenceKind):
-        obs = [_Obligation(label, f) for label, f in independence_obligations(
+    def _independence_obligations(self, kind: IndependenceKind):
+        return [self._obligation(label, f) for label, f in independence_obligations(
             self.ref_base, self.schema, self.observer, kind, self.bound)]
-        return _AllValid(name, "base", obs)
+
+    def _independence(self, name: str, kind: IndependenceKind):
+        return _AllValid(name, "base", self._independence_obligations(kind))
 
     def _structural(self, name: str, conds):
         obs = []
@@ -278,7 +312,8 @@ class CheckSuite:
                 label += f"[{cond.action}]"
             if cond.agent is not None:
                 label += f"[{cond.agent}]"
-            obs.append(_Obligation(label, structural_formula(self.ref_base, self.schema, cond)))
+            obs.append(self._obligation(
+                label, structural_formula(self.ref_base, self.schema, cond)))
         return _AllValid(name, "base", obs)
 
     def _build(self, name: str):
@@ -366,8 +401,7 @@ class CheckSuite:
                                    [role_interchangeable(i, Action(sub, c), j, A_S)
                                     for i in I_R for c in C])
             if name == "independence-reformulation-equivalence":
-                left = [_Obligation(label, f) for label, f in independence_obligations(
-                    self.ref_base, sch, j, IndependenceKind.BASIC)]
+                left = self._independence_obligations(IndependenceKind.BASIC)
                 right = []
                 for i2 in I_R:
                     for k2 in I_P:
@@ -378,7 +412,8 @@ class CheckSuite:
                                         Poss(j, And(Atom(i, Action(use, k)),
                                                     Atom(k2, Action(post, c)))))
                                 for i in I_R for k in I_P)
-                            right.append(_Obligation(f"{i2},{k2},{c}", Implies(guard, body)))
+                            right.append(self._obligation(f"{i2},{k2},{c}",
+                                                          Implies(guard, body)))
                 return _EquivalenceValid(name, "base", left, right,
                                          "independence", "reformulation")
         else:
@@ -409,8 +444,9 @@ class CheckSuite:
                 items = []
                 for i in subjects:
                     for c in sch.params:
-                        alts = (compile_property(self.ref_base, minimally_private(i, Action(fa, c), j)),
-                                compile_property(self.ref_base, minimally_private(i, Action(fb, c), j)))
+                        alts = tuple(self._intern(compile_property(
+                            self.ref_base, minimally_private(i, Action(fam, c), j)))
+                            for fam in (fa, fb))
                         items.append((f"{i},{c}", alts))
                 return _AnyOfEachValid(name, "base", items)
             if name == "ab-identity":

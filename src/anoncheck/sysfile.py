@@ -35,6 +35,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
     agents: list[tuple[str, str | None]] | None = None
     actions: list[str] | None = None
     runs: list[tuple[str, list[tuple[str, str]]]] = []
+    run_ids: set[str] = set()
     observers: dict[str, list[list[str]]] = {}
     declared_agents: set[str] = set()
     declared_actions: set[str] = set()
@@ -75,7 +76,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             if not sep:
                 raise SysFileError("expected 'run ID: facts'", lineno)
             run_id = head.strip()
-            if any(run_id == rid for rid, _ in runs):
+            if run_id in run_ids:
                 raise SysFileError(f"duplicate run id {run_id!r}", lineno)
             facts = []
             for token in rest.split():
@@ -91,6 +92,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
                         f"unknown action {action!r} in run {run_id}", lineno)
                 facts.append((agent, action))
             runs.append((run_id, facts))
+            run_ids.add(run_id)
         elif line.startswith("indist "):
             head, sep, rest = line[len("indist "):].partition(":")
             if not sep:
@@ -109,9 +111,8 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
                 members = chunk[1:end].split()
                 if not members:
                     raise SysFileError("empty partition block", lineno)
-                known = {rid for rid, _ in runs}
                 for rid in members:
-                    if rid not in known:
+                    if rid not in run_ids:
                         raise SysFileError(f"unknown run {rid!r} in block", lineno)
                 blocks.append(members)
                 chunk = chunk[end + 1:].strip()
@@ -168,10 +169,16 @@ def to_json_dict(system: InterpretedSystem) -> dict:
     }
 
 
+def _json_fact(fact) -> tuple:
+    if not isinstance(fact, (list, tuple)) or len(fact) != 2:
+        raise SysFileError(f"malformed system JSON: fact {fact!r} is not an [agent, action] pair")
+    return tuple(fact)
+
+
 def from_json_dict(data: dict) -> InterpretedSystem:
     try:
         agents = [(a["name"], a.get("role")) for a in data["agents"]]
-        runs = [(r["id"], [(agent, action) for agent, action in r["facts"]])
+        runs = [(r["id"], [_json_fact(fact) for fact in r["facts"]])
                 for r in data["runs"]]
         return build_system(name=data.get("name", "system"), agents=agents,
                             actions=data["actions"], runs=runs,

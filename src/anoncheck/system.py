@@ -90,7 +90,7 @@ class InterpretedSystem:
 
     __slots__ = (
         "name", "agents", "roles", "actions", "runs", "observers",
-        "_run_index", "_blocks", "_block_of",
+        "_action_set", "_run_index", "_blocks", "_block_of",
     )
 
     def __init__(self, name: str, agents: tuple[str, ...], roles: dict[str, str | None],
@@ -100,6 +100,7 @@ class InterpretedSystem:
         self.agents = agents
         self.roles = roles
         self.actions = actions
+        self._action_set = frozenset(actions)
         self.runs = runs
         self.observers = observers
         self._run_index = {r.run_id: i for i, r in enumerate(runs)}
@@ -131,13 +132,7 @@ class InterpretedSystem:
         return name in self.roles
 
     def has_action(self, action: Action) -> bool:
-        return action in self._action_set()
-
-    def _action_set(self) -> frozenset[Action]:
-        # Cached lazily on the class-level dict would need another slot;
-        # actions tuples are tiny, so a set build per call is acceptable for
-        # the rare validation paths that use it.
-        return frozenset(self.actions)
+        return action in self._action_set
 
     def agents_with_role(self, role: str) -> tuple[str, ...]:
         return tuple(a for a in self.agents if self.roles.get(a) == role)
@@ -149,6 +144,16 @@ class InterpretedSystem:
             if observer not in self.observers:
                 raise ValidationError(f"{observer!r} is not a declared observer") from None
             raise ValidationError(f"unknown run {run_id!r}") from None
+
+    def block_masks(self, observer: str) -> tuple[int, ...]:
+        """The observer's blocks as bitmasks over run positions: bit ``i``
+        stands for ``runs[i]``."""
+        try:
+            blocks = self._blocks[observer]
+        except KeyError:
+            raise ValidationError(f"{observer!r} is not a declared observer") from None
+        index = self._run_index
+        return tuple(sum(1 << index[r.run_id] for r in block) for block in blocks)
 
     def kernel(self, observer: str, run: Run | str) -> tuple[Run, ...]:
         """All runs the observer cannot distinguish from ``run`` (inclusive)."""

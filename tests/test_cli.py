@@ -11,6 +11,7 @@ from anoncheck import (Action, GenConfig, check_claim, check_property,
                        random_system, render_system, save_system)
 from anoncheck.cli import main
 from anoncheck.scenarios import CLAIMS, standard_sequential_schema
+from anoncheck.sysfile import to_json_dict
 
 
 def invoke(*argv):
@@ -327,6 +328,16 @@ class TestSystemResolution:
     def test_missing_file(self):
         rc, _, err = invoke("eval", "missing.sys", "true")
         assert rc == 2 and "cannot read" in err
+
+    def test_json_fact_of_three_elements(self, tmp_path, s12):
+        data = to_json_dict(s12)
+        data["runs"][0]["facts"][0].append("extra")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = invoke("check", str(path), "min-anon(i1, use(k1), j)")
+        assert (rc, out) == (2, "")
+        assert "is not an [agent, action] pair" in err
+        assert "Traceback" not in err
 
 
 class TestVerdictAgreement:
