@@ -26,7 +26,7 @@ from .properties import (PropertyKind, PropertyReport, PropertySpec,
 from .scenarios import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                         HYPOTHESIS_IMPLICATIONS, PAPER_SYSTEM_NAMES,
                         CheckSuite, ClaimDef, ClaimReport, ClaimVerdict,
-                        FalsifyResult, GenConfig, ScenarioError, SweepReport,
+                        FalsifyResult, GenConfig, SweepReport,
                         check_claim, exhaustive_systems, falsify,
                         fixture_system, mixer_chain, paper_system,
                         random_system, standard_parallel_schema,
@@ -46,7 +46,6 @@ __all__ = [
     "InterpretedSystem", "Knows", "Not", "ObserverPartition", "Or",
     "PAPER_SYSTEM_NAMES", "ParallelSchema", "ParseError", "Poss",
     "PropertyKind", "PropertyReport", "PropertySpec", "Run", "RunMasks",
-    "ScenarioError",
     "SequentialSchema", "StructuralCondition", "StructuralKind",
     "SweepReport", "SysFileError", "TRUE", "ValidationError", "Verdict",
     "anonymous_up_to", "build_system", "check_claim", "check_independence",

@@ -22,9 +22,9 @@ from .properties import (PropertyReport, PropertySpec, anonymous_up_to,
                          maximally_onymous, minimally_anonymous,
                          minimally_private, private_up_to,
                          role_interchangeable)
-from .scenarios import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES, ClaimReport,
-                        ClaimVerdict, GenConfig, check_claim, falsify,
-                        fixture_system, standard_parallel_schema,
+from .scenarios import (CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
+                        ClaimReport, ClaimVerdict, GenConfig, check_claim,
+                        falsify, fixture_system, standard_parallel_schema,
                         standard_sequential_schema)
 from .sysfile import SysFileError, load_system, render_system, save_system, to_json_dict
 from .system import Action, InterpretedSystem, ValidationError
@@ -32,9 +32,6 @@ from .system import Action, InterpretedSystem, ValidationError
 
 class CliError(Exception):
     """Input rejected before any checking happened (exit code 2)."""
-
-
-DATA_DIR = Path(__file__).parent / "data"
 
 
 def _resolve_system(value: str) -> InterpretedSystem:
@@ -476,12 +473,10 @@ def cmd_claims(args) -> int:
     for cid in claim_ids:
         if cid not in CLAIMS:
             raise CliError(f"unknown claim {cid!r}")
+    given = None if args.system is None else _resolve_system(args.system)
     reports = []
     for cid in claim_ids:
-        if args.system is not None:
-            system = _resolve_system(args.system)
-        else:
-            system = fixture_system(DEFAULT_SYSTEMS[cid])
+        system = fixture_system(DEFAULT_SYSTEMS[cid]) if given is None else given
         try:
             reports.append(check_claim(cid, system, drop=tuple(args.drop or ())))
         except ValidationError as exc:
@@ -621,6 +616,9 @@ def main(argv=None) -> int:
         return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""Executable claim registry, example systems, and falsification search.
+"""Executable claim registry, bundled systems, and falsification search.
 
 Every registered claim has machine-checkable hypotheses and conclusion; a
 claim on a system is *confirmed* (hypotheses and conclusion hold), *vacuous*
@@ -8,19 +8,25 @@ must never occur with full hypotheses; the sweep and falsify entry points
 exist to hammer on exactly that, and to demonstrate hypothesis necessity by
 re-running searches with a hypothesis dropped.
 
-Hypotheses and conclusions are compiled once per declaration shape into
-hash-consed formulas and evaluated once per system as run bitmasks
+Hypotheses and conclusions are named checkers.  Most are looked up in
+tables: a ``<stage>-<property>`` checker asks one property of every
+(subject, action) of a stage, and independence and structural checkers
+name their condition.  A suite compiles them once per declaration shape
+into hash-consed formulas, evaluated once per system as run bitmasks
 (:class:`~anoncheck.formula.RunMasks`); all semantics lives in the
-formula/property/composition modules.
+formula/property/composition modules.  The bundled systems are the
+``data/*.sys`` files.
 """
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
+from pathlib import Path
+from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, derive_parallel,
@@ -28,18 +34,14 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           parallel_subjects, structural_formula)
 from .formula import (And, Atom, Const, Formula, Implies, Knows, Not,
                       Poss, RunMasks, conj)
-from .properties import (PropertySpec, anonymous_up_to, compile_property,
+from .properties import (anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
                          private_up_to, role_interchangeable)
+from .sysfile import load_system
 from .system import Action, InterpretedSystem, ValidationError, build_system
 
 ClaimId = str
-
-
-class ScenarioError(ValidationError):
-    """Raised when a bundled-scenario invariant breaks (search failure,
-    attributed property not reproduced)."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,13 @@ def standard_parallel_schema(system: InterpretedSystem,
     return ParallelSchema(family_a, family_b, derived_family, params)
 
 
+def _flavor_functions(flavor: str):
+    """The schema inference and the derivation of a claim flavor."""
+    if flavor == "parallel":
+        return standard_parallel_schema, derive_parallel
+    return standard_sequential_schema, derive_sequential
+
+
 # ---------------------------------------------------------------------------
 # Checkers: named obligation bundles shared by claims
 
@@ -115,10 +124,8 @@ class ClaimContext:
     @property
     def derived(self) -> InterpretedSystem:
         if self._derived is None:
-            if self.flavor == "parallel":
-                self._derived = derive_parallel(self.base, self.schema)
-            else:
-                self._derived = derive_sequential(self.base, self.schema)
+            _, derive = _flavor_functions(self.flavor)
+            self._derived = derive(self.base, self.schema)
         return self._derived
 
     def masks(self, target: str) -> RunMasks:
@@ -218,6 +225,89 @@ class _EquivalenceValid:
                 f"{self.right_label}={'holds' if rv else 'fails'}")
 
 
+# ---------------------------------------------------------------------------
+# Checker tables
+
+
+class _Stage(NamedTuple):
+    """One stage of a claim flavor: the system its facts live in (``base``
+    or ``derived``), the agents its properties are stated of, and its
+    actions.  Anonymity is up to the stage's agents; privacy and role
+    interchangeability are up to its actions."""
+
+    target: str
+    subjects: tuple[str, ...]
+    actions: tuple[Action, ...]
+
+
+def _sequential_stages(schema: SequentialSchema, system, observer) -> dict[str, _Stage]:
+    return {"use": _Stage("base", schema.first_agents, schema.first_actions),
+            "post": _Stage("base", schema.first_params, schema.second_actions),
+            "submit": _Stage("derived", schema.first_agents, schema.derived_actions)}
+
+
+def _parallel_stages(schema: ParallelSchema, system, observer) -> dict[str, _Stage]:
+    subjects = parallel_subjects(system, observer)
+    return {"a": _Stage("base", subjects, schema.actions_a),
+            "b": _Stage("base", subjects, schema.actions_b),
+            "joint": _Stage("derived", subjects, schema.derived_actions)}
+
+
+_STAGES = {"sequential": _sequential_stages, "parallel": _parallel_stages}
+
+#: Property suffix of a ``<stage>-<property>`` checker -> the spec it asks
+#: of each (subject, action) of the stage.
+_PROPERTY_SPECS = {
+    "anonymity": lambda i, a, stage, j: anonymous_up_to(i, a, stage.subjects, j),
+    "privacy": lambda i, a, stage, j: private_up_to(i, a, stage.actions, j),
+    "onymity": lambda i, a, stage, j: maximally_onymous(i, a, j),
+    "identity": lambda i, a, stage, j: maximally_identified(i, a, j),
+    "min-anonymity": lambda i, a, stage, j: minimally_anonymous(i, a, j),
+    "min-privacy": lambda i, a, stage, j: minimally_private(i, a, j),
+    "role-interchangeability":
+        lambda i, a, stage, j: role_interchangeable(i, a, j, stage.actions),
+}
+
+#: The ``<stage>-<property>`` checkers each flavor offers.
+_PROPERTY_CHECKERS = {
+    "sequential": ("use-anonymity", "use-onymity", "use-min-anonymity",
+                   "use-role-interchangeability", "post-privacy",
+                   "post-identity", "post-min-privacy",
+                   "post-role-interchangeability", "submit-privacy",
+                   "submit-anonymity", "submit-min-privacy",
+                   "submit-min-anonymity", "submit-onymity",
+                   "submit-role-interchangeability"),
+    "parallel": ("a-privacy", "b-privacy", "a-anonymity", "b-anonymity",
+                 "joint-privacy", "joint-anonymity", "joint-min-privacy",
+                 "joint-identity"),
+}
+
+_INDEPENDENCE_KINDS = {
+    "sequential": {"independence": IndependenceKind.BASIC,
+                   "pairwise-independence": IndependenceKind.PAIRWISE,
+                   "disjunctive-independence": IndependenceKind.DISJUNCTIVE,
+                   "posneg-independence": IndependenceKind.POS_NEG,
+                   "negpos-independence": IndependenceKind.NEG_POS},
+    "parallel": {"independence": IndependenceKind.PARALLEL},
+}
+
+#: Structural checkers (sequential flavor) -> their conditions.
+_STRUCTURAL_CONDITIONS = {
+    "exhaustive-posting":
+        lambda sch: [StructuralCondition(StructuralKind.EXHAUSTIVE_POSTING)],
+    "exhaustive-registration":
+        lambda sch: [StructuralCondition(StructuralKind.EXHAUSTIVE_REGISTRATION)],
+    "backward-causality":
+        lambda sch: [StructuralCondition(StructuralKind.BACKWARD_CAUSALITY)],
+    "exclusive-posts":
+        lambda sch: [StructuralCondition(StructuralKind.EXCLUSIVE_ACTION, action=a)
+                     for a in sch.second_actions],
+    "exclusive-agents":
+        lambda sch: [StructuralCondition(StructuralKind.EXCLUSIVE_AGENT, agent=i)
+                     for i in sch.first_agents],
+}
+
+
 class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
@@ -242,10 +332,8 @@ class CheckSuite:
     @property
     def ref_derived(self) -> InterpretedSystem:
         if self._ref_derived is None:
-            if self.flavor == "parallel":
-                self._ref_derived = derive_parallel(self.ref_base, self.schema)
-            else:
-                self._ref_derived = derive_sequential(self.ref_base, self.schema)
+            _, derive = _flavor_functions(self.flavor)
+            self._ref_derived = derive(self.ref_base, self.schema)
         return self._ref_derived
 
     def context(self, system: InterpretedSystem) -> ClaimContext:
@@ -290,7 +378,8 @@ class CheckSuite:
     def _obligation(self, label: str, f: Formula) -> _Obligation:
         return _Obligation(label, self._intern(f))
 
-    def _props(self, ref: InterpretedSystem, target: str, name: str, specs):
+    def _props(self, name: str, target: str, specs):
+        ref = self.ref_base if target == "base" else self.ref_derived
         obligations = []
         for spec in specs:
             label = f"{spec.kind.value}({spec.subject}, {spec.action})"
@@ -300,9 +389,6 @@ class CheckSuite:
     def _independence_obligations(self, kind: IndependenceKind):
         return [self._obligation(label, f) for label, f in independence_obligations(
             self.ref_base, self.schema, self.observer, kind, self.bound)]
-
-    def _independence(self, name: str, kind: IndependenceKind):
-        return _AllValid(name, "base", self._independence_obligations(kind))
 
     def _structural(self, name: str, conds):
         obs = []
@@ -316,163 +402,71 @@ class CheckSuite:
                 label, structural_formula(self.ref_base, self.schema, cond)))
         return _AllValid(name, "base", obs)
 
+    def _stages(self) -> dict[str, _Stage]:
+        return _STAGES[self.flavor](self.schema, self.ref_base, self.observer)
+
     def _build(self, name: str):
-        j = self.observer
-        if self.flavor == "sequential":
-            sch: SequentialSchema = self.schema
-            I_R, I_P, C = sch.first_agents, sch.first_params, sch.second_params
-            A_U, A_P = sch.first_actions, sch.second_actions
-            A_S = sch.derived_actions
-            use, post, sub = sch.first_family, sch.second_family, sch.derived_family
-            if name == "independence":
-                return self._independence(name, IndependenceKind.BASIC)
-            if name == "pairwise-independence":
-                return self._independence(name, IndependenceKind.PAIRWISE)
-            if name == "disjunctive-independence":
-                return self._independence(name, IndependenceKind.DISJUNCTIVE)
-            if name == "posneg-independence":
-                return self._independence(name, IndependenceKind.POS_NEG)
-            if name == "negpos-independence":
-                return self._independence(name, IndependenceKind.NEG_POS)
-            if name == "use-anonymity":
-                return self._props(self.ref_base, "base", name,
-                                   [anonymous_up_to(i, Action(use, k), I_R, j)
-                                    for i in I_R for k in I_P])
-            if name == "use-onymity":
-                return self._props(self.ref_base, "base", name,
-                                   [maximally_onymous(i, Action(use, k), j)
-                                    for i in I_R for k in I_P])
-            if name == "use-min-anonymity":
-                return self._props(self.ref_base, "base", name,
-                                   [minimally_anonymous(i, Action(use, k), j)
-                                    for i in I_R for k in I_P])
-            if name == "use-role-interchangeability":
-                return self._props(self.ref_base, "base", name,
-                                   [role_interchangeable(i, Action(use, k), j, A_U)
-                                    for i in I_R for k in I_P])
-            if name == "post-privacy":
-                return self._props(self.ref_base, "base", name,
-                                   [private_up_to(k, Action(post, c), A_P, j)
-                                    for k in I_P for c in C])
-            if name == "post-identity":
-                return self._props(self.ref_base, "base", name,
-                                   [maximally_identified(k, Action(post, c), j)
-                                    for k in I_P for c in C])
-            if name == "post-min-privacy":
-                return self._props(self.ref_base, "base", name,
-                                   [minimally_private(k, Action(post, c), j)
-                                    for k in I_P for c in C])
-            if name == "post-role-interchangeability":
-                return self._props(self.ref_base, "base", name,
-                                   [role_interchangeable(k, Action(post, c), j, A_P)
-                                    for k in I_P for c in C])
-            if name == "exhaustive-posting":
-                return self._structural(name, [StructuralCondition(StructuralKind.EXHAUSTIVE_POSTING)])
-            if name == "exhaustive-registration":
-                return self._structural(name, [StructuralCondition(StructuralKind.EXHAUSTIVE_REGISTRATION)])
-            if name == "backward-causality":
-                return self._structural(name, [StructuralCondition(StructuralKind.BACKWARD_CAUSALITY)])
-            if name == "exclusive-posts":
-                return self._structural(name, [
-                    StructuralCondition(StructuralKind.EXCLUSIVE_ACTION, action=Action(post, c))
-                    for c in C])
-            if name == "exclusive-agents":
-                return self._structural(name, [
-                    StructuralCondition(StructuralKind.EXCLUSIVE_AGENT, agent=i)
-                    for i in I_R])
-            if name == "submit-privacy":
-                return self._props(self.ref_derived, "derived", name,
-                                   [private_up_to(i, Action(sub, c), A_S, j)
-                                    for i in I_R for c in C])
-            if name == "submit-anonymity":
-                return self._props(self.ref_derived, "derived", name,
-                                   [anonymous_up_to(i, Action(sub, c), I_R, j)
-                                    for i in I_R for c in C])
-            if name in ("submit-min-privacy", "submit-min-anonymity"):
-                return self._props(self.ref_derived, "derived", name,
-                                   [minimally_private(i, Action(sub, c), j)
-                                    for i in I_R for c in C])
-            if name == "submit-onymity":
-                return self._props(self.ref_derived, "derived", name,
-                                   [maximally_onymous(i, Action(sub, c), j)
-                                    for i in I_R for c in C])
-            if name == "submit-role-interchangeability":
-                return self._props(self.ref_derived, "derived", name,
-                                   [role_interchangeable(i, Action(sub, c), j, A_S)
-                                    for i in I_R for c in C])
-            if name == "independence-reformulation-equivalence":
-                left = self._independence_obligations(IndependenceKind.BASIC)
-                right = []
-                for i2 in I_R:
-                    for k2 in I_P:
-                        for c in C:
-                            guard = And(Atom(i2, Action(use, k2)), Atom(k2, Action(post, c)))
-                            body = conj(
-                                Implies(Poss(j, Atom(i, Action(use, k))),
-                                        Poss(j, And(Atom(i, Action(use, k)),
-                                                    Atom(k2, Action(post, c)))))
-                                for i in I_R for k in I_P)
-                            right.append(self._obligation(f"{i2},{k2},{c}",
-                                                          Implies(guard, body)))
-                return _EquivalenceValid(name, "base", left, right,
-                                         "independence", "reformulation")
-        else:
-            sch: ParallelSchema = self.schema
-            subjects = parallel_subjects(self.ref_base, j)
-            A_a, A_b = sch.actions_a, sch.actions_b
-            A_J = sch.derived_actions
-            fa, fb, fj = sch.family_a, sch.family_b, sch.derived_family
-            if name == "independence":
-                return self._independence(name, IndependenceKind.PARALLEL)
-            if name == "a-privacy":
-                return self._props(self.ref_base, "base", name,
-                                   [private_up_to(i, Action(fa, c), A_a, j)
-                                    for i in subjects for c in sch.params])
-            if name == "b-privacy":
-                return self._props(self.ref_base, "base", name,
-                                   [private_up_to(i, Action(fb, c), A_b, j)
-                                    for i in subjects for c in sch.params])
-            if name == "a-anonymity":
-                return self._props(self.ref_base, "base", name,
-                                   [anonymous_up_to(i, Action(fa, c), subjects, j)
-                                    for i in subjects for c in sch.params])
-            if name == "b-anonymity":
-                return self._props(self.ref_base, "base", name,
-                                   [anonymous_up_to(i, Action(fb, c), subjects, j)
-                                    for i in subjects for c in sch.params])
-            if name == "min-privacy-either":
-                items = []
-                for i in subjects:
-                    for c in sch.params:
-                        alts = tuple(self._intern(compile_property(
-                            self.ref_base, minimally_private(i, Action(fam, c), j)))
-                            for fam in (fa, fb))
-                        items.append((f"{i},{c}", alts))
-                return _AnyOfEachValid(name, "base", items)
-            if name == "ab-identity":
-                specs = []
-                for i in subjects:
-                    for c in sch.params:
-                        specs.append(maximally_identified(i, Action(fa, c), j))
-                        specs.append(maximally_identified(i, Action(fb, c), j))
-                return self._props(self.ref_base, "base", name, specs)
-            if name == "joint-privacy":
-                return self._props(self.ref_derived, "derived", name,
-                                   [private_up_to(i, Action(fj, c), A_J, j)
-                                    for i in subjects for c in sch.params])
-            if name == "joint-anonymity":
-                return self._props(self.ref_derived, "derived", name,
-                                   [anonymous_up_to(i, Action(fj, c), subjects, j)
-                                    for i in subjects for c in sch.params])
-            if name == "joint-min-privacy":
-                return self._props(self.ref_derived, "derived", name,
-                                   [minimally_private(i, Action(fj, c), j)
-                                    for i in subjects for c in sch.params])
-            if name == "joint-identity":
-                return self._props(self.ref_derived, "derived", name,
-                                   [maximally_identified(i, Action(fj, c), j)
-                                    for i in subjects for c in sch.params])
+        kind = _INDEPENDENCE_KINDS[self.flavor].get(name)
+        if kind is not None:
+            return _AllValid(name, "base", self._independence_obligations(kind))
+        if name in _PROPERTY_CHECKERS[self.flavor]:
+            stage_name, _, prop = name.partition("-")
+            stage, make_spec = self._stages()[stage_name], _PROPERTY_SPECS[prop]
+            return self._props(name, stage.target, [
+                make_spec(i, a, stage, self.observer)
+                for i in stage.subjects for a in stage.actions])
+        if self.flavor == "sequential" and name in _STRUCTURAL_CONDITIONS:
+            return self._structural(name, _STRUCTURAL_CONDITIONS[name](self.schema))
+        method = self._METHODS[self.flavor].get(name)
+        if method is not None:
+            return method(self, name)
         raise ValidationError(f"unknown checker {name!r}")
+
+    def _reformulation_equivalence(self, name: str):
+        sch, j = self.schema, self.observer
+        use, post = sch.first_family, sch.second_family
+        left = self._independence_obligations(IndependenceKind.BASIC)
+        right = []
+        for i2 in sch.first_agents:
+            for k2 in sch.first_params:
+                for c in sch.second_params:
+                    guard = And(Atom(i2, Action(use, k2)), Atom(k2, Action(post, c)))
+                    body = conj(
+                        Implies(Poss(j, Atom(i, Action(use, k))),
+                                Poss(j, And(Atom(i, Action(use, k)),
+                                            Atom(k2, Action(post, c)))))
+                        for i in sch.first_agents for k in sch.first_params)
+                    right.append(self._obligation(f"{i2},{k2},{c}",
+                                                  Implies(guard, body)))
+        return _EquivalenceValid(name, "base", left, right,
+                                 "independence", "reformulation")
+
+    def _min_privacy_either(self, name: str):
+        stages = self._stages()
+        a, b = stages["a"], stages["b"]
+        items = []
+        for i in a.subjects:
+            for pair in zip(a.actions, b.actions):
+                alts = tuple(self._intern(compile_property(
+                    self.ref_base, minimally_private(i, act, self.observer)))
+                    for act in pair)
+                items.append((f"{i},{pair[0].param}", alts))
+        return _AnyOfEachValid(name, "base", items)
+
+    def _ab_identity(self, name: str):
+        stages = self._stages()
+        a, b = stages["a"], stages["b"]
+        return self._props(name, "base", [
+            maximally_identified(i, act, self.observer)
+            for i in a.subjects for pair in zip(a.actions, b.actions)
+            for act in pair])
+
+    #: Checkers written out as methods, per flavor.
+    _METHODS = {
+        "sequential": {"independence-reformulation-equivalence": _reformulation_equivalence},
+        "parallel": {"min-privacy-either": _min_privacy_either,
+                     "ab-identity": _ab_identity},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +619,8 @@ def _suite_for_system(cdef: ClaimDef, system: InterpretedSystem,
             raise ValidationError("system declares no observer")
         observer = next(iter(system.observers))
     if schema is None:
-        if cdef.flavor == "parallel":
-            schema = standard_parallel_schema(system)
-        else:
-            schema = standard_sequential_schema(system)
+        infer_schema, _ = _flavor_functions(cdef.flavor)
+        schema = infer_schema(system)
     return CheckSuite(cdef.flavor, schema, observer, system, bound), observer
 
 
@@ -710,272 +702,44 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
 
 
 # ---------------------------------------------------------------------------
-# Example systems
+# Bundled systems
 
 
-_STANDARD_AGENTS = (("i1", "real"), ("i2", "real"),
-                    ("k1", "pseudo"), ("k2", "pseudo"), ("j", "observer"))
-_STANDARD_ACTIONS = ("use(k1)", "use(k2)", "post(c1)", "post(c2)")
-
-_R_FACTS = {
-    "r1": (("i1", "use(k1)"), ("k1", "post(c1)"), ("i2", "use(k2)"), ("k2", "post(c2)")),
-    "r2": (("i1", "use(k2)"), ("k2", "post(c1)"), ("i2", "use(k1)"), ("k1", "post(c2)")),
-    "r3": (("i1", "use(k1)"), ("k1", "post(c2)"), ("i2", "use(k2)"), ("k2", "post(c1)")),
-    "r4": (("i1", "use(k2)"), ("k2", "post(c2)"), ("i2", "use(k1)"), ("k1", "post(c1)")),
-    "r5": (("i1", "use(k1)"), ("i1", "use(k2)"), ("k1", "post(c1)"), ("k2", "post(c2)")),
-    "r6": (("i1", "use(k1)"), ("i1", "use(k2)"), ("k1", "post(c2)"), ("k2", "post(c1)")),
-}
-
-
-def _standard_system(name: str, run_ids, extra_runs=()) -> InterpretedSystem:
-    runs = [(rid, _R_FACTS[rid]) for rid in run_ids]
-    runs += list(extra_runs)
-    return build_system(
-        name=name, agents=_STANDARD_AGENTS, actions=_STANDARD_ACTIONS,
-        runs=runs, observers={"j": [[rid for rid, _ in runs]]})
-
-
-# Bit layout for the completion search: use fact (i_idx, k_idx) is bit
-# i_idx*2 + k_idx of U; post fact (k_idx, c_idx) is bit k_idx*2 + c_idx of P.
-_GRID_SWAPS = ((0b1001, 0b0110), (0b0110, 0b1001))
-
-
-def _mask_of(facts, kind: str) -> int:
-    mask = 0
-    for agent, action in facts:
-        act = Action.parse(action)
-        if kind == "use" and act.family == "use":
-            mask |= 1 << ((int(agent[1]) - 1) * 2 + (int(act.param[1]) - 1))
-        if kind == "post" and act.family == "post":
-            mask |= 1 << ((int(agent[1]) - 1) * 2 + (int(act.param[1]) - 1))
-    return mask
-
-
-def _swap_closed(masks) -> bool:
-    for m in masks:
-        for pair, need in _GRID_SWAPS:
-            if m & pair == pair and not any(x & need == need for x in masks):
-                return False
-    return True
-
-
-def _submit_mask(u: int, p: int) -> int:
-    s = 0
-    for i in (0, 1):
-        for c in (0, 1):
-            for k in (0, 1):
-                if u >> (i * 2 + k) & 1 and p >> (k * 2 + c) & 1:
-                    s |= 1 << (i * 2 + c)
-                    break
-    return s
-
-
-def _cover_mask(u: int, p: int) -> int:
-    m = 0
-    for ub in range(4):
-        if u >> ub & 1:
-            for pb in range(4):
-                if p >> pb & 1:
-                    m |= 1 << (ub * 4 + pb)
-    return m
-
-
-def _present_submasks(masks) -> set[int]:
-    """All 1- and 2-bit submasks occurring inside the given 4-bit masks."""
-    out: set[int] = set()
-    for m in masks:
-        bits = [b for b in range(4) if m >> b & 1]
-        for b in bits:
-            out.add(1 << b)
-        for x, y in combinations(bits, 2):
-            out.add((1 << x) | (1 << y))
-    return out
-
-
-def _pairwise_fails(runs) -> bool:
-    """True when some pair of co-possible stage-fact pairs is never joint."""
-    u_present = _present_submasks([u for u, _ in runs])
-    p_present = _present_submasks([p for _, p in runs])
-    for mu in u_present:
-        for mp in p_present:
-            if not any(u & mu == mu and p & mp == mp for u, p in runs):
-                return True
-    return False
-
-
-def _completion_ok(runs) -> bool:
-    covered = 0
-    for u, p in runs:
-        covered |= _cover_mask(u, p)
-    if covered != 0xFFFF:
-        return False
-    if not _swap_closed([u for u, _ in runs]):
-        return False
-    if not _swap_closed([p for _, p in runs]):
-        return False
-    if not _pairwise_fails(runs):
-        return False
-    # The attributed failure of chained role interchangeability.
-    return not _swap_closed([_submit_mask(u, p) for u, p in runs])
-
-
-def _search_completion(fixed, slots: int):
-    """Lexicographically first completion (by run encoding) satisfying all
-    attributed constraints; exhaustive over the 256 candidate runs."""
-    fixed = list(fixed)
-    taken = set(fixed)
-    candidates = [(u, p) for enc in range(256)
-                  for u, p in [(enc >> 4, enc & 0xF)] if (u, p) not in taken]
-    base_cov = 0
-    for u, p in fixed:
-        base_cov |= _cover_mask(u, p)
-    cov = [_cover_mask(u, p) for u, p in candidates]
-    n = len(candidates)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | cov[i]
-
-    chosen: list[int] = []
-
-    def dfs(start: int, covered: int):
-        remaining = slots - len(chosen)
-        if remaining == 0:
-            runs = fixed + [candidates[i] for i in chosen]
-            return runs if covered == 0xFFFF and _completion_ok(runs) else None
-        if covered | suffix[start] != 0xFFFF:
-            return None
-        for i in range(start, n - remaining + 1):
-            chosen.append(i)
-            result = dfs(i + 1, covered | cov[i])
-            if result is not None:
-                return result
-            chosen.pop()
-        return None
-
-    result = dfs(0, base_cov)
-    if result is None:
-        raise ScenarioError("completion search exhausted without a solution")
-    return result[len(fixed):]
-
-
-def _masks_to_facts(u: int, p: int):
-    facts = []
-    for i in (0, 1):
-        for k in (0, 1):
-            if u >> (i * 2 + k) & 1:
-                facts.append((f"i{i + 1}", f"use(k{k + 1})"))
-    for k in (0, 1):
-        for c in (0, 1):
-            if p >> (k * 2 + c) & 1:
-                facts.append((f"k{k + 1}", f"post(c{c + 1})"))
-    return tuple(facts)
-
-
-def _verify_reconstruction(system: InterpretedSystem) -> None:
-    """Re-check the searched system through the real checkers."""
-    from .composition import check_independence
-    schema = standard_sequential_schema(system)
-    basic = check_independence(system, "j", schema, IndependenceKind.BASIC)
-    pairwise = check_independence(system, "j", schema, IndependenceKind.PAIRWISE)
-    if not basic.holds or pairwise.holds:
-        raise ScenarioError(f"reconstructed {system.name} lost its independence profile")
-    suite = CheckSuite("sequential", schema, "j", system)
-    ctx = suite.context(system)
-    if not suite.checker("post-role-interchangeability").holds(ctx):
-        raise ScenarioError(f"reconstructed {system.name}: post stage not interchangeable")
-    if not suite.checker("use-role-interchangeability").holds(ctx):
-        raise ScenarioError(f"reconstructed {system.name}: use stage not interchangeable")
-    if suite.checker("submit-role-interchangeability").holds(ctx):
-        raise ScenarioError(f"reconstructed {system.name}: chained stage unexpectedly interchangeable")
-
-
-@lru_cache(maxsize=None)
-def paper_system(name: str) -> InterpretedSystem:
-    """Bundled example systems, including the two search-reconstructed ones.
-
-    ``s125678`` completes r1, r2, r5, r6 with two searched runs (r7, r8);
-    ``s129-12`` completes r1, r2 with four searched runs (r9 to r12).  The
-    searches are deterministic and their results are re-verified against
-    the attributed properties at construction time.
-    """
-    if name == "s12":
-        return _standard_system("s12", ("r1", "r2"))
-    if name == "s1234":
-        return _standard_system("s1234", ("r1", "r2", "r3", "r4"))
-    if name == "s56":
-        return _standard_system("s56", ("r5", "r6"))
-    if name == "s125678":
-        fixed = [(_mask_of(_R_FACTS[r], "use"), _mask_of(_R_FACTS[r], "post"))
-                 for r in ("r1", "r2", "r5", "r6")]
-        found = _search_completion(fixed, 2)
-        extra = [(f"r{7 + i}", _masks_to_facts(u, p)) for i, (u, p) in enumerate(found)]
-        system = _standard_system("s125678", ("r1", "r2", "r5", "r6"), extra)
-        _verify_reconstruction(system)
-        return system
-    if name == "s129-12":
-        fixed = [(_mask_of(_R_FACTS[r], "use"), _mask_of(_R_FACTS[r], "post"))
-                 for r in ("r1", "r2")]
-        found = _search_completion(fixed, 4)
-        extra = [(f"r{9 + i}", _masks_to_facts(u, p)) for i, (u, p) in enumerate(found)]
-        system = _standard_system("s129-12", ("r1", "r2"), extra)
-        _verify_reconstruction(system)
-        return system
-    raise ValidationError(f"unknown example system {name!r}")
-
+#: Where the bundled systems live, one ``<name>.sys`` file each.
+DATA_DIR = Path(__file__).parent / "data"
 
 PAPER_SYSTEM_NAMES = ("s12", "s1234", "s56", "s125678", "s129-12")
 
-
-def fixture_system(name: str) -> InterpretedSystem:
-    """Additional bundled systems used as claim-demo defaults."""
-    if name in PAPER_SYSTEM_NAMES:
-        return paper_system(name)
-    if name == "onymic_reg":
-        # Registration constant across runs; posting swaps.
-        return build_system(
-            name="onymic_reg", agents=_STANDARD_AGENTS, actions=_STANDARD_ACTIONS,
-            runs=[("q1", (("i1", "use(k1)"), ("i2", "use(k2)"),
-                          ("k1", "post(c1)"), ("k2", "post(c2)"))),
-                  ("q2", (("i1", "use(k1)"), ("i2", "use(k2)"),
-                          ("k1", "post(c2)"), ("k2", "post(c1)")))],
-            observers={"j": [["q1", "q2"]]})
-    if name == "identified_post":
-        # Posting constant across runs; registration swaps.
-        return build_system(
-            name="identified_post", agents=_STANDARD_AGENTS, actions=_STANDARD_ACTIONS,
-            runs=[("q1", (("i1", "use(k1)"), ("i2", "use(k2)"),
-                          ("k1", "post(c1)"), ("k2", "post(c2)"))),
-                  ("q2", (("i1", "use(k2)"), ("i2", "use(k1)"),
-                          ("k1", "post(c1)"), ("k2", "post(c2)")))],
-            observers={"j": [["q1", "q2"]]})
-    if name == "linked":
-        return build_system(
-            name="linked", agents=_STANDARD_AGENTS, actions=_STANDARD_ACTIONS,
-            runs=[("q1", (("i1", "use(k1)"), ("i2", "use(k2)"),
-                          ("k1", "post(c1)"), ("k2", "post(c2)")))],
-            observers={"j": [["q1"]]})
-    if name == "par_swap":
-        return build_system(
-            name="par_swap",
-            agents=(("i1", "real"), ("i2", "real"), ("j", "observer")),
-            actions=("act_a(c1)", "act_a(c2)", "act_b(c1)", "act_b(c2)"),
-            runs=[("p1", (("i1", "act_a(c1)"), ("i1", "act_b(c1)"),
-                          ("i2", "act_a(c2)"), ("i2", "act_b(c2)"))),
-                  ("p2", (("i1", "act_a(c2)"), ("i1", "act_b(c2)"),
-                          ("i2", "act_a(c1)"), ("i2", "act_b(c1)")))],
-            observers={"j": [["p1", "p2"]]})
-    if name == "par_single":
-        return build_system(
-            name="par_single",
-            agents=(("i1", "real"), ("i2", "real"), ("j", "observer")),
-            actions=("act_a(c1)", "act_a(c2)", "act_b(c1)", "act_b(c2)"),
-            runs=[("p1", (("i1", "act_a(c1)"), ("i1", "act_b(c1)")))],
-            observers={"j": [["p1"]]})
-    raise ValidationError(f"unknown fixture system {name!r}")
-
-
 FIXTURE_NAMES = PAPER_SYSTEM_NAMES + ("onymic_reg", "identified_post", "linked",
                                       "par_swap", "par_single")
+
+
+@lru_cache(maxsize=None)
+def fixture_system(name: str) -> InterpretedSystem:
+    """A bundled system, loaded from ``data/<name>.sys``."""
+    if name not in FIXTURE_NAMES:
+        raise ValidationError(f"unknown fixture system {name!r}")
+    return load_system(DATA_DIR / f"{name}.sys")
+
+
+def paper_system(name: str) -> InterpretedSystem:
+    """The bundled systems of the paper's examples.
+
+    ``s12``, ``s1234`` and ``s56`` consist of quoted runs (r1 to r6).
+    ``s125678`` completes r1, r2, r5, r6 with two runs (r7, r8), and
+    ``s129-12`` completes r1, r2 with four runs (r9 to r12).  The added
+    runs come from an exhaustive search over the 256 possible runs of the
+    2x2 use/post fact grid: the lexicographically first completion, by run
+    encoding, under which every (use, post) fact pair occurs in some run,
+    both stages are role interchangeable, pairwise independence fails,
+    and chained role interchangeability fails.  The data files hold the
+    result; the tests freeze those runs and re-check these properties
+    through the public checkers.
+    """
+    if name not in PAPER_SYSTEM_NAMES:
+        raise ValidationError(f"unknown example system {name!r}")
+    return fixture_system(name)
+
 
 #: Default demo system per claim (hypotheses hold on it).
 DEFAULT_SYSTEMS: dict[ClaimId, str] = {
@@ -1175,11 +939,8 @@ def _cached_suite(flavor: str, n_real: int, n_pseudo: int, n_articles: int,
     agents, actions, universe = _declaration(cfg)
     ref = build_system(name="ref", agents=agents, actions=actions,
                        runs=[("r1", universe)], observers={"j": [["r1"]]})
-    if flavor == "parallel":
-        schema = standard_parallel_schema(ref)
-    else:
-        schema = standard_sequential_schema(ref)
-    return CheckSuite(flavor, schema, "j", ref, bound)
+    infer_schema, _ = _flavor_functions(flavor)
+    return CheckSuite(flavor, infer_schema(ref), "j", ref, bound)
 
 
 def _random_pool(flavor: str, n_random: int, seed: int):

@@ -230,12 +230,17 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
 
     action_list: list[Action] = []
     action_set: set[Action] = set()
+    # Declared action text -> action, so facts naming an action by the same
+    # text skip re-parsing it.
+    by_text: dict[str, Action] = {}
     for entry in actions:
         act = _coerce_action(entry)
         if act in action_set:
             raise ValidationError(f"duplicate action {act}")
         action_list.append(act)
         action_set.add(act)
+        if isinstance(entry, str):
+            by_text[entry] = act
 
     run_list: list[Run] = []
     run_ids: set[str] = set()
@@ -246,7 +251,10 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
         run_ids.add(run_id)
         norm: set[Fact] = set()
         for fact in facts:
-            agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
+            agent, raw = fact[0], (fact[1] if len(fact) == 2 else fact[1:])
+            act = by_text.get(raw) if isinstance(raw, str) else None
+            if act is None:
+                act = _coerce_action(raw)
             if agent not in roles:
                 raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
             if act not in action_set:

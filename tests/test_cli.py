@@ -85,6 +85,14 @@ class TestEval:
         rc, _, err = invoke("eval", "s12", "true", "--run", "zz")
         assert rc == 2 and "unknown run 'zz'" in err
 
+    # 3,000 negations overflow the parser, 3,000 conjuncts the evaluator
+    @pytest.mark.parametrize("formula", ["!" * 3000 + "true",
+                                         " & ".join(["true"] * 3000)],
+                             ids=["negations", "conjuncts"])
+    def test_deep_formula_exits_2(self, formula):
+        rc, out, err = invoke("eval", "s12", formula)
+        assert (rc, out, err) == (2, "", "error: formula nested too deeply\n")
+
 
 class TestCheck:
     def test_holds_line(self):

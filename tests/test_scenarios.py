@@ -12,7 +12,8 @@ from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        exhaustive_systems, falsify, fixture_system,
                        maximally_onymous, mixer_chain, paper_system,
                        random_system, role_interchangeable, sweep)
-from anoncheck.scenarios import standard_sequential_schema
+from anoncheck.scenarios import (CheckSuite, standard_parallel_schema,
+                                 standard_sequential_schema)
 
 
 def facts_of(system, run_id):
@@ -101,6 +102,12 @@ class TestReconstructedSystems:
             assert check_property(s, role_interchangeable(i, a, "j", uses)).holds
         for k, a in itertools.product(("k1", "k2"), posts):
             assert check_property(s, role_interchangeable(k, a, "j", posts)).holds
+        # ... while chained role interchangeability fails
+        derived = derive_sequential(s, schema)
+        submits = [Action("submit", c) for c in ("c1", "c2")]
+        assert not all(
+            check_property(derived, role_interchangeable(i, a, "j", submits)).holds
+            for i, a in itertools.product(("i1", "i2"), submits))
 
 
 class TestClaimRegistry:
@@ -110,6 +117,31 @@ class TestClaimRegistry:
             report = check_claim(cid, fixture_system(sysname))
             assert report.verdict is ClaimVerdict.CONFIRMED, cid
             assert report.system_name == sysname
+
+    def test_claim_checkers_exist_only_in_their_flavor(self, s1234, par_swap):
+        suites = {
+            "sequential": CheckSuite("sequential", standard_sequential_schema(s1234),
+                                     "j", s1234),
+            "parallel": CheckSuite("parallel", standard_parallel_schema(par_swap),
+                                   "j", par_swap),
+        }
+        for cdef in CLAIMS.values():
+            suite = suites[cdef.flavor]
+            names = cdef.hypotheses
+            if not cdef.witness_only:  # a witness conclusion names no checker
+                names += (cdef.conclusion,)
+            for name in names:
+                checker = suite.checker(name)
+                assert checker.name == name
+                assert checker.holds(suite.context(suite.ref_base)) in (True, False)
+        for flavor, name in (("sequential", "a-privacy"), ("parallel", "use-anonymity")):
+            with pytest.raises(ValidationError, match=f"unknown checker '{name}'"):
+                suites[flavor].checker(name)
+
+    def test_min_anonymity_failure_names_its_property(self, s12):
+        report = check_claim("CA.4", s12)
+        assert report.conclusion.name == "submit-min-anonymity"
+        assert report.conclusion.detail == "minimally-anonymous(i1, submit(c1)) @ r1"
 
     def test_witness_claim_items(self, s12):
         report = check_claim("C3.1", s12)
