@@ -34,7 +34,7 @@ from .scenarios import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
 from .sysfile import (SysFileError, from_json_dict, load_system, parse_system,
                       render_system, save_system, to_json_dict)
 from .system import (Action, InterpretedSystem, ObserverPartition, Run,
-                     ValidationError, build_system, holds, kernel)
+                     ValidationError, build_system)
 
 __version__ = "0.1.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "conj",
     "derive_parallel", "derive_sequential", "disj", "evaluate",
     "exhaustive_systems", "falsify", "fixture_system", "from_json_dict",
-    "holds", "independence_obligations", "kernel", "load_system",
+    "independence_obligations", "load_system",
     "maximally_identified", "maximally_onymous", "minimally_anonymous",
     "minimally_private", "mixer_chain", "paper_system", "parallel_subjects",
     "parse", "parse_system", "private_up_to", "random_system", "render",

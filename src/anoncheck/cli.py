@@ -13,8 +13,7 @@ import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
-from .composition import (IndependenceKind, check_independence,
-                          derive_parallel, derive_sequential)
+from .composition import IndependenceKind, check_independence
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
 from .properties import (PropertyReport, PropertySpec, anonymous_up_to,
@@ -23,9 +22,9 @@ from .properties import (PropertyReport, PropertySpec, anonymous_up_to,
                          minimally_private, private_up_to,
                          role_interchangeable)
 from .scenarios import (CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
-                        ClaimReport, ClaimVerdict, GenConfig, check_claim,
-                        falsify, fixture_system, standard_parallel_schema,
-                        standard_sequential_schema)
+                        ClaimReport, ClaimVerdict, GenConfig, _flavor_functions,
+                        check_claim, falsify, fixture_system,
+                        standard_parallel_schema, standard_sequential_schema)
 from .sysfile import SysFileError, load_system, render_system, save_system, to_json_dict
 from .system import Action, InterpretedSystem, ValidationError
 
@@ -340,6 +339,13 @@ def _claim_pairs(report: ClaimReport) -> list[tuple[str, str]]:
     return pairs
 
 
+def _write(path: str, write) -> None:
+    try:
+        write()
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -366,94 +372,81 @@ def _dot_graph(system: InterpretedSystem, formula) -> str:
 
 def cmd_eval(args) -> int:
     system = _resolve_system(args.system)
-    try:
-        formula = parse_formula(args.formula)
-    except ParseError as exc:
-        raise CliError(str(exc)) from None
+    formula = parse_formula(args.formula)
     ev = Evaluator(system)
-    try:
-        check_names(system, formula)
-        if args.dot is not None:
-            # "-" replaces the report with the graph; the exit code still
-            # reflects validity either way
-            dot = _dot_graph(system, formula)
-            if args.dot == "-":
-                print(dot, end="")
-                return 0 if all(ev.evaluate(formula, r) for r in system.runs) else 1
-            with open(args.dot, "w") as fh:
-                fh.write(dot)
-        if args.run is not None:
-            value = ev.evaluate(formula, system.run(args.run))
-            _emit(args,
-                  [f"{render(formula)} is {'true' if value else 'false'} at {args.run}"],
-                  [("value", "true" if value else "false")],
-                  {"value": value, "run": args.run})
-            return 0 if value else 1
-        values = [(run.run_id, ev.evaluate(formula, run)) for run in system.runs]
-        failing = next((rid for rid, v in values if not v), None)
-        verdict = "holds" if failing is None else "fails"
-        width = max(len(rid) for rid, _ in values)
-        human = [render(formula)]
-        human.extend(f"  {rid:<{width}}  {'true' if v else 'false'}"
-                     for rid, v in values)
-        human.append("valid over all runs" if failing is None
-                     else f"not valid (first false at {failing})")
-        pairs = [("verdict", verdict)]
-        pairs.extend((f"run.{rid}", "true" if v else "false") for rid, v in values)
-        obj = {"formula": render(formula), "verdict": verdict,
-               "runs": [{"run": rid, "value": v} for rid, v in values]}
-        if failing is not None:
-            pairs.append(("counterexample_run", failing))
-            obj["counterexample_run"] = failing
-        _emit(args, human, pairs, obj)
-        return 0 if failing is None else 1
-    except ValidationError as exc:
-        raise CliError(str(exc)) from None
+    check_names(system, formula)
+    if args.dot is not None:
+        # "-" replaces the report with the graph; the exit code still
+        # reflects validity either way
+        dot = _dot_graph(system, formula)
+        if args.dot == "-":
+            print(dot, end="")
+            return 0 if all(ev.evaluate(formula, r) for r in system.runs) else 1
+        _write(args.dot, lambda: Path(args.dot).write_text(dot))
+    if args.run is not None:
+        value = ev.evaluate(formula, system.run(args.run))
+        _emit(args,
+              [f"{render(formula)} is {'true' if value else 'false'} at {args.run}"],
+              [("value", "true" if value else "false")],
+              {"value": value, "run": args.run})
+        return 0 if value else 1
+    values = [(run.run_id, ev.evaluate(formula, run)) for run in system.runs]
+    failing = next((rid for rid, v in values if not v), None)
+    verdict = "holds" if failing is None else "fails"
+    width = max(len(rid) for rid, _ in values)
+    human = [render(formula)]
+    human.extend(f"  {rid:<{width}}  {'true' if v else 'false'}"
+                 for rid, v in values)
+    human.append("valid over all runs" if failing is None
+                 else f"not valid (first false at {failing})")
+    pairs = [("verdict", verdict)]
+    pairs.extend((f"run.{rid}", "true" if v else "false") for rid, v in values)
+    obj = {"formula": render(formula), "verdict": verdict,
+           "runs": [{"run": rid, "value": v} for rid, v in values]}
+    if failing is not None:
+        pairs.append(("counterexample_run", failing))
+        obj["counterexample_run"] = failing
+    _emit(args, human, pairs, obj)
+    return 0 if failing is None else 1
 
 
 def cmd_check(args) -> int:
     system = _resolve_system(args.system)
     spec = parse_property_text(args.property)
-    try:
-        report = check_property(system, spec)
-    except ValidationError as exc:
-        raise CliError(str(exc)) from None
-    return _property_output(args, report, args.property.strip())
-
-
-_INDEP_KINDS = {kind.value: kind for kind in IndependenceKind}
+    return _property_output(args, check_property(system, spec), args.property.strip())
 
 
 def cmd_indep(args) -> int:
     system = _resolve_system(args.system)
-    kind = _INDEP_KINDS[args.kind]
-    try:
-        flavor, schema = parse_schema_text(args.schema, system)
-        observer = args.observer or next(iter(system.observers))
-        report = check_independence(system, observer, schema, kind, args.bound)
-    except ValidationError as exc:
-        raise CliError(str(exc)) from None
+    kind = IndependenceKind(args.kind)
+    _, schema = parse_schema_text(args.schema, system)
+    observer = args.observer or next(iter(system.observers))
+    report = check_independence(system, observer, schema, kind, args.bound)
     return _property_output(args, report, f"independence[{args.kind}]")
 
 
 def cmd_compose(args) -> int:
     system = _resolve_system(args.system)
-    try:
-        flavor, schema = parse_schema_text(args.schema, system)
-        if flavor == "parallel":
-            derived = derive_parallel(system, schema)
-        else:
-            derived = derive_sequential(system, schema)
-    except ValidationError as exc:
-        raise CliError(str(exc)) from None
+    flavor, schema = parse_schema_text(args.schema, system)
+    _, derive = _flavor_functions(flavor)
+    derived = derive(system, schema)
     if args.out:
-        save_system(derived, args.out)
+        _write(args.out, lambda: save_system(derived, args.out))
         print(f"wrote {derived.name} ({len(derived.runs)} runs) to {args.out}")
     elif args.format == "json":
         print(json.dumps(to_json_dict(derived), indent=2, sort_keys=True))
     else:
         print(render_system(derived), end="")
     return 0
+
+
+def _admits(system: InterpretedSystem, flavor: str) -> bool:
+    infer_schema, _ = _flavor_functions(flavor)
+    try:
+        infer_schema(system)
+    except ValidationError:
+        return False
+    return True
 
 
 def cmd_claims(args) -> int:
@@ -474,13 +467,15 @@ def cmd_claims(args) -> int:
         if cid not in CLAIMS:
             raise CliError(f"unknown claim {cid!r}")
     given = None if args.system is None else _resolve_system(args.system)
+    if given is not None and args.claim == "all":
+        # the claims of each flavor whose schema the system admits; if none, the
+        # first claim reports why
+        admitted = {flavor: _admits(given, flavor) for flavor in ("sequential", "parallel")}
+        claim_ids = [cid for cid in claim_ids if admitted[CLAIMS[cid].flavor]] or claim_ids
     reports = []
     for cid in claim_ids:
         system = fixture_system(DEFAULT_SYSTEMS[cid]) if given is None else given
-        try:
-            reports.append(check_claim(cid, system, drop=tuple(args.drop or ())))
-        except ValidationError as exc:
-            raise CliError(str(exc)) from None
+        reports.append(check_claim(cid, system, drop=tuple(args.drop or ())))
     human: list[str] = []
     pairs: list[tuple[str, str]] = []
     for report in reports:
@@ -493,14 +488,10 @@ def cmd_claims(args) -> int:
 def cmd_search(args) -> int:
     if args.claim not in CLAIMS:
         raise CliError(f"unknown claim {args.claim!r}")
-    try:
-        cfg = GenConfig(n_real=args.agents, n_pseudo=args.pseudonyms,
-                        n_articles=args.articles, max_runs=args.max_runs,
-                        partition=args.partition, seed=args.seed,
-                        budget=args.budget)
-        result = falsify(args.claim, cfg, drop=tuple(args.drop_hypothesis or ()))
-    except ValidationError as exc:
-        raise CliError(str(exc)) from None
+    cfg = GenConfig(n_real=args.agents, n_pseudo=args.pseudonyms,
+                    n_articles=args.articles, max_runs=args.max_runs,
+                    partition=args.partition, seed=args.seed, budget=args.budget)
+    result = falsify(args.claim, cfg, drop=tuple(args.drop_hypothesis or ()))
     found = result.found is not None
     human = []
     pairs = [("found", "yes" if found else "no"),
@@ -561,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="system file or bundled fixture name")
     p.add_argument("schema",
                    help="e.g. 'seq use:I_P={k1,k2} post:C={c1,c2} => submit'")
-    p.add_argument("kind", choices=sorted(_INDEP_KINDS))
+    p.add_argument("kind", choices=sorted(kind.value for kind in IndependenceKind))
     p.add_argument("--observer")
     p.add_argument("--bound", type=int, default=2,
                    help="disjunction size bound for kind=disjunctive")
@@ -611,10 +602,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, SysFileError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
+    except (CliError, SysFileError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -17,11 +17,13 @@ observer partitions are shared unchanged, so formulas over pre-existing
 atoms keep their truth values.
 
 Independence checks ask the observer's possibility operator to distribute
-over conjunctions of stage facts; each variant compiles the corresponding
-implication schema and checks it on every run.
+over conjunctions of stage facts: every variant instantiates the one schema
+P[j] u & P[j] p -> P[j] (u & p), with u and p single, negated, paired or
+disjoined facts of the two stages, and checks it on every run.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, combinations_with_replacement
@@ -29,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
                       conj, disj, render)
 from .properties import PropertyReport
-from .system import Action, InterpretedSystem, ValidationError, build_system
+from .system import Action, InterpretedSystem, Run, ValidationError
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,19 @@ class StructuralCondition:
     agent: str | None = None
     family: str | None = None
 
+    @property
+    def label(self) -> str:
+        """The kind with each given argument in brackets, e.g.
+        ``exclusive-agent[i1]``."""
+        return self.kind.value + "".join(
+            f"[{arg}]" for arg in (self.action, self.agent, self.family) if arg is not None)
+
 
 # ---------------------------------------------------------------------------
 # Schema validation and derivation
 
 
-def _validate_sequential(system: InterpretedSystem, schema: SequentialSchema,
-                         require_fresh: bool = False) -> None:
+def _validate_sequential(system: InterpretedSystem, schema: SequentialSchema) -> None:
     for i in schema.first_agents:
         if not system.has_agent(i):
             raise ValidationError(f"schema first-stage agent {i!r} is not declared")
@@ -139,37 +147,36 @@ def _validate_sequential(system: InterpretedSystem, schema: SequentialSchema,
     for c in schema.second_params:
         if not system.has_action(Action(schema.second_family, c)):
             raise ValidationError(f"undeclared action {Action(schema.second_family, c)}")
-    if require_fresh:
-        for a in system.actions:
-            if a.family == schema.derived_family:
-                raise ValidationError(
-                    f"derived family {schema.derived_family!r} already declared")
 
 
-def _validate_parallel(system: InterpretedSystem, schema: ParallelSchema,
-                       require_fresh: bool = False) -> None:
+def _validate_parallel(system: InterpretedSystem, schema: ParallelSchema) -> None:
     for c in schema.params:
         for fam in (schema.family_a, schema.family_b):
             if not system.has_action(Action(fam, c)):
                 raise ValidationError(f"undeclared action {Action(fam, c)}")
-    if require_fresh:
-        for a in system.actions:
-            if a.family == schema.derived_family:
-                raise ValidationError(
-                    f"derived family {schema.derived_family!r} already declared")
 
 
-def _rebuild(system: InterpretedSystem, new_actions, new_run_facts) -> InterpretedSystem:
-    return build_system(
-        name=system.name,
-        agents=[(a, system.roles.get(a)) for a in system.agents],
-        actions=list(system.actions) + list(new_actions),
-        runs=[(r.run_id, sorted(new_run_facts[r.run_id],
-                                key=lambda f: (f[0], f[1].family, f[1].param)))
-              for r in system.runs],
-        observers={obs: [list(b) for b in part.blocks]
-                   for obs, part in system.observers.items()},
-    )
+def _require_fresh(system: InterpretedSystem, schema) -> None:
+    """The derived actions must be undeclared and pairwise distinct."""
+    if any(a.family == schema.derived_family for a in system.actions):
+        raise ValidationError(f"derived family {schema.derived_family!r} already declared")
+    actions = schema.derived_actions
+    for n, action in enumerate(actions):
+        if action in actions[:n]:
+            raise ValidationError(f"duplicate action {action}")
+
+
+def _extend(system: InterpretedSystem, schema, new_facts) -> InterpretedSystem:
+    """``system`` plus the schema's derived actions, each run's facts joined
+    with ``new_facts(run.facts)``.  Skipping :func:`build_system` is safe:
+    ``system`` passed it, agents, run ids and partitions are kept, every new
+    fact's performer is declared (it performs a fact of the same run), and
+    :func:`_require_fresh` makes the appended actions new and distinct."""
+    _require_fresh(system, schema)
+    runs = tuple(Run(run.run_id, run.facts | new_facts(run.facts)) for run in system.runs)
+    return InterpretedSystem(system.name, system.agents, system.roles,
+                             system.actions + schema.derived_actions, runs,
+                             system.observers)
 
 
 def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> InterpretedSystem:
@@ -178,37 +185,29 @@ def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> In
     The defining disjunction ranges over the declared intermediaries; it is
     applied to every declared agent in performer position.
     """
-    _validate_sequential(system, schema, require_fresh=True)
-    run_facts = {}
-    for run in system.runs:
-        facts = set(run.facts)
-        for k in schema.first_params:
-            posted = [c for c in schema.second_params
-                      if (k, Action(schema.second_family, c)) in run.facts]
-            if not posted:
-                continue
-            first = Action(schema.first_family, k)
-            for x in system.agents:
-                if (x, first) in run.facts:
-                    for c in posted:
-                        facts.add((x, Action(schema.derived_family, c)))
-        run_facts[run.run_id] = facts
-    return _rebuild(system, schema.derived_actions, run_facts)
+    _validate_sequential(system, schema)
+    intermediary = dict(zip(schema.first_actions, schema.first_params))  # use(k) -> k
+    derived = dict(zip(schema.second_actions, schema.derived_actions))  # post(c) -> submit(c)
+
+    def chained(facts):
+        users, posted = defaultdict(list), defaultdict(list)
+        for x, action in facts:
+            if action in intermediary:
+                users[intermediary[action]].append(x)
+            if action in derived:
+                posted[x].append(derived[action])
+        return {(x, d) for k, xs in users.items() for x in xs for d in posted[k]}
+
+    return _extend(system, schema, chained)
 
 
 def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> InterpretedSystem:
     """Extend every run with the conjoined facts of ``schema.derived_family``."""
-    _validate_parallel(system, schema, require_fresh=True)
-    run_facts = {}
-    for run in system.runs:
-        facts = set(run.facts)
-        for x in system.agents:
-            for c in schema.params:
-                if ((x, Action(schema.family_a, c)) in run.facts
-                        and (x, Action(schema.family_b, c)) in run.facts):
-                    facts.add((x, Action(schema.derived_family, c)))
-        run_facts[run.run_id] = facts
-    return _rebuild(system, schema.derived_actions, run_facts)
+    _validate_parallel(system, schema)
+    joint = {a: (b, d) for a, b, d in
+             zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
+    return _extend(system, schema, lambda facts: {
+        (x, joint[a][1]) for x, a in facts if a in joint and (x, joint[a][0]) in facts})
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,42 @@ def parallel_subjects(system: InterpretedSystem, observer: str) -> tuple[str, ..
         return tagged
     return tuple(a for a in system.agents
                  if a != observer and system.roles.get(a) != "observer")
+
+
+def _distributes(j: str, u: Formula, p: Formula) -> Formula:
+    """``P[j] u & P[j] p -> P[j] (u & p)``: what the observer considers
+    possible of each stage alone, it considers possible together."""
+    return Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p)))
+
+
+#: Single-fact sequential variants: whether the first and the second stage's
+#: fact is negated.
+_NEGATED = {
+    IndependenceKind.BASIC: (False, False),
+    IndependenceKind.POS_NEG: (False, True),
+    IndependenceKind.NEG_POS: (True, False),
+}
+
+
+def _sequential_terms(kind: IndependenceKind, stages, bound: int):
+    """The label separator and, per stage, the (label, term) list a
+    sequential variant ranges over; ``stages`` holds each stage's
+    (label, atom) facts."""
+    if kind in _NEGATED:
+        return ",", [[("!" + label, Not(atom)) if negate else (label, atom)
+                      for label, atom in facts]
+                     for facts, negate in zip(stages, _NEGATED[kind])]
+    if kind is IndependenceKind.PAIRWISE:
+        return ";", [[(f"{l1}+{l2}", And(a1, a2))
+                      for (l1, a1), (l2, a2) in combinations_with_replacement(facts, 2)]
+                     for facts in stages]
+    if kind is IndependenceKind.DISJUNCTIVE:
+        if bound < 1:
+            raise ValidationError("disjunct bound must be at least 1")
+        return ";", [[("|".join(label for label, _ in group), disj(a for _, a in group))
+                      for n in range(1, bound + 1) for group in combinations(facts, n)]
+                     for facts in stages]
+    raise ValidationError(f"unknown independence kind {kind!r}")
 
 
 def independence_obligations(system: InterpretedSystem,
@@ -242,64 +277,32 @@ def independence_obligations(system: InterpretedSystem,
             raise ValidationError("parallel independence needs a ParallelSchema")
         for i in parallel_subjects(system, j):
             for c in schema.params:
-                a, b = Atom(i, Action(schema.family_a, c)), Atom(i, Action(schema.family_b, c))
-                yield (f"{i},{c}",
-                       Implies(And(Poss(j, a), Poss(j, b)), Poss(j, And(a, b))))
+                yield (f"{i},{c}", _distributes(j, Atom(i, Action(schema.family_a, c)),
+                                                Atom(i, Action(schema.family_b, c))))
         return
 
     if not isinstance(schema, SequentialSchema):
         raise ValidationError(f"{kind.value} independence needs a SequentialSchema")
-    uses = [(i, k) for i in schema.first_agents for k in schema.first_params]
-    posts = [(k2, c) for k2 in schema.first_params for c in schema.second_params]
+    stages = ([(f"{i},{k}", Atom(i, Action(schema.first_family, k)))
+               for i in schema.first_agents for k in schema.first_params],
+              [(f"{k},{c}", Atom(k, Action(schema.second_family, c)))
+               for k in schema.first_params for c in schema.second_params])
+    sep, (firsts, seconds) = _sequential_terms(kind, stages, bound)
+    for first_label, u in firsts:
+        for second_label, p in seconds:
+            yield f"{first_label}{sep}{second_label}", _distributes(j, u, p)
 
-    def uatom(ik):
-        return Atom(ik[0], Action(schema.first_family, ik[1]))
 
-    def patom(kc):
-        return Atom(kc[0], Action(schema.second_family, kc[1]))
-
-    if kind is IndependenceKind.BASIC:
-        for i, k in uses:
-            for k2, c in posts:
-                u, p = uatom((i, k)), patom((k2, c))
-                yield (f"{i},{k},{k2},{c}",
-                       Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p))))
-    elif kind is IndependenceKind.PAIRWISE:
-        for upair in combinations_with_replacement(uses, 2):
-            for ppair in combinations_with_replacement(posts, 2):
-                us = And(uatom(upair[0]), uatom(upair[1]))
-                ps = And(patom(ppair[0]), patom(ppair[1]))
-                label = (f"{upair[0][0]},{upair[0][1]}+{upair[1][0]},{upair[1][1]};"
-                         f"{ppair[0][0]},{ppair[0][1]}+{ppair[1][0]},{ppair[1][1]}")
-                yield (label,
-                       Implies(And(Poss(j, us), Poss(j, ps)), Poss(j, And(us, ps))))
-    elif kind is IndependenceKind.DISJUNCTIVE:
-        if bound < 1:
-            raise ValidationError("disjunct bound must be at least 1")
-        ulists = [l for n in range(1, bound + 1) for l in combinations(uses, n)]
-        plists = [l for n in range(1, bound + 1) for l in combinations(posts, n)]
-        for ul in ulists:
-            for pl in plists:
-                us = disj(uatom(x) for x in ul)
-                ps = disj(patom(x) for x in pl)
-                label = ("|".join(f"{i},{k}" for i, k in ul) + ";"
-                         + "|".join(f"{k2},{c}" for k2, c in pl))
-                yield (label,
-                       Implies(And(Poss(j, us), Poss(j, ps)), Poss(j, And(us, ps))))
-    elif kind is IndependenceKind.POS_NEG:
-        for i, k in uses:
-            for k2, c in posts:
-                u, p = uatom((i, k)), Not(patom((k2, c)))
-                yield (f"{i},{k},!{k2},{c}",
-                       Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p))))
-    elif kind is IndependenceKind.NEG_POS:
-        for i, k in uses:
-            for k2, c in posts:
-                u, p = Not(uatom((i, k))), patom((k2, c))
-                yield (f"!{i},{k},{k2},{c}",
-                       Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p))))
-    else:
-        raise ValidationError(f"unknown independence kind {kind!r}")
+def _report(system: InterpretedSystem, name: str, witness: Formula,
+            obligations) -> PropertyReport:
+    """Report ``name`` as failing at the first (label, formula) obligation
+    that is not valid, with its first failing run; else as holding."""
+    ev = Evaluator(system)
+    for label, f in obligations:
+        verdict = ev.valid(f)
+        if not verdict.holds:
+            return PropertyReport(name, False, witness, (verdict.counterexample, label))
+    return PropertyReport(name, True, witness, None)
 
 
 def check_independence(system: InterpretedSystem,
@@ -315,15 +318,9 @@ def check_independence(system: InterpretedSystem,
         _validate_parallel(system, schema)
     if observer not in system.observers:
         raise ValidationError(f"{observer!r} has no declared partition")
-    ev = Evaluator(system)
     parts = list(independence_obligations(system, schema, observer, kind, bound))
-    witness = conj(f for _, f in parts)
-    for label, f in parts:
-        for run in system.runs:
-            if not ev.evaluate(f, run):
-                spec = f"independence[{kind.value}] for {observer}"
-                return PropertyReport(spec, False, witness, (run.run_id, label))
-    return PropertyReport(f"independence[{kind.value}] for {observer}", True, witness, None)
+    return _report(system, f"independence[{kind.value}] for {observer}",
+                   conj(f for _, f in parts), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +390,4 @@ def check_structural(system: InterpretedSystem,
                      cond: StructuralCondition) -> PropertyReport:
     _validate_sequential(system, schema)
     f = structural_formula(system, schema, cond)
-    ev = Evaluator(system)
-    name = cond.kind.value
-    if cond.action is not None:
-        name += f"[{cond.action}]"
-    if cond.agent is not None:
-        name += f"[{cond.agent}]"
-    if cond.family is not None:
-        name += f"[{cond.family}]"
-    for run in system.runs:
-        if not ev.evaluate(f, run):
-            return PropertyReport(name, False, f, (run.run_id, render(f)))
-    return PropertyReport(name, True, f, None)
+    return _report(system, cond.label, f, [(render(f), f)])

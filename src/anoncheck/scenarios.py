@@ -391,16 +391,9 @@ class CheckSuite:
             self.ref_base, self.schema, self.observer, kind, self.bound)]
 
     def _structural(self, name: str, conds):
-        obs = []
-        for cond in conds:
-            label = cond.kind.value
-            if cond.action is not None:
-                label += f"[{cond.action}]"
-            if cond.agent is not None:
-                label += f"[{cond.agent}]"
-            obs.append(self._obligation(
-                label, structural_formula(self.ref_base, self.schema, cond)))
-        return _AllValid(name, "base", obs)
+        return _AllValid(name, "base", [
+            self._obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
+            for cond in conds])
 
     def _stages(self) -> dict[str, _Stage]:
         return _STAGES[self.flavor](self.schema, self.ref_base, self.observer)

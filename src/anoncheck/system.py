@@ -84,8 +84,9 @@ def _coerce_action(value) -> Action:
 class InterpretedSystem:
     """An immutable interpreted system with precomputed kernel indexes.
 
-    Use :func:`build_system` instead of constructing directly; the builder
-    validates the declaration and normalizes input forms.
+    Outside input goes through :func:`build_system`, which validates the
+    declaration and normalizes input forms.  Derivation (``composition``)
+    extends an already validated system by constructing it directly.
     """
 
     __slots__ = (
@@ -297,12 +298,3 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
     return InterpretedSystem(name, tuple(agent_list), roles, tuple(action_list),
                              tuple(run_list), partitions)
 
-
-def kernel(system: InterpretedSystem, observer: str, run: Run | str) -> tuple[Run, ...]:
-    """Module-level alias of :meth:`InterpretedSystem.kernel`."""
-    return system.kernel(observer, run)
-
-
-def holds(system: InterpretedSystem, run: Run | str, agent: str, action: Action | str) -> bool:
-    """Module-level alias of :meth:`InterpretedSystem.holds`."""
-    return system.holds(run, agent, action)

@@ -75,7 +75,7 @@ class TestEval:
         invoke("eval", "s12", "true", "--dot", str(path))
         assert "color=darkgreen" in path.read_text()
 
-    def test_error_exits(self):
+    def test_error_exits(self, tmp_path):
         rc, _, err = invoke("eval", "s12", "true & ???")
         assert rc == 2 and "unexpected character '?' (at position 7)" in err
         rc, _, err = invoke("eval", "s12", "theta(zz, use(k1))")
@@ -84,6 +84,9 @@ class TestEval:
         assert rc == 2 and "'zz' has no declared partition" in err
         rc, _, err = invoke("eval", "s12", "true", "--run", "zz")
         assert rc == 2 and "unknown run 'zz'" in err
+        missing = tmp_path / "missing" / "x.dot"
+        rc, _, err = invoke("eval", "s12", "true", "--dot", str(missing))
+        assert (rc, err) == (2, f"error: cannot write {missing}: No such file or directory\n")
 
     # 3,000 negations overflow the parser, 3,000 conjuncts the evaluator
     @pytest.mark.parametrize("formula", ["!" * 3000 + "true",
@@ -220,13 +223,20 @@ class TestCompose:
         assert rc == 0
         assert out == render_system(par_swap_joint)
 
-    def test_error_exits(self):
+    def test_error_exits(self, tmp_path):
         rc, _, err = invoke("compose", "s12", "seq use => submit")
         assert rc == 2 and "takes both stages or neither" in err
         rc, _, err = invoke("compose", "par_swap", "par act_a => joint")
         assert rc == 2 and "must be written 'FAMILY_A + FAMILY_B'" in err
         rc, _, err = invoke("compose", "s12", "seq use post => post")
         assert rc == 2 and "derived family 'post' already declared" in err
+        rc, _, err = invoke("compose", "s1234", "seq use:{k1,k2} post:{c1,c1}")
+        assert (rc, err) == (2, "error: duplicate action submit(c1)\n")
+        rc, _, err = invoke("compose", "par_swap", "par act_a + act_b => joint : C={c1,c1}")
+        assert (rc, err) == (2, "error: duplicate action joint(c1)\n")
+        missing = tmp_path / "missing" / "x.sys"
+        rc, _, err = invoke("compose", "s1234", "seq => submit", "-o", str(missing))
+        assert (rc, err) == (2, f"error: cannot write {missing}: No such file or directory\n")
 
 
 class TestClaims:
@@ -289,6 +299,26 @@ class TestClaims:
         headers = [l for l in out.splitlines() if not l.startswith(" ")]
         assert len(headers) == len(CLAIMS)
         assert all(": confirmed" in h for h in headers)
+
+    @pytest.mark.parametrize("system, flavor, count",
+                             [("s1234", "sequential", 18), ("par_swap", "parallel", 4)])
+    def test_run_all_on_a_given_system(self, system, flavor, count):
+        """``all`` with ``--system`` runs each claim of the flavor the system
+        admits, in registry order, exactly as the claims run one by one."""
+        ids = [cid for cid, cdef in CLAIMS.items() if cdef.flavor == flavor]
+        assert len(ids) == count
+        singles = [invoke("claims", "run", cid, "--system", system) for cid in ids]
+        rc, out, err = invoke("claims", "run", "all", "--system", system)
+        assert (rc, err) == (max(r for r, _, _ in singles), "")
+        assert out == "".join(o for _, o, _ in singles)
+
+    def test_run_all_on_a_system_of_no_flavor(self, tmp_path):
+        path = tmp_path / "plain.sys"
+        path.write_text("system plain\nagents: a j:observer\nactions: go(x)\n"
+                        "run r1: a:go(x)\nindist j: {r1}\n")
+        rc, out, err = invoke("claims", "run", "all", "--system", str(path))
+        assert (rc, out) == (2, "")
+        assert err == "error: cannot infer schema: no use/post actions declared\n"
 
     def test_unknown_claim(self):
         rc, _, err = invoke("claims", "run", "ZZ.1")

@@ -9,9 +9,11 @@ from anoncheck import (Action, GenConfig, IndependenceKind, ParallelSchema,
                        SequentialSchema, StructuralCondition, StructuralKind,
                        ValidationError, build_system, check_independence,
                        check_structural, derive_parallel, derive_sequential,
-                       parallel_subjects, random_system)
-from anoncheck.formula import And, Atom, Evaluator, Implies, Not, Poss
-from anoncheck.scenarios import (paper_system, standard_parallel_schema,
+                       exhaustive_systems, parallel_subjects, parse_system,
+                       random_system, render_system)
+from anoncheck.formula import And, Atom, Evaluator, Iff, Implies, Not, Poss, disj
+from anoncheck.scenarios import (FIXTURE_NAMES, fixture_system, paper_system,
+                                 standard_parallel_schema,
                                  standard_sequential_schema)
 
 IK = IndependenceKind
@@ -82,6 +84,12 @@ class TestSequentialDerivation:
         with pytest.raises(ValidationError, match="derived family 'submit' already declared"):
             derive_sequential(derived, schema)
 
+    def test_repeated_parameter_rejected(self, s12):
+        schema = dataclasses.replace(standard_sequential_schema(s12),
+                                     second_params=("c1", "c1"))
+        with pytest.raises(ValidationError, match=r"^duplicate action submit\(c1\)$"):
+            derive_sequential(s12, schema)
+
     def test_schema_names_must_be_declared(self, s12):
         good = standard_sequential_schema(s12)
         with pytest.raises(ValidationError, match="first-stage agent 'ghost'"):
@@ -119,6 +127,73 @@ class TestParallelDerivation:
     def test_mismatched_parameter_sets_rejected(self, par_swap):
         with pytest.raises(ValidationError, match="parameter sets differ"):
             standard_parallel_schema(par_swap, family_a="act_a", family_b="use")
+
+    def test_repeated_parameter_rejected(self, par_swap):
+        schema = dataclasses.replace(standard_parallel_schema(par_swap), params=("c1", "c1"))
+        with pytest.raises(ValidationError, match=r"^duplicate action joint\(c1\)$"):
+            derive_parallel(par_swap, schema)
+
+
+_FLAVORS = {"sequential": (standard_sequential_schema, derive_sequential),
+            "parallel": (standard_parallel_schema, derive_parallel)}
+
+
+def _derivation_cases(flavor):
+    """(base, schema, derived) on every bundled fixture of the flavor, on
+    every 997th exhaustive system and on 200 random systems per fact style
+    (partition policies alternating)."""
+    infer, derive = _FLAVORS[flavor]
+    systems = [fixture_system(name) for name in FIXTURE_NAMES
+               if name.startswith("par_") == (flavor == "parallel")]
+    systems += [s for n, s in enumerate(exhaustive_systems(flavor)) if n % 997 == 0]
+    systems += [random_system(GenConfig(seed=seed, flavor=flavor, style=style,
+                                        partition=("single", "random")[seed % 2]))
+                for style in ("uniform", "matching") for seed in range(200)]
+    for base in systems:
+        schema = infer(base)
+        yield base, schema, derive(base, schema)
+
+
+def _definitions(system, schema):
+    """One formula per derived fact theta(x, derived(c)), x any declared
+    agent, stating the composition's definition of that fact."""
+    if isinstance(schema, SequentialSchema):
+        first, second = schema.first_family, schema.second_family
+        for x in system.agents:
+            for c in schema.second_params:
+                yield Iff(Atom(x, Action(schema.derived_family, c)),
+                          disj(And(Atom(x, Action(first, k)), Atom(k, Action(second, c)))
+                               for k in schema.first_params))
+    else:
+        for x in system.agents:
+            for c in schema.params:
+                yield Iff(Atom(x, Action(schema.derived_family, c)),
+                          And(Atom(x, Action(schema.family_a, c)),
+                              Atom(x, Action(schema.family_b, c))))
+
+
+class TestDerivationAgainstDefinition:
+    @pytest.mark.parametrize("flavor", sorted(_FLAVORS))
+    def test_derived_facts_follow_the_definition(self, flavor):
+        cases = 0
+        for base, schema, derived in _derivation_cases(flavor):
+            cases += 1
+            assert derived.actions == base.actions + schema.derived_actions
+            assert [r.run_id for r in derived.runs] == [r.run_id for r in base.runs]
+            for run, old in zip(derived.runs, base.runs):
+                assert {f for f in run.facts
+                        if f[1].family != schema.derived_family} == old.facts
+            ev = Evaluator(derived)
+            for f in _definitions(derived, schema):
+                assert ev.valid(f).holds, (base.name, f)
+        assert cases > 400
+
+    @pytest.mark.parametrize("flavor", sorted(_FLAVORS))
+    def test_derived_system_equals_its_validated_copy(self, flavor):
+        for base, _, derived in _derivation_cases(flavor):
+            copy = parse_system(render_system(derived))
+            assert derived == copy, base.name
+            assert render_system(copy) == render_system(derived)
 
 
 INDEP_VERDICTS = {

@@ -2,7 +2,7 @@
 import pytest
 
 from anoncheck.system import (Action, InterpretedSystem, ValidationError,
-                              build_system, holds, kernel)
+                              build_system)
 
 
 def tiny(**overrides):
@@ -39,7 +39,7 @@ class TestBuild:
         s = tiny()
         assert s.holds("r1", "a", "go(x)")
         assert not s.holds("r1", "b", "go(y)")
-        assert holds(s, "r2", "b", Action("go", "y"))
+        assert s.holds("r2", "b", Action("go", "y"))
         assert s.has_agent("a") and not s.has_agent("zz")
         assert s.has_action(Action("go", "x"))
 
@@ -107,7 +107,7 @@ class TestPartitions:
         s = tiny()
         for run in s.runs:
             assert run in s.kernel("j", run)
-            assert run in kernel(s, "j", run.run_id)
+            assert run in s.kernel("j", run.run_id)
 
     def test_kernels_partition_runs(self):
         s = tiny(observers={"j": [["r1"], ["r2"]]})
