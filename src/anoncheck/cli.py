@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import replace as dc_replace
@@ -467,15 +468,18 @@ def cmd_claims(args) -> int:
         if cid not in CLAIMS:
             raise CliError(f"unknown claim {cid!r}")
     given = None if args.system is None else _resolve_system(args.system)
-    if given is not None and args.claim == "all":
-        # the claims of each flavor whose schema the system admits; if none, the
-        # first claim reports why
-        admitted = {flavor: _admits(given, flavor) for flavor in ("sequential", "parallel")}
-        claim_ids = [cid for cid in claim_ids if admitted[CLAIMS[cid].flavor]] or claim_ids
+    drop = tuple(args.drop or ())
+    if args.claim == "all":
+        # the claims of each flavor whose schema the system admits and that
+        # have every dropped hypothesis; if none, the first claim reports why
+        admitted = {flavor: given is None or _admits(given, flavor)
+                    for flavor in ("sequential", "parallel")}
+        claim_ids = [cid for cid in claim_ids if admitted[CLAIMS[cid].flavor]
+                     and set(drop) <= set(CLAIMS[cid].hypotheses)] or claim_ids
     reports = []
     for cid in claim_ids:
         system = fixture_system(DEFAULT_SYSTEMS[cid]) if given is None else given
-        reports.append(check_claim(cid, system, drop=tuple(args.drop or ())))
+        reports.append(check_claim(cid, system, drop=drop))
     human: list[str] = []
     pairs: list[tuple[str, str]] = []
     for report in reports:
@@ -601,7 +605,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early (``| head``): drop the rest of the output
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (CliError, SysFileError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

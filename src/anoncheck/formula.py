@@ -211,6 +211,9 @@ class RunMasks:
 
     __slots__ = ("system", "full", "_memo", "_blocks", "_roots")
 
+    #: The one system evaluated, as a batch vector (see :class:`PairPlanes`).
+    all = True
+
     def __init__(self, system: InterpretedSystem):
         self.system = system
         self.full = (1 << len(system.runs)) - 1
@@ -222,6 +225,11 @@ class RunMasks:
         """The runs where ``f`` holds, as a bitmask."""
         self._roots.append(f)
         return self._mask(f)
+
+    def valid(self, f: Formula) -> bool:
+        """Whether ``f`` holds at every run."""
+        self._roots.append(f)
+        return self._mask(f) == self.full
 
     def first_failure(self, f: Formula) -> str | None:
         """Id of the first run (in declaration order) where ``f`` fails."""
@@ -281,6 +289,70 @@ class RunMasks:
             raise TypeError(f"not a formula: {f!r}")
         self._memo[id(f)] = m
         return m
+
+
+class PairPlanes:
+    """Evaluates formulas over a batch of systems at once, as two bit planes.
+
+    Every system of the batch has at most two runs, all in one block of
+    every observer; a one-run system stands as the pair of its run with
+    itself, which changes no ``P``/``K`` value and no validity.  Bit ``s``
+    of plane one (two) is the formula's truth at the first (second) run of
+    system ``s``.  So ``!`` and the binary connectives act plane by plane,
+    ``P[j]`` is the union of the planes and ``K[j]`` their intersection,
+    both on each plane, and validity is the intersection.
+
+    ``atom_planes(atom)`` gives an atom's two planes.  Nodes are memoized by
+    object identity, and each formula passed to :meth:`valid` is kept
+    alive, as in :class:`RunMasks`.
+    """
+
+    __slots__ = ("all", "_atom_planes", "_memo", "_roots")
+
+    def __init__(self, atom_planes, width: int):
+        #: Every system of the batch, as a vector.
+        self.all = (1 << width) - 1
+        self._atom_planes = atom_planes
+        self._memo: dict[int, tuple[int, int]] = {}
+        self._roots: list[Formula] = []
+
+    def valid(self, f: Formula) -> int:
+        """The systems on which ``f`` holds at every run, as a vector."""
+        self._roots.append(f)
+        one, two = self._planes(f)
+        return one & two
+
+    def _planes(self, f: Formula) -> tuple[int, int]:
+        p = self._memo.get(id(f))
+        if p is not None:
+            return p
+        t = type(f)
+        full = self.all
+        if t is Atom:
+            p = self._atom_planes(f)
+        elif t is Not:
+            one, two = self._planes(f.child)
+            p = (full ^ one, full ^ two)
+        elif t is Poss or t is Knows:
+            one, two = self._planes(f.child)
+            m = one | two if t is Poss else one & two
+            p = (m, m)
+        elif t is Const:
+            p = (full, full) if f.value else (0, 0)
+        elif t is And or t is Or or t is Implies or t is Iff:
+            (l1, l2), (r1, r2) = self._planes(f.left), self._planes(f.right)
+            if t is And:
+                p = (l1 & r1, l2 & r2)
+            elif t is Or:
+                p = (l1 | r1, l2 | r2)
+            elif t is Implies:
+                p = ((full ^ l1) | r1, (full ^ l2) | r2)
+            else:
+                p = (full ^ l1 ^ r1, full ^ l2 ^ r2)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._memo[id(f)] = p
+        return p
 
 
 def check_names(system: InterpretedSystem, f: Formula) -> None:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, islice, permutations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,13 +34,14 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           derive_sequential, independence_obligations,
                           parallel_subjects, structural_formula)
 from .formula import (And, Atom, Const, Formula, Implies, Knows, Not,
-                      Poss, RunMasks, conj)
+                      PairPlanes, Poss, RunMasks, conj)
 from .properties import (anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
                          private_up_to, role_interchangeable)
 from .sysfile import load_system
-from .system import Action, InterpretedSystem, ValidationError, build_system
+from .system import (Action, InterpretedSystem, ObserverPartition, Run,
+                     ValidationError, build_system)
 
 ClaimId = str
 
@@ -112,6 +114,9 @@ class ClaimContext:
 
     __slots__ = ("base", "schema", "flavor", "_derived", "_masks_base", "_masks_derived")
 
+    #: The one system, as a batch vector (see :class:`_UniverseChunk`).
+    all = True
+
     def __init__(self, base: InterpretedSystem, schema, flavor: str,
                  derived: InterpretedSystem | None = None):
         self.base = base
@@ -138,12 +143,18 @@ class ClaimContext:
         return self._masks_derived
 
 
-def _all_valid(masks: RunMasks, obligations) -> bool:
-    full = masks.full
+# A checker's ``holds(ctx)`` is the vector of the context's systems on which
+# it holds: a bool on one system, an int bitmask on a universe chunk.  Both
+# support ``&``, ``|`` and ``^`` with ``masks.valid`` and ``masks.all``.
+
+
+def _all_valid(masks, obligations):
+    held = masks.all
     for ob in obligations:
-        if masks.mask(ob.formula) != full:
-            return False
-    return True
+        held &= masks.valid(ob.formula)
+        if not held:
+            break
+    return held
 
 
 class _AllValid:
@@ -156,7 +167,7 @@ class _AllValid:
         self.target = target
         self.obligations = tuple(obligations)
 
-    def holds(self, ctx: ClaimContext) -> bool:
+    def holds(self, ctx):
         return _all_valid(ctx.masks(self.target), self.obligations)
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
@@ -179,20 +190,26 @@ class _AnyOfEachValid:
         self.target = target
         self.items = tuple(items)  # (label, (formula, ...))
 
-    def _first_unmet(self, ctx: ClaimContext) -> str | None:
+    def holds(self, ctx):
         masks = ctx.masks(self.target)
-        full = masks.full
-        for label, fs in self.items:
-            if not any(masks.mask(f) == full for f in fs):
-                return label
-        return None
-
-    def holds(self, ctx: ClaimContext) -> bool:
-        return self._first_unmet(ctx) is None
+        held = masks.all
+        for _, fs in self.items:
+            some = False
+            for f in fs:
+                some |= masks.valid(f)
+                if not held & ~some:
+                    break
+            held &= some
+            if not held:
+                break
+        return held
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
-        label = self._first_unmet(ctx)
-        return None if label is None else f"{label} (no alternative holds)"
+        masks = ctx.masks(self.target)
+        for label, fs in self.items:
+            if not any(masks.valid(f) for f in fs):
+                return f"{label} (no alternative holds)"
+        return None
 
 
 class _EquivalenceValid:
@@ -209,16 +226,13 @@ class _EquivalenceValid:
         self.left_label = left_label
         self.right_label = right_label
 
-    def _verdicts(self, ctx: ClaimContext) -> tuple[bool, bool]:
+    def holds(self, ctx):
         masks = ctx.masks(self.target)
-        return _all_valid(masks, self.left), _all_valid(masks, self.right)
-
-    def holds(self, ctx: ClaimContext) -> bool:
-        lv, rv = self._verdicts(ctx)
-        return lv == rv
+        return masks.all ^ _all_valid(masks, self.left) ^ _all_valid(masks, self.right)
 
     def first_failure(self, ctx: ClaimContext) -> str | None:
-        lv, rv = self._verdicts(ctx)
+        masks = ctx.masks(self.target)
+        lv, rv = _all_valid(masks, self.left), _all_valid(masks, self.right)
         if lv == rv:
             return None
         return (f"{self.left_label}={'holds' if lv else 'fails'} but "
@@ -640,8 +654,8 @@ def _check_witness_claim(suite: CheckSuite, ctx: ClaimContext,
     verdict = ClaimVerdict.CONFIRMED if all_hold else ClaimVerdict.VACUOUS
     return ClaimReport(
         claim_id="C3.1", system_name=system.name,
-        hypotheses=(HypothesisOutcome("use-anonymity", i1),
-                    HypothesisOutcome("post-privacy", i2)),
+        hypotheses=(HypothesisOutcome("use-anonymity", i1, items[0][3]),
+                    HypothesisOutcome("post-privacy", i2, items[1][3])),
         hypotheses_hold=i1 and i2,
         conclusion=HypothesisOutcome("submit-exposure", f3 is not None and f4 is not None),
         conclusion_holds=f3 is not None and f4 is not None,
@@ -877,26 +891,121 @@ def random_system(cfg: GenConfig) -> InterpretedSystem:
                         actions=actions, runs=runs, observers={"j": blocks})
 
 
+# ---------------------------------------------------------------------------
+# The exhaustive universe
+
+
+#: Systems of an exhaustive universe decided together, as one bit vector.
+_CHUNK = 2048
+
+
+class _Universe:
+    """The tables of one flavor's exhaustive universe, built once.
+
+    The universe is the 256 one-run systems ``x{m}``, one per fact set
+    ``m`` (bit ``b`` of ``m`` is fact ``b`` of the 2/2/2 declaration), then
+    ``x{a}-{b}`` for every ``a < b``.  ``catalog`` is the validated
+    declaration with run ``m{m}`` holding fact set ``m``; ``runs[m]`` are
+    the shared ``r1``/``r2`` runs with those facts.  An atom's table (bit
+    ``m``: its truth in fact set ``m``) is read off the catalog or, for a
+    derived atom, off the catalog's derivation, so derivation semantics
+    stay in ``composition``.
+    """
+
+    def __init__(self, flavor: str):
+        agents, actions, facts = _declaration(GenConfig(flavor=flavor))
+        n_sets = 1 << len(facts)
+        self.flavor = flavor
+        self.catalog = build_system(
+            name="catalog", agents=agents, actions=actions,
+            runs=[(f"m{m}", [f for b, f in enumerate(facts) if m >> b & 1])
+                  for m in range(n_sets)],
+            observers={"j": [[f"m{m}" for m in range(n_sets)]]})
+        self.runs = tuple((Run("r1", run.facts), Run("r2", run.facts))
+                          for run in self.catalog.runs)
+        infer_schema, derive = _flavor_functions(flavor)
+        derived = derive(self.catalog, infer_schema(self.catalog))
+        self._tables = {"base": RunMasks(self.catalog), "derived": RunMasks(derived)}
+        #: Index of the first system ``x{a}-...``, per ``a``, then the size.
+        self.starts = list(accumulate(range(n_sets - 1, 0, -1), initial=n_sets))
+        self.size = self.starts[-1]
+        self._planes: dict[tuple[str, Atom], tuple[int, int]] = {}
+
+    def suite(self, bound: int) -> CheckSuite:
+        return _cached_suite(self.flavor, *_sizes_of(self.catalog, self.flavor), bound)
+
+    def planes(self, target: str, atom: Atom) -> tuple[int, int]:
+        """An atom's truth at the first and the second run of every system."""
+        key = (target, atom)
+        planes = self._planes.get(key)
+        if planes is None:
+            table = self._tables[target].mask(atom)
+            one = two = table
+            for a, start in enumerate(self.starts[:-1]):
+                if table >> a & 1:
+                    one |= ((1 << (self.starts[a + 1] - start)) - 1) << start
+                two |= (table >> (a + 1)) << start
+            planes = self._planes[key] = (one, two)
+        return planes
+
+    def chunks(self):
+        """(first index, context) per chunk of :data:`_CHUNK` systems."""
+        for lo in range(0, self.size, _CHUNK):
+            yield lo, _UniverseChunk(self, lo, min(lo + _CHUNK, self.size))
+
+
+@lru_cache(maxsize=None)
+def _universe(flavor: str) -> _Universe:
+    return _Universe(flavor)
+
+
+class _UniverseChunk:
+    """Systems ``lo`` to ``hi - 1`` of an exhaustive universe as one checker
+    context: checkers return vectors whose bit ``s`` is system ``lo + s``."""
+
+    __slots__ = ("all", "_masks")
+
+    def __init__(self, universe: _Universe, lo: int, hi: int):
+        self.all = full = (1 << (hi - lo)) - 1
+
+        def evaluator(target):
+            def atom_planes(atom):
+                one, two = universe.planes(target, atom)
+                return one >> lo & full, two >> lo & full
+            return PairPlanes(atom_planes, hi - lo)
+
+        self._masks = {"base": evaluator("base"), "derived": evaluator("derived")}
+
+    def masks(self, target: str) -> PairPlanes:
+        return self._masks[target]
+
+
+def _exhaustive_system(flavor: str, index: int) -> InterpretedSystem:
+    """System ``index`` of the exhaustive universe of ``flavor``.
+
+    Skipping :func:`build_system` is safe: the catalog passed it with every
+    fact set as a run, so agents, roles, actions and every run's facts are
+    validated; the runs are ``r1`` and ``r2`` (or ``r1`` alone), with
+    distinct fact sets, and the one block of ``j`` is exactly their ids.
+    """
+    universe = _universe(flavor)
+    if index < len(universe.runs):
+        name, runs = f"x{index}", (universe.runs[index][0],)
+    else:
+        a = bisect_right(universe.starts, index) - 1
+        b = a + 1 + index - universe.starts[a]
+        name, runs = f"x{a}-{b}", (universe.runs[a][0], universe.runs[b][1])
+    catalog = universe.catalog
+    block = frozenset(run.run_id for run in runs)
+    return InterpretedSystem(name, catalog.agents, catalog.roles, catalog.actions,
+                             runs, {"j": ObserverPartition("j", (block,))})
+
+
 def exhaustive_systems(flavor: str = "sequential"):
     """Every system over the 2/2/2 fact universe with at most two distinct
     runs and a single observer block, in canonical order."""
-    cfg = GenConfig(flavor=flavor)
-    agents, actions, universe = _declaration(cfg)
-    n = len(universe)
-    assert n == 8
-
-    def facts_of(mask: int):
-        return [universe[b] for b in range(n) if mask >> b & 1]
-
-    for mask in range(1 << n):
-        yield build_system(name=f"x{mask}", agents=agents, actions=actions,
-                           runs=[("r1", facts_of(mask))], observers={"j": [["r1"]]})
-    for a in range(1 << n):
-        fa = facts_of(a)
-        for b in range(a + 1, 1 << n):
-            yield build_system(name=f"x{a}-{b}", agents=agents, actions=actions,
-                               runs=[("r1", fa), ("r2", facts_of(b))],
-                               observers={"j": [["r1", "r2"]]})
+    for index in range(_universe(flavor).size):
+        yield _exhaustive_system(flavor, index)
 
 
 # ---------------------------------------------------------------------------
@@ -961,47 +1070,66 @@ def _sizes_of(system: InterpretedSystem, flavor: str) -> tuple[int, int, int]:
     return nr, max(np_, 1), nc
 
 
-def _sweep_one(system: InterpretedSystem, flavor: str, claim_ids, stats,
-               refutations, violations, bound: int, check_implications: bool):
-    nr, np_, nc = _sizes_of(system, flavor)
-    suite = _cached_suite(flavor, nr, np_, nc, bound)
-    ctx = suite.context(system)
-    cache: dict[str, bool] = {}
+def _held(holds, names, held):
+    """``held`` narrowed to the systems on which every checker of ``names``
+    holds, stopping once none is left."""
+    for name in names:
+        if not held:
+            break
+        held &= holds(name)
+    return held
 
-    def holds(name: str) -> bool:
+
+def _in_order(vectors):
+    """(index, key) for every set bit of the ``(key, vector)`` pairs: by
+    index, then in the order of the pairs."""
+    pending = 0
+    for _, v in vectors:
+        pending |= v
+    while pending:
+        low = pending & -pending
+        for key, v in vectors:
+            if v & low:
+                yield low.bit_length() - 1, key
+        pending ^= low
+
+
+def _sweep_batch(suite: CheckSuite, ctx, flavor: str, claim_ids, stats,
+                 check_implications: bool):
+    """Decide ``claim_ids`` on the systems of ``ctx`` and add them to
+    ``stats``.  Returns the vectors of refuted claims and of violated
+    implication hypotheses, as ``(key, vector)`` pairs for :func:`_in_order`."""
+    cache = {}
+
+    def holds(name: str):
         v = cache.get(name)
         if v is None:
-            v = suite.checker(name).holds(ctx)
-            cache[name] = v
+            v = cache[name] = suite.checker(name).holds(ctx)
         return v
 
+    size = ctx.all.bit_count()
+    refuted = []
     for cid in claim_ids:
         cdef = CLAIMS[cid]
+        held = _held(holds, cdef.hypotheses, ctx.all)
+        bad = held & ~holds(cdef.conclusion) if held else 0
+        n_held, n_bad = held.bit_count(), bad.bit_count()
         st = stats[cid]
-        st.checked += 1
-        vacuous = False
-        for name in cdef.hypotheses:
-            if not holds(name):
-                vacuous = True
-                break
-        if vacuous:
-            st.vacuous += 1
-            continue
-        if holds(cdef.conclusion):
-            st.confirmed += 1
-        else:
-            st.refuted += 1
-            if len(refutations) < 16:
-                refutations.append((cid, system))
+        st.checked += size
+        st.vacuous += size - n_held
+        st.confirmed += n_held - n_bad
+        st.refuted += n_bad
+        refuted.append((cid, bad))
+    violated = []
     if check_implications:
         for stronger, weaker in HYPOTHESIS_IMPLICATIONS:
             if CLAIMS[stronger].flavor != flavor:
                 continue
-            if all(holds(n) for n in CLAIMS[stronger].hypotheses):
-                for n in CLAIMS[weaker].hypotheses:
-                    if not holds(n):
-                        violations.append((stronger, weaker,
-                                           f"{system.name}: {n} fails"))
+            held = _held(holds, CLAIMS[stronger].hypotheses, ctx.all)
+            if held:
+                violated += [((stronger, weaker, n), held & ~holds(n))
+                             for n in CLAIMS[weaker].hypotheses]
+    return refuted, violated
 
 
 def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
@@ -1009,7 +1137,11 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
           check_implications: bool = True) -> SweepReport:
     """Check registered claims over the exhaustive small universe plus a
     seeded random pool (per flavor).  REFUTED entries in the result indicate
-    a genuine bug somewhere: the claims are theorems."""
+    a genuine bug somewhere: the claims are theorems.
+
+    The exhaustive universe is decided a chunk of systems at a time, the
+    random pool one system at a time, through the same steps.
+    """
     if claims is None:
         claims = [cid for cid, cdef in CLAIMS.items() if not cdef.witness_only]
     started = time.monotonic()
@@ -1017,19 +1149,33 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     refutations: list[tuple[ClaimId, InterpretedSystem]] = []
     violations: list[tuple[ClaimId, ClaimId, str]] = []
     systems_checked = {"sequential": 0, "parallel": 0}
+
+    def record(batch, system_at):
+        refuted, violated = batch
+        for i, cid in islice(_in_order(refuted), 16 - len(refutations)):
+            refutations.append((cid, system_at(i)))
+        for i, (stronger, weaker, name) in _in_order(violated):
+            violations.append((stronger, weaker, f"{system_at(i).name}: {name} fails"))
+
     for flavor in ("sequential", "parallel"):
         flavor_claims = [cid for cid in claims if CLAIMS[cid].flavor == flavor]
         if not flavor_claims:
             continue
         if exhaustive:
-            for system in exhaustive_systems(flavor):
-                systems_checked[flavor] += 1
-                _sweep_one(system, flavor, flavor_claims, stats, refutations,
-                           violations, bound, check_implications)
+            universe = _universe(flavor)
+            suite = universe.suite(bound)
+            for lo, ctx in universe.chunks():
+                record(_sweep_batch(suite, ctx, flavor, flavor_claims, stats,
+                                    check_implications),
+                       lambda i: _exhaustive_system(flavor, lo + i))
+            systems_checked[flavor] += universe.size
         for _, system in _random_pool(flavor, n_random, seed):
             systems_checked[flavor] += 1
-            _sweep_one(system, flavor, flavor_claims, stats, refutations,
-                       violations, bound, check_implications)
+            nr, np_, nc = _sizes_of(system, flavor)
+            suite = _cached_suite(flavor, nr, np_, nc, bound)
+            record(_sweep_batch(suite, suite.context(system), flavor, flavor_claims,
+                                stats, check_implications),
+                   lambda i: system)
     return SweepReport(stats, refutations, violations, systems_checked,
                        time.monotonic() - started)
 
@@ -1075,31 +1221,38 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
     examined = 0
     held = 0
 
-    def try_system(system: InterpretedSystem):
+    def first_counterexample(suite: CheckSuite, ctx) -> int | None:
+        """Index in ``ctx`` of the first system on which the hypotheses hold
+        and the conclusion fails, counting the systems examined up to it."""
         nonlocal examined, held
-        examined += 1
-        nr, np_, nc = _sizes_of(system, cdef.flavor)
-        suite = _cached_suite(cdef.flavor, nr, np_, nc, bound)
-        ctx = suite.context(system)
-        for name in hyp_names:
-            if not suite.checker(name).holds(ctx):
-                return False
-        held += 1
-        return not suite.checker(cdef.conclusion).holds(ctx)
+        h = _held(lambda name: suite.checker(name).holds(ctx), hyp_names, ctx.all)
+        bad = h & ~suite.checker(cdef.conclusion).holds(ctx) if h else 0
+        if not bad:
+            examined += ctx.all.bit_count()
+            held += h.bit_count()
+            return None
+        first = (bad & -bad).bit_length() - 1
+        examined += first + 1
+        held += (h & ((2 << first) - 1)).bit_count()
+        return first
 
-    for system in exhaustive_systems(cdef.flavor):
-        if try_system(system):
-            report = check_claim(claim_id, system, drop=dropped, bound=bound)
-            return FalsifyResult(claim_id, dropped, system, report, examined,
-                                 held, "exhaustive")
+    def found(system: InterpretedSystem, phase: str) -> FalsifyResult:
+        report = check_claim(claim_id, system, drop=dropped, bound=bound)
+        return FalsifyResult(claim_id, dropped, system, report, examined, held, phase)
+
+    universe = _universe(cdef.flavor)
+    suite = universe.suite(bound)
+    for lo, ctx in universe.chunks():
+        first = first_counterexample(suite, ctx)
+        if first is not None:
+            return found(_exhaustive_system(cdef.flavor, lo + first), "exhaustive")
     rng = random.Random(cfg.seed)
     for _ in range(cfg.budget):
-        child = replace(cfg, seed=rng.getrandbits(48))
-        system = random_system(child)
-        if try_system(system):
-            report = check_claim(claim_id, system, drop=dropped, bound=bound)
-            return FalsifyResult(claim_id, dropped, system, report, examined,
-                                 held, "random")
+        system = random_system(replace(cfg, seed=rng.getrandbits(48)))
+        nr, np_, nc = _sizes_of(system, cdef.flavor)
+        suite = _cached_suite(cdef.flavor, nr, np_, nc, bound)
+        if first_counterexample(suite, suite.context(system)) is not None:
+            return found(system, "random")
     return FalsifyResult(claim_id, dropped, None, None, examined, held, None)
 
 

@@ -3,6 +3,9 @@ codes, and agreement between the CLI verdicts and the library checkers."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -324,6 +327,37 @@ class TestClaims:
         rc, _, err = invoke("claims", "run", "ZZ.1")
         assert rc == 2 and "unknown claim 'ZZ.1'" in err
 
+    def test_run_all_with_a_dropped_hypothesis(self):
+        """``all --drop NAME`` runs the claims that have NAME, in registry
+        order; when none has it, the first claim reports why."""
+        ids = [cid for cid, cdef in CLAIMS.items() if "independence" in cdef.hypotheses]
+        assert ids == ["C3.2", "C3.3", "C4.1", "C4.2", "CA.3", "CA.4",
+                       "LA.1", "LA.2", "LA.3"]
+        singles = [invoke("claims", "run", cid, "--drop", "independence") for cid in ids]
+        rc, out, err = invoke("claims", "run", "all", "--drop", "independence")
+        assert (rc, err) == (max(r for r, _, _ in singles), "")
+        assert out == "".join(o for _, o, _ in singles)
+        assert "  dropped hypotheses: independence" in out.splitlines()
+        rc, out, err = invoke("claims", "run", "all", "--drop", "independence",
+                              "--drop", "zz")
+        assert (rc, out) == (2, "")
+        assert err == "error: claim C3.1 has no hypothesis 'independence'\n"
+
+    def test_witness_claim_names_its_failing_hypothesis(self):
+        detail = "anonymous-up-to(i1, use(k1)) @ r5"
+        rc, out, _ = invoke("claims", "run", "C3.1", "--system", "s56")
+        assert rc == 0
+        assert out.splitlines()[:3] == [
+            "C3.1 on s56: vacuous (2/4 items)",
+            f"  hypothesis use-anonymity: fails ({detail})",
+            "  hypothesis post-privacy: holds"]
+        rc, out, _ = invoke("claims", "run", "C3.1", "--system", "s56", "--format", "json")
+        (report,) = json.loads(out)["claims"]
+        assert report["hypotheses"] == [
+            {"name": "use-anonymity", "holds": False, "detail": detail},
+            {"name": "post-privacy", "holds": True, "detail": None}]
+        assert report["items"][0]["detail"] == detail
+
 
 class TestSearch:
     def test_dropped_hypothesis_finds_counterexample(self):
@@ -349,6 +383,22 @@ class TestSearch:
         assert rc == 2 and "witness-only" in err
         rc, _, err = invoke("search", "C3.2", "--drop-hypothesis", "zz")
         assert rc == 2 and "has no hypothesis 'zz'" in err
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    """A reader that leaves early (``| head``) ends the command with exit 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "anoncheck.cli", "claims", "run", "C3.1",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 class TestSystemResolution:

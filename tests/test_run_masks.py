@@ -27,6 +27,11 @@ class _EvaluatorMasks:
     def first_failure(self, f):
         return self._ev.valid(f).counterexample
 
+    all = True
+
+    def valid(self, f):
+        return self.mask(f) == self.full
+
 
 def test_mask_bits_match_the_evaluator_on_criterion_6_formulas():
     rng = random.Random(0xACCE)

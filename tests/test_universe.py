@@ -1,0 +1,261 @@
+"""The exhaustive universe decided all at once: checker vectors over
+universe chunks against per-system checks, the directly built universe
+systems against build_system, and sweep/falsify results pinned before the
+universe was batched."""
+import functools
+import itertools
+import random
+
+import pytest
+
+from anoncheck import (CLAIMS, FALSE, TRUE, And, Evaluator, GenConfig, Iff,
+                       Implies, Knows, Not, Or, Poss, build_system,
+                       exhaustive_systems, falsify, render_system, scenarios,
+                       sweep)
+from anoncheck.scenarios import ClaimDef
+from test_acceptance import _seeded_formula
+
+FLAVORS = ("sequential", "parallel")
+
+
+def _checker_names(flavor):
+    return (list(scenarios._INDEPENDENCE_KINDS[flavor])
+            + list(scenarios._PROPERTY_CHECKERS[flavor])
+            + (list(scenarios._STRUCTURAL_CONDITIONS) if flavor == "sequential" else [])
+            + list(scenarios.CheckSuite._METHODS[flavor]))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_checker_vectors_match_per_system_checks(flavor, bound):
+    """Bit s of a checker's vector is its verdict on system s: all one-run
+    systems and every 31st pair."""
+    universe = scenarios._universe(flavor)
+    suite = universe.suite(bound)
+    names = _checker_names(flavor)
+    vectors = dict.fromkeys(names, 0)
+    for lo, ctx in universe.chunks():
+        for name in names:
+            vectors[name] |= suite.checker(name).holds(ctx) << lo
+    for index in itertools.chain(range(256), range(256, universe.size, 31)):
+        ctx = suite.context(scenarios._exhaustive_system(flavor, index))
+        for name in names:
+            assert bool(vectors[name] >> index & 1) is suite.checker(name).holds(ctx), \
+                (name, index)
+
+
+def test_pair_planes_match_the_evaluator_on_seeded_formulas():
+    """Every connective, against the per-run Evaluator, on the chunk holding
+    the one-run systems and on a chunk of pairs only."""
+    rng = random.Random(0xB17)
+    universe = scenarios._universe("sequential")
+    actions = tuple(universe.catalog.actions)
+    agents = ("i1", "i2", "k1", "k2", "j")
+    for lo, ctx in itertools.islice(universe.chunks(), 0, None, 9):
+        planes = ctx.masks("base")
+        sample = range(0, ctx.all.bit_length(), 13)
+        evaluators = [Evaluator(scenarios._exhaustive_system("sequential", lo + s))
+                      for s in sample]
+        for _ in range(25):
+            f = _seeded_formula(rng, agents, actions, ("j",), 4)
+            g = _seeded_formula(rng, agents, actions, ("j",), 3)
+            for h in (f, Iff(f, g), Or(Not(f), TRUE), Implies(FALSE, g),
+                      Knows("j", Implies(f, g)), Poss("j", And(f, Not(g)))):
+                vector = planes.valid(h)
+                assert [bool(vector >> s & 1) for s in sample] == \
+                    [ev.valid(h).holds for ev in evaluators]
+
+
+def _built_system(flavor, fact_sets):
+    """Universe system ``x{a}`` or ``x{a}-{b}`` as it went through
+    build_system."""
+    agents, actions, facts = scenarios._declaration(GenConfig(flavor=flavor))
+    runs = [(f"r{n}", [f for bit, f in enumerate(facts) if m >> bit & 1])
+            for n, m in enumerate(fact_sets, start=1)]
+    return build_system(name="x" + "-".join(map(str, fact_sets)), agents=agents,
+                        actions=actions, runs=runs,
+                        observers={"j": [[rid for rid, _ in runs]]})
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_exhaustive_systems_equal_the_built_ones(flavor):
+    """Name, equality and rendering on every 37th system and the last."""
+    fact_sets = [(m,) for m in range(256)] + list(itertools.combinations(range(256), 2))
+    checked = 0
+    for index, system in enumerate(exhaustive_systems(flavor)):
+        if index % 37 == 0 or index == len(fact_sets) - 1:
+            built = _built_system(flavor, fact_sets[index])
+            assert system.name == built.name and system == built
+            assert render_system(system) == render_system(built)
+            checked += 1
+    assert index == 32_895 and checked == 891
+
+
+#: ``sweep(n_random=0)`` per claim, as [checked, confirmed, vacuous, refuted],
+#: pinned when every system was still built and checked one by one.
+SWEEP_EXHAUSTIVE_STATS = {
+    "L3.1": [32896, 2176, 30720, 0],
+    "L3.2": [32896, 2176, 30720, 0],
+    "C3.2": [32896, 2677, 30219, 0],
+    "C3.3": [32896, 2677, 30219, 0],
+    "C3.4": [32896, 832, 32064, 0],
+    "C3.5": [32896, 832, 32064, 0],
+    "C4.1": [32896, 2320, 30576, 0],
+    "C4.2": [32896, 2320, 30576, 0],
+    "CA.1": [32896, 4335, 28561, 0],
+    "CA.2": [32896, 4335, 28561, 0],
+    "CA.3": [32896, 18, 32878, 0],
+    "CA.4": [32896, 18, 32878, 0],
+    "CA.5": [32896, 18, 32878, 0],
+    "CA.6": [32896, 18, 32878, 0],
+    "CA.7": [32896, 256, 32640, 0],
+    "CB.1": [32896, 25353, 7543, 0],
+    "CB.2": [32896, 256, 32640, 0],
+    "LA.1": [32896, 8321, 24575, 0],
+    "LA.2": [32896, 640, 32256, 0],
+    "LA.3": [32896, 640, 32256, 0],
+    "APPC-EQ": [32896, 14365, 18531, 0],
+}
+
+
+def test_exhaustive_sweep_stats_are_pinned():
+    report = sweep(n_random=0)
+    stats = {cid: [s.checked, s.confirmed, s.vacuous, s.refuted]
+             for cid, s in report.stats.items()}
+    assert stats == SWEEP_EXHAUSTIVE_STATS
+    assert report.refutations == [] and report.implication_violations == []
+    assert report.systems_checked == {"sequential": 32_896, "parallel": 32_896}
+
+
+#: ``falsify(claim, GenConfig(budget=0), drop=drop)`` as (phase, found system,
+#: examined, hypotheses_held), pinned when every system was still built and
+#: checked one by one.
+FALSIFY_ORACLE = {
+    ("L3.1", ()): (None, None, 32896, 2176),
+    ("L3.1", ("use-onymity",)): ("exhaustive", "x1-16", 526, 526),
+    ("L3.2", ()): (None, None, 32896, 2176),
+    ("L3.2", ("post-identity",)): ("exhaustive", "x1-16", 526, 526),
+    ("C3.2", ()): (None, None, 32896, 2677),
+    ("C3.2", ("independence",)): ("exhaustive", "x16-33", 4233, 954),
+    ("C3.2", ("post-privacy",)): ("exhaustive", "x17", 18, 18),
+    ("C3.3", ()): (None, None, 32896, 2677),
+    ("C3.3", ("independence",)): ("exhaustive", "x1-20", 530, 132),
+    ("C3.3", ("use-anonymity",)): ("exhaustive", "x17", 18, 18),
+    ("C3.4", ()): (None, None, 32896, 832),
+    ("C3.4", ("use-onymity",)): ("exhaustive", "x16-33", 4233, 954),
+    ("C3.4", ("post-privacy",)): ("exhaustive", "x17", 18, 18),
+    ("C3.5", ()): (None, None, 32896, 832),
+    ("C3.5", ("use-anonymity",)): ("exhaustive", "x17", 18, 18),
+    ("C3.5", ("post-identity",)): ("exhaustive", "x1-20", 530, 132),
+    ("C4.1", ()): (None, None, 32896, 2320),
+    ("C4.1", ("independence",)): ("exhaustive", "x1-14", 524, 34),
+    ("C4.1", ("a-privacy",)): ("exhaustive", "x13", 14, 6),
+    ("C4.1", ("b-privacy",)): ("exhaustive", "x7", 8, 4),
+    ("C4.2", ()): (None, None, 32896, 2320),
+    ("C4.2", ("independence",)): ("exhaustive", "x1-84", 594, 36),
+    ("C4.2", ("a-anonymity",)): ("exhaustive", "x69", 70, 18),
+    ("C4.2", ("b-anonymity",)): ("exhaustive", "x21", 22, 6),
+    ("CA.1", ()): (None, None, 32896, 4335),
+    ("CA.1", ("pairwise-independence",)): ("exhaustive", "x96-150", 20230, 10871),
+    ("CA.1", ("post-role-interchangeability",)): ("exhaustive", "x102", 103, 103),
+    ("CA.2", ()): (None, None, 32896, 4335),
+    ("CA.2", ("pairwise-independence",)): ("exhaustive", "x6-105", 1870, 1124),
+    ("CA.2", ("use-role-interchangeability",)): ("exhaustive", "x102", 103, 103),
+    ("CA.3", ()): (None, None, 32896, 18),
+    ("CA.3", ("independence",)): ("exhaustive", "x49-194", 11720, 12),
+    ("CA.3", ("exhaustive-posting",)): (None, None, 32896, 389),
+    ("CA.3", ("exclusive-posts",)): (None, None, 32896, 18),
+    ("CA.3", ("exclusive-agents",)): ("exhaustive", "x51-195", 12130, 4),
+    ("CA.3", ("post-min-privacy",)): ("exhaustive", "x49", 50, 2),
+    ("CA.4", ()): (None, None, 32896, 18),
+    ("CA.4", ("independence",)): ("exhaustive", "x21-74", 5454, 38),
+    ("CA.4", ("exhaustive-registration",)): (None, None, 32896, 389),
+    ("CA.4", ("exclusive-agents",)): (None, None, 32896, 18),
+    ("CA.4", ("exclusive-posts",)): ("exhaustive", "x85-90", 18366, 11),
+    ("CA.4", ("use-min-anonymity",)): ("exhaustive", "x21", 22, 5),
+    ("CA.5", ()): (None, None, 32896, 18),
+    ("CA.5", ("exhaustive-posting",)): (None, None, 32896, 225),
+    ("CA.5", ("exclusive-posts",)): (None, None, 32896, 18),
+    ("CA.5", ("exclusive-agents",)): ("exhaustive", "x51-195", 12130, 4),
+    ("CA.5", ("use-onymity",)): ("exhaustive", "x49-194", 11720, 12),
+    ("CA.5", ("post-min-privacy",)): ("exhaustive", "x49", 50, 2),
+    ("CA.6", ()): (None, None, 32896, 18),
+    ("CA.6", ("exhaustive-registration",)): (None, None, 32896, 225),
+    ("CA.6", ("exclusive-posts",)): ("exhaustive", "x85-90", 18366, 11),
+    ("CA.6", ("exclusive-agents",)): (None, None, 32896, 18),
+    ("CA.6", ("use-min-anonymity",)): ("exhaustive", "x21", 22, 5),
+    ("CA.6", ("post-identity",)): ("exhaustive", "x21-74", 5454, 38),
+    ("CA.7", ()): (None, None, 32896, 256),
+    ("CA.7", ("use-onymity",)): ("exhaustive", "x16-17", 4217, 377),
+    ("CA.7", ("post-identity",)): ("exhaustive", "x1-17", 527, 272),
+    ("CB.1", ()): (None, None, 32896, 25353),
+    ("CB.1", ("min-privacy-either",)): ("exhaustive", "x5", 6, 6),
+    ("CB.2", ()): (None, None, 32896, 256),
+    ("CB.2", ("ab-identity",)): ("exhaustive", "x0-5", 261, 261),
+    ("LA.1", ()): (None, None, 32896, 8321),
+    ("LA.1", ("independence",)): ("exhaustive", "x1-16", 526, 526),
+    ("LA.2", ()): (None, None, 32896, 640),
+    ("LA.2", ("independence",)): ("exhaustive", "x48-97", 11417, 81),
+    ("LA.2", ("exhaustive-posting",)): ("exhaustive", "x0-17", 273, 161),
+    ("LA.2", ("exclusive-posts",)): ("exhaustive", "x48-113", 11433, 162),
+    ("LA.3", ()): (None, None, 32896, 640),
+    ("LA.3", ("independence",)): ("exhaustive", "x5-22", 1538, 69),
+    ("LA.3", ("exhaustive-registration",)): ("exhaustive", "x0-17", 273, 154),
+    ("LA.3", ("exclusive-agents",)): ("exhaustive", "x5-23", 1539, 154),
+    ("APPC-EQ", ()): (None, None, 32896, 14365),
+    ("APPC-EQ", ("backward-causality",)): ("exhaustive", "x1-16", 526, 526),
+}
+
+
+def test_falsify_table_is_pinned():
+    assert {cid for cid, _ in FALSIFY_ORACLE} == {
+        cid for cid, cdef in CLAIMS.items() if not cdef.witness_only}
+    for (cid, drop), want in FALSIFY_ORACLE.items():
+        result = falsify(cid, GenConfig(budget=0), drop=drop)
+        found = None if result.found is None else result.found.name
+        assert (result.phase, found, result.examined, result.hypotheses_held) == want, \
+            (cid, drop)
+
+
+def _reference_sweep(claims, systems):
+    """Refutations and implication violations, one system at a time."""
+    refutations, violations = [], []
+    for system in systems:
+        suite = scenarios._cached_suite(
+            "sequential", *scenarios._sizes_of(system, "sequential"), 2)
+        ctx = suite.context(system)
+        holds = functools.lru_cache(maxsize=None)(
+            lambda name: suite.checker(name).holds(ctx))
+        for cid in claims:
+            cdef = CLAIMS[cid]
+            if all(map(holds, cdef.hypotheses)) and not holds(cdef.conclusion) \
+                    and len(refutations) < 16:
+                refutations.append((cid, system.name))
+        for stronger, weaker in scenarios.HYPOTHESIS_IMPLICATIONS:
+            if all(map(holds, CLAIMS[stronger].hypotheses)):
+                violations += [(stronger, weaker, f"{system.name}: {n} fails")
+                               for n in CLAIMS[weaker].hypotheses if not holds(n)]
+    return refutations, violations
+
+
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
+    """Two non-theorems refuted on shared systems and two false
+    implications, listed by system, then by claim, implication and
+    hypothesis, as a per-system loop lists them."""
+    monkeypatch.setitem(CLAIMS, "ZZ.1", ClaimDef(
+        "ZZ.1", "sequential", "not a theorem", ("use-onymity",), "post-privacy"))
+    monkeypatch.setitem(CLAIMS, "ZZ.2", ClaimDef(
+        "ZZ.2", "sequential", "not a theorem", ("post-identity",), "use-anonymity"))
+    monkeypatch.setattr(scenarios, "HYPOTHESIS_IMPLICATIONS",
+                        (("ZZ.2", "ZZ.1"), ("L3.1", "C3.5")))
+    claims = ["ZZ.1", "ZZ.2"]
+    report = sweep(claims=claims, n_random=60, seed=3, exhaustive=exhaustive)
+    pool = (system for _, system in scenarios._random_pool("sequential", 60, 3))
+    systems = itertools.chain(exhaustive_systems("sequential") if exhaustive else (), pool)
+    refutations, violations = _reference_sweep(claims, systems)
+    assert [(cid, s.name) for cid, s in report.refutations] == refutations
+    assert report.implication_violations == violations
+    assert len(refutations) == 16 and {cid for cid, _ in refutations} == set(claims)
+    by_system = [v[2].split(":")[0] for v in violations]
+    assert len(set(by_system)) < len(by_system)  # some system violates twice
