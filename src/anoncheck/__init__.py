@@ -15,9 +15,9 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           independence_obligations, parallel_subjects,
                           structural_formula)
 from .formula import (TRUE, FALSE, And, Atom, Const, Evaluator, Formula, Iff,
-                      Implies, Knows, Not, Or, PairPlanes, ParseError, Poss,
-                      RunMasks, Verdict, check_names, conj, disj, evaluate, parse,
-                      render, valid)
+                      Implies, Knows, Not, Or, ParseError, Poss, RunMasks,
+                      SlotPlanes, Verdict, check_names, conj, disj, evaluate,
+                      parse, render, valid)
 from .properties import (PropertyKind, PropertyReport, PropertySpec,
                          anonymous_up_to, check_property, compile_property,
                          maximally_identified, maximally_onymous,
@@ -44,9 +44,9 @@ __all__ = [
     "FALSE", "FIXTURE_NAMES", "FalsifyResult", "Formula", "GenConfig",
     "HYPOTHESIS_IMPLICATIONS", "Iff", "Implies", "IndependenceKind",
     "InterpretedSystem", "Knows", "Not", "ObserverPartition", "Or",
-    "PAPER_SYSTEM_NAMES", "PairPlanes", "ParallelSchema", "ParseError", "Poss",
+    "PAPER_SYSTEM_NAMES", "ParallelSchema", "ParseError", "Poss",
     "PropertyKind", "PropertyReport", "PropertySpec", "Run", "RunMasks",
-    "SequentialSchema", "StructuralCondition", "StructuralKind",
+    "SequentialSchema", "SlotPlanes", "StructuralCondition", "StructuralKind",
     "SweepReport", "SysFileError", "TRUE", "ValidationError", "Verdict",
     "anonymous_up_to", "build_system", "check_claim", "check_independence",
     "check_names", "check_property", "check_structural", "compile_property",

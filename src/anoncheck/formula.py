@@ -98,26 +98,26 @@ class Poss(Formula):
     child: Formula
 
 
-def conj(parts) -> Formula:
-    """Left-fold conjunction; TRUE when empty."""
+def _balanced(node, parts, empty: Formula) -> Formula:
+    """``parts`` joined by ``node`` as a balanced tree, pairing neighbours
+    level by level; up to three parts this is the left fold."""
     parts = list(parts)
     if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+        return empty
+    while len(parts) > 1:
+        paired = [node(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2:]
+    return parts[0]
+
+
+def conj(parts) -> Formula:
+    """Balanced conjunction; TRUE when empty."""
+    return _balanced(And, parts, TRUE)
 
 
 def disj(parts) -> Formula:
-    """Left-fold disjunction; FALSE when empty."""
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    """Balanced disjunction; FALSE when empty."""
+    return _balanced(Or, parts, FALSE)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ class RunMasks:
 
     __slots__ = ("system", "full", "_memo", "_blocks", "_roots")
 
-    #: The one system evaluated, as a batch vector (see :class:`PairPlanes`).
+    #: The one system evaluated, as a batch vector (see :class:`SlotPlanes`).
     all = True
 
     def __init__(self, system: InterpretedSystem):
@@ -291,68 +291,110 @@ class RunMasks:
         return m
 
 
-class PairPlanes:
-    """Evaluates formulas over a batch of systems at once, as two bit planes.
+class SlotPlanes:
+    """Evaluates formulas over a batch of systems at once, as slot planes.
 
-    Every system of the batch has at most two runs, all in one block of
-    every observer; a one-run system stands as the pair of its run with
-    itself, which changes no ``P``/``K`` value and no validity.  Bit ``s``
-    of plane one (two) is the formula's truth at the first (second) run of
-    system ``s``.  So ``!`` and the binary connectives act plane by plane,
-    ``P[j]`` is the union of the planes and ``K[j]`` their intersection,
-    both on each plane, and validity is the intersection.
+    A system's runs fill slots ``0`` to ``n - 1``, and a system with fewer
+    runs repeats its first run, in that run's block, which changes no
+    ``P``/``K`` value and no validity.  Bit ``s`` of plane ``i`` is the
+    formula's truth at slot ``i`` of system ``s``; the planes lie side by
+    side in one int, plane ``i`` at bit ``i * width``, so every connective
+    is one int operation.  Validity is the intersection of the planes.
 
-    ``atom_planes(atom)`` gives an atom's two planes.  Nodes are memoized by
-    object identity, and each formula passed to :meth:`valid` is kept
-    alive, as in :class:`RunMasks`.
+    ``same[i][k]`` is the plane of the systems whose slots ``i`` and ``k``
+    share a block, so ``P[j]`` at slot ``i`` is ``OR_k same[i][k] & c_k``
+    and ``K[j]`` is ``!P[j]!``.  ``same=None`` means one block per system:
+    ``P[j]`` is the union of the planes.  Every modality reads this one
+    partition, whatever observer it names.  ``atom_planes(atom)`` gives an
+    atom's planes; nodes are memoized as in :class:`RunMasks`.
+
+    A batch is its own checker context (see ``scenarios``): derivation
+    only adds facts, so base and derived formulas share one evaluator.
     """
 
-    __slots__ = ("all", "_atom_planes", "_memo", "_roots")
+    __slots__ = ("all", "_slots", "_width", "_shifts", "_full", "_atom_planes",
+                 "_mates", "_memo", "_roots")
 
-    def __init__(self, atom_planes, width: int):
+    def __init__(self, atom_planes, width: int, slots: int, same=None):
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
+        self._slots, self._width = slots, width
+        self._shifts = range(width, width * slots, width)  # where planes 1.. start
+        self._full = (1 << width * slots) - 1
         self._atom_planes = atom_planes
-        self._memo: dict[int, tuple[int, int]] = {}
+        # Per shift d: plane i holds same[i][i + d (mod slots)].
+        self._mates = None if same is None else [
+            self._pack(row[(i + d) % slots] for i, row in enumerate(same))
+            for d in range(1, slots)]
+        self._memo: dict[int, int] = {}
         self._roots: list[Formula] = []
+
+    def masks(self, target: str) -> "SlotPlanes":
+        """The evaluator of either target: the batch itself."""
+        return self
+
+    def _pack(self, planes) -> int:
+        out = 0
+        for i, plane in enumerate(planes):
+            out |= plane << i * self._width
+        return out
+
+    def planes(self, f: Formula) -> tuple[int, ...]:
+        """The formula's plane at every slot."""
+        self._roots.append(f)
+        x = self._planes(f)
+        return tuple(x >> i * self._width & self.all for i in range(self._slots))
 
     def valid(self, f: Formula) -> int:
         """The systems on which ``f`` holds at every run, as a vector."""
         self._roots.append(f)
-        one, two = self._planes(f)
-        return one & two
+        x = held = self._planes(f)
+        for shift in self._shifts:
+            held &= x >> shift
+        return held & self.all
 
-    def _planes(self, f: Formula) -> tuple[int, int]:
-        p = self._memo.get(id(f))
-        if p is not None:
-            return p
+    def _possible(self, x: int) -> int:
+        if self._mates is None:
+            m = x
+            for shift in self._shifts:
+                m |= x >> shift
+            m &= self.all
+            for shift in self._shifts:
+                m |= m << shift
+            return m
+        out, end = x, self._shifts.stop
+        for shift, mates in zip(self._shifts, self._mates):
+            out |= mates & ((x >> shift) | (x << end - shift))
+        return out
+
+    def _planes(self, f: Formula) -> int:
+        x = self._memo.get(id(f))
+        if x is not None:
+            return x
         t = type(f)
-        full = self.all
+        full = self._full
         if t is Atom:
-            p = self._atom_planes(f)
+            x = self._pack(self._atom_planes(f))
+        elif t is And:
+            x = self._planes(f.left) & self._planes(f.right)
         elif t is Not:
-            one, two = self._planes(f.child)
-            p = (full ^ one, full ^ two)
-        elif t is Poss or t is Knows:
-            one, two = self._planes(f.child)
-            m = one | two if t is Poss else one & two
-            p = (m, m)
+            x = full ^ self._planes(f.child)
+        elif t is Poss:
+            x = self._possible(self._planes(f.child))
+        elif t is Knows:
+            x = full ^ self._possible(full ^ self._planes(f.child))
+        elif t is Implies:
+            x = (full ^ self._planes(f.left)) | self._planes(f.right)
+        elif t is Or:
+            x = self._planes(f.left) | self._planes(f.right)
+        elif t is Iff:
+            x = full ^ self._planes(f.left) ^ self._planes(f.right)
         elif t is Const:
-            p = (full, full) if f.value else (0, 0)
-        elif t is And or t is Or or t is Implies or t is Iff:
-            (l1, l2), (r1, r2) = self._planes(f.left), self._planes(f.right)
-            if t is And:
-                p = (l1 & r1, l2 & r2)
-            elif t is Or:
-                p = (l1 | r1, l2 | r2)
-            elif t is Implies:
-                p = ((full ^ l1) | r1, (full ^ l2) | r2)
-            else:
-                p = (full ^ l1 ^ r1, full ^ l2 ^ r2)
+            x = full if f.value else 0
         else:
             raise TypeError(f"not a formula: {f!r}")
-        self._memo[id(f)] = p
-        return p
+        self._memo[id(f)] = x
+        return x
 
 
 def check_names(system: InterpretedSystem, f: Formula) -> None:

@@ -13,9 +13,10 @@ tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
 name their condition.  A suite compiles them once per declaration shape
 into hash-consed formulas, evaluated once per system as run bitmasks
-(:class:`~anoncheck.formula.RunMasks`); all semantics lives in the
-formula/property/composition modules.  The bundled systems are the
-``data/*.sys`` files.
+(:class:`~anoncheck.formula.RunMasks`), or once per batch of generated
+systems as slot planes (:class:`~anoncheck.formula.SlotPlanes`); all
+semantics lives in the formula/property/composition modules.  The
+bundled systems are the ``data/*.sys`` files.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, islice, permutations
+from itertools import (accumulate, chain, combinations, combinations_with_replacement,
+                       islice, permutations, repeat)
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,8 +35,8 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, derive_parallel,
                           derive_sequential, independence_obligations,
                           parallel_subjects, structural_formula)
-from .formula import (And, Atom, Const, Formula, Implies, Knows, Not,
-                      PairPlanes, Poss, RunMasks, conj)
+from .formula import (And, Atom, Const, Formula, Implies, Knows, Not, Poss,
+                      RunMasks, SlotPlanes, conj)
 from .properties import (anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
@@ -114,9 +116,6 @@ class ClaimContext:
 
     __slots__ = ("base", "schema", "flavor", "_derived", "_masks_base", "_masks_derived")
 
-    #: The one system, as a batch vector (see :class:`_UniverseChunk`).
-    all = True
-
     def __init__(self, base: InterpretedSystem, schema, flavor: str,
                  derived: InterpretedSystem | None = None):
         self.base = base
@@ -144,8 +143,8 @@ class ClaimContext:
 
 
 # A checker's ``holds(ctx)`` is the vector of the context's systems on which
-# it holds: a bool on one system, an int bitmask on a universe chunk.  Both
-# support ``&``, ``|`` and ``^`` with ``masks.valid`` and ``masks.all``.
+# it holds: a bool on one system, an int bitmask on a batch.  Both support
+# ``&``, ``|`` and ``^`` with ``masks.valid`` and ``masks.all``.
 
 
 def _all_valid(masks, obligations):
@@ -802,32 +801,26 @@ class GenConfig:
 
 
 def _declaration(cfg: GenConfig):
+    """Agents, actions and facts of a generated declaration; a drawn fact
+    set is a bit mask over ``facts``."""
+    reals = [f"i{n}" for n in range(1, cfg.n_real + 1)]
+    params = [f"c{n}" for n in range(1, cfg.n_articles + 1)]
     if cfg.flavor == "sequential":
-        agents = ([(f"i{n}", "real") for n in range(1, cfg.n_real + 1)]
-                  + [(f"k{n}", "pseudo") for n in range(1, cfg.n_pseudo + 1)]
+        pseudos = [f"k{n}" for n in range(1, cfg.n_pseudo + 1)]
+        agents = ([(i, "real") for i in reals] + [(k, "pseudo") for k in pseudos]
                   + [("j", "observer")])
-        actions = ([f"use(k{n})" for n in range(1, cfg.n_pseudo + 1)]
-                   + [f"post(c{n})" for n in range(1, cfg.n_articles + 1)])
-        universe = ([(f"i{i}", f"use(k{k})")
-                     for i in range(1, cfg.n_real + 1)
-                     for k in range(1, cfg.n_pseudo + 1)]
-                    + [(f"k{k}", f"post(c{c})")
-                       for k in range(1, cfg.n_pseudo + 1)
-                       for c in range(1, cfg.n_articles + 1)])
-    else:
-        agents = ([(f"i{n}", "real") for n in range(1, cfg.n_real + 1)]
-                  + [("j", "observer")])
-        actions = ([f"act_a(c{n})" for n in range(1, cfg.n_articles + 1)]
-                   + [f"act_b(c{n})" for n in range(1, cfg.n_articles + 1)])
-        universe = [(f"i{i}", f"{fam}(c{c})")
-                    for i in range(1, cfg.n_real + 1)
-                    for fam in ("act_a", "act_b")
-                    for c in range(1, cfg.n_articles + 1)]
-    return agents, actions, universe
+        uses = [Action("use", k) for k in pseudos]
+        posts = [Action("post", c) for c in params]
+        facts = ([(i, u) for i in reals for u in uses]
+                 + [(k, p) for k in pseudos for p in posts])
+        return agents, uses + posts, facts
+    stages = ([Action("act_a", c) for c in params], [Action("act_b", c) for c in params])
+    facts = [(i, a) for i in reals for stage in stages for a in stage]
+    return [(i, "real") for i in reals] + [("j", "observer")], stages[0] + stages[1], facts
 
 
-def _matching_facts(cfg: GenConfig, rng: random.Random, n_runs: int):
-    """Per-run fact lists for the matching style (see GenConfig)."""
+def _matching_facts(cfg: GenConfig, rng: random.Random, n_runs: int) -> list[int]:
+    """Per-run fact sets for the matching style (see GenConfig)."""
     def first_map():
         return [rng.randrange(1, cfg.n_pseudo + 1) for _ in range(cfg.n_real)]
 
@@ -842,116 +835,189 @@ def _matching_facts(cfg: GenConfig, rng: random.Random, n_runs: int):
 
     first_const = rng.random() < 0.5
     second_const = rng.random() < 0.5
+    nr, np_, nc = cfg.n_real, cfg.n_pseudo, cfg.n_articles
     if cfg.flavor == "sequential":
         fixed_first, fixed_second = first_map(), second_map()
         out = []
         for _ in range(n_runs):
             um = fixed_first if first_const else first_map()
             pm = fixed_second if second_const else second_map()
-            facts = [(f"i{i}", f"use(k{um[i - 1]})")
-                     for i in range(1, cfg.n_real + 1)]
-            facts += [(f"k{k}", f"post(c{pm[k - 1]})")
-                      for k in range(1, cfg.n_pseudo + 1)]
-            out.append(facts)
+            out.append(sum(1 << (i * np_ + k - 1) for i, k in enumerate(um))
+                       + sum(1 << (nr * np_ + k * nc + c - 1) for k, c in enumerate(pm)))
         return out
     fixed_pairs = pair_map()
-    out = []
-    for _ in range(n_runs):
-        pairs = fixed_pairs if first_const else pair_map()
-        facts = []
-        for i, (ca, cb) in enumerate(pairs, start=1):
-            facts.append((f"i{i}", f"act_a(c{ca})"))
-            facts.append((f"i{i}", f"act_b(c{cb})"))
-        out.append(facts)
-    return out
+    return [sum(1 << (2 * i * nc + ca - 1) | 1 << ((2 * i + 1) * nc + cb - 1)
+                for i, (ca, cb) in enumerate(fixed_pairs if first_const else pair_map()))
+            for _ in range(n_runs)]
+
+
+def _draw(cfg: GenConfig, rng: random.Random) -> tuple[list[int], list[int]]:
+    """The draws of one random system: per run, its fact set and its block
+    label of ``j``."""
+    n_runs = rng.randint(1, cfg.max_runs)
+    if cfg.style == "matching":
+        runs = _matching_facts(cfg, rng, n_runs)
+    else:
+        n_facts = (cfg.n_real * cfg.n_pseudo + cfg.n_pseudo * cfg.n_articles
+                   if cfg.flavor == "sequential" else 2 * cfg.n_real * cfg.n_articles)
+        runs = [sum(1 << b for b in range(n_facts) if rng.random() < 0.5)
+                for _ in range(n_runs)]
+    if cfg.partition == "single" or n_runs == 1:
+        return runs, [0] * n_runs
+    n_blocks = rng.randint(1, n_runs)
+    return runs, [rng.randrange(n_blocks) for _ in range(n_runs)]
 
 
 def random_system(cfg: GenConfig) -> InterpretedSystem:
     """One random system, a pure function of ``cfg`` (in particular its seed)."""
-    rng = random.Random(cfg.seed)
-    agents, actions, universe = _declaration(cfg)
-    n_runs = rng.randint(1, cfg.max_runs)
-    if cfg.style == "matching":
-        fact_lists = _matching_facts(cfg, rng, n_runs)
-    else:
-        fact_lists = [[f for f in universe if rng.random() < 0.5]
-                      for _ in range(n_runs)]
-    runs = [(f"r{n}", facts) for n, facts in enumerate(fact_lists, start=1)]
-    run_ids = [rid for rid, _ in runs]
-    if cfg.partition == "single" or n_runs == 1:
-        blocks = [run_ids]
-    else:
-        n_blocks = rng.randint(1, n_runs)
-        labels = [rng.randrange(n_blocks) for _ in run_ids]
-        grouped: dict[int, list[str]] = {}
-        for rid, lab in zip(run_ids, labels):
-            grouped.setdefault(lab, []).append(rid)
-        blocks = list(grouped.values())
-    return build_system(name=f"rnd-{cfg.flavor}-{cfg.seed}", agents=agents,
-                        actions=actions, runs=runs, observers={"j": blocks})
+    runs, labels = _draw(cfg, random.Random(cfg.seed))
+    agents, actions, facts = _declaration(cfg)
+    blocks: dict[int, list[str]] = {}
+    for n, label in enumerate(labels, start=1):
+        blocks.setdefault(label, []).append(f"r{n}")
+    return build_system(
+        name=f"rnd-{cfg.flavor}-{cfg.seed}", agents=agents, actions=actions,
+        runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
+              for n, m in enumerate(runs, start=1)],
+        observers={"j": list(blocks.values())})
+
+
+# ---------------------------------------------------------------------------
+# Batches: generated systems decided together
+
+
+#: Systems decided together, as one bit vector.
+_CHUNK = 2048
+
+
+@lru_cache(maxsize=None)
+def _bit_digits(k: int) -> bytes:
+    """Maps a byte to ``b"1"`` if its bit ``k`` is set, else to ``b"0"``."""
+    return bytes(b"01"[x >> k & 1] for x in range(256))
+
+
+def _transpose(values, width: int) -> list[int]:
+    """Bit ``s`` of the ``b``-th result is bit ``b`` of ``values[s]``, for
+    the ``width`` low bits; ``values`` is a non-empty sequence."""
+    size = (width + 7) // 8
+    raw = b"".join(map(int.to_bytes, reversed(values), repeat(size), repeat("little")))
+    return [int(raw[b // 8::size].translate(_bit_digits(b % 8)), 2) for b in range(width)]
+
+
+class _Shape:
+    """One generated declaration shape: its facts, its suite, and every
+    atom's truth as a function of the facts that hold.
+
+    A derived fact is a disjunction of two-fact conjunctions.  So the
+    library's own derivation of a catalog with one run per set of at most
+    two facts gives each atom its *terms*: the minimal such sets on which
+    it holds (a base fact is its own term).  ``ref`` is the declaration,
+    with every fact in its one run.
+    """
+
+    def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
+        self.flavor = flavor
+        self._suites: dict[int, CheckSuite] = {}
+        agents, actions, self.facts = _declaration(GenConfig(
+            n_real=n_real, n_pseudo=n_pseudo, n_articles=n_articles, flavor=flavor))
+        self.ref = build_system(name="ref", agents=agents, actions=actions,
+                                runs=[("r1", self.facts)], observers={"j": [["r1"]]})
+        pairs = list(combinations_with_replacement(range(len(self.facts)), 2))
+        catalog = build_system(
+            name="catalog", agents=agents, actions=actions,
+            runs=[(f"p{n}", [self.facts[a], self.facts[b]]) for n, (a, b) in enumerate(pairs)],
+            observers={"j": [[f"p{n}" for n in range(len(pairs))]]})
+        infer_schema, derive = _flavor_functions(flavor)
+        holding: dict[Atom, set[tuple[int, int]]] = {}
+        for pair, run in zip(pairs, derive(catalog, infer_schema(catalog)).runs):
+            for fact in run.facts:
+                holding.setdefault(Atom(*fact), set()).add(pair)
+        self._terms = {atom: tuple((a, b) for a, b in sorted(sets)
+                                   if a == b or not {(a, a), (b, b)} & sets)
+                       for atom, sets in holding.items()}
+
+    def suite(self, bound: int) -> CheckSuite:
+        """The shape's checkers, compiled once per bound."""
+        suite = self._suites.get(bound)
+        if suite is None:
+            infer_schema, _ = _flavor_functions(self.flavor)
+            suite = self._suites[bound] = CheckSuite(
+                self.flavor, infer_schema(self.ref), "j", self.ref, bound)
+        return suite
+
+    def column(self, columns, atom: Atom) -> int:
+        """The atom's truth, given every fact's: bit ``s`` of ``columns[b]``
+        is fact ``b`` in fact set ``s``."""
+        out = 0
+        for a, b in self._terms.get(atom, ()):
+            out |= columns[a] & columns[b]
+        return out
+
+    def batch(self, columns, width: int, same=None) -> SlotPlanes:
+        """``width`` systems: bit ``s`` of ``columns[i][b]`` is fact ``b`` at
+        slot ``i`` of system ``s``; ``same`` is as in :class:`SlotPlanes`."""
+        return SlotPlanes(lambda atom: tuple(self.column(c, atom) for c in columns),
+                          width, len(columns), same)
+
+
+def _drawn_batch(shape: _Shape, draws, slots: int) -> SlotPlanes:
+    """The drawn systems (see :func:`_draw`) as one batch; a system with
+    fewer runs than ``slots`` repeats its first run."""
+    slot_sets = [[] for _ in range(slots)]
+    mates = []  # per system: bit i * slots + k set iff slots i and k share a block
+    for runs, labels in draws:
+        pad = slots - len(runs)
+        for sets, m in zip(slot_sets, runs + runs[:1] * pad):
+            sets.append(m)
+        labels = labels + labels[:1] * pad
+        mates.append(sum(1 << i * slots + k for i, a in enumerate(labels)
+                         for k, b in enumerate(labels) if a == b))
+    together, full = _transpose(mates, slots * slots), (1 << len(mates)) - 1
+    same = None if all(plane == full for plane in together) else [
+        together[i * slots:(i + 1) * slots] for i in range(slots)]
+    return shape.batch([_transpose(sets, len(shape.facts)) for sets in slot_sets],
+                       len(mates), same)
+
+
+@lru_cache(maxsize=64)
+def _shape(flavor: str, n_real: int, n_pseudo: int, n_articles: int) -> _Shape:
+    return _Shape(flavor, n_real, n_pseudo, n_articles)
+
+
+def _shape_of(cfg: GenConfig) -> _Shape:
+    """The shape of ``cfg``'s systems; parallel declarations have no pseudonyms."""
+    n_pseudo = cfg.n_pseudo if cfg.flavor == "sequential" else 1
+    return _shape(cfg.flavor, cfg.n_real, n_pseudo, cfg.n_articles)
 
 
 # ---------------------------------------------------------------------------
 # The exhaustive universe
 
 
-#: Systems of an exhaustive universe decided together, as one bit vector.
-_CHUNK = 2048
-
-
 class _Universe:
-    """The tables of one flavor's exhaustive universe, built once.
-
-    The universe is the 256 one-run systems ``x{m}``, one per fact set
-    ``m`` (bit ``b`` of ``m`` is fact ``b`` of the 2/2/2 declaration), then
-    ``x{a}-{b}`` for every ``a < b``.  ``catalog`` is the validated
-    declaration with run ``m{m}`` holding fact set ``m``; ``runs[m]`` are
-    the shared ``r1``/``r2`` runs with those facts.  An atom's table (bit
-    ``m``: its truth in fact set ``m``) is read off the catalog or, for a
-    derived atom, off the catalog's derivation, so derivation semantics
-    stay in ``composition``.
-    """
+    """One flavor's exhaustive universe: the 256 one-run systems ``x{m}``,
+    one per fact set ``m`` of the 2/2/2 shape, then ``x{a}-{b}`` for every
+    ``a < b``.  ``runs[m]`` are the shared ``r1``/``r2`` runs with fact set
+    ``m``.  Its chunks are batches of 2 slots and one block each, whose fact
+    columns are built once."""
 
     def __init__(self, flavor: str):
-        agents, actions, facts = _declaration(GenConfig(flavor=flavor))
+        self.shape = _shape(flavor, 2, 2, 2)
+        facts = self.shape.facts
         n_sets = 1 << len(facts)
-        self.flavor = flavor
-        self.catalog = build_system(
-            name="catalog", agents=agents, actions=actions,
-            runs=[(f"m{m}", [f for b, f in enumerate(facts) if m >> b & 1])
-                  for m in range(n_sets)],
-            observers={"j": [[f"m{m}" for m in range(n_sets)]]})
-        self.runs = tuple((Run("r1", run.facts), Run("r2", run.facts))
-                          for run in self.catalog.runs)
-        infer_schema, derive = _flavor_functions(flavor)
-        derived = derive(self.catalog, infer_schema(self.catalog))
-        self._tables = {"base": RunMasks(self.catalog), "derived": RunMasks(derived)}
+        self.runs = tuple((Run("r1", fs), Run("r2", fs)) for fs in (
+            frozenset(f for b, f in enumerate(facts) if m >> b & 1) for m in range(n_sets)))
         #: Index of the first system ``x{a}-...``, per ``a``, then the size.
         self.starts = list(accumulate(range(n_sets - 1, 0, -1), initial=n_sets))
         self.size = self.starts[-1]
-        self._planes: dict[tuple[str, Atom], tuple[int, int]] = {}
-
-    def suite(self, bound: int) -> CheckSuite:
-        return _cached_suite(self.flavor, *_sizes_of(self.catalog, self.flavor), bound)
-
-    def planes(self, target: str, atom: Atom) -> tuple[int, int]:
-        """An atom's truth at the first and the second run of every system."""
-        key = (target, atom)
-        planes = self._planes.get(key)
-        if planes is None:
-            table = self._tables[target].mask(atom)
-            one = two = table
-            for a, start in enumerate(self.starts[:-1]):
-                if table >> a & 1:
-                    one |= ((1 << (self.starts[a + 1] - start)) - 1) << start
-                two |= (table >> (a + 1)) << start
-            planes = self._planes[key] = (one, two)
-        return planes
+        pairs = chain(((m, m) for m in range(n_sets)), combinations(range(n_sets), 2))
+        self._columns = [[_transpose(sets, len(facts)) for sets in zip(*islice(pairs, _CHUNK))]
+                         for _ in range(0, self.size, _CHUNK)]
 
     def chunks(self):
         """(first index, context) per chunk of :data:`_CHUNK` systems."""
-        for lo in range(0, self.size, _CHUNK):
-            yield lo, _UniverseChunk(self, lo, min(lo + _CHUNK, self.size))
+        for lo, columns in zip(range(0, self.size, _CHUNK), self._columns):
+            yield lo, self.shape.batch(columns, min(_CHUNK, self.size - lo))
 
 
 @lru_cache(maxsize=None)
@@ -959,34 +1025,14 @@ def _universe(flavor: str) -> _Universe:
     return _Universe(flavor)
 
 
-class _UniverseChunk:
-    """Systems ``lo`` to ``hi - 1`` of an exhaustive universe as one checker
-    context: checkers return vectors whose bit ``s`` is system ``lo + s``."""
-
-    __slots__ = ("all", "_masks")
-
-    def __init__(self, universe: _Universe, lo: int, hi: int):
-        self.all = full = (1 << (hi - lo)) - 1
-
-        def evaluator(target):
-            def atom_planes(atom):
-                one, two = universe.planes(target, atom)
-                return one >> lo & full, two >> lo & full
-            return PairPlanes(atom_planes, hi - lo)
-
-        self._masks = {"base": evaluator("base"), "derived": evaluator("derived")}
-
-    def masks(self, target: str) -> PairPlanes:
-        return self._masks[target]
-
-
 def _exhaustive_system(flavor: str, index: int) -> InterpretedSystem:
     """System ``index`` of the exhaustive universe of ``flavor``.
 
-    Skipping :func:`build_system` is safe: the catalog passed it with every
-    fact set as a run, so agents, roles, actions and every run's facts are
-    validated; the runs are ``r1`` and ``r2`` (or ``r1`` alone), with
-    distinct fact sets, and the one block of ``j`` is exactly their ids.
+    Skipping :func:`build_system` is safe: the shape's ``ref`` passed it
+    with every fact in its run, so agents, roles, actions and every run's
+    facts are validated; the runs are ``r1`` and ``r2`` (or ``r1`` alone),
+    with distinct fact sets, and the one block of ``j`` is exactly their
+    ids.
     """
     universe = _universe(flavor)
     if index < len(universe.runs):
@@ -995,9 +1041,9 @@ def _exhaustive_system(flavor: str, index: int) -> InterpretedSystem:
         a = bisect_right(universe.starts, index) - 1
         b = a + 1 + index - universe.starts[a]
         name, runs = f"x{a}-{b}", (universe.runs[a][0], universe.runs[b][1])
-    catalog = universe.catalog
+    ref = universe.shape.ref
     block = frozenset(run.run_id for run in runs)
-    return InterpretedSystem(name, catalog.agents, catalog.roles, catalog.actions,
+    return InterpretedSystem(name, ref.agents, ref.roles, ref.actions,
                              runs, {"j": ObserverPartition("j", (block,))})
 
 
@@ -1024,30 +1070,27 @@ class ClaimStats:
         return self.vacuous / self.checked if self.checked else 0.0
 
 
+#: The most refutations and implication violations a sweep lists.
+_MAX_REPORTED = 16
+
+
 @dataclass
 class SweepReport:
     stats: dict[ClaimId, ClaimStats]
+    #: The first :data:`_MAX_REPORTED` refutations, in sweep order.
     refutations: list[tuple[ClaimId, InterpretedSystem]]
+    #: The first :data:`_MAX_REPORTED` implication violations, in sweep order.
     implication_violations: list[tuple[ClaimId, ClaimId, str]]
     systems_checked: dict[str, int]
     elapsed: float
-
-
-@lru_cache(maxsize=64)
-def _cached_suite(flavor: str, n_real: int, n_pseudo: int, n_articles: int,
-                  bound: int) -> CheckSuite:
-    cfg = GenConfig(n_real=n_real, n_pseudo=n_pseudo, n_articles=n_articles,
-                    flavor=flavor, seed=0, max_runs=1)
-    agents, actions, universe = _declaration(cfg)
-    ref = build_system(name="ref", agents=agents, actions=actions,
-                       runs=[("r1", universe)], observers={"j": [["r1"]]})
-    infer_schema, _ = _flavor_functions(flavor)
-    return CheckSuite(flavor, infer_schema(ref), "j", ref, bound)
+    #: Every implication violation, listed or not.
+    implication_violations_total: int = 0
 
 
 def _random_pool(flavor: str, n_random: int, seed: int):
-    """Seeded stream of random systems with varied sizes, cycling through
-    both partition policies and both generator styles deterministically."""
+    """Seeded stream of random system configurations with varied sizes,
+    cycling through both partition policies and both generator styles
+    deterministically."""
     master = random.Random((seed, flavor).__repr__())
     for idx in range(n_random):
         nr = master.randint(1, 3)
@@ -1056,18 +1099,23 @@ def _random_pool(flavor: str, n_random: int, seed: int):
         child = master.getrandbits(48)
         policy = "single" if idx % 2 == 0 else "random"
         style = "uniform" if (idx // 2) % 2 == 0 else "matching"
-        cfg = GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
-                        partition=policy, seed=child, flavor=flavor,
-                        style=style)
-        yield cfg, random_system(cfg)
+        yield GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
+                        partition=policy, seed=child, flavor=flavor, style=style)
 
 
-def _sizes_of(system: InterpretedSystem, flavor: str) -> tuple[int, int, int]:
-    nr = len(system.agents_with_role("real"))
-    np_ = len(system.agents_with_role("pseudo"))
-    nc = len({a.param for a in system.actions
-              if a.family == ("act_a" if flavor == "parallel" else "post")})
-    return nr, max(np_, 1), nc
+def _pool_batches(pool):
+    """(shape, members) per batch of the configurations of ``pool``: the
+    members are (pool index, configuration) pairs of one shape and partition
+    policy, at most :data:`_CHUNK` of them, in pool order."""
+    groups: dict[tuple[_Shape, str], list[tuple[int, GenConfig]]] = {}
+    for idx, cfg in enumerate(pool):
+        key = (_shape_of(cfg), cfg.partition)
+        group = groups.setdefault(key, [])
+        group.append((idx, cfg))
+        if len(group) == _CHUNK:
+            yield key[0], groups.pop(key)
+    for (shape, _), group in groups.items():
+        yield shape, group
 
 
 def _held(holds, names, held):
@@ -1081,16 +1129,16 @@ def _held(holds, names, held):
 
 
 def _in_order(vectors):
-    """(index, key) for every set bit of the ``(key, vector)`` pairs: by
-    index, then in the order of the pairs."""
+    """(bit, rank, key) for every set bit of the ``(key, vector)`` pairs: by
+    bit, then rank, the position of the pair."""
     pending = 0
     for _, v in vectors:
         pending |= v
     while pending:
         low = pending & -pending
-        for key, v in vectors:
+        for rank, (key, v) in enumerate(vectors):
             if v & low:
-                yield low.bit_length() - 1, key
+                yield low.bit_length() - 1, rank, key
         pending ^= low
 
 
@@ -1139,45 +1187,60 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     seeded random pool (per flavor).  REFUTED entries in the result indicate
     a genuine bug somewhere: the claims are theorems.
 
-    The exhaustive universe is decided a chunk of systems at a time, the
-    random pool one system at a time, through the same steps.
+    Both are decided a batch of systems at a time: the exhaustive universe
+    in chunks, the random pool by shape and partition policy.  Refutations
+    and implication violations are listed by system, in universe then pool
+    order, and then by claim, implication and hypothesis.
     """
     if claims is None:
         claims = [cid for cid, cdef in CLAIMS.items() if not cdef.witness_only]
     started = time.monotonic()
     stats = {cid: ClaimStats() for cid in claims}
-    refutations: list[tuple[ClaimId, InterpretedSystem]] = []
-    violations: list[tuple[ClaimId, ClaimId, str]] = []
+    # The first entries in sweep order, as (position, rank in the system, entry).
+    refutations: list = []
+    violations: list = []
+    n_violations = 0
     systems_checked = {"sequential": 0, "parallel": 0}
 
-    def record(batch, system_at):
+    def record(batch, positions, system_at):
+        nonlocal refutations, violations, n_violations
         refuted, violated = batch
-        for i, cid in islice(_in_order(refuted), 16 - len(refutations)):
-            refutations.append((cid, system_at(i)))
-        for i, (stronger, weaker, name) in _in_order(violated):
-            violations.append((stronger, weaker, f"{system_at(i).name}: {name} fails"))
+        n_violations += sum(v.bit_count() for _, v in violated)
+        refutations = sorted(refutations + [
+            (positions[bit], rank, (cid, system_at(bit)))
+            for bit, rank, cid in islice(_in_order(refuted), _MAX_REPORTED)])[:_MAX_REPORTED]
+        violations = sorted(violations + [
+            (positions[bit], rank, (stronger, weaker, f"{system_at(bit).name}: {name} fails"))
+            for bit, rank, (stronger, weaker, name)
+            in islice(_in_order(violated), _MAX_REPORTED)])[:_MAX_REPORTED]
 
     for flavor in ("sequential", "parallel"):
         flavor_claims = [cid for cid in claims if CLAIMS[cid].flavor == flavor]
         if not flavor_claims:
             continue
+        offset = sum(systems_checked.values())
         if exhaustive:
             universe = _universe(flavor)
-            suite = universe.suite(bound)
+            suite = universe.shape.suite(bound)
             for lo, ctx in universe.chunks():
                 record(_sweep_batch(suite, ctx, flavor, flavor_claims, stats,
                                     check_implications),
-                       lambda i: _exhaustive_system(flavor, lo + i))
+                       range(offset + lo, offset + universe.size),
+                       lambda bit: _exhaustive_system(flavor, lo + bit))
             systems_checked[flavor] += universe.size
-        for _, system in _random_pool(flavor, n_random, seed):
-            systems_checked[flavor] += 1
-            nr, np_, nc = _sizes_of(system, flavor)
-            suite = _cached_suite(flavor, nr, np_, nc, bound)
-            record(_sweep_batch(suite, suite.context(system), flavor, flavor_claims,
-                                stats, check_implications),
-                   lambda i: system)
-    return SweepReport(stats, refutations, violations, systems_checked,
-                       time.monotonic() - started)
+            offset += universe.size
+        for shape, members in _pool_batches(_random_pool(flavor, n_random, seed)):
+            cfgs = [cfg for _, cfg in members]
+            ctx = _drawn_batch(shape, [_draw(cfg, random.Random(cfg.seed)) for cfg in cfgs],
+                               cfgs[0].max_runs)
+            record(_sweep_batch(shape.suite(bound), ctx, flavor, flavor_claims, stats,
+                                check_implications),
+                   [offset + idx for idx, _ in members],
+                   lambda bit: random_system(cfgs[bit]))
+        systems_checked[flavor] += n_random
+    return SweepReport(stats, [entry for *_, entry in refutations],
+                       [entry for *_, entry in violations], systems_checked,
+                       time.monotonic() - started, n_violations)
 
 
 @dataclass
@@ -1202,8 +1265,10 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
 
     Phase one exhausts the tiny 2/2/2 universe (at most two distinct runs,
     single observer block); phase two samples ``cfg.budget`` random systems
-    from ``cfg``.  With no dropped hypothesis this searches for refutations
-    of a theorem and is expected to come back empty.
+    from ``cfg``.  Both are decided a batch at a time, and the first system
+    in search order that refutes the claim is reported.  With no dropped
+    hypothesis this searches for refutations of a theorem and is expected
+    to come back empty.
     """
     try:
         cdef = CLAIMS[claim_id]
@@ -1241,18 +1306,20 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
         return FalsifyResult(claim_id, dropped, system, report, examined, held, phase)
 
     universe = _universe(cdef.flavor)
-    suite = universe.suite(bound)
+    suite = universe.shape.suite(bound)
     for lo, ctx in universe.chunks():
         first = first_counterexample(suite, ctx)
         if first is not None:
             return found(_exhaustive_system(cdef.flavor, lo + first), "exhaustive")
     rng = random.Random(cfg.seed)
-    for _ in range(cfg.budget):
-        system = random_system(replace(cfg, seed=rng.getrandbits(48)))
-        nr, np_, nc = _sizes_of(system, cdef.flavor)
-        suite = _cached_suite(cdef.flavor, nr, np_, nc, bound)
-        if first_counterexample(suite, suite.context(system)) is not None:
-            return found(system, "random")
+    shape = _shape_of(cfg)
+    suite = shape.suite(bound)
+    for lo in range(0, cfg.budget, _CHUNK):
+        seeds = [rng.getrandbits(48) for _ in range(min(_CHUNK, cfg.budget - lo))]
+        ctx = _drawn_batch(shape, [_draw(cfg, random.Random(s)) for s in seeds], cfg.max_runs)
+        first = first_counterexample(suite, ctx)
+        if first is not None:
+            return found(random_system(replace(cfg, seed=seeds[first])), "random")
     return FalsifyResult(claim_id, dropped, None, None, examined, held, None)
 
 

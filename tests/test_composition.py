@@ -11,7 +11,8 @@ from anoncheck import (Action, GenConfig, IndependenceKind, ParallelSchema,
                        check_structural, derive_parallel, derive_sequential,
                        exhaustive_systems, parallel_subjects, parse_system,
                        random_system, render_system)
-from anoncheck.formula import And, Atom, Evaluator, Iff, Implies, Not, Poss, disj
+from anoncheck.formula import (And, Atom, Evaluator, Iff, Implies, Not, Poss, disj,
+                               parse, render, valid)
 from anoncheck.scenarios import (FIXTURE_NAMES, fixture_system, paper_system,
                                  standard_parallel_schema,
                                  standard_sequential_schema)
@@ -258,6 +259,15 @@ class TestIndependence:
             dis1 = check_independence(system, "j", schema, IK.DISJUNCTIVE, bound=1)
             assert dis1.witness_formula == basic.witness_formula
             assert dis1.holds == basic.holds
+
+    def test_witness_of_a_large_system_evaluates_and_renders(self):
+        """The pairwise witness of a 3/3/3 system conjoins 2,025 obligations;
+        ``holds`` agrees with ``valid(witness)`` and the witness renders."""
+        system = random_system(GenConfig(3, 3, 3, max_runs=4, seed=5))
+        schema = standard_sequential_schema(system)
+        report = check_independence(system, "j", schema, IK.PAIRWISE)
+        assert valid(system, report.witness_formula).holds is report.holds
+        assert parse(render(report.witness_formula)) == report.witness_formula
 
     def test_parallel_verdicts(self, par_swap):
         schema = standard_parallel_schema(par_swap)

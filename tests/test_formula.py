@@ -258,6 +258,16 @@ class TestRendering:
             assert parse(text) == f
             assert render(parse(text)) == text
 
+    def test_conj_and_disj_are_balanced(self):
+        parts = [Atom(AGENTS[n % 5], ACTIONS[n % 4]) for n in range(10_000)]
+        for join, node in ((conj, And), (disj, Or)):
+            assert join(parts[:3]) == node(node(parts[0], parts[1]), parts[2])
+            f, depth = join(parts), 0
+            while isinstance(f, node):
+                f, depth = f.left, depth + 1
+            assert f == parts[0] and depth == 14
+            assert parse(render(join(parts))) == join(parts)
+
     def test_whitespace_insensitive(self):
         dense = parse("theta(i1,use(k1))->P[j]theta(i2,use(k1))")
         spaced = parse("  theta( i1 , use(k1) )  ->  P[ j ]  theta(i2, use(k1)) ")

@@ -93,7 +93,7 @@ class TestCompile:
         ]
         expected = Implies(
             Atom("i1", a),
-            And(And(And(conjuncts[0], conjuncts[1]), conjuncts[2]), conjuncts[3]),
+            And(And(conjuncts[0], conjuncts[1]), And(conjuncts[2], conjuncts[3])),
         )
         assert got == expected
 

@@ -50,10 +50,11 @@ class TestTextFormat:
         assert line == ["run r1: i1:use(k1) helper:post(c1)"]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_bundled_files_match_the_builders(self, name):
+    def test_bundled_files_are_canonical_and_parse_as_loaded(self, name):
         path = DATA_DIR / f"{name}.sys"
-        assert load_system(path) == fixture_system(name)
-        assert path.read_text() == render_system(fixture_system(name))
+        text = path.read_text()
+        assert text == render_system(load_system(path))
+        assert parse_system(text) == load_system(path)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_text_round_trip(self, name):

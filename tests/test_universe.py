@@ -10,8 +10,8 @@ import pytest
 
 from anoncheck import (CLAIMS, FALSE, TRUE, And, Evaluator, GenConfig, Iff,
                        Implies, Knows, Not, Or, Poss, build_system,
-                       exhaustive_systems, falsify, render_system, scenarios,
-                       sweep)
+                       exhaustive_systems, falsify, random_system,
+                       render_system, scenarios, sweep)
 from anoncheck.scenarios import ClaimDef
 from test_acceptance import _seeded_formula
 
@@ -31,7 +31,7 @@ def test_checker_vectors_match_per_system_checks(flavor, bound):
     """Bit s of a checker's vector is its verdict on system s: all one-run
     systems and every 31st pair."""
     universe = scenarios._universe(flavor)
-    suite = universe.suite(bound)
+    suite = universe.shape.suite(bound)
     names = _checker_names(flavor)
     vectors = dict.fromkeys(names, 0)
     for lo, ctx in universe.chunks():
@@ -44,12 +44,12 @@ def test_checker_vectors_match_per_system_checks(flavor, bound):
                 (name, index)
 
 
-def test_pair_planes_match_the_evaluator_on_seeded_formulas():
+def test_slot_planes_match_the_evaluator_on_universe_chunks():
     """Every connective, against the per-run Evaluator, on the chunk holding
     the one-run systems and on a chunk of pairs only."""
     rng = random.Random(0xB17)
     universe = scenarios._universe("sequential")
-    actions = tuple(universe.catalog.actions)
+    actions = tuple(universe.shape.ref.actions)
     agents = ("i1", "i2", "k1", "k2", "j")
     for lo, ctx in itertools.islice(universe.chunks(), 0, None, 9):
         planes = ctx.masks("base")
@@ -218,18 +218,16 @@ def test_falsify_table_is_pinned():
 
 
 def _reference_sweep(claims, systems):
-    """Refutations and implication violations, one system at a time."""
+    """Refutations and implication violations, one system at a time, over
+    the (suite, system) pairs."""
     refutations, violations = [], []
-    for system in systems:
-        suite = scenarios._cached_suite(
-            "sequential", *scenarios._sizes_of(system, "sequential"), 2)
+    for suite, system in systems:
         ctx = suite.context(system)
         holds = functools.lru_cache(maxsize=None)(
             lambda name: suite.checker(name).holds(ctx))
         for cid in claims:
             cdef = CLAIMS[cid]
-            if all(map(holds, cdef.hypotheses)) and not holds(cdef.conclusion) \
-                    and len(refutations) < 16:
+            if all(map(holds, cdef.hypotheses)) and not holds(cdef.conclusion):
                 refutations.append((cid, system.name))
         for stronger, weaker in scenarios.HYPOTHESIS_IMPLICATIONS:
             if all(map(holds, CLAIMS[stronger].hypotheses)):
@@ -242,7 +240,7 @@ def _reference_sweep(claims, systems):
 def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
     """Two non-theorems refuted on shared systems and two false
     implications, listed by system, then by claim, implication and
-    hypothesis, as a per-system loop lists them."""
+    hypothesis, as a per-system loop lists them, up to the cap."""
     monkeypatch.setitem(CLAIMS, "ZZ.1", ClaimDef(
         "ZZ.1", "sequential", "not a theorem", ("use-onymity",), "post-privacy"))
     monkeypatch.setitem(CLAIMS, "ZZ.2", ClaimDef(
@@ -250,12 +248,19 @@ def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
     monkeypatch.setattr(scenarios, "HYPOTHESIS_IMPLICATIONS",
                         (("ZZ.2", "ZZ.1"), ("L3.1", "C3.5")))
     claims = ["ZZ.1", "ZZ.2"]
-    report = sweep(claims=claims, n_random=60, seed=3, exhaustive=exhaustive)
-    pool = (system for _, system in scenarios._random_pool("sequential", 60, 3))
-    systems = itertools.chain(exhaustive_systems("sequential") if exhaustive else (), pool)
+    report = sweep(claims=claims, n_random=200, seed=3, exhaustive=exhaustive)
+    universe = scenarios._universe("sequential")
+    pool = ((scenarios._shape_of(cfg).suite(2), random_system(cfg))
+            for cfg in scenarios._random_pool("sequential", 200, 3))
+    systems = itertools.chain(
+        ((universe.shape.suite(2), s) for s in exhaustive_systems("sequential"))
+        if exhaustive else (), pool)
     refutations, violations = _reference_sweep(claims, systems)
-    assert [(cid, s.name) for cid, s in report.refutations] == refutations
-    assert report.implication_violations == violations
-    assert len(refutations) == 16 and {cid for cid, _ in refutations} == set(claims)
+    cap = scenarios._MAX_REPORTED
+    assert [(cid, s.name) for cid, s in report.refutations] == refutations[:cap]
+    assert report.implication_violations == violations[:cap]
+    assert report.implication_violations_total == len(violations)
+    assert len(refutations) > cap and {cid for cid, _ in refutations[:cap]} == set(claims)
+    assert len(violations) > cap
     by_system = [v[2].split(":")[0] for v in violations]
     assert len(set(by_system)) < len(by_system)  # some system violates twice
