@@ -50,7 +50,7 @@ class TestTextFormat:
         assert line == ["run r1: i1:use(k1) helper:post(c1)"]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_bundled_files_are_canonical_and_parse_as_loaded(self, name):
+    def test_bundled_files_match_the_builders(self, name):
         path = DATA_DIR / f"{name}.sys"
         text = path.read_text()
         assert text == render_system(load_system(path))
