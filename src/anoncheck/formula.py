@@ -301,31 +301,37 @@ class SlotPlanes:
     side in one int, plane ``i`` at bit ``i * width``, so every connective
     is one int operation.  Validity is the intersection of the planes.
 
-    ``same[i][k]`` is the plane of the systems whose slots ``i`` and ``k``
-    share a block, so ``P[j]`` at slot ``i`` is ``OR_k same[i][k] & c_k``
-    and ``K[j]`` is ``!P[j]!``.  ``same=None`` means one block per system:
-    ``P[j]`` is the union of the planes.  Every modality reads this one
-    partition, whatever observer it names.  ``atom_planes(atom)`` gives an
-    atom's planes; nodes are memoized as in :class:`RunMasks`.
+    ``blocks`` gives every block's plane at each slot (bit ``s`` of plane
+    ``i``: slot ``i`` of system ``s`` lies in the block); by default one
+    block holds every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] &
+    c_k``, where ``same[i][k]`` holds the systems whose slots ``i`` and
+    ``k`` share a block, and ``K[j]`` is ``!P[j]!``.  Every modality reads
+    this one partition, whatever observer it names.  ``atom_planes(atom)``
+    gives an atom's planes; nodes are memoized as in :class:`RunMasks`.
 
     A batch is its own checker context (see ``scenarios``): derivation
     only adds facts, so base and derived formulas share one evaluator.
     """
 
-    __slots__ = ("all", "_slots", "_width", "_shifts", "_full", "_atom_planes",
+    __slots__ = ("all", "_width", "_shifts", "_end", "_full", "_atom_planes",
                  "_mates", "_memo", "_roots")
 
-    def __init__(self, atom_planes, width: int, slots: int, same=None):
+    def __init__(self, atom_planes, width: int, slots: int, blocks=None):
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
-        self._slots, self._width = slots, width
+        self._width = width
         self._shifts = range(width, width * slots, width)  # where planes 1.. start
-        self._full = (1 << width * slots) - 1
+        self._end = width * slots
+        self._full = (1 << self._end) - 1
         self._atom_planes = atom_planes
-        # Per shift d: plane i holds same[i][i + d (mod slots)].
-        self._mates = None if same is None else [
-            self._pack(row[(i + d) % slots] for i, row in enumerate(same))
-            for d in range(1, slots)]
+        packed = [self._full] if blocks is None else [self._pack(b) for b in blocks]
+        # Per shift by d planes: plane i holds same[i][i + d (mod slots)].
+        self._mates = []
+        for shift in self._shifts:
+            mates = 0
+            for block in packed:
+                mates |= block & self._rotate(block, shift)
+            self._mates.append(mates)
         self._memo: dict[int, int] = {}
         self._roots: list[Formula] = []
 
@@ -339,11 +345,10 @@ class SlotPlanes:
             out |= plane << i * self._width
         return out
 
-    def planes(self, f: Formula) -> tuple[int, ...]:
-        """The formula's plane at every slot."""
-        self._roots.append(f)
-        x = self._planes(f)
-        return tuple(x >> i * self._width & self.all for i in range(self._slots))
+    def _rotate(self, x: int, shift: int) -> int:
+        """Plane ``i + d (mod slots)`` at plane ``i``, for ``shift = d *
+        width``, with bits above the planes left for a mask to clear."""
+        return x >> shift | x << self._end - shift
 
     def valid(self, f: Formula) -> int:
         """The systems on which ``f`` holds at every run, as a vector."""
@@ -354,17 +359,9 @@ class SlotPlanes:
         return held & self.all
 
     def _possible(self, x: int) -> int:
-        if self._mates is None:
-            m = x
-            for shift in self._shifts:
-                m |= x >> shift
-            m &= self.all
-            for shift in self._shifts:
-                m |= m << shift
-            return m
-        out, end = x, self._shifts.stop
+        out = x
         for shift, mates in zip(self._shifts, self._mates):
-            out |= mates & ((x >> shift) | (x << end - shift))
+            out |= mates & self._rotate(x, shift)
         return out
 
     def _planes(self, f: Formula) -> int:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations, combinations_with_replacement,
-                       islice, permutations, repeat)
+                       groupby, islice, permutations, repeat)
 from pathlib import Path
 from typing import NamedTuple
 
@@ -819,8 +819,16 @@ def _declaration(cfg: GenConfig):
     return [(i, "real") for i in reals] + [("j", "observer")], stages[0] + stages[1], facts
 
 
-def _matching_facts(cfg: GenConfig, rng: random.Random, n_runs: int) -> list[int]:
-    """Per-run fact sets for the matching style (see GenConfig)."""
+def _row_bounds(facts) -> list[int]:
+    """Where each row of ``facts`` starts, then where the last ends: a row
+    is the consecutive facts of one agent and one action family."""
+    rows = groupby(facts, key=lambda fact: (fact[0], fact[1].family))
+    return list(accumulate((len(list(row)) for _, row in rows), initial=0))
+
+
+def _matching_choices(cfg: GenConfig, rng: random.Random, n_runs: int) -> list[list[int]]:
+    """Per run, the one fact (counted from 1) of each fact row that holds,
+    for the matching style (see GenConfig)."""
     def first_map():
         return [rng.randrange(1, cfg.n_pseudo + 1) for _ in range(cfg.n_real)]
 
@@ -830,37 +838,28 @@ def _matching_facts(cfg: GenConfig, rng: random.Random, n_runs: int) -> list[int
         return [rng.randrange(1, cfg.n_articles + 1) for _ in range(cfg.n_pseudo)]
 
     def pair_map():
-        return [(rng.randrange(1, cfg.n_articles + 1),
-                 rng.randrange(1, cfg.n_articles + 1)) for _ in range(cfg.n_real)]
+        return [rng.randrange(1, cfg.n_articles + 1) for _ in range(2 * cfg.n_real)]
 
     first_const = rng.random() < 0.5
     second_const = rng.random() < 0.5
-    nr, np_, nc = cfg.n_real, cfg.n_pseudo, cfg.n_articles
     if cfg.flavor == "sequential":
         fixed_first, fixed_second = first_map(), second_map()
-        out = []
-        for _ in range(n_runs):
-            um = fixed_first if first_const else first_map()
-            pm = fixed_second if second_const else second_map()
-            out.append(sum(1 << (i * np_ + k - 1) for i, k in enumerate(um))
-                       + sum(1 << (nr * np_ + k * nc + c - 1) for k, c in enumerate(pm)))
-        return out
+        return [(fixed_first if first_const else first_map())
+                + (fixed_second if second_const else second_map())
+                for _ in range(n_runs)]
     fixed_pairs = pair_map()
-    return [sum(1 << (2 * i * nc + ca - 1) | 1 << ((2 * i + 1) * nc + cb - 1)
-                for i, (ca, cb) in enumerate(fixed_pairs if first_const else pair_map()))
-            for _ in range(n_runs)]
+    return [fixed_pairs if first_const else pair_map() for _ in range(n_runs)]
 
 
-def _draw(cfg: GenConfig, rng: random.Random) -> tuple[list[int], list[int]]:
+def _draw(cfg: GenConfig, rng: random.Random, bounds) -> tuple[list[int], list[int]]:
     """The draws of one random system: per run, its fact set and its block
-    label of ``j``."""
+    label of ``j``; ``bounds`` are the :func:`_row_bounds` of its facts."""
     n_runs = rng.randint(1, cfg.max_runs)
     if cfg.style == "matching":
-        runs = _matching_facts(cfg, rng, n_runs)
+        runs = [sum(1 << start + c - 1 for start, c in zip(bounds, choices))
+                for choices in _matching_choices(cfg, rng, n_runs)]
     else:
-        n_facts = (cfg.n_real * cfg.n_pseudo + cfg.n_pseudo * cfg.n_articles
-                   if cfg.flavor == "sequential" else 2 * cfg.n_real * cfg.n_articles)
-        runs = [sum(1 << b for b in range(n_facts) if rng.random() < 0.5)
+        runs = [sum(1 << b for b in range(bounds[-1]) if rng.random() < 0.5)
                 for _ in range(n_runs)]
     if cfg.partition == "single" or n_runs == 1:
         return runs, [0] * n_runs
@@ -870,8 +869,8 @@ def _draw(cfg: GenConfig, rng: random.Random) -> tuple[list[int], list[int]]:
 
 def random_system(cfg: GenConfig) -> InterpretedSystem:
     """One random system, a pure function of ``cfg`` (in particular its seed)."""
-    runs, labels = _draw(cfg, random.Random(cfg.seed))
     agents, actions, facts = _declaration(cfg)
+    runs, labels = _draw(cfg, random.Random(cfg.seed), _row_bounds(facts))
     blocks: dict[int, list[str]] = {}
     for n, label in enumerate(labels, start=1):
         blocks.setdefault(label, []).append(f"r{n}")
@@ -912,7 +911,8 @@ class _Shape:
     library's own derivation of a catalog with one run per set of at most
     two facts gives each atom its *terms*: the minimal such sets on which
     it holds (a base fact is its own term).  ``ref`` is the declaration,
-    with every fact in its one run.
+    with every fact in its one run, and ``bounds`` are its facts'
+    :func:`_row_bounds`.
     """
 
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
@@ -920,6 +920,7 @@ class _Shape:
         self._suites: dict[int, CheckSuite] = {}
         agents, actions, self.facts = _declaration(GenConfig(
             n_real=n_real, n_pseudo=n_pseudo, n_articles=n_articles, flavor=flavor))
+        self.bounds = _row_bounds(self.facts)
         self.ref = build_system(name="ref", agents=agents, actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
         pairs = list(combinations_with_replacement(range(len(self.facts)), 2))
@@ -953,30 +954,28 @@ class _Shape:
             out |= columns[a] & columns[b]
         return out
 
-    def batch(self, columns, width: int, same=None) -> SlotPlanes:
+    def batch(self, columns, width: int, blocks=None) -> SlotPlanes:
         """``width`` systems: bit ``s`` of ``columns[i][b]`` is fact ``b`` at
-        slot ``i`` of system ``s``; ``same`` is as in :class:`SlotPlanes`."""
+        slot ``i`` of system ``s``; ``blocks`` are as in :class:`SlotPlanes`."""
         return SlotPlanes(lambda atom: tuple(self.column(c, atom) for c in columns),
-                          width, len(columns), same)
+                          width, len(columns), blocks)
 
-
-def _drawn_batch(shape: _Shape, draws, slots: int) -> SlotPlanes:
-    """The drawn systems (see :func:`_draw`) as one batch; a system with
-    fewer runs than ``slots`` repeats its first run."""
-    slot_sets = [[] for _ in range(slots)]
-    mates = []  # per system: bit i * slots + k set iff slots i and k share a block
-    for runs, labels in draws:
-        pad = slots - len(runs)
-        for sets, m in zip(slot_sets, runs + runs[:1] * pad):
-            sets.append(m)
-        labels = labels + labels[:1] * pad
-        mates.append(sum(1 << i * slots + k for i, a in enumerate(labels)
-                         for k, b in enumerate(labels) if a == b))
-    together, full = _transpose(mates, slots * slots), (1 << len(mates)) - 1
-    same = None if all(plane == full for plane in together) else [
-        together[i * slots:(i + 1) * slots] for i in range(slots)]
-    return shape.batch([_transpose(sets, len(shape.facts)) for sets in slot_sets],
-                       len(mates), same)
+    def drawn_batch(self, draws) -> SlotPlanes:
+        """The drawn systems (see :func:`_draw`) as one batch, with a slot per
+        run of the longest; a shorter system repeats its first run."""
+        slots = max(len(runs) for runs, _ in draws)
+        n_blocks = 1 + max(max(labels) for _, labels in draws)
+        slot_sets = [[] for _ in range(slots)]
+        in_block = []  # per system: bit label * slots + i set iff slot i is in block label
+        for runs, labels in draws:
+            pad = slots - len(runs)
+            for sets, m in zip(slot_sets, runs + runs[:1] * pad):
+                sets.append(m)
+            in_block.append(sum(1 << label * slots + i
+                                for i, label in enumerate(labels + labels[:1] * pad)))
+        planes = _transpose(in_block, n_blocks * slots)
+        return self.batch([_transpose(sets, self.bounds[-1]) for sets in slot_sets],
+                          len(draws), [planes[v * slots:(v + 1) * slots] for v in range(n_blocks)])
 
 
 @lru_cache(maxsize=64)
@@ -1103,17 +1102,29 @@ def _random_pool(flavor: str, n_random: int, seed: int):
                         partition=policy, seed=child, flavor=flavor, style=style)
 
 
+#: The most pooled configurations held back, waiting for their batch.
+_MAX_PENDING = 8 * _CHUNK
+
+
 def _pool_batches(pool):
     """(shape, members) per batch of the configurations of ``pool``: the
     members are (pool index, configuration) pairs of one shape and partition
-    policy, at most :data:`_CHUNK` of them, in pool order."""
+    policy, at most :data:`_CHUNK` of them, in pool order.  Once
+    :data:`_MAX_PENDING` configurations wait, every partial batch is cut."""
     groups: dict[tuple[_Shape, str], list[tuple[int, GenConfig]]] = {}
+    pending = 0
     for idx, cfg in enumerate(pool):
         key = (_shape_of(cfg), cfg.partition)
         group = groups.setdefault(key, [])
         group.append((idx, cfg))
+        pending += 1
         if len(group) == _CHUNK:
+            pending -= _CHUNK
             yield key[0], groups.pop(key)
+        elif pending == _MAX_PENDING:
+            for (shape, _), group in groups.items():
+                yield shape, group
+            groups, pending = {}, 0
     for (shape, _), group in groups.items():
         yield shape, group
 
@@ -1231,8 +1242,8 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
             offset += universe.size
         for shape, members in _pool_batches(_random_pool(flavor, n_random, seed)):
             cfgs = [cfg for _, cfg in members]
-            ctx = _drawn_batch(shape, [_draw(cfg, random.Random(cfg.seed)) for cfg in cfgs],
-                               cfgs[0].max_runs)
+            ctx = shape.drawn_batch([_draw(cfg, random.Random(cfg.seed), shape.bounds)
+                                     for cfg in cfgs])
             record(_sweep_batch(shape.suite(bound), ctx, flavor, flavor_claims, stats,
                                 check_implications),
                    [offset + idx for idx, _ in members],
@@ -1316,7 +1327,7 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
     suite = shape.suite(bound)
     for lo in range(0, cfg.budget, _CHUNK):
         seeds = [rng.getrandbits(48) for _ in range(min(_CHUNK, cfg.budget - lo))]
-        ctx = _drawn_batch(shape, [_draw(cfg, random.Random(s)) for s in seeds], cfg.max_runs)
+        ctx = shape.drawn_batch([_draw(cfg, random.Random(s), shape.bounds) for s in seeds])
         first = first_counterexample(suite, ctx)
         if first is not None:
             return found(random_system(replace(cfg, seed=seeds[first])), "random")

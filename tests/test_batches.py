@@ -29,8 +29,8 @@ SHAPES = {
 def _batch(cfgs):
     """The systems of ``cfgs`` (one shape) as a batch, as the sweep makes it."""
     shape = scenarios._shape_of(cfgs[0])
-    draws = [scenarios._draw(cfg, random.Random(cfg.seed)) for cfg in cfgs]
-    return shape, scenarios._drawn_batch(shape, draws, cfgs[0].max_runs)
+    draws = [scenarios._draw(cfg, random.Random(cfg.seed), shape.bounds) for cfg in cfgs]
+    return shape, shape.drawn_batch(draws)
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
@@ -72,6 +72,7 @@ def test_slot_planes_match_run_masks_on_random_partitions():
     systems = [random_system(cfg) for cfg in cfgs]
     masks = [RunMasks(system) for system in systems]
     assert any(len(s.observers["j"].blocks) > 1 for s in systems)
+    assert max(len(s.runs) for s in systems) == 4
     agents = tuple(systems[0].agents)
     actions = tuple(systems[0].actions)
     for _ in range(40):
@@ -79,12 +80,12 @@ def test_slot_planes_match_run_masks_on_random_partitions():
         g = _seeded_formula(rng, agents, actions, ("j",), 3)
         for h in (f, Iff(Poss("j", f), Not(Knows("j", Not(f)))), Iff(f, g),
                   Or(f, TRUE), Implies(FALSE, g), Knows("j", Implies(f, g))):
-            got = planes.planes(h)
             valid = planes.valid(h)
+            got = planes._planes(h)  # plane i at bit i * len(cfgs)
             for s, (system, m) in enumerate(zip(systems, masks)):
                 mask = m.mask(h)
                 runs = len(system.runs)
-                assert [bool(p >> s & 1) for p in got] == \
+                assert [bool(got >> i * len(cfgs) + s & 1) for i in range(4)] == \
                     [bool(mask >> (i if i < runs else 0) & 1) for i in range(4)]
                 assert bool(valid >> s & 1) is m.valid(h)
 
@@ -124,7 +125,7 @@ def test_random_sweep_reproduces_the_benchmark_oracle():
     assert report.refutations == [] and report.implication_violations == []
 
 
-@pytest.mark.parametrize("max_runs", [2, 6])
+@pytest.mark.parametrize("max_runs", [2, 6, 16])
 def test_falsify_random_phase_reports_the_first_refuting_system(max_runs, monkeypatch):
     """With the universe skipped, a search stops at the same system, with
     the same counts, as checking its random systems one by one."""
@@ -143,3 +144,30 @@ def test_falsify_random_phase_reports_the_first_refuting_system(max_runs, monkey
     assert examined > 1
     assert (result.phase, result.found, result.examined, result.hypotheses_held) == \
         ("random", system, examined, held)
+
+
+def test_pool_batches_hold_back_a_bounded_number_of_configurations(monkeypatch):
+    """Every pooled configuration lands in exactly one batch of its shape
+    and partition policy, in pool order, and at most ``_MAX_PENDING`` of
+    them wait for their batch at any time."""
+    monkeypatch.setattr(scenarios, "_MAX_PENDING", 300)
+    pool = list(scenarios._random_pool("sequential", 3000, 7))
+    pulled = 0
+
+    def counted():
+        nonlocal pulled
+        for cfg in pool:
+            pulled += 1
+            yield cfg
+
+    seen, batches = [], 0
+    for shape, members in scenarios._pool_batches(counted()):
+        batches += 1
+        assert pulled - len(seen) <= 300
+        indices = [idx for idx, _ in members]
+        assert indices == sorted(indices)
+        assert {(scenarios._shape_of(cfg), cfg.partition) for _, cfg in members} == \
+            {(shape, members[0][1].partition)}
+        assert all(pool[idx] is cfg for idx, cfg in members)
+        seen += indices
+    assert sorted(seen) == list(range(len(pool))) and batches > 54
