@@ -192,106 +192,130 @@ class Evaluator:
         return Verdict(True, None)
 
 
-class RunMasks:
+class _Vectors:
+    """The memoized walk over the connectives that :class:`RunMasks` and
+    :class:`SlotPlanes` share; each supplies its carrier.
+
+    A formula's value is an int holding its truth at every point of the
+    carrier, ``_full`` being true everywhere.  A carrier supplies
+    ``_atom(atom)`` and ``_possible(observer, x)``, which is ``P[observer]``
+    of ``x``; ``K[j]`` is ``!P[j]!``.  ``&``, ``|`` and ``->`` skip their
+    right operand when the left one already decides every point.  Every
+    node's value is memoized by object identity, which pays off on
+    hash-consed formulas where equal subformulas are one object; each
+    formula a carrier is asked about is kept alive for its lifetime, so an
+    id in the memo is never reused by another node.  Like
+    :class:`Evaluator`, it does not validate names (see :func:`check_names`).
+    """
+
+    __slots__ = ("_full", "_memo", "_roots")
+
+    def __init__(self, full: int):
+        self._full = full
+        self._memo: dict[int, int] = {}
+        self._roots: list[Formula] = []
+
+    def _eval(self, f: Formula) -> int:
+        x = self._memo.get(id(f))
+        if x is not None:
+            return x
+        t = type(f)
+        full = self._full
+        if t is Atom:
+            x = self._atom(f)
+        elif t is And:
+            x = self._eval(f.left)
+            if x:
+                x &= self._eval(f.right)
+        elif t is Poss:
+            x = self._possible(f.observer, self._eval(f.child))
+        elif t is Knows:
+            x = full ^ self._possible(f.observer, full ^ self._eval(f.child))
+        elif t is Not:
+            x = full ^ self._eval(f.child)
+        elif t is Implies:
+            x = full ^ self._eval(f.left)
+            if x != full:
+                x |= self._eval(f.right)
+        elif t is Or:
+            x = self._eval(f.left)
+            if x != full:
+                x |= self._eval(f.right)
+        elif t is Iff:
+            x = full ^ self._eval(f.left) ^ self._eval(f.right)
+        elif t is Const:
+            x = full if f.value else 0
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._memo[id(f)] = x
+        return x
+
+
+class RunMasks(_Vectors):
     """Evaluates formulas over one system as run bitmasks.
 
     Bit ``i`` of a mask is the formula's truth at ``system.runs[i]``, so a
     whole formula is evaluated once per system instead of once per run: an
-    atom is the mask of the runs holding its fact, ``P[j]`` is the union of
-    the observer's blocks that the child's mask meets, and ``K[j]`` the
-    union of the blocks it covers.  ``&``, ``|`` and ``->`` skip their right
-    operand when the left one already decides every run.
+    atom is the mask of the runs holding its fact, and ``P[j]`` is the
+    union of the observer's blocks that the child's mask meets.
 
-    Every node's mask is memoized by object identity, which pays off on
-    hash-consed formulas where equal subformulas are one object.  Each
-    formula passed to :meth:`mask` is kept alive for the evaluator's
-    lifetime, so an id in the memo is never reused by another node.  Like
-    :class:`Evaluator`, it does not validate names (see :func:`check_names`).
+    ``derive()``, if given, returns ``system`` extended by derivation, which
+    keeps its runs and partitions and only adds facts of new actions.  An
+    atom of an action ``system`` does not declare is read from it, derived
+    on first use; so base and derived formulas share one evaluator.
     """
 
-    __slots__ = ("system", "full", "_memo", "_blocks", "_roots")
+    __slots__ = ("system", "_derive", "_derived", "_blocks")
 
     #: The one system evaluated, as a batch vector (see :class:`SlotPlanes`).
     all = True
 
-    def __init__(self, system: InterpretedSystem):
+    def __init__(self, system: InterpretedSystem, derive=None):
+        super().__init__((1 << len(system.runs)) - 1)
         self.system = system
-        self.full = (1 << len(system.runs)) - 1
-        self._memo: dict[int, int] = {}
+        self._derive = derive
+        self._derived: InterpretedSystem | None = None
         self._blocks: dict[str, tuple[int, ...]] = {}
-        self._roots: list[Formula] = []
 
     def mask(self, f: Formula) -> int:
         """The runs where ``f`` holds, as a bitmask."""
         self._roots.append(f)
-        return self._mask(f)
+        return self._eval(f)
 
     def valid(self, f: Formula) -> bool:
         """Whether ``f`` holds at every run."""
-        self._roots.append(f)
-        return self._mask(f) == self.full
+        return self.mask(f) == self._full
 
     def first_failure(self, f: Formula) -> str | None:
         """Id of the first run (in declaration order) where ``f`` fails."""
-        missing = self.full & ~self.mask(f)
+        missing = self._full & ~self.mask(f)
         if not missing:
             return None
         return self.system.runs[(missing & -missing).bit_length() - 1].run_id
 
-    def _mask(self, f: Formula) -> int:
-        m = self._memo.get(id(f))
-        if m is not None:
-            return m
-        t = type(f)
-        full = self.full
-        if t is Atom:
-            fact = (f.agent, f.action)
-            m = 0
-            for i, run in enumerate(self.system.runs):
-                if fact in run.facts:
-                    m |= 1 << i
-        elif t is And:
-            m = self._mask(f.left)
-            if m:
-                m &= self._mask(f.right)
-        elif t is Poss or t is Knows:
-            child = self._mask(f.child)
-            if child == 0 or child == full:
-                m = child
-            else:
-                blocks = self._blocks.get(f.observer)
-                if blocks is None:
-                    blocks = self._blocks[f.observer] = self.system.block_masks(f.observer)
-                m = 0
-                if t is Poss:
-                    for b in blocks:
-                        if b & child:
-                            m |= b
-                else:
-                    for b in blocks:
-                        if b & child == b:
-                            m |= b
-        elif t is Not:
-            m = full ^ self._mask(f.child)
-        elif t is Implies:
-            m = full ^ self._mask(f.left)
-            if m != full:
-                m |= self._mask(f.right)
-        elif t is Or:
-            m = self._mask(f.left)
-            if m != full:
-                m |= self._mask(f.right)
-        elif t is Iff:
-            m = full ^ self._mask(f.left) ^ self._mask(f.right)
-        elif t is Const:
-            m = full if f.value else 0
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[id(f)] = m
-        return m
+    def _atom(self, f: Atom) -> int:
+        system = self.system
+        if self._derive is not None and not system.has_action(f.action):
+            if self._derived is None:
+                self._derived = self._derive()
+            system = self._derived
+        fact = (f.agent, f.action)
+        return int("".join("01"[fact in run.facts] for run in reversed(system.runs)), 2)
+
+    def _possible(self, observer: str, x: int) -> int:
+        if x == 0 or x == self._full:
+            return x
+        blocks = self._blocks.get(observer)
+        if blocks is None:
+            blocks = self._blocks[observer] = self.system.block_masks(observer)
+        out = 0
+        for b in blocks:
+            if b & x:
+                out |= b
+        return out
 
 
-class SlotPlanes:
+class SlotPlanes(_Vectors):
     """Evaluates formulas over a batch of systems at once, as slot planes.
 
     A system's runs fill slots ``0`` to ``n - 1``, and a system with fewer
@@ -305,25 +329,20 @@ class SlotPlanes:
     ``i``: slot ``i`` of system ``s`` lies in the block); by default one
     block holds every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] &
     c_k``, where ``same[i][k]`` holds the systems whose slots ``i`` and
-    ``k`` share a block, and ``K[j]`` is ``!P[j]!``.  Every modality reads
-    this one partition, whatever observer it names.  ``atom_planes(atom)``
-    gives an atom's planes; nodes are memoized as in :class:`RunMasks`.
-
-    A batch is its own checker context (see ``scenarios``): derivation
-    only adds facts, so base and derived formulas share one evaluator.
+    ``k`` share a block.  Every modality reads this one partition, whatever
+    observer it names.  ``atoms(atom)`` gives an atom's planes.
     """
 
-    __slots__ = ("all", "_width", "_shifts", "_end", "_full", "_atom_planes",
-                 "_mates", "_memo", "_roots")
+    __slots__ = ("all", "_width", "_shifts", "_end", "_atoms", "_mates")
 
-    def __init__(self, atom_planes, width: int, slots: int, blocks=None):
+    def __init__(self, atoms, width: int, slots: int, blocks=None):
+        super().__init__((1 << width * slots) - 1)
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
         self._width = width
         self._shifts = range(width, width * slots, width)  # where planes 1.. start
         self._end = width * slots
-        self._full = (1 << self._end) - 1
-        self._atom_planes = atom_planes
+        self._atoms = atoms
         packed = [self._full] if blocks is None else [self._pack(b) for b in blocks]
         # Per shift by d planes: plane i holds same[i][i + d (mod slots)].
         self._mates = []
@@ -332,12 +351,6 @@ class SlotPlanes:
             for block in packed:
                 mates |= block & self._rotate(block, shift)
             self._mates.append(mates)
-        self._memo: dict[int, int] = {}
-        self._roots: list[Formula] = []
-
-    def masks(self, target: str) -> "SlotPlanes":
-        """The evaluator of either target: the batch itself."""
-        return self
 
     def _pack(self, planes) -> int:
         out = 0
@@ -353,45 +366,19 @@ class SlotPlanes:
     def valid(self, f: Formula) -> int:
         """The systems on which ``f`` holds at every run, as a vector."""
         self._roots.append(f)
-        x = held = self._planes(f)
+        x = held = self._eval(f)
         for shift in self._shifts:
             held &= x >> shift
         return held & self.all
 
-    def _possible(self, x: int) -> int:
+    def _atom(self, f: Atom) -> int:
+        return self._pack(self._atoms(f))
+
+    def _possible(self, observer: str, x: int) -> int:
         out = x
         for shift, mates in zip(self._shifts, self._mates):
             out |= mates & self._rotate(x, shift)
         return out
-
-    def _planes(self, f: Formula) -> int:
-        x = self._memo.get(id(f))
-        if x is not None:
-            return x
-        t = type(f)
-        full = self._full
-        if t is Atom:
-            x = self._pack(self._atom_planes(f))
-        elif t is And:
-            x = self._planes(f.left) & self._planes(f.right)
-        elif t is Not:
-            x = full ^ self._planes(f.child)
-        elif t is Poss:
-            x = self._possible(self._planes(f.child))
-        elif t is Knows:
-            x = full ^ self._possible(full ^ self._planes(f.child))
-        elif t is Implies:
-            x = (full ^ self._planes(f.left)) | self._planes(f.right)
-        elif t is Or:
-            x = self._planes(f.left) | self._planes(f.right)
-        elif t is Iff:
-            x = full ^ self._planes(f.left) ^ self._planes(f.right)
-        elif t is Const:
-            x = full if f.value else 0
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        self._memo[id(f)] = x
-        return x
 
 
 def check_names(system: InterpretedSystem, f: Formula) -> None:

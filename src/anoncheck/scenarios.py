@@ -12,11 +12,13 @@ Hypotheses and conclusions are named checkers.  Most are looked up in
 tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
 name their condition.  A suite compiles them once per declaration shape
-into hash-consed formulas, evaluated once per system as run bitmasks
-(:class:`~anoncheck.formula.RunMasks`), or once per batch of generated
-systems as slot planes (:class:`~anoncheck.formula.SlotPlanes`); all
-semantics lives in the formula/property/composition modules.  The
-bundled systems are the ``data/*.sys`` files.
+into hash-consed formulas.  A checker is decided on a context, which is
+an evaluator: one system's run bitmasks
+(:class:`~anoncheck.formula.RunMasks`), whose derived facts are derived
+only when a formula reads them, or a batch of generated systems as slot
+planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one walk
+over the connectives; all semantics lives in the formula/property/
+composition modules.  The bundled systems are the ``data/*.sys`` files.
 """
 from __future__ import annotations
 
@@ -111,68 +113,38 @@ class _Obligation:
     formula: Formula
 
 
-class ClaimContext:
-    """One system under scrutiny, with lazily derived composition."""
-
-    __slots__ = ("base", "schema", "flavor", "_derived", "_masks_base", "_masks_derived")
-
-    def __init__(self, base: InterpretedSystem, schema, flavor: str,
-                 derived: InterpretedSystem | None = None):
-        self.base = base
-        self.schema = schema
-        self.flavor = flavor
-        self._derived = derived
-        self._masks_base = None
-        self._masks_derived = None
-
-    @property
-    def derived(self) -> InterpretedSystem:
-        if self._derived is None:
-            _, derive = _flavor_functions(self.flavor)
-            self._derived = derive(self.base, self.schema)
-        return self._derived
-
-    def masks(self, target: str) -> RunMasks:
-        if target == "base":
-            if self._masks_base is None:
-                self._masks_base = RunMasks(self.base)
-            return self._masks_base
-        if self._masks_derived is None:
-            self._masks_derived = RunMasks(self.derived)
-        return self._masks_derived
+# A checker's context is an evaluator: a :class:`RunMasks` for one system
+# (see :meth:`CheckSuite.context`), a :class:`SlotPlanes` for a batch.  Its
+# ``holds(ctx)`` is the vector of the context's systems on which it holds:
+# a bool on one system, an int bitmask on a batch.  Both support ``&``,
+# ``|`` and ``^`` with ``ctx.valid`` and ``ctx.all``; ``first_failure``
+# needs a :class:`RunMasks`.
 
 
-# A checker's ``holds(ctx)`` is the vector of the context's systems on which
-# it holds: a bool on one system, an int bitmask on a batch.  Both support
-# ``&``, ``|`` and ``^`` with ``masks.valid`` and ``masks.all``.
-
-
-def _all_valid(masks, obligations):
-    held = masks.all
+def _all_valid(ctx, obligations):
+    held = ctx.all
     for ob in obligations:
-        held &= masks.valid(ob.formula)
+        held &= ctx.valid(ob.formula)
         if not held:
             break
     return held
 
 
 class _AllValid:
-    """Holds iff every obligation formula is valid on the target system."""
+    """Holds iff every obligation formula is valid."""
 
-    __slots__ = ("name", "target", "obligations")
+    __slots__ = ("name", "obligations")
 
-    def __init__(self, name: str, target: str, obligations):
+    def __init__(self, name: str, obligations):
         self.name = name
-        self.target = target
         self.obligations = tuple(obligations)
 
     def holds(self, ctx):
-        return _all_valid(ctx.masks(self.target), self.obligations)
+        return _all_valid(ctx, self.obligations)
 
-    def first_failure(self, ctx: ClaimContext) -> str | None:
-        masks = ctx.masks(self.target)
+    def first_failure(self, ctx: RunMasks) -> str | None:
         for ob in self.obligations:
-            run_id = masks.first_failure(ob.formula)
+            run_id = ctx.first_failure(ob.formula)
             if run_id is not None:
                 return f"{ob.label} @ {run_id}"
         return None
@@ -182,20 +154,18 @@ class _AnyOfEachValid:
     """For each item, at least one alternative must be valid (CB-style
     either/or hypotheses).  Symmetric in the alternatives."""
 
-    __slots__ = ("name", "target", "items")
+    __slots__ = ("name", "items")
 
-    def __init__(self, name: str, target: str, items):
+    def __init__(self, name: str, items):
         self.name = name
-        self.target = target
         self.items = tuple(items)  # (label, (formula, ...))
 
     def holds(self, ctx):
-        masks = ctx.masks(self.target)
-        held = masks.all
+        held = ctx.all
         for _, fs in self.items:
             some = False
             for f in fs:
-                some |= masks.valid(f)
+                some |= ctx.valid(f)
                 if not held & ~some:
                     break
             held &= some
@@ -203,10 +173,9 @@ class _AnyOfEachValid:
                 break
         return held
 
-    def first_failure(self, ctx: ClaimContext) -> str | None:
-        masks = ctx.masks(self.target)
+    def first_failure(self, ctx: RunMasks) -> str | None:
         for label, fs in self.items:
-            if not any(masks.valid(f) for f in fs):
+            if not any(ctx.valid(f) for f in fs):
                 return f"{label} (no alternative holds)"
         return None
 
@@ -214,24 +183,20 @@ class _AnyOfEachValid:
 class _EquivalenceValid:
     """Two obligation bundles must agree: both all-valid or neither."""
 
-    __slots__ = ("name", "target", "left", "right", "left_label", "right_label")
+    __slots__ = ("name", "left", "right", "left_label", "right_label")
 
-    def __init__(self, name: str, target: str, left, right,
-                 left_label: str, right_label: str):
+    def __init__(self, name: str, left, right, left_label: str, right_label: str):
         self.name = name
-        self.target = target
         self.left = tuple(left)
         self.right = tuple(right)
         self.left_label = left_label
         self.right_label = right_label
 
     def holds(self, ctx):
-        masks = ctx.masks(self.target)
-        return masks.all ^ _all_valid(masks, self.left) ^ _all_valid(masks, self.right)
+        return ctx.all ^ _all_valid(ctx, self.left) ^ _all_valid(ctx, self.right)
 
-    def first_failure(self, ctx: ClaimContext) -> str | None:
-        masks = ctx.masks(self.target)
-        lv, rv = _all_valid(masks, self.left), _all_valid(masks, self.right)
+    def first_failure(self, ctx: RunMasks) -> str | None:
+        lv, rv = _all_valid(ctx, self.left), _all_valid(ctx, self.right)
         if lv == rv:
             return None
         return (f"{self.left_label}={'holds' if lv else 'fails'} but "
@@ -243,10 +208,10 @@ class _EquivalenceValid:
 
 
 class _Stage(NamedTuple):
-    """One stage of a claim flavor: the system its facts live in (``base``
-    or ``derived``), the agents its properties are stated of, and its
-    actions.  Anonymity is up to the stage's agents; privacy and role
-    interchangeability are up to its actions."""
+    """One stage of a claim flavor: the reference system its properties
+    compile against (``base`` or ``derived``), the agents they are stated
+    of, and its actions.  Anonymity is up to the stage's agents; privacy
+    and role interchangeability are up to its actions."""
 
     target: str
     subjects: tuple[str, ...]
@@ -327,7 +292,7 @@ class CheckSuite:
     A suite is reusable across every system sharing the declaration (the
     sweep generates thousands of such systems).  The formulas of all its
     checkers are hash-consed: structurally equal subformulas become one
-    object, so the :class:`RunMasks` memo of a system evaluates each of
+    object, so the evaluator of a system or a batch evaluates each of
     them once, whichever obligation or checker reaches it first.
     """
 
@@ -349,9 +314,12 @@ class CheckSuite:
             self._ref_derived = derive(self.ref_base, self.schema)
         return self._ref_derived
 
-    def context(self, system: InterpretedSystem) -> ClaimContext:
-        derived = self.ref_derived if system is self.ref_base else None
-        return ClaimContext(system, self.schema, self.flavor, derived)
+    def context(self, system: InterpretedSystem) -> RunMasks:
+        """The checkers' context on ``system``, derived on first use."""
+        if system is self.ref_base:
+            return RunMasks(system, lambda: self.ref_derived)
+        _, derive = _flavor_functions(self.flavor)
+        return RunMasks(system, lambda: derive(system, self.schema))
 
     def checker(self, name: str):
         c = self._checkers.get(name)
@@ -397,14 +365,14 @@ class CheckSuite:
         for spec in specs:
             label = f"{spec.kind.value}({spec.subject}, {spec.action})"
             obligations.append(self._obligation(label, compile_property(ref, spec)))
-        return _AllValid(name, target, obligations)
+        return _AllValid(name, obligations)
 
     def _independence_obligations(self, kind: IndependenceKind):
         return [self._obligation(label, f) for label, f in independence_obligations(
             self.ref_base, self.schema, self.observer, kind, self.bound)]
 
     def _structural(self, name: str, conds):
-        return _AllValid(name, "base", [
+        return _AllValid(name, [
             self._obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
             for cond in conds])
 
@@ -414,7 +382,7 @@ class CheckSuite:
     def _build(self, name: str):
         kind = _INDEPENDENCE_KINDS[self.flavor].get(name)
         if kind is not None:
-            return _AllValid(name, "base", self._independence_obligations(kind))
+            return _AllValid(name, self._independence_obligations(kind))
         if name in _PROPERTY_CHECKERS[self.flavor]:
             stage_name, _, prop = name.partition("-")
             stage, make_spec = self._stages()[stage_name], _PROPERTY_SPECS[prop]
@@ -444,8 +412,7 @@ class CheckSuite:
                         for i in sch.first_agents for k in sch.first_params)
                     right.append(self._obligation(f"{i2},{k2},{c}",
                                                   Implies(guard, body)))
-        return _EquivalenceValid(name, "base", left, right,
-                                 "independence", "reformulation")
+        return _EquivalenceValid(name, left, right, "independence", "reformulation")
 
     def _min_privacy_either(self, name: str):
         stages = self._stages()
@@ -457,7 +424,7 @@ class CheckSuite:
                     self.ref_base, minimally_private(i, act, self.observer)))
                     for act in pair)
                 items.append((f"{i},{pair[0].param}", alts))
-        return _AnyOfEachValid(name, "base", items)
+        return _AnyOfEachValid(name, items)
 
     def _ab_identity(self, name: str):
         stages = self._stages()
@@ -630,7 +597,7 @@ def _suite_for_system(cdef: ClaimDef, system: InterpretedSystem,
     return CheckSuite(cdef.flavor, schema, observer, system, bound), observer
 
 
-def _check_witness_claim(suite: CheckSuite, ctx: ClaimContext,
+def _check_witness_claim(suite: CheckSuite, ctx: RunMasks,
                          system: InterpretedSystem) -> ClaimReport:
     """C3.1: the given system should witness all four items."""
     anon = suite.checker("use-anonymity")
@@ -1153,8 +1120,7 @@ def _in_order(vectors):
         pending ^= low
 
 
-def _sweep_batch(suite: CheckSuite, ctx, flavor: str, claim_ids, stats,
-                 check_implications: bool):
+def _sweep_batch(suite: CheckSuite, ctx, flavor: str, claim_ids, stats):
     """Decide ``claim_ids`` on the systems of ``ctx`` and add them to
     ``stats``.  Returns the vectors of refuted claims and of violated
     implication hypotheses, as ``(key, vector)`` pairs for :func:`_in_order`."""
@@ -1180,20 +1146,18 @@ def _sweep_batch(suite: CheckSuite, ctx, flavor: str, claim_ids, stats,
         st.refuted += n_bad
         refuted.append((cid, bad))
     violated = []
-    if check_implications:
-        for stronger, weaker in HYPOTHESIS_IMPLICATIONS:
-            if CLAIMS[stronger].flavor != flavor:
-                continue
-            held = _held(holds, CLAIMS[stronger].hypotheses, ctx.all)
-            if held:
-                violated += [((stronger, weaker, n), held & ~holds(n))
-                             for n in CLAIMS[weaker].hypotheses]
+    for stronger, weaker in HYPOTHESIS_IMPLICATIONS:
+        if CLAIMS[stronger].flavor != flavor:
+            continue
+        held = _held(holds, CLAIMS[stronger].hypotheses, ctx.all)
+        if held:
+            violated += [((stronger, weaker, n), held & ~holds(n))
+                         for n in CLAIMS[weaker].hypotheses]
     return refuted, violated
 
 
 def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
-          exhaustive: bool = True, bound: int = 2,
-          check_implications: bool = True) -> SweepReport:
+          exhaustive: bool = True, bound: int = 2) -> SweepReport:
     """Check registered claims over the exhaustive small universe plus a
     seeded random pool (per flavor).  REFUTED entries in the result indicate
     a genuine bug somewhere: the claims are theorems.
@@ -1234,8 +1198,7 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
             universe = _universe(flavor)
             suite = universe.shape.suite(bound)
             for lo, ctx in universe.chunks():
-                record(_sweep_batch(suite, ctx, flavor, flavor_claims, stats,
-                                    check_implications),
+                record(_sweep_batch(suite, ctx, flavor, flavor_claims, stats),
                        range(offset + lo, offset + universe.size),
                        lambda bit: _exhaustive_system(flavor, lo + bit))
             systems_checked[flavor] += universe.size
@@ -1244,8 +1207,7 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
             cfgs = [cfg for _, cfg in members]
             ctx = shape.drawn_batch([_draw(cfg, random.Random(cfg.seed), shape.bounds)
                                      for cfg in cfgs])
-            record(_sweep_batch(shape.suite(bound), ctx, flavor, flavor_claims, stats,
-                                check_implications),
+            record(_sweep_batch(shape.suite(bound), ctx, flavor, flavor_claims, stats),
                    [offset + idx for idx, _ in members],
                    lambda bit: random_system(cfgs[bit]))
         systems_checked[flavor] += n_random

@@ -180,10 +180,14 @@ def from_json_dict(data: dict) -> InterpretedSystem:
         agents = [(a["name"], a.get("role")) for a in data["agents"]]
         runs = [(r["id"], [_json_fact(fact) for fact in r["facts"]])
                 for r in data["runs"]]
-        return build_system(name=data.get("name", "system"), agents=agents,
+        name = data.get("name", "system")
+        # The name the text format's ``system NAME`` line can hold.
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise SysFileError(f"malformed system JSON: name {name!r} is not one word")
+        return build_system(name=name, agents=agents,
                             actions=data["actions"], runs=runs,
                             observers=data["observers"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise SysFileError(f"malformed system JSON: {exc}") from exc
 
 
@@ -192,14 +196,18 @@ def load_system(path: str | Path) -> InterpretedSystem:
     else the text format.  The filename stem is the default system name."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SysFileError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise SysFileError(f"cannot read {path}: {exc}") from exc
     if path.suffix == ".json":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SysFileError(f"invalid JSON: {exc}", exc.lineno) from exc
+        except RecursionError as exc:
+            raise SysFileError(f"invalid JSON: {exc}") from exc
         return from_json_dict(data)
     return parse_system(text, default_name=path.stem or "system")
 
@@ -207,6 +215,6 @@ def load_system(path: str | Path) -> InterpretedSystem:
 def save_system(system: InterpretedSystem, path: str | Path) -> None:
     path = Path(path)
     if path.suffix == ".json":
-        path.write_text(json.dumps(to_json_dict(system), indent=2) + "\n")
+        path.write_text(json.dumps(to_json_dict(system), indent=2) + "\n", encoding="utf-8")
     else:
-        path.write_text(render_system(system))
+        path.write_text(render_system(system), encoding="utf-8")

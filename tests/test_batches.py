@@ -67,8 +67,7 @@ def test_slot_planes_match_run_masks_on_random_partitions():
     cfgs = [GenConfig(n_real=3, n_pseudo=3, n_articles=3, max_runs=4, partition="random",
                       style=("uniform", "matching")[seed % 2], seed=seed)
             for seed in range(40)]
-    _, ctx = _batch(cfgs)
-    planes = ctx.masks("base")
+    _, planes = _batch(cfgs)
     systems = [random_system(cfg) for cfg in cfgs]
     masks = [RunMasks(system) for system in systems]
     assert any(len(s.observers["j"].blocks) > 1 for s in systems)
@@ -81,7 +80,7 @@ def test_slot_planes_match_run_masks_on_random_partitions():
         for h in (f, Iff(Poss("j", f), Not(Knows("j", Not(f)))), Iff(f, g),
                   Or(f, TRUE), Implies(FALSE, g), Knows("j", Implies(f, g))):
             valid = planes.valid(h)
-            got = planes._planes(h)  # plane i at bit i * len(cfgs)
+            got = planes._eval(h)  # plane i at bit i * len(cfgs)
             for s, (system, m) in enumerate(zip(systems, masks)):
                 mask = m.mask(h)
                 runs = len(system.runs)

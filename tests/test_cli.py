@@ -269,6 +269,26 @@ class TestClaims:
             " [private-up-to(i1, submit(c1)) @ r1]",
         ]
 
+    def test_base_only_claim_runs_on_a_composed_system(self, tmp_path):
+        path = tmp_path / "derived.sys"
+        assert invoke("compose", "s1234", "seq use post => submit", "-o", str(path))[0] == 0
+        rc, out, _ = invoke("claims", "run", "L3.1", "--system", str(path))
+        assert rc == 0 and out.splitlines()[0] == "L3.1 on s1234: vacuous"
+        rc, _, err = invoke("claims", "run", "C3.2", "--system", str(path))
+        assert rc == 2 and "derived family 'submit' already declared" in err
+
+    @pytest.mark.parametrize("fname,content,message", [
+        ("bad.sys", b"\xff\xfe", "error: cannot read {path}: 'utf-8' codec"),
+        ("bad.json", b"\xff\xfe", "error: cannot read {path}: 'utf-8' codec"),
+        ("deep.json", b"[" * 100_000, "error: invalid JSON: maximum recursion depth"),
+    ])
+    def test_unreadable_system_files_exit_2(self, tmp_path, fname, content, message):
+        path = tmp_path / fname
+        path.write_bytes(content)
+        rc, out, err = invoke("claims", "run", "L3.1", "--system", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith(message.format(path=path))
+
     def test_vacuous_on_mismatched_system(self):
         rc, out, _ = invoke("claims", "run", "C3.2", "--system", "s12")
         assert rc == 0

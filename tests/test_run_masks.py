@@ -13,10 +13,11 @@ from test_acceptance import _seeded_formula
 
 
 class _EvaluatorMasks:
-    """The per-run Evaluator behind the RunMasks interface."""
+    """The per-run Evaluator behind the RunMasks interface, on every run of
+    the derived system, where base formulas keep their truth."""
 
-    def __init__(self, system):
-        self.system = system
+    def __init__(self, system, derive):
+        system = self.system = derive()
         self.full = (1 << len(system.runs)) - 1
         self._ev = Evaluator(system)
 

@@ -12,6 +12,7 @@ from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        exhaustive_systems, falsify, fixture_system,
                        maximally_onymous, mixer_chain, paper_system,
                        random_system, role_interchangeable, sweep)
+from anoncheck import scenarios
 from anoncheck.scenarios import (CheckSuite, standard_parallel_schema,
                                  standard_sequential_schema)
 
@@ -170,6 +171,23 @@ class TestClaimRegistry:
         assert report.hypotheses_hold and not report.conclusion_holds
         # with the hypothesis in place the same system is merely vacuous
         assert check_claim("CA.3", s56).verdict is ClaimVerdict.VACUOUS
+
+    def test_only_claims_that_read_derived_facts_derive(self, s1234, monkeypatch):
+        calls = []
+        derive = scenarios.derive_sequential
+        monkeypatch.setattr(scenarios, "derive_sequential",
+                            lambda *args: calls.append(args) or derive(*args))
+        assert check_claim("L3.1", s1234).verdict is ClaimVerdict.VACUOUS
+        assert calls == []
+        assert check_claim("C3.2", s1234).verdict is ClaimVerdict.CONFIRMED
+        assert len(calls) == 1
+
+    def test_base_only_claims_check_a_derived_system(self, s1234):
+        derived = derive_sequential(s1234, standard_sequential_schema(s1234))
+        assert check_claim("L3.1", derived).verdict is ClaimVerdict.VACUOUS
+        assert check_claim("LA.1", derived).verdict is ClaimVerdict.CONFIRMED
+        with pytest.raises(ValidationError, match="derived family 'submit' already declared"):
+            check_claim("C3.2", derived)
 
     def test_claim_and_drop_names_validated(self, s12):
         with pytest.raises(ValidationError, match="unknown claim 'ZZ.9'"):

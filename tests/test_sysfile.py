@@ -86,9 +86,25 @@ class TestJsonFormat:
         assert {"name": "helper", "role": None} in data["agents"]
         assert from_json_dict(data) == sys
 
-    def test_malformed_json_structure(self):
+    def test_malformed_json_structure(self, s12):
         with pytest.raises(SysFileError, match="malformed system JSON"):
             from_json_dict({"agents": [{"name": "i1"}]})
+        with pytest.raises(SysFileError, match="malformed system JSON"):
+            from_json_dict(dict(to_json_dict(s12), observers=[["r1", "r2"]]))
+
+    @pytest.mark.parametrize("name", ["a b", "", "a#b", 5, None, ["s12"]])
+    def test_name_must_be_one_word(self, s12, name):
+        data = dict(to_json_dict(s12), name=name)
+        with pytest.raises(SysFileError, match="malformed system JSON: name .* is not one word"):
+            from_json_dict(data)
+
+    def test_loaded_json_saves_as_text_and_reloads(self, tmp_path, s12):
+        source = tmp_path / "in.json"
+        source.write_text(json.dumps(dict(to_json_dict(s12), name="renamed-s12")))
+        loaded = load_system(source)
+        save_system(loaded, tmp_path / "out.sys")
+        reloaded = load_system(tmp_path / "out.sys")
+        assert reloaded == loaded and reloaded.name == "renamed-s12"
 
 
 class TestFiles:
@@ -107,6 +123,20 @@ class TestFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SysFileError, match="cannot read"):
             load_system(tmp_path / "absent.sys")
+
+    @pytest.mark.parametrize("fname", ["bad.sys", "bad.json"])
+    def test_file_that_is_not_utf8(self, tmp_path, fname):
+        path = tmp_path / fname
+        path.write_bytes(b"\xff\xfe" + render_system(fixture_system("s12")).encode())
+        with pytest.raises(SysFileError, match=f"cannot read .*{fname}: 'utf-8' codec"):
+            load_system(path)
+
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SysFileError, match="invalid JSON: maximum recursion depth") as exc:
+            load_system(path)
+        assert exc.value.line is None
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -51,9 +51,8 @@ def test_slot_planes_match_the_evaluator_on_universe_chunks():
     universe = scenarios._universe("sequential")
     actions = tuple(universe.shape.ref.actions)
     agents = ("i1", "i2", "k1", "k2", "j")
-    for lo, ctx in itertools.islice(universe.chunks(), 0, None, 9):
-        planes = ctx.masks("base")
-        sample = range(0, ctx.all.bit_length(), 13)
+    for lo, planes in itertools.islice(universe.chunks(), 0, None, 9):
+        sample = range(0, planes.all.bit_length(), 13)
         evaluators = [Evaluator(scenarios._exhaustive_system("sequential", lo + s))
                       for s in sample]
         for _ in range(25):
