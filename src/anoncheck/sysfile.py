@@ -10,8 +10,10 @@ Text format, one declaration per line, ``#`` starts a comment:
     indist j: {r1 r2}
 
 Role tags on agents are optional (a bare name declares an untagged agent).
-The ``system`` line is optional.  ``agents``/``actions`` must precede the
-runs; ``indist`` lines give one observer partition each, blocks in braces.
+The ``system`` line is optional.  A directive is the line's whole first word
+(``systematic`` is not ``system``).  ``agents``/``actions`` must precede the
+runs; ``indist`` lines give one observer partition each, blocks in braces,
+and every run appears exactly once in each partition.
 A JSON encoding of the same structure is provided for interchange.
 """
 from __future__ import annotations
@@ -44,7 +46,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("system"):
+        if line.split(None, 1)[0] == "system":
             parts = line.split()
             if len(parts) != 2:
                 raise SysFileError("expected 'system NAME'", lineno)
@@ -141,8 +143,9 @@ def render_system(system: InterpretedSystem) -> str:
         f"{a}:{system.roles[a]}" if system.roles.get(a) else a
         for a in system.agents))
     lines.append("actions: " + " ".join(str(a) for a in system.actions))
+    position = {action: i for i, action in enumerate(system.actions)}
     for run in system.runs:
-        facts = sorted(run.facts, key=lambda f: (system.actions.index(f[1]), f[0]))
+        facts = sorted(run.facts, key=lambda f: (position[f[1]], f[0]))
         rendered = " ".join(f"{agent}:{action}" for agent, action in facts)
         lines.append(f"run {run.run_id}: {rendered}".rstrip())
     order = {run.run_id: i for i, run in enumerate(system.runs)}

@@ -11,7 +11,9 @@ within a run, so no point-in-time index is kept.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -25,12 +27,13 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 ROLES = ("real", "pseudo", "observer")
 
 
-@dataclass(frozen=True, order=True)
-class Action:
+class Action(NamedTuple):
     """An action family plus one parameter, e.g. use(k1).
 
     ``param`` is the empty string for parameterless actions, and the empty
     string is reserved: it cannot be used as an explicit parameter name.
+    An immutable named tuple, hashed and compared in C, so it equals the
+    plain tuple ``(family, param)``; every stored fact holds an ``Action``.
     """
 
     family: str
@@ -231,18 +234,25 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
 
     action_list: list[Action] = []
     action_set: set[Action] = set()
-    # Declared action text -> action, so facts naming an action by the same
-    # text skip re-parsing it.
-    by_text: dict[str, Action] = {}
     for entry in actions:
         act = _coerce_action(entry)
         if act in action_set:
             raise ValidationError(f"duplicate action {act}")
         action_list.append(act)
         action_set.add(act)
-        if isinstance(entry, str):
-            by_text[entry] = act
 
+    def check(fact, run_id: str) -> Fact:
+        agent = fact[0]
+        act = _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
+        if agent not in roles:
+            raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
+        if act not in action_set:
+            raise ValidationError(f"undeclared action {act} in run {run_id!r}")
+        return (agent, act)
+
+    # Raw fact -> its validated (agent, Action): each distinct fact is
+    # checked once, and every run holding it shares the one tuple.
+    table: dict = {}
     run_list: list[Run] = []
     run_ids: set[str] = set()
     for run_id, facts in runs:
@@ -250,17 +260,18 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
         if run_id in run_ids:
             raise ValidationError(f"duplicate run id {run_id!r}")
         run_ids.add(run_id)
-        norm: set[Fact] = set()
-        for fact in facts:
-            agent, raw = fact[0], (fact[1] if len(fact) == 2 else fact[1:])
-            act = by_text.get(raw) if isinstance(raw, str) else None
-            if act is None:
-                act = _coerce_action(raw)
-            if agent not in roles:
-                raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
-            if act not in action_set:
-                raise ValidationError(f"undeclared action {act} in run {run_id!r}")
-            norm.add((agent, act))
+        facts = tuple(facts)
+        try:
+            norm = frozenset(map(table.__getitem__, facts))
+        except (KeyError, TypeError):  # a new fact, or an unhashable one (a list)
+            norm = set()
+            for fact in facts:
+                try:
+                    norm.add(table[fact])
+                except KeyError:
+                    norm.add(table.setdefault(fact, check(fact, run_id)))
+                except TypeError:
+                    norm.add(check(fact, run_id))
         run_list.append(Run(run_id, frozenset(norm)))
     if not run_list:
         raise ValidationError("a system needs at least one run")
@@ -274,6 +285,7 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
         seen: set[str] = set()
         norm_blocks: list[frozenset[str]] = []
         for block in blocks:
+            block = tuple(block)
             ids = frozenset(block)
             if not ids:
                 raise ValidationError(f"empty indistinguishability block for {obs!r}")
@@ -282,6 +294,9 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
                     raise ValidationError(f"unknown run {rid!r} in partition of {obs!r}")
                 if rid in seen:
                     raise ValidationError(f"run {rid!r} appears in two blocks of {obs!r}")
+            if len(ids) < len(block):
+                rid = Counter(block).most_common(1)[0][0]
+                raise ValidationError(f"run {rid!r} appears twice in a block of {obs!r}")
             seen |= ids
             norm_blocks.append(ids)
         missing = run_ids - seen

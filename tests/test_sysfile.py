@@ -1,18 +1,28 @@
 """Text and JSON encodings of systems: round trips over the bundled and
 generated systems, the packaged data files, and every parse diagnostic."""
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 import anoncheck
-from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, build_system,
-                       derive_sequential, fixture_system, from_json_dict,
-                       load_system, parse_system, random_system,
-                       render_system, save_system, to_json_dict)
+from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, ValidationError,
+                       build_system, derive_sequential, fixture_system,
+                       from_json_dict, load_system, parse_system,
+                       random_system, render_system, save_system, to_json_dict)
+from anoncheck.cli import main
 from anoncheck.scenarios import standard_sequential_schema
 
 DATA_DIR = Path(anoncheck.__file__).parent / "data"
+
+
+def invoke(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
 
 GOOD = """\
 system demo
@@ -183,6 +193,8 @@ BAD_LINES = [
      "unknown run 'r2' in block", 4),
     ("agents: x\nactions: f\nbogus line\nrun r1:\nindist x: {r1}",
      "unrecognized directive 'bogus'", 3),
+    ("systematic s9\nagents: x\nactions: f\nrun r1:\nindist x: {r1}",
+     "unrecognized directive 'systematic'", 1),
 ]
 
 
@@ -209,6 +221,29 @@ class TestDiagnostics:
         with pytest.raises(SysFileError, match="does not cover runs") as exc:
             parse_system(text)
         assert exc.value.line is None
+
+    def test_directive_is_the_whole_first_word_on_the_cli(self, tmp_path):
+        path = tmp_path / "s.sys"
+        path.write_text("systematic s9\n" + GOOD)
+        assert invoke("check", str(path), "anon-upto(i1, use(k1), {i1}, j)") == (
+            2, "", "error: line 1: unrecognized directive 'systematic'\n")
+
+    @pytest.mark.parametrize("fname", ["s.sys", "s.json"])
+    def test_run_repeated_in_a_block(self, tmp_path, fname):
+        path = tmp_path / fname
+        if fname.endswith(".json"):
+            data = to_json_dict(parse_system(GOOD))
+            data["observers"]["j"] = [["r1", "r2", "r1"]]
+            path.write_text(json.dumps(data))
+        else:
+            path.write_text(GOOD.replace("{r1 r2}", "{r1 r2 r1}"))
+        message = "run 'r1' appears twice in a block of 'j'"
+        # The text loader wraps build errors in SysFileError; the JSON
+        # loader lets the ValidationError through.
+        with pytest.raises((SysFileError, ValidationError), match=message):
+            load_system(path)
+        assert invoke("check", str(path), "anon-upto(i1, use(k1), {i1}, j)") == (
+            2, "", f"error: {message}\n")
 
     def test_unknown_role_tag_rejected(self):
         text = "agents: x:wizard\nactions: f\nrun r1:\nindist x: {r1}"

@@ -1,6 +1,7 @@
 """Construction and validation of interpreted systems."""
 import pytest
 
+from anoncheck.sysfile import parse_system
 from anoncheck.system import (Action, InterpretedSystem, ValidationError,
                               build_system)
 
@@ -33,6 +34,22 @@ class TestActions:
         with pytest.raises(ValidationError):
             Action.parse(bad)
 
+    def test_every_form_is_one_value(self):
+        loaded = parse_system("agents: i1 j\nactions: use(k1)\nrun r1: i1:use(k1)\n"
+                              "indist j: {r1}\n").actions[0]
+        forms = [Action("use", "k1"), Action.parse("use(k1)"), loaded, ("use", "k1")]
+        assert all(form == forms[0] and hash(form) == hash(forms[0]) for form in forms)
+
+    def test_str_repr_order_and_immutability(self):
+        act = Action("use", "k1")
+        assert (str(act), str(Action("vote"))) == ("use(k1)", "vote")
+        assert repr(act) == "Action(family='use', param='k1')"
+        assert (act.family, act.param) == ("use", "k1")
+        assert sorted([Action("use", "k2"), Action("post", "c9"), act]) == [
+            Action("post", "c9"), act, Action("use", "k2")]
+        with pytest.raises(AttributeError):
+            act.family = "post"
+
 
 class TestBuild:
     def test_basic_lookups(self):
@@ -56,6 +73,38 @@ class TestBuild:
     def test_undeclared_agent_in_run(self):
         with pytest.raises(ValidationError, match="undeclared agent"):
             tiny(runs=[("r1", [("zz", "go(x)")]), ("r2", [])])
+
+    @pytest.mark.parametrize("facts,message", [
+        ([("a", "go(x)"), ("zz", "go(x)"), ("a", "go(z)")],
+         "undeclared agent 'zz' in run 'r2'"),
+        ([("a", "go(x)"), ("a", "go(z)"), ("zz", "go(x)")],
+         "undeclared action go(z) in run 'r2'"),
+        ([("a", "go(x)"), ("a", "go(")], "malformed action 'go('"),
+    ])
+    def test_errors_after_earlier_runs_are_unchanged(self, facts, message):
+        # r1 has validated go(x) for a already; r2 still reports its first
+        # bad fact, in order, naming r2.
+        with pytest.raises(ValidationError) as exc:
+            tiny(runs=[("r1", [("a", "go(x)")]), ("r2", facts)])
+        assert str(exc.value) == message
+
+    def test_facts_given_as_lists_or_a_generator(self):
+        s = tiny(runs=[("r1", [["a", "go(x)"]]), ("r2", [("b", "go(y)"), ["a", ["go", "x"]]])])
+        assert s.holds("r1", "a", "go(x)") and s.holds("r2", "a", "go(x)")
+        assert s.runs[1].facts == {("b", Action("go", "y")), ("a", Action("go", "x"))}
+        # r2's generator yields a known fact before a new one.
+        s = tiny(runs=[("r1", [("a", "go(x)")]),
+                       ("r2", (f for f in [("a", "go(x)"), ("b", "go(y)")]))])
+        assert s.runs[1].facts == {("a", Action("go", "x")), ("b", Action("go", "y"))}
+
+    def test_runs_share_fact_tuples(self):
+        # r2 adds a new fact to the table, r3 only reads it.
+        s = tiny(runs=[("r1", [("a", "go(x)")]), ("r2", [("a", "go(x)"), ("b", "go(y)")]),
+                       ("r3", [("b", "go(y)"), ("a", "go(x)")])],
+                 observers={"j": [["r1", "r2", "r3"]]})
+        r1, r2, r3 = ({f[0]: f for f in run.facts} for run in s.runs)
+        assert r1["a"] is r2["a"] is r3["a"]
+        assert r2["b"] is r3["b"]
 
     def test_undeclared_action_in_run(self):
         with pytest.raises(ValidationError, match="undeclared action"):
@@ -94,6 +143,10 @@ class TestPartitions:
     def test_partition_must_be_disjoint(self):
         with pytest.raises(ValidationError, match="appears in two blocks"):
             tiny(observers={"j": [["r1", "r2"], ["r2"]]})
+
+    def test_run_repeated_in_a_block(self):
+        with pytest.raises(ValidationError, match="run 'r1' appears twice in a block of 'j'"):
+            tiny(observers={"j": [["r1", "r2", "r1"]]})
 
     def test_partition_unknown_run(self):
         with pytest.raises(ValidationError, match="unknown run"):
