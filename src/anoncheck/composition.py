@@ -168,12 +168,16 @@ def _require_fresh(system: InterpretedSystem, schema) -> None:
 
 def _extend(system: InterpretedSystem, schema, new_facts) -> InterpretedSystem:
     """``system`` plus the schema's derived actions, each run's facts joined
-    with ``new_facts(run.facts)``.  Skipping :func:`build_system` is safe:
+    with ``new_facts(run.facts)``; runs holding the same derived fact share
+    one tuple.  Skipping :func:`build_system` is safe:
     ``system`` passed it, agents, run ids and partitions are kept, every new
     fact's performer is declared (it performs a fact of the same run), and
     :func:`_require_fresh` makes the appended actions new and distinct."""
     _require_fresh(system, schema)
-    runs = tuple(Run(run.run_id, run.facts | new_facts(run.facts)) for run in system.runs)
+    shared: dict = {}
+    runs = tuple(Run(run.run_id, run.facts.union(
+        [shared.setdefault(fact, fact) for fact in new_facts(run.facts)]))
+        for run in system.runs)
     return InterpretedSystem(system.name, system.agents, system.roles,
                              system.actions + schema.derived_actions, runs,
                              system.observers)
@@ -183,26 +187,27 @@ def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> In
     """Extend every run with the chained facts of ``schema.derived_family``.
 
     The defining disjunction ranges over the declared intermediaries; it is
-    applied to every declared agent in performer position.
+    applied to every declared agent in performer position.  Runs holding the
+    same derived fact share one tuple.
     """
     _validate_sequential(system, schema)
     intermediary = dict(zip(schema.first_actions, schema.first_params))  # use(k) -> k
     derived = dict(zip(schema.second_actions, schema.derived_actions))  # post(c) -> submit(c)
 
     def chained(facts):
-        users, posted = defaultdict(list), defaultdict(list)
-        for x, action in facts:
-            if action in intermediary:
-                users[intermediary[action]].append(x)
+        posted = defaultdict(list)  # k -> the submit(c) of each post(c) k performs
+        for k, action in facts:
             if action in derived:
-                posted[x].append(derived[action])
-        return {(x, d) for k, xs in users.items() for x in xs for d in posted[k]}
+                posted[k].append(derived[action])
+        return [(x, d) for x, action in facts if action in intermediary
+                for d in posted.get(intermediary[action], ())]
 
     return _extend(system, schema, chained)
 
 
 def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> InterpretedSystem:
-    """Extend every run with the conjoined facts of ``schema.derived_family``."""
+    """Extend every run with the conjoined facts of ``schema.derived_family``;
+    runs holding the same derived fact share one tuple."""
     _validate_parallel(system, schema)
     joint = {a: (b, d) for a, b, d in
              zip(schema.actions_a, schema.actions_b, schema.derived_actions)}

@@ -1349,6 +1349,9 @@ def mixer_chain(perm1, perm2, observed_indistinguishability: str = "single",
             return [dict(zip(msgs, image)) for image in permutations(msgs)]
         raise ValidationError(f"cannot interpret {p!r} as a permutation family")
 
+    # One fact tuple per (message, slot) pair, shared by every run using it.
+    use = {m: {x: (f"in_{m}", f"use(mid_{x})") for x in msgs} for m in msgs}
+    post = {x: {m: (f"mid_{x}", f"post(out_{m})") for m in msgs} for x in msgs}
     runs = []
     count = 0
     for p1 in family(perm1):
@@ -1358,8 +1361,7 @@ def mixer_chain(perm1, perm2, observed_indistinguishability: str = "single",
             p2s = family(perm2)
         for p2 in p2s:
             count += 1
-            facts = ([(f"in_{m}", f"use(mid_{p1[m]})") for m in msgs]
-                     + [(f"mid_{x}", f"post(out_{p2[x]})") for x in msgs])
+            facts = [use[m][p1[m]] for m in msgs] + [post[x][p2[x]] for x in msgs]
             runs.append((f"r{count}", facts))
 
     agents = ([(f"in_{m}", "real") for m in msgs]

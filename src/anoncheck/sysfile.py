@@ -13,7 +13,8 @@ Role tags on agents are optional (a bare name declares an untagged agent).
 The ``system`` line is optional.  A directive is the line's whole first word
 (``systematic`` is not ``system``).  ``agents``/``actions`` must precede the
 runs; ``indist`` lines give one observer partition each, blocks in braces,
-and every run appears exactly once in each partition.
+and every run appears exactly once in each partition.  Errors about a
+block name its runs in the order the block gives them.
 A JSON encoding of the same structure is provided for interchange.
 """
 from __future__ import annotations
@@ -41,12 +42,38 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
     observers: dict[str, list[list[str]]] = {}
     declared_agents: set[str] = set()
     declared_actions: set[str] = set()
+    # Fact token -> its checked (agent, action): each distinct token is
+    # split and checked once, and every run holding it shares the tuple.
+    known: dict[str, tuple[str, str]] = {}
+
+    def learn(token: str, run_id: str, lineno: int) -> tuple[str, str]:
+        if ":" not in token:
+            raise SysFileError(f"fact {token!r} must look like agent:action", lineno)
+        agent, action = token.split(":", 1)
+        if agent not in declared_agents:
+            raise SysFileError(f"unknown agent {agent!r} in run {run_id}", lineno)
+        if action not in declared_actions:
+            raise SysFileError(f"unknown action {action!r} in run {run_id}", lineno)
+        known[token] = (agent, action)
+        return known[token]
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.split(None, 1)[0] == "system":
+        if line.startswith("run "):
+            if agents is None or actions is None:
+                raise SysFileError("runs must come after agents and actions", lineno)
+            head, sep, rest = line[len("run "):].partition(":")
+            if not sep:
+                raise SysFileError("expected 'run ID: facts'", lineno)
+            run_id = head.strip()
+            if run_id in run_ids:
+                raise SysFileError(f"duplicate run id {run_id!r}", lineno)
+            runs.append((run_id, [known.get(token) or learn(token, run_id, lineno)
+                                  for token in rest.split()]))
+            run_ids.add(run_id)
+        elif line.split(None, 1)[0] == "system":
             parts = line.split()
             if len(parts) != 2:
                 raise SysFileError("expected 'system NAME'", lineno)
@@ -71,30 +98,6 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             if not actions:
                 raise SysFileError("actions section is empty", lineno)
             declared_actions.update(actions)
-        elif line.startswith("run "):
-            if agents is None or actions is None:
-                raise SysFileError("runs must come after agents and actions", lineno)
-            head, sep, rest = line[len("run "):].partition(":")
-            if not sep:
-                raise SysFileError("expected 'run ID: facts'", lineno)
-            run_id = head.strip()
-            if run_id in run_ids:
-                raise SysFileError(f"duplicate run id {run_id!r}", lineno)
-            facts = []
-            for token in rest.split():
-                if ":" not in token:
-                    raise SysFileError(
-                        f"fact {token!r} must look like agent:action", lineno)
-                agent, action = token.split(":", 1)
-                if agent not in declared_agents:
-                    raise SysFileError(
-                        f"unknown agent {agent!r} in run {run_id}", lineno)
-                if action not in declared_actions:
-                    raise SysFileError(
-                        f"unknown action {action!r} in run {run_id}", lineno)
-                facts.append((agent, action))
-            runs.append((run_id, facts))
-            run_ids.add(run_id)
         elif line.startswith("indist "):
             head, sep, rest = line[len("indist "):].partition(":")
             if not sep:
@@ -143,10 +146,13 @@ def render_system(system: InterpretedSystem) -> str:
         f"{a}:{system.roles[a]}" if system.roles.get(a) else a
         for a in system.agents))
     lines.append("actions: " + " ".join(str(a) for a in system.actions))
+    # Each distinct fact's sort key and text, computed once for all runs.
     position = {action: i for i, action in enumerate(system.actions)}
+    facts = frozenset().union(*(run.facts for run in system.runs))
+    key = {fact: (position[fact[1]], fact[0]) for fact in facts}
+    text = {fact: f"{fact[0]}:{fact[1]}" for fact in facts}
     for run in system.runs:
-        facts = sorted(run.facts, key=lambda f: (position[f[1]], f[0]))
-        rendered = " ".join(f"{agent}:{action}" for agent, action in facts)
+        rendered = " ".join(map(text.__getitem__, sorted(run.facts, key=key.__getitem__)))
         lines.append(f"run {run.run_id}: {rendered}".rstrip())
     order = {run.run_id: i for i, run in enumerate(system.runs)}
     for observer, part in system.observers.items():
@@ -192,6 +198,8 @@ def from_json_dict(data: dict) -> InterpretedSystem:
                             observers=data["observers"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise SysFileError(f"malformed system JSON: {exc}") from exc
+    except ValidationError as exc:
+        raise SysFileError(str(exc)) from exc
 
 
 def load_system(path: str | Path) -> InterpretedSystem:

@@ -113,15 +113,11 @@ class InterpretedSystem:
         self._blocks: dict[str, tuple[tuple[Run, ...], ...]] = {}
         self._block_of: dict[str, dict[str, int]] = {}
         for obs, part in observers.items():
-            blocks = []
-            block_of = {}
-            for bi, block in enumerate(part.blocks):
-                members = tuple(sorted((self.run(rid) for rid in block),
-                                       key=lambda r: self._run_index[r.run_id]))
-                blocks.append(members)
-                for rid in block:
-                    block_of[rid] = bi
-            self._blocks[obs] = tuple(blocks)
+            block_of = {rid: bi for bi, block in enumerate(part.blocks) for rid in block}
+            blocks: list[list[Run]] = [[] for _ in part.blocks]
+            for run in runs:
+                blocks[block_of[run.run_id]].append(run)
+            self._blocks[obs] = tuple(map(tuple, blocks))
             self._block_of[obs] = block_of
 
     # -- lookups ---------------------------------------------------------
@@ -277,6 +273,7 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
         raise ValidationError("a system needs at least one run")
 
     partitions: dict[str, ObserverPartition] = {}
+    order = {rid: i for i, rid in enumerate(r.run_id for r in run_list)}
     for obs, blocks in observers.items():
         if obs not in roles:
             raise ValidationError(f"observer {obs!r} is not a declared agent")
@@ -289,7 +286,7 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
             ids = frozenset(block)
             if not ids:
                 raise ValidationError(f"empty indistinguishability block for {obs!r}")
-            for rid in ids:
+            for rid in block:  # in the order given, so errors name the first
                 if rid not in run_ids:
                     raise ValidationError(f"unknown run {rid!r} in partition of {obs!r}")
                 if rid in seen:
@@ -304,7 +301,6 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
             names = ", ".join(sorted(missing))
             raise ValidationError(f"partition of {obs!r} does not cover runs: {names}")
         # Canonical block order: by first member in run declaration order.
-        order = {rid: i for i, rid in enumerate(r.run_id for r in run_list)}
         norm_blocks.sort(key=lambda b: min(order[rid] for rid in b))
         partitions[obs] = ObserverPartition(obs, tuple(norm_blocks))
     if not partitions:

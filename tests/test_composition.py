@@ -190,6 +190,18 @@ class TestDerivationAgainstDefinition:
         assert cases > 400
 
     @pytest.mark.parametrize("flavor", sorted(_FLAVORS))
+    def test_runs_share_derived_fact_tuples(self, flavor):
+        repeats = 0
+        for _, schema, derived in _derivation_cases(flavor):
+            first: dict = {}
+            for run in derived.runs:
+                for fact in run.facts:
+                    if fact[1].family == schema.derived_family:
+                        repeats += fact in first
+                        assert first.setdefault(fact, fact) is fact
+        assert repeats > 100
+
+    @pytest.mark.parametrize("flavor", sorted(_FLAVORS))
     def test_derived_system_equals_its_validated_copy(self, flavor):
         for base, _, derived in _derivation_cases(flavor):
             copy = parse_system(render_system(derived))

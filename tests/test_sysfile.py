@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import anoncheck
-from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, ValidationError,
-                       build_system, derive_sequential, fixture_system,
-                       from_json_dict, load_system, parse_system,
-                       random_system, render_system, save_system, to_json_dict)
+from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, build_system,
+                       derive_sequential, fixture_system, from_json_dict,
+                       load_system, mixer_chain, parse_system, random_system,
+                       render_system, save_system, to_json_dict)
 from anoncheck.cli import main
 from anoncheck.scenarios import standard_sequential_schema
 
@@ -58,6 +58,17 @@ class TestTextFormat:
         sys = parse_system(GOOD)
         line = [l for l in render_system(sys).splitlines() if l.startswith("run r1")]
         assert line == ["run r1: i1:use(k1) helper:post(c1)"]
+
+    @pytest.mark.parametrize("policy", ["single", "discrete"])
+    def test_relay_renders_and_reloads_byte_for_byte(self, tmp_path, policy):
+        relay = mixer_chain("all", "all", policy, messages=["m3", "m1", "m2"])
+        path = tmp_path / "relay.sys"
+        for system in (relay, derive_sequential(relay, standard_sequential_schema(relay))):
+            text = render_system(system)
+            path.write_text(text)
+            loaded = load_system(path)
+            assert loaded == system
+            assert render_system(loaded) == text
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_bundled_files_match_the_builders(self, name):
@@ -156,6 +167,8 @@ class TestFiles:
         assert exc.value.line == 1
 
 
+KNOWN = "agents: x y\nactions: f g\nrun r1: x:f y:g\nrun r2: y:g x:f "
+
 BAD_LINES = [
     ("system a b\nagents: x\nactions: f\nrun r1:\nindist x: {r1}",
      "expected 'system NAME'", 1),
@@ -195,6 +208,13 @@ BAD_LINES = [
      "unrecognized directive 'bogus'", 3),
     ("systematic s9\nagents: x\nactions: f\nrun r1:\nindist x: {r1}",
      "unrecognized directive 'systematic'", 1),
+    # after run lines, which are matched before the other directives
+    ("agents: x\nactions: f\nrun r1: x:f\nsystematic s9\nindist x: {r1}",
+     "directive 'systematic'", 4),
+    # r1 has made every fact of r2 but the last one known
+    (f"{KNOWN}z:f\nindist x: {{r1 r2}}", "unknown agent 'z' in run r2", 4),
+    (f"{KNOWN}x:h\nindist x: {{r1 r2}}", "unknown action 'h' in run r2", 4),
+    (f"{KNOWN}xf\nindist x: {{r1 r2}}", "fact 'xf' must look like agent:action", 4),
 ]
 
 
@@ -238,9 +258,8 @@ class TestDiagnostics:
         else:
             path.write_text(GOOD.replace("{r1 r2}", "{r1 r2 r1}"))
         message = "run 'r1' appears twice in a block of 'j'"
-        # The text loader wraps build errors in SysFileError; the JSON
-        # loader lets the ValidationError through.
-        with pytest.raises((SysFileError, ValidationError), match=message):
+        # Both loaders wrap build errors in SysFileError.
+        with pytest.raises(SysFileError, match=message):
             load_system(path)
         assert invoke("check", str(path), "anon-upto(i1, use(k1), {i1}, j)") == (
             2, "", f"error: {message}\n")

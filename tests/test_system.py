@@ -1,4 +1,8 @@
 """Construction and validation of interpreted systems."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from anoncheck.sysfile import parse_system
@@ -152,6 +156,21 @@ class TestPartitions:
         with pytest.raises(ValidationError, match="unknown run"):
             tiny(observers={"j": [["r1", "r2", "r9"]]})
 
+    def test_block_errors_name_runs_in_the_order_given(self):
+        # Sets of strings iterate in an order that depends on string hashing.
+        code = ("from anoncheck import build_system\n"
+                "try:\n"
+                "    build_system(agents=['a', 'j'], actions=['f'], runs=[('r1', [])],\n"
+                "                 observers={'j': [['r1', 'x1', 'x2', 'x3']]})\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        messages = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                   text=True, check=True, timeout=60,
+                                   env={**env, "PYTHONHASHSEED": str(seed)}).stdout
+                    for seed in range(1, 6)}
+        assert messages == {"unknown run 'x1' in partition of 'j'\n"}
+
     def test_empty_block_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             tiny(observers={"j": [["r1", "r2"], []]})
@@ -166,6 +185,14 @@ class TestPartitions:
         s = tiny(observers={"j": [["r1"], ["r2"]]})
         blocks = {frozenset(r.run_id for r in s.kernel("j", run)) for run in s.runs}
         assert blocks == {frozenset({"r1"}), frozenset({"r2"})}
+
+    def test_kernels_list_runs_in_declaration_order(self):
+        s = build_system(agents=["a", "j"], actions=["f"],
+                         runs=[(f"r{n}", []) for n in range(1, 6)],
+                         observers={"j": [["r5", "r2"], ["r4", "r1", "r3"]]})
+        assert [r.run_id for r in s.kernel("j", "r5")] == ["r2", "r5"]
+        assert [r.run_id for r in s.kernel("j", "r1")] == ["r1", "r3", "r4"]
+        assert s.block_masks("j") == (0b01101, 0b10010)
 
     def test_block_index_errors(self):
         s = tiny()
