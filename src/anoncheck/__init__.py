@@ -15,9 +15,9 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           independence_obligations, parallel_subjects,
                           structural_formula)
 from .formula import (TRUE, FALSE, And, Atom, Const, Evaluator, Formula, Iff,
-                      Implies, Knows, Not, Or, ParseError, Poss, RunMasks,
-                      SlotPlanes, Verdict, check_names, conj, disj, evaluate,
-                      parse, render, valid)
+                      Implies, Knows, Not, Or, ParseError, Poss, SlotPlanes,
+                      Verdict, check_names, conj, disj, evaluate, parse,
+                      render, valid)
 from .properties import (PropertyKind, PropertyReport, PropertySpec,
                          anonymous_up_to, check_property, compile_property,
                          maximally_identified, maximally_onymous,
@@ -45,7 +45,7 @@ __all__ = [
     "HYPOTHESIS_IMPLICATIONS", "Iff", "Implies", "IndependenceKind",
     "InterpretedSystem", "Knows", "Not", "ObserverPartition", "Or",
     "PAPER_SYSTEM_NAMES", "ParallelSchema", "ParseError", "Poss",
-    "PropertyKind", "PropertyReport", "PropertySpec", "Run", "RunMasks",
+    "PropertyKind", "PropertyReport", "PropertySpec", "Run",
     "SequentialSchema", "SlotPlanes", "StructuralCondition", "StructuralKind",
     "SweepReport", "SysFileError", "TRUE", "ValidationError", "Verdict",
     "anonymous_up_to", "build_system", "check_claim", "check_independence",

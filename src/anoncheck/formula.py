@@ -18,6 +18,7 @@ index appears in the semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .system import Action, InterpretedSystem, Run, ValidationError
 
@@ -132,68 +133,8 @@ class Verdict:
     counterexample: str | None = None
 
 
-class Evaluator:
-    """Evaluates formulas over one system.
-
-    Modal subformulas are memoized per indistinguishability block: their
-    value is constant on a block, and property checks evaluate the same
-    (shared) formula objects at every run, so the memo turns repeated modal
-    work into dictionary hits.  The memo keys on object identity; storing
-    the node alongside its value keeps it alive, so an id can never be
-    reused by a different formula while the memo holds it.
-    """
-
-    __slots__ = ("system", "_memo")
-
-    def __init__(self, system: InterpretedSystem):
-        self.system = system
-        self._memo: dict[tuple[int, str, int], tuple[Formula, bool]] = {}
-
-    def evaluate(self, f: Formula, run: Run) -> bool:
-        t = type(f)
-        if t is Atom:
-            return (f.agent, f.action) in run.facts
-        if t is And:
-            return self.evaluate(f.left, run) and self.evaluate(f.right, run)
-        if t is Poss:
-            key = (id(f), f.observer, self.system.block_index(f.observer, run.run_id))
-            entry = self._memo.get(key)
-            if entry is None:
-                child = f.child
-                hit = any(self.evaluate(child, r) for r in self.system.kernel(f.observer, run))
-                self._memo[key] = (f, hit)
-                return hit
-            return entry[1]
-        if t is Knows:
-            key = (id(f), f.observer, self.system.block_index(f.observer, run.run_id))
-            entry = self._memo.get(key)
-            if entry is None:
-                child = f.child
-                hit = all(self.evaluate(child, r) for r in self.system.kernel(f.observer, run))
-                self._memo[key] = (f, hit)
-                return hit
-            return entry[1]
-        if t is Not:
-            return not self.evaluate(f.child, run)
-        if t is Implies:
-            return (not self.evaluate(f.left, run)) or self.evaluate(f.right, run)
-        if t is Or:
-            return self.evaluate(f.left, run) or self.evaluate(f.right, run)
-        if t is Iff:
-            return self.evaluate(f.left, run) == self.evaluate(f.right, run)
-        if t is Const:
-            return f.value
-        raise TypeError(f"not a formula: {f!r}")
-
-    def valid(self, f: Formula) -> Verdict:
-        for run in self.system.runs:
-            if not self.evaluate(f, run):
-                return Verdict(False, run.run_id)
-        return Verdict(True, None)
-
-
 class _Vectors:
-    """The memoized walk over the connectives that :class:`RunMasks` and
+    """The memoized walk over the connectives that :class:`Evaluator` and
     :class:`SlotPlanes` share; each supplies its carrier.
 
     A formula's value is an int holding its truth at every point of the
@@ -204,8 +145,8 @@ class _Vectors:
     node's value is memoized by object identity, which pays off on
     hash-consed formulas where equal subformulas are one object; each
     formula a carrier is asked about is kept alive for its lifetime, so an
-    id in the memo is never reused by another node.  Like
-    :class:`Evaluator`, it does not validate names (see :func:`check_names`).
+    id in the memo is never reused by another node.  Names are not
+    validated (see :func:`check_names`).
     """
 
     __slots__ = ("_full", "_memo", "_roots")
@@ -214,6 +155,14 @@ class _Vectors:
         self._full = full
         self._memo: dict[int, int] = {}
         self._roots: list[Formula] = []
+
+    def mask(self, f: Formula) -> int:
+        """The points where ``f`` holds, as an int."""
+        x = self._memo.get(id(f))
+        if x is None:
+            self._roots.append(f)
+            x = self._eval(f)
+        return x
 
     def _eval(self, f: Formula) -> int:
         x = self._memo.get(id(f))
@@ -251,13 +200,19 @@ class _Vectors:
         return x
 
 
-class RunMasks(_Vectors):
-    """Evaluates formulas over one system as run bitmasks.
+# Bytes of 0/1 digits to bytes of 0/1 values, and back.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+class Evaluator(_Vectors):
+    """Evaluates formulas over one system, as run bitmasks.
 
     Bit ``i`` of a mask is the formula's truth at ``system.runs[i]``, so a
-    whole formula is evaluated once per system instead of once per run: an
-    atom is the mask of the runs holding its fact, and ``P[j]`` is the
-    union of the observer's blocks that the child's mask meets.
+    formula is evaluated once per system, not once per run: an atom is the
+    mask of the runs holding its fact (:meth:`InterpretedSystem.holding`),
+    and ``P[j]`` is the union of the observer's blocks that the child's
+    mask meets, read off the partition index in one pass over the runs.
 
     ``derive()``, if given, returns ``system`` extended by derivation, which
     keeps its runs and partitions and only adds facts of new actions.  An
@@ -265,7 +220,7 @@ class RunMasks(_Vectors):
     on first use; so base and derived formulas share one evaluator.
     """
 
-    __slots__ = ("system", "_derive", "_derived", "_blocks")
+    __slots__ = ("system", "_derive", "_derived")
 
     #: The one system evaluated, as a batch vector (see :class:`SlotPlanes`).
     all = True
@@ -275,23 +230,22 @@ class RunMasks(_Vectors):
         self.system = system
         self._derive = derive
         self._derived: InterpretedSystem | None = None
-        self._blocks: dict[str, tuple[int, ...]] = {}
 
-    def mask(self, f: Formula) -> int:
-        """The runs where ``f`` holds, as a bitmask."""
-        self._roots.append(f)
-        return self._eval(f)
-
-    def valid(self, f: Formula) -> bool:
+    def holds(self, f: Formula) -> bool:
         """Whether ``f`` holds at every run."""
         return self.mask(f) == self._full
 
-    def first_failure(self, f: Formula) -> str | None:
-        """Id of the first run (in declaration order) where ``f`` fails."""
-        missing = self._full & ~self.mask(f)
+    def evaluate(self, f: Formula, run: Run) -> bool:
+        """Truth of ``f`` at ``run``."""
+        return bool(self.mask(f) >> self.system.position(run.run_id) & 1)
+
+    def valid(self, f: Formula) -> Verdict:
+        """Truth of ``f`` at every run; the counterexample is the first
+        failing run in declaration order."""
+        missing = self._full ^ self.mask(f)
         if not missing:
-            return None
-        return self.system.runs[(missing & -missing).bit_length() - 1].run_id
+            return Verdict(True, None)
+        return Verdict(False, self.system.runs[(missing & -missing).bit_length() - 1].run_id)
 
     def _atom(self, f: Atom) -> int:
         system = self.system
@@ -299,20 +253,16 @@ class RunMasks(_Vectors):
             if self._derived is None:
                 self._derived = self._derive()
             system = self._derived
-        fact = (f.agent, f.action)
-        return int("".join("01"[fact in run.facts] for run in reversed(system.runs)), 2)
+        return system.holding((f.agent, f.action))
 
     def _possible(self, observer: str, x: int) -> int:
         if x == 0 or x == self._full:
             return x
-        blocks = self._blocks.get(observer)
-        if blocks is None:
-            blocks = self._blocks[observer] = self.system.block_masks(observer)
-        out = 0
-        for b in blocks:
-            if b & x:
-                out |= b
-        return out
+        index = self.system.block_numbers(observer)
+        # One byte per run, in run order: 1 where x holds.
+        bits = format(x, f"0{len(index)}b").encode()[::-1].translate(_BITS)
+        met = set(compress(index, bits))
+        return int(bytes(map(met.__contains__, index))[::-1].translate(_DIGITS), 2)
 
 
 class SlotPlanes(_Vectors):
@@ -363,10 +313,9 @@ class SlotPlanes(_Vectors):
         width``, with bits above the planes left for a mask to clear."""
         return x >> shift | x << self._end - shift
 
-    def valid(self, f: Formula) -> int:
+    def holds(self, f: Formula) -> int:
         """The systems on which ``f`` holds at every run, as a vector."""
-        self._roots.append(f)
-        x = held = self._eval(f)
+        x = held = self.mask(f)
         for shift in self._shifts:
             held &= x >> shift
         return held & self.all

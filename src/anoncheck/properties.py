@@ -3,8 +3,8 @@
 Every property is an implication guarded by the fact under scrutiny: a
 property of (subject, action) holds vacuously in systems where the subject
 never performs the action.  The compiled formulas are the single source of
-truth; :func:`check_property` walks the same structure to report the first
-failing conjunct.
+truth; :func:`check_property` finds the first run where the whole formula
+fails, then the first conjunct that fails there.
 """
 from __future__ import annotations
 
@@ -160,14 +160,12 @@ def check_property(system: InterpretedSystem, spec: PropertySpec) -> PropertyRep
     parts = _conjuncts(system, spec)
     witness = Implies(Atom(spec.subject, spec.action), conj(f for _, f in parts))
     ev = Evaluator(system)
-    guard = Atom(spec.subject, spec.action)
-    for run in system.runs:
-        if not ev.evaluate(guard, run):
-            continue
-        for desc, f in parts:
-            if not ev.evaluate(f, run):
-                return PropertyReport(spec, False, witness, (run.run_id, desc))
-    return PropertyReport(spec, True, witness, None)
+    verdict = ev.valid(witness)
+    if verdict.holds:
+        return PropertyReport(spec, True, witness, None)
+    run = system.run(verdict.counterexample)
+    desc = next(desc for desc, f in parts if not ev.evaluate(f, run))
+    return PropertyReport(spec, False, witness, (run.run_id, desc))
 
 
 # -- convenience constructors ------------------------------------------------

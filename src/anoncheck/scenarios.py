@@ -14,7 +14,7 @@ tables: a ``<stage>-<property>`` checker asks one property of every
 name their condition.  A suite compiles them once per declaration shape
 into hash-consed formulas.  A checker is decided on a context, which is
 an evaluator: one system's run bitmasks
-(:class:`~anoncheck.formula.RunMasks`), whose derived facts are derived
+(:class:`~anoncheck.formula.Evaluator`), whose derived facts are derived
 only when a formula reads them, or a batch of generated systems as slot
 planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one walk
 over the connectives; all semantics lives in the formula/property/
@@ -37,8 +37,8 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, derive_parallel,
                           derive_sequential, independence_obligations,
                           parallel_subjects, structural_formula)
-from .formula import (And, Atom, Const, Formula, Implies, Knows, Not, Poss,
-                      RunMasks, SlotPlanes, conj)
+from .formula import (And, Atom, Const, Evaluator, Formula, Implies, Knows,
+                      Not, Poss, SlotPlanes, conj)
 from .properties import (anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
@@ -113,18 +113,18 @@ class _Obligation:
     formula: Formula
 
 
-# A checker's context is an evaluator: a :class:`RunMasks` for one system
+# A checker's context is an evaluator: an :class:`Evaluator` for one system
 # (see :meth:`CheckSuite.context`), a :class:`SlotPlanes` for a batch.  Its
 # ``holds(ctx)`` is the vector of the context's systems on which it holds:
 # a bool on one system, an int bitmask on a batch.  Both support ``&``,
-# ``|`` and ``^`` with ``ctx.valid`` and ``ctx.all``; ``first_failure``
-# needs a :class:`RunMasks`.
+# ``|`` and ``^`` with ``ctx.holds`` and ``ctx.all``; ``first_failure``
+# needs an :class:`Evaluator`, whose ``valid`` names the first failing run.
 
 
 def _all_valid(ctx, obligations):
     held = ctx.all
     for ob in obligations:
-        held &= ctx.valid(ob.formula)
+        held &= ctx.holds(ob.formula)
         if not held:
             break
     return held
@@ -142,9 +142,9 @@ class _AllValid:
     def holds(self, ctx):
         return _all_valid(ctx, self.obligations)
 
-    def first_failure(self, ctx: RunMasks) -> str | None:
+    def first_failure(self, ctx: Evaluator) -> str | None:
         for ob in self.obligations:
-            run_id = ctx.first_failure(ob.formula)
+            run_id = ctx.valid(ob.formula).counterexample
             if run_id is not None:
                 return f"{ob.label} @ {run_id}"
         return None
@@ -165,7 +165,7 @@ class _AnyOfEachValid:
         for _, fs in self.items:
             some = False
             for f in fs:
-                some |= ctx.valid(f)
+                some |= ctx.holds(f)
                 if not held & ~some:
                     break
             held &= some
@@ -173,9 +173,9 @@ class _AnyOfEachValid:
                 break
         return held
 
-    def first_failure(self, ctx: RunMasks) -> str | None:
+    def first_failure(self, ctx: Evaluator) -> str | None:
         for label, fs in self.items:
-            if not any(ctx.valid(f) for f in fs):
+            if not any(ctx.holds(f) for f in fs):
                 return f"{label} (no alternative holds)"
         return None
 
@@ -195,7 +195,7 @@ class _EquivalenceValid:
     def holds(self, ctx):
         return ctx.all ^ _all_valid(ctx, self.left) ^ _all_valid(ctx, self.right)
 
-    def first_failure(self, ctx: RunMasks) -> str | None:
+    def first_failure(self, ctx: Evaluator) -> str | None:
         lv, rv = _all_valid(ctx, self.left), _all_valid(ctx, self.right)
         if lv == rv:
             return None
@@ -314,12 +314,12 @@ class CheckSuite:
             self._ref_derived = derive(self.ref_base, self.schema)
         return self._ref_derived
 
-    def context(self, system: InterpretedSystem) -> RunMasks:
+    def context(self, system: InterpretedSystem) -> Evaluator:
         """The checkers' context on ``system``, derived on first use."""
         if system is self.ref_base:
-            return RunMasks(system, lambda: self.ref_derived)
+            return Evaluator(system, lambda: self.ref_derived)
         _, derive = _flavor_functions(self.flavor)
-        return RunMasks(system, lambda: derive(system, self.schema))
+        return Evaluator(system, lambda: derive(system, self.schema))
 
     def checker(self, name: str):
         c = self._checkers.get(name)
@@ -597,7 +597,7 @@ def _suite_for_system(cdef: ClaimDef, system: InterpretedSystem,
     return CheckSuite(cdef.flavor, schema, observer, system, bound), observer
 
 
-def _check_witness_claim(suite: CheckSuite, ctx: RunMasks,
+def _check_witness_claim(suite: CheckSuite, ctx: Evaluator,
                          system: InterpretedSystem) -> ClaimReport:
     """C3.1: the given system should witness all four items."""
     anon = suite.checker("use-anonymity")

@@ -85,16 +85,19 @@ def _coerce_action(value) -> Action:
 
 
 class InterpretedSystem:
-    """An immutable interpreted system with precomputed kernel indexes.
+    """An immutable interpreted system with a partition index per observer.
 
     Outside input goes through :func:`build_system`, which validates the
     declaration and normalizes input forms.  Derivation (``composition``)
     extends an already validated system by constructing it directly.
+
+    Run masks (see :class:`~anoncheck.formula.Evaluator`) are ints in which
+    bit ``i`` stands for ``runs[i]``.
     """
 
     __slots__ = (
         "name", "agents", "roles", "actions", "runs", "observers",
-        "_action_set", "_run_index", "_blocks", "_block_of",
+        "_action_set", "_run_index", "_blocks", "_holding",
     )
 
     def __init__(self, name: str, agents: tuple[str, ...], roles: dict[str, str | None],
@@ -108,25 +111,24 @@ class InterpretedSystem:
         self.runs = runs
         self.observers = observers
         self._run_index = {r.run_id: i for i, r in enumerate(runs)}
-        # Per observer: blocks as tuples of Run (declaration order inside a
-        # block) and a map run_id -> block position.
-        self._blocks: dict[str, tuple[tuple[Run, ...], ...]] = {}
-        self._block_of: dict[str, dict[str, int]] = {}
+        # Per observer: each run's block position, in run order.
+        self._blocks: dict[str, tuple[int, ...]] = {}
         for obs, part in observers.items():
             block_of = {rid: bi for bi, block in enumerate(part.blocks) for rid in block}
-            blocks: list[list[Run]] = [[] for _ in part.blocks]
-            for run in runs:
-                blocks[block_of[run.run_id]].append(run)
-            self._blocks[obs] = tuple(map(tuple, blocks))
-            self._block_of[obs] = block_of
+            self._blocks[obs] = tuple(block_of[r.run_id] for r in runs)
+        self._holding: dict[Fact, int] = {}
 
     # -- lookups ---------------------------------------------------------
 
-    def run(self, run_id: str) -> Run:
+    def position(self, run_id: str) -> int:
+        """Where the run stands in ``runs``."""
         try:
-            return self.runs[self._run_index[run_id]]
+            return self._run_index[run_id]
         except KeyError:
             raise ValidationError(f"unknown run {run_id!r} in system {self.name!r}") from None
+
+    def run(self, run_id: str) -> Run:
+        return self.runs[self.position(run_id)]
 
     def has_agent(self, name: str) -> bool:
         return name in self.roles
@@ -137,28 +139,37 @@ class InterpretedSystem:
     def agents_with_role(self, role: str) -> tuple[str, ...]:
         return tuple(a for a in self.agents if self.roles.get(a) == role)
 
+    def block_numbers(self, observer: str) -> tuple[int, ...]:
+        """Each run's block position in the observer's partition, in run
+        order."""
+        try:
+            return self._blocks[observer]
+        except KeyError:
+            raise ValidationError(f"{observer!r} is not a declared observer") from None
+
     def block_index(self, observer: str, run_id: str) -> int:
         try:
-            return self._block_of[observer][run_id]
+            return self._blocks[observer][self._run_index[run_id]]
         except KeyError:
             if observer not in self.observers:
                 raise ValidationError(f"{observer!r} is not a declared observer") from None
             raise ValidationError(f"unknown run {run_id!r}") from None
 
-    def block_masks(self, observer: str) -> tuple[int, ...]:
-        """The observer's blocks as bitmasks over run positions: bit ``i``
-        stands for ``runs[i]``."""
-        try:
-            blocks = self._blocks[observer]
-        except KeyError:
-            raise ValidationError(f"{observer!r} is not a declared observer") from None
-        index = self._run_index
-        return tuple(sum(1 << index[r.run_id] for r in block) for block in blocks)
-
     def kernel(self, observer: str, run: Run | str) -> tuple[Run, ...]:
-        """All runs the observer cannot distinguish from ``run`` (inclusive)."""
+        """All runs the observer cannot distinguish from ``run`` (inclusive),
+        in run order."""
         rid = run if isinstance(run, str) else run.run_id
-        return self._blocks[observer][self.block_index(observer, rid)]
+        block = self.block_index(observer, rid)
+        return tuple(r for r, b in zip(self.runs, self._blocks[observer]) if b == block)
+
+    def holding(self, fact: Fact) -> int:
+        """The runs holding ``fact``, as a run mask; each fact's runs are
+        scanned once, on first use."""
+        mask = self._holding.get(fact)
+        if mask is None:
+            mask = int("".join("01"[fact in run.facts] for run in reversed(self.runs)), 2)
+            self._holding[fact] = mask
+        return mask
 
     def holds(self, run: Run | str, agent: str, action: Action | str) -> bool:
         r = self.run(run) if isinstance(run, str) else run

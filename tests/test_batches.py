@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from anoncheck import (CLAIMS, Atom, ClaimVerdict, GenConfig, RunMasks,
+from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
                        build_system, check_claim, derive_parallel,
                        derive_sequential, falsify, random_system, scenarios,
                        sweep)
@@ -60,7 +60,7 @@ def test_batch_vectors_match_per_system_checks(flavor, bound):
     assert runs_seen == {1, 2, 3, 4} and split_seen
 
 
-def test_slot_planes_match_run_masks_on_random_partitions():
+def test_slot_planes_match_the_evaluator_on_random_partitions():
     """Every connective, plane by plane: slot i of system s is run i, or
     run 1 when the system has fewer runs."""
     rng = random.Random(0x5107)
@@ -69,7 +69,7 @@ def test_slot_planes_match_run_masks_on_random_partitions():
             for seed in range(40)]
     _, planes = _batch(cfgs)
     systems = [random_system(cfg) for cfg in cfgs]
-    masks = [RunMasks(system) for system in systems]
+    masks = [Evaluator(system) for system in systems]
     assert any(len(s.observers["j"].blocks) > 1 for s in systems)
     assert max(len(s.runs) for s in systems) == 4
     agents = tuple(systems[0].agents)
@@ -79,14 +79,14 @@ def test_slot_planes_match_run_masks_on_random_partitions():
         g = _seeded_formula(rng, agents, actions, ("j",), 3)
         for h in (f, Iff(Poss("j", f), Not(Knows("j", Not(f)))), Iff(f, g),
                   Or(f, TRUE), Implies(FALSE, g), Knows("j", Implies(f, g))):
-            valid = planes.valid(h)
+            held = planes.holds(h)
             got = planes._eval(h)  # plane i at bit i * len(cfgs)
             for s, (system, m) in enumerate(zip(systems, masks)):
                 mask = m.mask(h)
                 runs = len(system.runs)
                 assert [bool(got >> i * len(cfgs) + s & 1) for i in range(4)] == \
                     [bool(mask >> (i if i < runs else 0) & 1) for i in range(4)]
-                assert bool(valid >> s & 1) is m.valid(h)
+                assert bool(held >> s & 1) is m.holds(h)
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
@@ -106,7 +106,7 @@ def test_derived_atom_tables_match_the_derivation(flavor):
         infer_schema, _ = scenarios._flavor_functions(flavor)
         derived = derive(system, infer_schema(system))
         columns = scenarios._transpose(fact_sets, len(facts))
-        masks = RunMasks(derived)
+        masks = Evaluator(derived)
         for agent in derived.agents:
             for action in derived.actions:
                 atom = Atom(agent, action)

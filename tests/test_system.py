@@ -192,7 +192,7 @@ class TestPartitions:
                          observers={"j": [["r5", "r2"], ["r4", "r1", "r3"]]})
         assert [r.run_id for r in s.kernel("j", "r5")] == ["r2", "r5"]
         assert [r.run_id for r in s.kernel("j", "r1")] == ["r1", "r3", "r4"]
-        assert s.block_masks("j") == (0b01101, 0b10010)
+        assert s.block_numbers("j") == (0, 1, 0, 0, 1)
 
     def test_block_index_errors(self):
         s = tiny()

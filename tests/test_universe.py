@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from anoncheck import (CLAIMS, FALSE, TRUE, And, Evaluator, GenConfig, Iff,
+from anoncheck import (CLAIMS, FALSE, TRUE, And, GenConfig, Iff,
                        Implies, Knows, Not, Or, Poss, build_system,
                        exhaustive_systems, falsify, random_system,
                        render_system, scenarios, sweep)
 from anoncheck.scenarios import ClaimDef
+from reference import Reference
 from test_acceptance import _seeded_formula
 
 FLAVORS = ("sequential", "parallel")
@@ -45,7 +46,7 @@ def test_checker_vectors_match_per_system_checks(flavor, bound):
 
 
 def test_slot_planes_match_the_evaluator_on_universe_chunks():
-    """Every connective, against the per-run Evaluator, on the chunk holding
+    """Every connective, against the per-run reference, on the chunk holding
     the one-run systems and on a chunk of pairs only."""
     rng = random.Random(0xB17)
     universe = scenarios._universe("sequential")
@@ -53,16 +54,16 @@ def test_slot_planes_match_the_evaluator_on_universe_chunks():
     agents = ("i1", "i2", "k1", "k2", "j")
     for lo, planes in itertools.islice(universe.chunks(), 0, None, 9):
         sample = range(0, planes.all.bit_length(), 13)
-        evaluators = [Evaluator(scenarios._exhaustive_system("sequential", lo + s))
+        evaluators = [Reference(scenarios._exhaustive_system("sequential", lo + s))
                       for s in sample]
         for _ in range(25):
             f = _seeded_formula(rng, agents, actions, ("j",), 4)
             g = _seeded_formula(rng, agents, actions, ("j",), 3)
             for h in (f, Iff(f, g), Or(Not(f), TRUE), Implies(FALSE, g),
                       Knows("j", Implies(f, g)), Poss("j", And(f, Not(g)))):
-                vector = planes.valid(h)
+                vector = planes.holds(h)
                 assert [bool(vector >> s & 1) for s in sample] == \
-                    [ev.valid(h).holds for ev in evaluators]
+                    [ev.holds(h) for ev in evaluators]
 
 
 def _built_system(flavor, fact_sets):
