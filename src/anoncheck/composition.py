@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
                       conj, disj, render)
@@ -265,25 +265,15 @@ def _sequential_terms(kind: IndependenceKind, stages, bound: int):
     raise ValidationError(f"unknown independence kind {kind!r}")
 
 
-def independence_obligations(system: InterpretedSystem,
-                             schema: SequentialSchema | ParallelSchema,
-                             observer: str,
-                             kind: IndependenceKind,
-                             bound: int = 2):
-    """Yield (label, formula) per instantiation, in canonical order.
-
-    Canonical order enumerates agents and parameters in schema declaration
-    order; paired variants enumerate unordered fact pairs (combinations with
-    replacement) because conjunction order is immaterial.
-    """
-    j = observer
+def _independence_terms(system: InterpretedSystem, schema, observer: str,
+                        kind: IndependenceKind, bound: int):
+    """Yield (label, u, p) per obligation of :func:`independence_obligations`."""
     if kind is IndependenceKind.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
-        for i in parallel_subjects(system, j):
-            for c in schema.params:
-                yield (f"{i},{c}", _distributes(j, Atom(i, Action(schema.family_a, c)),
-                                                Atom(i, Action(schema.family_b, c))))
+        for i, c in product(parallel_subjects(system, observer), schema.params):
+            yield (f"{i},{c}", Atom(i, Action(schema.family_a, c)),
+                   Atom(i, Action(schema.family_b, c)))
         return
 
     if not isinstance(schema, SequentialSchema):
@@ -293,9 +283,21 @@ def independence_obligations(system: InterpretedSystem,
               [(f"{k},{c}", Atom(k, Action(schema.second_family, c)))
                for k in schema.first_params for c in schema.second_params])
     sep, (firsts, seconds) = _sequential_terms(kind, stages, bound)
-    for first_label, u in firsts:
-        for second_label, p in seconds:
-            yield f"{first_label}{sep}{second_label}", _distributes(j, u, p)
+    for (first_label, u), (second_label, p) in product(firsts, seconds):
+        yield f"{first_label}{sep}{second_label}", u, p
+
+
+def independence_obligations(system: InterpretedSystem,
+                             schema: SequentialSchema | ParallelSchema,
+                             observer: str, kind: IndependenceKind, bound: int = 2):
+    """Yield (label, formula) per instantiation, in canonical order.
+
+    Canonical order enumerates agents and parameters in schema declaration
+    order; paired variants enumerate unordered fact pairs (combinations with
+    replacement) because conjunction order is immaterial.
+    """
+    for label, u, p in _independence_terms(system, schema, observer, kind, bound):
+        yield label, _distributes(observer, u, p)
 
 
 def _report(system: InterpretedSystem, name: str, witness: Formula,

@@ -12,12 +12,12 @@ Hypotheses and conclusions are named checkers.  Most are looked up in
 tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
 name their condition.  A suite compiles them once per declaration shape
-into hash-consed formulas.  A checker is decided on a context, which is
-an evaluator: one system's run bitmasks
-(:class:`~anoncheck.formula.Evaluator`), whose derived facts are derived
-only when a formula reads them, or a batch of generated systems as slot
-planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one walk
-over the connectives; all semantics lives in the formula/property/
+into formulas hash-consed across the suites of all generated shapes.  A
+checker is decided on a context, which is an evaluator: one system's run
+bitmasks (:class:`~anoncheck.formula.Evaluator`), whose derived facts are
+derived only when a formula reads them, or a batch of generated systems
+as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one
+walk over the connectives; all semantics lives in the formula/property/
 composition modules.  The bundled systems are the ``data/*.sys`` files.
 """
 from __future__ import annotations
@@ -34,9 +34,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
-                          StructuralCondition, StructuralKind, derive_parallel,
-                          derive_sequential, independence_obligations,
-                          parallel_subjects, structural_formula)
+                          StructuralCondition, StructuralKind,
+                          _distributes, _independence_terms, derive_parallel,
+                          derive_sequential, parallel_subjects, structural_formula)
 from .formula import (And, Atom, Const, Evaluator, Formula, Implies, Knows,
                       Not, Poss, SlotPlanes, conj)
 from .properties import (anonymous_up_to, compile_property,
@@ -107,8 +107,7 @@ def _flavor_functions(flavor: str):
 # Checkers: named obligation bundles shared by claims
 
 
-@dataclass(frozen=True)
-class _Obligation:
+class _Obligation(NamedTuple):
     label: str
     formula: Formula
 
@@ -290,10 +289,10 @@ class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
     A suite is reusable across every system sharing the declaration (the
-    sweep generates thousands of such systems).  The formulas of all its
-    checkers are hash-consed: structurally equal subformulas become one
-    object, so the evaluator of a system or a batch evaluates each of
-    them once, whichever obligation or checker reaches it first.
+    sweep generates thousands of such systems).  Its checkers' formulas
+    are hash-consed, structurally equal subformulas one object, across the
+    suites of all generated shapes (:meth:`_Shape.suite`), so an evaluator
+    evaluates each once, whichever obligation or checker reaches it first.
     """
 
     def __init__(self, flavor: str, schema, observer: str,
@@ -305,7 +304,7 @@ class CheckSuite:
         self.bound = bound
         self._ref_derived: InterpretedSystem | None = None
         self._checkers: dict[str, object] = {}
-        self._interned: dict[tuple, Formula] = {}
+        self._interned, self._distributed = {}, {}  # see _intern and _independence_obligations
 
     @property
     def ref_derived(self) -> InterpretedSystem:
@@ -331,30 +330,32 @@ class CheckSuite:
     # -- builders ---------------------------------------------------------
 
     def _intern(self, f: Formula) -> Formula:
-        """The suite's one object structurally equal to ``f``.
+        """The one object of the suite's table structurally equal to ``f``.
 
         Children are interned first and swapped into ``f`` in place; the
         swap keeps ``f`` structurally the same, so this is safe even for
-        formulas shared with other owners.
+        formulas shared with other owners.  The table also maps a canonical
+        node's id to it, so a canonical node returns at once.
         """
+        if self._interned.get(id(f)) is f:
+            return f
         t = type(f)
         if t is Atom:
             key = (f.agent, f.action.family, f.action.param)
         elif t is Not or t is Knows or t is Poss:
             child = self._intern(f.child)
-            if child is not f.child:
-                object.__setattr__(f, "child", child)
+            object.__setattr__(f, "child", child)
             key = (t, getattr(f, "observer", None), id(child))
         elif t is Const:
             key = (t, f.value)
         else:
             left, right = self._intern(f.left), self._intern(f.right)
-            if left is not f.left:
-                object.__setattr__(f, "left", left)
-            if right is not f.right:
-                object.__setattr__(f, "right", right)
+            object.__setattr__(f, "left", left)
+            object.__setattr__(f, "right", right)
             key = (t, id(left), id(right))
-        return self._interned.setdefault(key, f)
+        f = self._interned.setdefault(key, f)
+        self._interned[id(f)] = f
+        return f
 
     def _obligation(self, label: str, f: Formula) -> _Obligation:
         return _Obligation(label, self._intern(f))
@@ -368,8 +369,15 @@ class CheckSuite:
         return _AllValid(name, obligations)
 
     def _independence_obligations(self, kind: IndependenceKind):
-        return [self._obligation(label, f) for label, f in independence_obligations(
-            self.ref_base, self.schema, self.observer, kind, self.bound)]
+        j, table, obligations = self.observer, self._distributed, []
+        terms = {}  # id -> (term, its canonical node); holding the term keeps the id its own
+        for label, u, p in _independence_terms(self.ref_base, self.schema, j, kind, self.bound):
+            u, p = [(terms.get(id(t)) or terms.setdefault(id(t), (t, self._intern(t))))[1]
+                    for t in (u, p)]
+            key = (j, id(u), id(p))
+            f = table.get(key) or table.setdefault(key, self._intern(_distributes(j, u, p)))
+            obligations.append(_Obligation(label, f))
+        return obligations
 
     def _structural(self, name: str, conds):
         return _AllValid(name, [
@@ -628,6 +636,19 @@ def _check_witness_claim(suite: CheckSuite, ctx: Evaluator,
         verdict=verdict, items=items)
 
 
+def _claim(claim_id: ClaimId, dropped=(), search: str | None = None) -> ClaimDef:
+    """Claim ``claim_id``, checked to have ``dropped`` and, to be searched, refutable."""
+    cdef = CLAIMS.get(claim_id)
+    if cdef is None:
+        raise ValidationError(f"unknown claim {claim_id!r}")
+    if search and cdef.witness_only:
+        raise ValidationError(f"claim {claim_id} is witness-only; nothing to {search}")
+    for name in dropped:
+        if name not in cdef.hypotheses:
+            raise ValidationError(f"claim {claim_id} has no hypothesis {name!r}")
+    return cdef
+
+
 def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
                 observer: str | None = None, schema=None,
                 drop=(), bound: int = 2) -> ClaimReport:
@@ -638,14 +659,8 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
     (C3.1) report CONFIRMED when the system exhibits all items and VACUOUS
     otherwise; existence statements cannot be refuted by a single system.
     """
-    try:
-        cdef = CLAIMS[claim_id]
-    except KeyError:
-        raise ValidationError(f"unknown claim {claim_id!r}") from None
     dropped = tuple(drop)
-    for name in dropped:
-        if name not in cdef.hypotheses:
-            raise ValidationError(f"claim {claim_id} has no hypothesis {name!r}")
+    cdef = _claim(claim_id, dropped)
     suite, observer = _suite_for_system(cdef, system, observer, schema, bound)
     ctx = suite.context(system)
     if cdef.witness_only:
@@ -882,6 +897,8 @@ class _Shape:
     :func:`_row_bounds`.
     """
 
+    _tables = ({}, {})  # the intern and obligation tables of every shape's suite
+
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
         self.flavor = flavor
         self._suites: dict[int, CheckSuite] = {}
@@ -905,12 +922,15 @@ class _Shape:
                        for atom, sets in holding.items()}
 
     def suite(self, bound: int) -> CheckSuite:
-        """The shape's checkers, compiled once per bound."""
+        """The shape's checkers, compiled once per bound.  Atoms are named
+        alike in every shape, so all suites share :attr:`_tables`, and each
+        distinct formula is built once for them all."""
         suite = self._suites.get(bound)
         if suite is None:
             infer_schema, _ = _flavor_functions(self.flavor)
             suite = self._suites[bound] = CheckSuite(
                 self.flavor, infer_schema(self.ref), "j", self.ref, bound)
+            suite._interned, suite._distributed = self._tables
         return suite
 
     def column(self, columns, atom: Atom) -> int:
@@ -1075,25 +1095,23 @@ _MAX_PENDING = 8 * _CHUNK
 
 def _pool_batches(pool):
     """(shape, members) per batch of the configurations of ``pool``: the
-    members are (pool index, configuration) pairs of one shape and partition
-    policy, at most :data:`_CHUNK` of them, in pool order.  Once
+    members are (pool index, configuration) pairs of one shape, of either
+    partition policy, at most :data:`_CHUNK` of them, in pool order.  Once
     :data:`_MAX_PENDING` configurations wait, every partial batch is cut."""
-    groups: dict[tuple[_Shape, str], list[tuple[int, GenConfig]]] = {}
+    groups: dict[_Shape, list[tuple[int, GenConfig]]] = {}
     pending = 0
     for idx, cfg in enumerate(pool):
-        key = (_shape_of(cfg), cfg.partition)
-        group = groups.setdefault(key, [])
+        shape = _shape_of(cfg)
+        group = groups.setdefault(shape, [])
         group.append((idx, cfg))
         pending += 1
         if len(group) == _CHUNK:
             pending -= _CHUNK
-            yield key[0], groups.pop(key)
+            yield shape, groups.pop(shape)
         elif pending == _MAX_PENDING:
-            for (shape, _), group in groups.items():
-                yield shape, group
+            yield from groups.items()
             groups, pending = {}, 0
-    for (shape, _), group in groups.items():
-        yield shape, group
+    yield from groups.items()
 
 
 def _held(holds, names, held):
@@ -1163,12 +1181,14 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     a genuine bug somewhere: the claims are theorems.
 
     Both are decided a batch of systems at a time: the exhaustive universe
-    in chunks, the random pool by shape and partition policy.  Refutations
+    in chunks, the random pool by declaration shape.  Refutations
     and implication violations are listed by system, in universe then pool
     order, and then by claim, implication and hypothesis.
     """
     if claims is None:
         claims = [cid for cid, cdef in CLAIMS.items() if not cdef.witness_only]
+    for cid in claims:
+        _claim(cid, search="sweep")
     started = time.monotonic()
     stats = {cid: ClaimStats() for cid in claims}
     # The first entries in sweep order, as (position, rank in the system, entry).
@@ -1243,16 +1263,8 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
     hypothesis this searches for refutations of a theorem and is expected
     to come back empty.
     """
-    try:
-        cdef = CLAIMS[claim_id]
-    except KeyError:
-        raise ValidationError(f"unknown claim {claim_id!r}") from None
-    if cdef.witness_only:
-        raise ValidationError(f"claim {claim_id} is witness-only; nothing to falsify")
     dropped = tuple(drop)
-    for name in dropped:
-        if name not in cdef.hypotheses:
-            raise ValidationError(f"claim {claim_id} has no hypothesis {name!r}")
+    cdef = _claim(claim_id, dropped, "falsify")
     cfg = replace(cfg or GenConfig(), flavor=cdef.flavor)
     hyp_names = [n for n in cdef.hypotheses if n not in dropped]
 

@@ -165,12 +165,13 @@ def render_system(system: InterpretedSystem) -> str:
 
 def to_json_dict(system: InterpretedSystem) -> dict:
     order = {run.run_id: i for i, run in enumerate(system.runs)}
+    text = {action: str(action) for action in system.actions}  # once per action
     return {
         "name": system.name,
         "agents": [{"name": a, "role": system.roles[a]} for a in system.agents],
         "actions": [str(a) for a in system.actions],
         "runs": [{"id": run.run_id,
-                  "facts": sorted([agent, str(action)] for agent, action in run.facts)}
+                  "facts": sorted([agent, text[action]] for agent, action in run.facts)}
                  for run in system.runs],
         "observers": {obs: [sorted(block, key=order.__getitem__)
                             for block in part.blocks]

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
-                       build_system, check_claim, derive_parallel,
-                       derive_sequential, falsify, random_system, scenarios,
+from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, Atom, ClaimVerdict, Evaluator,
+                       GenConfig, build_system, check_claim, derive_parallel,
+                       derive_sequential, falsify, fixture_system,
+                       independence_obligations, random_system, scenarios,
                        sweep)
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from test_acceptance import _seeded_formula
@@ -33,19 +34,62 @@ def _batch(cfgs):
     return shape, shape.drawn_batch(draws)
 
 
+def _independence_checkers(shape, bound):
+    """(kind, [(label, formula), ...]) per independence checker of the
+    shape's suite."""
+    suite = shape.suite(bound)
+    return [(kind, [(ob.label, ob.formula) for ob in suite.checker(name).obligations])
+            for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_shared_independence_checkers_match_the_obligations(flavor, bound):
+    """Suites of every shape share their obligation tables, and each still
+    checks exactly what :func:`independence_obligations` lists."""
+    for shape_args in SHAPES[flavor]:
+        shape = scenarios._shape(flavor, *shape_args)
+        schema = shape.suite(bound).schema
+        for kind, obligations in _independence_checkers(shape, bound):
+            assert obligations == list(independence_obligations(
+                shape.ref, schema, "j", kind, bound)), (shape_args, kind)
+
+
+def test_shapes_share_one_object_per_obligation():
+    small = dict(_independence_checkers(scenarios._shape("sequential", 2, 2, 2), 2))
+    large = dict(_independence_checkers(scenarios._shape("sequential", 3, 3, 3), 2))
+    shared = 0
+    for kind, obligations in small.items():
+        formulas = dict(large[kind])
+        for label, f in obligations:
+            if label in formulas:
+                assert formulas[label] is f, (kind, label)
+                shared += 1
+    assert shared == sum(map(len, small.values()))
+
+
+def test_checking_a_claim_leaves_the_shared_tables_alone():
+    scenarios._shape("sequential", 2, 2, 2).suite(2).checker("pairwise-independence")
+    sizes = [len(table) for table in scenarios._Shape._tables]
+    assert min(sizes) > 0
+    for cid, name in DEFAULT_SYSTEMS.items():
+        check_claim(cid, fixture_system(name))
+    assert [len(table) for table in scenarios._Shape._tables] == sizes
+
+
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_batch_vectors_match_per_system_checks(flavor, bound):
     """Bit s of every checker's vector over a batch is its verdict on
-    system s, built and derived on its own: every shape, both partition
-    policies and both styles, one to four runs."""
+    system s, built and derived on its own: every shape, batches of either
+    partition policy and of both, both styles, one to four runs."""
     names = _checker_names(flavor)
     runs_seen, split_seen = set(), False
     for nr, np_, nc in SHAPES[flavor]:
-        for partition in ("single", "random"):
+        for policies in (("single",), ("random",), ("single", "random")):
             cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
-                              partition=partition, style=style, flavor=flavor,
-                              seed=1000 * nr + 100 * np_ + 10 * nc + seed)
+                              partition=policies[seed % len(policies)], style=style,
+                              flavor=flavor, seed=1000 * nr + 100 * np_ + 10 * nc + seed)
                     for style in ("uniform", "matching") for seed in range(3)]
             shape, ctx = _batch(cfgs)
             suite = shape.suite(bound)
@@ -54,7 +98,7 @@ def test_batch_vectors_match_per_system_checks(flavor, bound):
                 vector = suite.checker(name).holds(ctx)
                 assert [bool(vector >> s & 1) for s in range(len(cfgs))] == \
                     [suite.checker(name).holds(suite.context(system)) for system in systems], \
-                    (name, nr, np_, nc, partition)
+                    (name, nr, np_, nc, policies)
             runs_seen |= {len(system.runs) for system in systems}
             split_seen |= any(len(s.observers["j"].blocks) > 1 for s in systems)
     assert runs_seen == {1, 2, 3, 4} and split_seen
@@ -146,9 +190,9 @@ def test_falsify_random_phase_reports_the_first_refuting_system(max_runs, monkey
 
 
 def test_pool_batches_hold_back_a_bounded_number_of_configurations(monkeypatch):
-    """Every pooled configuration lands in exactly one batch of its shape
-    and partition policy, in pool order, and at most ``_MAX_PENDING`` of
-    them wait for their batch at any time."""
+    """Every pooled configuration lands in exactly one batch of its shape,
+    whatever its partition policy, in pool order, and at most
+    ``_MAX_PENDING`` of them wait for their batch at any time."""
     monkeypatch.setattr(scenarios, "_MAX_PENDING", 300)
     pool = list(scenarios._random_pool("sequential", 3000, 7))
     pulled = 0
@@ -159,14 +203,16 @@ def test_pool_batches_hold_back_a_bounded_number_of_configurations(monkeypatch):
             pulled += 1
             yield cfg
 
-    seen, batches = [], 0
+    seen, batches, mixed = [], 0, 0
     for shape, members in scenarios._pool_batches(counted()):
         batches += 1
         assert pulled - len(seen) <= 300
         indices = [idx for idx, _ in members]
         assert indices == sorted(indices)
-        assert {(scenarios._shape_of(cfg), cfg.partition) for _, cfg in members} == \
-            {(shape, members[0][1].partition)}
+        assert {scenarios._shape_of(cfg) for _, cfg in members} == {shape}
         assert all(pool[idx] is cfg for idx, cfg in members)
+        mixed += len({cfg.partition for _, cfg in members}) == 2
         seen += indices
-    assert sorted(seen) == list(range(len(pool))) and batches > 54
+    # The pool has 27 shapes and no shape fills a _CHUNK batch from 3,000
+    # configurations, so without the cut there would be at most 27 batches.
+    assert sorted(seen) == list(range(len(pool))) and batches > 27 and mixed

@@ -246,6 +246,15 @@ class TestSweep:
             assert stats.refuted == 0, cid
         assert report.elapsed > 0
 
+    def test_unknown_claims_are_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown claim 'nope'$"):
+            sweep(claims=["nope"], n_random=10, exhaustive=False)
+
+    def test_witness_claims_cannot_be_swept(self):
+        with pytest.raises(ValidationError,
+                           match=r"^claim C3\.1 is witness-only; nothing to sweep$"):
+            sweep(claims=["C3.1"], n_random=10, exhaustive=False)
+
 
 class TestGenerators:
     def test_random_system_is_a_pure_function_of_config(self):

@@ -94,12 +94,40 @@ class TestTextFormat:
                 assert parse_system(render_system(derived)) == derived
 
 
+def _json_dict_fact_by_fact(system):
+    """The JSON encoding written out fact by fact: the reference for
+    :func:`to_json_dict`."""
+    order = {run.run_id: i for i, run in enumerate(system.runs)}
+    return {
+        "name": system.name,
+        "agents": [{"name": a, "role": system.roles[a]} for a in system.agents],
+        "actions": [str(a) for a in system.actions],
+        "runs": [{"id": run.run_id,
+                  "facts": sorted([agent, str(action)] for agent, action in run.facts)}
+                 for run in system.runs],
+        "observers": {obs: [sorted(block, key=order.__getitem__) for block in part.blocks]
+                      for obs, part in system.observers.items()},
+    }
+
+
 class TestJsonFormat:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_json_round_trip(self, name):
         sys = fixture_system(name)
         data = json.loads(json.dumps(to_json_dict(sys)))
         assert from_json_dict(data) == sys
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ("relay-single", "relay-discrete"))
+    def test_saved_json_matches_the_fact_by_fact_encoding(self, tmp_path, name):
+        if name.startswith("relay-"):
+            sys = mixer_chain("all", "all", name[len("relay-"):], messages=["m3", "m1", "m2"])
+        else:
+            sys = fixture_system(name)
+        path = tmp_path / "x.json"
+        save_system(sys, path)
+        expected = json.dumps(_json_dict_fact_by_fact(sys), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert load_system(path) == sys
 
     def test_untagged_role_is_null(self):
         sys = parse_system(GOOD)
