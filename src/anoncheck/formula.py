@@ -27,21 +27,50 @@ from .system import Action, InterpretedSystem, Run, ValidationError
 # AST
 
 
-@dataclass(frozen=True)
+#: Every formula node built in this process, by ``(type, *fields)``.
+_NODES: dict[tuple, Formula] = {}
+
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Formula:
-    """Base class; all nodes are immutable and compare structurally."""
+    """Base class; all nodes are immutable and hash-consed.
+
+    Constructing a node equal to one already built returns that one, so
+    structurally equal formulas are one object, and ``==`` and ``hash``
+    are identity.  The node table lives as long as the process.
+    """
 
     __slots__ = ()
 
+    def __new__(cls, *fields, **named):
+        names = cls.__slots__
+        if named:  # a field left out, given twice or unknown fails the check below
+            fields += tuple(named.pop(name) for name in names[len(fields):] if name in named)
+        if named or len(fields) != len(names):
+            raise TypeError(f"{cls.__name__} takes the fields ({', '.join(names)})")
+        key = (cls, *fields)  # children are canonical, so they hash by identity
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(names, fields):
+                object.__setattr__(node, name, value)
+            node = _NODES.setdefault(key, node)
+        return node
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+@_node
 class Atom(Formula):
     __slots__ = ("agent", "action")
     agent: str
     action: Action
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Formula):
     __slots__ = ("value",)
     value: bool
@@ -51,48 +80,48 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     __slots__ = ("child",)
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Knows(Formula):
     __slots__ = ("observer", "child")
     observer: str
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Poss(Formula):
     __slots__ = ("observer", "child")
     observer: str
@@ -142,30 +171,20 @@ class _Vectors:
     ``_atom(atom)`` and ``_possible(observer, x)``, which is ``P[observer]``
     of ``x``; ``K[j]`` is ``!P[j]!``.  ``&``, ``|`` and ``->`` skip their
     right operand when the left one already decides every point.  Every
-    node's value is memoized by object identity, which pays off on
-    hash-consed formulas where equal subformulas are one object; each
-    formula a carrier is asked about is kept alive for its lifetime, so an
-    id in the memo is never reused by another node.  Names are not
+    node's value is memoized; formulas are hash-consed, so equal
+    subformulas are one object and are evaluated once.  Names are not
     validated (see :func:`check_names`).
     """
 
-    __slots__ = ("_full", "_memo", "_roots")
+    __slots__ = ("_full", "_memo")
 
     def __init__(self, full: int):
         self._full = full
-        self._memo: dict[int, int] = {}
-        self._roots: list[Formula] = []
+        self._memo: dict[Formula, int] = {}
 
     def mask(self, f: Formula) -> int:
         """The points where ``f`` holds, as an int."""
-        x = self._memo.get(id(f))
-        if x is None:
-            self._roots.append(f)
-            x = self._eval(f)
-        return x
-
-    def _eval(self, f: Formula) -> int:
-        x = self._memo.get(id(f))
+        x = self._memo.get(f)
         if x is not None:
             return x
         t = type(f)
@@ -173,30 +192,30 @@ class _Vectors:
         if t is Atom:
             x = self._atom(f)
         elif t is And:
-            x = self._eval(f.left)
+            x = self.mask(f.left)
             if x:
-                x &= self._eval(f.right)
+                x &= self.mask(f.right)
         elif t is Poss:
-            x = self._possible(f.observer, self._eval(f.child))
+            x = self._possible(f.observer, self.mask(f.child))
         elif t is Knows:
-            x = full ^ self._possible(f.observer, full ^ self._eval(f.child))
+            x = full ^ self._possible(f.observer, full ^ self.mask(f.child))
         elif t is Not:
-            x = full ^ self._eval(f.child)
+            x = full ^ self.mask(f.child)
         elif t is Implies:
-            x = full ^ self._eval(f.left)
+            x = full ^ self.mask(f.left)
             if x != full:
-                x |= self._eval(f.right)
+                x |= self.mask(f.right)
         elif t is Or:
-            x = self._eval(f.left)
+            x = self.mask(f.left)
             if x != full:
-                x |= self._eval(f.right)
+                x |= self.mask(f.right)
         elif t is Iff:
-            x = full ^ self._eval(f.left) ^ self._eval(f.right)
+            x = full ^ self.mask(f.left) ^ self.mask(f.right)
         elif t is Const:
             x = full if f.value else 0
         else:
             raise TypeError(f"not a formula: {f!r}")
-        self._memo[id(f)] = x
+        self._memo[f] = x
         return x
 
 

@@ -11,10 +11,11 @@ re-running searches with a hypothesis dropped.
 Hypotheses and conclusions are named checkers.  Most are looked up in
 tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
-name their condition.  A suite compiles them once per declaration shape
-into formulas hash-consed across the suites of all generated shapes.  A
-checker is decided on a context, which is an evaluator: one system's run
-bitmasks (:class:`~anoncheck.formula.Evaluator`), whose derived facts are
+name their condition.  A suite compiles them once per declaration shape;
+formulas are hash-consed where they are built, so equal subformulas of
+every suite are one object.  A checker is decided on a context, which is
+an evaluator: one system's run bitmasks
+(:class:`~anoncheck.formula.Evaluator`), whose derived facts are
 derived only when a formula reads them, or a batch of generated systems
 as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one
 walk over the connectives; all semantics lives in the formula/property/
@@ -34,11 +35,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
-                          StructuralCondition, StructuralKind,
-                          _distributes, _independence_terms, derive_parallel,
-                          derive_sequential, parallel_subjects, structural_formula)
-from .formula import (And, Atom, Const, Evaluator, Formula, Implies, Knows,
-                      Not, Poss, SlotPlanes, conj)
+                          StructuralCondition, StructuralKind, derive_parallel,
+                          derive_sequential, independence_obligations,
+                          parallel_subjects, structural_formula)
+from .formula import (And, Atom, Evaluator, Formula, Implies, Poss, SlotPlanes,
+                      conj)
 from .properties import (anonymous_up_to, compile_property,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
@@ -289,10 +290,10 @@ class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
     A suite is reusable across every system sharing the declaration (the
-    sweep generates thousands of such systems).  Its checkers' formulas
-    are hash-consed, structurally equal subformulas one object, across the
-    suites of all generated shapes (:meth:`_Shape.suite`), so an evaluator
-    evaluates each once, whichever obligation or checker reaches it first.
+    sweep generates thousands of such systems).  Formulas are hash-consed
+    (:class:`~anoncheck.formula.Formula`), so structurally equal
+    subformulas of every suite are one object, and an evaluator evaluates
+    each once, whichever obligation or checker reaches it first.
     """
 
     def __init__(self, flavor: str, schema, observer: str,
@@ -304,7 +305,6 @@ class CheckSuite:
         self.bound = bound
         self._ref_derived: InterpretedSystem | None = None
         self._checkers: dict[str, object] = {}
-        self._interned, self._distributed = {}, {}  # see _intern and _independence_obligations
 
     @property
     def ref_derived(self) -> InterpretedSystem:
@@ -329,59 +329,21 @@ class CheckSuite:
 
     # -- builders ---------------------------------------------------------
 
-    def _intern(self, f: Formula) -> Formula:
-        """The one object of the suite's table structurally equal to ``f``.
-
-        Children are interned first and swapped into ``f`` in place; the
-        swap keeps ``f`` structurally the same, so this is safe even for
-        formulas shared with other owners.  The table also maps a canonical
-        node's id to it, so a canonical node returns at once.
-        """
-        if self._interned.get(id(f)) is f:
-            return f
-        t = type(f)
-        if t is Atom:
-            key = (f.agent, f.action.family, f.action.param)
-        elif t is Not or t is Knows or t is Poss:
-            child = self._intern(f.child)
-            object.__setattr__(f, "child", child)
-            key = (t, getattr(f, "observer", None), id(child))
-        elif t is Const:
-            key = (t, f.value)
-        else:
-            left, right = self._intern(f.left), self._intern(f.right)
-            object.__setattr__(f, "left", left)
-            object.__setattr__(f, "right", right)
-            key = (t, id(left), id(right))
-        f = self._interned.setdefault(key, f)
-        self._interned[id(f)] = f
-        return f
-
-    def _obligation(self, label: str, f: Formula) -> _Obligation:
-        return _Obligation(label, self._intern(f))
-
     def _props(self, name: str, target: str, specs):
         ref = self.ref_base if target == "base" else self.ref_derived
         obligations = []
         for spec in specs:
             label = f"{spec.kind.value}({spec.subject}, {spec.action})"
-            obligations.append(self._obligation(label, compile_property(ref, spec)))
+            obligations.append(_Obligation(label, compile_property(ref, spec)))
         return _AllValid(name, obligations)
 
     def _independence_obligations(self, kind: IndependenceKind):
-        j, table, obligations = self.observer, self._distributed, []
-        terms = {}  # id -> (term, its canonical node); holding the term keeps the id its own
-        for label, u, p in _independence_terms(self.ref_base, self.schema, j, kind, self.bound):
-            u, p = [(terms.get(id(t)) or terms.setdefault(id(t), (t, self._intern(t))))[1]
-                    for t in (u, p)]
-            key = (j, id(u), id(p))
-            f = table.get(key) or table.setdefault(key, self._intern(_distributes(j, u, p)))
-            obligations.append(_Obligation(label, f))
-        return obligations
+        return list(map(_Obligation._make, independence_obligations(
+            self.ref_base, self.schema, self.observer, kind, self.bound)))
 
     def _structural(self, name: str, conds):
         return _AllValid(name, [
-            self._obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
+            _Obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
             for cond in conds])
 
     def _stages(self) -> dict[str, _Stage]:
@@ -418,8 +380,7 @@ class CheckSuite:
                                 Poss(j, And(Atom(i, Action(use, k)),
                                             Atom(k2, Action(post, c)))))
                         for i in sch.first_agents for k in sch.first_params)
-                    right.append(self._obligation(f"{i2},{k2},{c}",
-                                                  Implies(guard, body)))
+                    right.append(_Obligation(f"{i2},{k2},{c}", Implies(guard, body)))
         return _EquivalenceValid(name, left, right, "independence", "reformulation")
 
     def _min_privacy_either(self, name: str):
@@ -428,8 +389,8 @@ class CheckSuite:
         items = []
         for i in a.subjects:
             for pair in zip(a.actions, b.actions):
-                alts = tuple(self._intern(compile_property(
-                    self.ref_base, minimally_private(i, act, self.observer)))
+                alts = tuple(compile_property(
+                    self.ref_base, minimally_private(i, act, self.observer))
                     for act in pair)
                 items.append((f"{i},{pair[0].param}", alts))
         return _AnyOfEachValid(name, items)
@@ -897,8 +858,6 @@ class _Shape:
     :func:`_row_bounds`.
     """
 
-    _tables = ({}, {})  # the intern and obligation tables of every shape's suite
-
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
         self.flavor = flavor
         self._suites: dict[int, CheckSuite] = {}
@@ -923,14 +882,13 @@ class _Shape:
 
     def suite(self, bound: int) -> CheckSuite:
         """The shape's checkers, compiled once per bound.  Atoms are named
-        alike in every shape, so all suites share :attr:`_tables`, and each
-        distinct formula is built once for them all."""
+        alike in every shape, so an obligation of several shapes is one
+        formula object in all their suites."""
         suite = self._suites.get(bound)
         if suite is None:
             infer_schema, _ = _flavor_functions(self.flavor)
             suite = self._suites[bound] = CheckSuite(
                 self.flavor, infer_schema(self.ref), "j", self.ref, bound)
-            suite._interned, suite._distributed = self._tables
         return suite
 
     def column(self, columns, atom: Atom) -> int:

@@ -10,11 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, Atom, ClaimVerdict, Evaluator,
-                       GenConfig, build_system, check_claim, derive_parallel,
-                       derive_sequential, falsify, fixture_system,
-                       independence_obligations, random_system, scenarios,
-                       sweep)
+from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
+                       build_system, check_claim, derive_parallel,
+                       derive_sequential, falsify, independence_obligations,
+                       random_system, scenarios, sweep)
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from test_acceptance import _seeded_formula
 from test_universe import _checker_names
@@ -68,15 +67,6 @@ def test_shapes_share_one_object_per_obligation():
     assert shared == sum(map(len, small.values()))
 
 
-def test_checking_a_claim_leaves_the_shared_tables_alone():
-    scenarios._shape("sequential", 2, 2, 2).suite(2).checker("pairwise-independence")
-    sizes = [len(table) for table in scenarios._Shape._tables]
-    assert min(sizes) > 0
-    for cid, name in DEFAULT_SYSTEMS.items():
-        check_claim(cid, fixture_system(name))
-    assert [len(table) for table in scenarios._Shape._tables] == sizes
-
-
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
 @pytest.mark.parametrize("bound", [1, 2, 3])
 def test_batch_vectors_match_per_system_checks(flavor, bound):
@@ -124,7 +114,7 @@ def test_slot_planes_match_the_evaluator_on_random_partitions():
         for h in (f, Iff(Poss("j", f), Not(Knows("j", Not(f)))), Iff(f, g),
                   Or(f, TRUE), Implies(FALSE, g), Knows("j", Implies(f, g))):
             held = planes.holds(h)
-            got = planes._eval(h)  # plane i at bit i * len(cfgs)
+            got = planes.mask(h)  # plane i at bit i * len(cfgs)
             for s, (system, m) in enumerate(zip(systems, masks)):
                 mask = m.mask(h)
                 runs = len(system.runs)

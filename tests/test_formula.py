@@ -1,12 +1,16 @@
-"""Formula semantics, the concrete syntax, and the modal-logic laws."""
+"""Formula nodes, semantics, the concrete syntax, and the modal-logic laws."""
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anoncheck.formula import (FALSE, TRUE, And, Atom, Evaluator, Iff, Implies,
-                               Knows, Not, Or, ParseError, Poss, check_names,
-                               conj, disj, evaluate, parse, render, valid)
+from anoncheck.formula import (FALSE, TRUE, And, Atom, Const, Evaluator, Iff,
+                               Implies, Knows, Not, Or, ParseError, Poss,
+                               check_names, conj, disj, evaluate, parse, render,
+                               valid)
 from anoncheck.system import Action, ValidationError, build_system
 
 AGENTS = ("i1", "i2", "k1", "k2", "j")
@@ -63,6 +67,65 @@ def swap_system():
               ("r2", [("i1", "use(k2)"), ("i2", "use(k1)"), ("k2", "post(c1)")]),
               ("r3", [("i1", "use(k1)")])],
         blocks=[["r1", "r2"], ["r3"]])
+
+
+USE_K1 = Atom("i1", Action("use", "k1"))
+
+
+def _chain(depth: int):
+    """``depth`` unary connectives over TRUE, cycling through !, K[j], P[j]."""
+    f = TRUE
+    for n in range(depth):
+        f = (Not(f), Knows("j", f), Poss("j", f))[n % 3]
+    return f
+
+
+class TestNodes:
+    @pytest.mark.parametrize("build", [
+        lambda: And(USE_K1, Not(TRUE)),
+        lambda: And(left=USE_K1, right=Not(child=TRUE)),
+        lambda: And(USE_K1, right=Not(TRUE)),
+        lambda: And(right=Not(TRUE), left=Atom(agent="i1", action=Action("use", "k1"))),
+    ], ids=["positional", "keywords", "mixed", "keywords-reordered"])
+    def test_equal_formulas_are_one_object(self, build):
+        f = build()
+        assert f is And(USE_K1, Not(TRUE)) and f == And(USE_K1, Not(TRUE))
+        assert f.left is USE_K1 and f.right.child is TRUE is Const(True)
+        assert repr(USE_K1) == "Atom(agent='i1', action=Action(family='use', param='k1'))"
+        assert repr(f) == f"And(left={USE_K1!r}, right=Not(child=Const(value=True)))"
+
+    @pytest.mark.parametrize("build", [
+        lambda: And(TRUE), lambda: And(TRUE, TRUE, TRUE), lambda: Not(),
+        lambda: Not(TRUE, child=TRUE), lambda: And(TRUE, middle=TRUE),
+        lambda: And(right=TRUE), lambda: Atom("i1", Action("use", "k1"), observer="j"),
+    ], ids=["too-few", "too-many", "none", "given-twice", "unknown", "first-missing",
+            "unknown-extra"])
+    def test_wrong_fields_are_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    @pytest.mark.parametrize("field, value", [("left", TRUE), ("right", FALSE), ("other", 1)])
+    def test_fields_cannot_be_assigned(self, field, value):
+        f = And(USE_K1, Not(TRUE))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, field, value)
+        assert f.left is USE_K1
+
+    @pytest.mark.parametrize("f", [USE_K1, TRUE, And(USE_K1, Not(TRUE)),
+                                   Iff(Knows("j", USE_K1), Or(FALSE, Poss("j", USE_K1))),
+                                   _chain(30)], ids=["atom", "const", "and", "modal", "chain"])
+    def test_pickle_and_copies_return_the_node(self, f):
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+    def test_deep_formulas_compare_and_hash(self):
+        f = _chain(10_000)
+        assert f is _chain(10_000) and f == _chain(10_000) and f != _chain(9_999)
+        assert hash(f) == hash(_chain(10_000)) and {f: 1}[_chain(10_000)] == 1
+
+    def test_round_trip_at_depth_900(self):
+        f = _chain(900)
+        assert parse(render(f)) == f
 
 
 class TestEvaluation:
