@@ -62,12 +62,23 @@ class Formula:
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
+    def __copy__(self):  # a node is immutable and canonical: its own copy
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 @_node
 class Atom(Formula):
     __slots__ = ("agent", "action")
     agent: str
     action: Action
+
+    def __new__(cls, agent, action):
+        if not isinstance(action, Action):  # a tuple would become every equal atom's node
+            raise TypeError(f"an atom's action must be an Action, not {action!r}")
+        return super().__new__(cls, agent, action)
 
 
 @_node

@@ -6,7 +6,9 @@ claim on a system is *confirmed* (hypotheses and conclusion hold), *vacuous*
 The registered claims are theorems of the underlying semantics, so REFUTED
 must never occur with full hypotheses; the sweep and falsify entry points
 exist to hammer on exactly that, and to demonstrate hypothesis necessity by
-re-running searches with a hypothesis dropped.
+re-running searches with a hypothesis dropped.  Both walk one batch stream
+of generated systems, the exhaustive universe and then a random pool, and
+every generated system is assembled by one builder, :meth:`_Shape.system`.
 
 Hypotheses and conclusions are named checkers.  Most are looked up in
 tables: a ``<stage>-<property>`` checker asks one property of every
@@ -296,13 +298,11 @@ class CheckSuite:
     each once, whichever obligation or checker reaches it first.
     """
 
-    def __init__(self, flavor: str, schema, observer: str,
-                 ref_base: InterpretedSystem, bound: int = 2):
+    def __init__(self, flavor: str, schema, observer: str, ref_base: InterpretedSystem):
         self.flavor = flavor
         self.schema = schema
         self.observer = observer
         self.ref_base = ref_base
-        self.bound = bound
         self._ref_derived: InterpretedSystem | None = None
         self._checkers: dict[str, object] = {}
 
@@ -339,7 +339,7 @@ class CheckSuite:
 
     def _independence_obligations(self, kind: IndependenceKind):
         return list(map(_Obligation._make, independence_obligations(
-            self.ref_base, self.schema, self.observer, kind, self.bound)))
+            self.ref_base, self.schema, self.observer, kind)))
 
     def _structural(self, name: str, conds):
         return _AllValid(name, [
@@ -554,18 +554,6 @@ class ClaimReport:
     items: tuple[tuple[int, str, bool, str | None], ...] = ()
 
 
-def _suite_for_system(cdef: ClaimDef, system: InterpretedSystem,
-                      observer: str | None, schema, bound: int) -> tuple[CheckSuite, str]:
-    if observer is None:
-        if not system.observers:
-            raise ValidationError("system declares no observer")
-        observer = next(iter(system.observers))
-    if schema is None:
-        infer_schema, _ = _flavor_functions(cdef.flavor)
-        schema = infer_schema(system)
-    return CheckSuite(cdef.flavor, schema, observer, system, bound), observer
-
-
 def _check_witness_claim(suite: CheckSuite, ctx: Evaluator,
                          system: InterpretedSystem) -> ClaimReport:
     """C3.1: the given system should witness all four items."""
@@ -612,7 +600,7 @@ def _claim(claim_id: ClaimId, dropped=(), search: str | None = None) -> ClaimDef
 
 def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
                 observer: str | None = None, schema=None,
-                drop=(), bound: int = 2) -> ClaimReport:
+                drop=()) -> ClaimReport:
     """Evaluate one registered claim on one system.
 
     ``drop`` removes hypotheses by name before the verdict is computed,
@@ -622,7 +610,13 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
     """
     dropped = tuple(drop)
     cdef = _claim(claim_id, dropped)
-    suite, observer = _suite_for_system(cdef, system, observer, schema, bound)
+    if observer is None:
+        if not system.observers:
+            raise ValidationError("system declares no observer")
+        observer = next(iter(system.observers))
+    if schema is None:
+        schema = _flavor_functions(cdef.flavor)[0](system)
+    suite = CheckSuite(cdef.flavor, schema, observer, system)
     ctx = suite.context(system)
     if cdef.witness_only:
         return _check_witness_claim(suite, ctx, system)
@@ -812,16 +806,9 @@ def _draw(cfg: GenConfig, rng: random.Random, bounds) -> tuple[list[int], list[i
 
 def random_system(cfg: GenConfig) -> InterpretedSystem:
     """One random system, a pure function of ``cfg`` (in particular its seed)."""
-    agents, actions, facts = _declaration(cfg)
-    runs, labels = _draw(cfg, random.Random(cfg.seed), _row_bounds(facts))
-    blocks: dict[int, list[str]] = {}
-    for n, label in enumerate(labels, start=1):
-        blocks.setdefault(label, []).append(f"r{n}")
-    return build_system(
-        name=f"rnd-{cfg.flavor}-{cfg.seed}", agents=agents, actions=actions,
-        runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
-              for n, m in enumerate(runs, start=1)],
-        observers={"j": list(blocks.values())})
+    shape = _shape_of(cfg)
+    return shape.system(f"rnd-{cfg.flavor}-{cfg.seed}",
+                        *_draw(cfg, random.Random(cfg.seed), shape.bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +847,6 @@ class _Shape:
 
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
         self.flavor = flavor
-        self._suites: dict[int, CheckSuite] = {}
         agents, actions, self.facts = _declaration(GenConfig(
             n_real=n_real, n_pseudo=n_pseudo, n_articles=n_articles, flavor=flavor))
         self.bounds = _row_bounds(self.facts)
@@ -879,17 +865,30 @@ class _Shape:
         self._terms = {atom: tuple((a, b) for a, b in sorted(sets)
                                    if a == b or not {(a, a), (b, b)} & sets)
                        for atom, sets in holding.items()}
+        self._suite = CheckSuite(flavor, infer_schema(self.ref), "j", self.ref)
 
-    def suite(self, bound: int) -> CheckSuite:
-        """The shape's checkers, compiled once per bound.  Atoms are named
-        alike in every shape, so an obligation of several shapes is one
-        formula object in all their suites."""
-        suite = self._suites.get(bound)
-        if suite is None:
-            infer_schema, _ = _flavor_functions(self.flavor)
-            suite = self._suites[bound] = CheckSuite(
-                self.flavor, infer_schema(self.ref), "j", self.ref, bound)
-        return suite
+    def suite(self) -> CheckSuite:
+        """The shape's checkers, whose formulas every shape shares."""
+        return self._suite
+
+    def system(self, name: str, runs, labels) -> InterpretedSystem:
+        """The system ``name`` of one draw (see :func:`_draw`): run ``r{n}``
+        holds the facts of mask ``runs[n - 1]`` and lies in block
+        ``labels[n - 1]`` of ``j``.
+
+        Skipping :func:`build_system` is safe: ``ref`` passed it with every
+        fact in its one run, so agents, roles, actions and every run's facts
+        are validated; the run ids are distinct, and the blocks, listed by
+        first member, partition them.
+        """
+        blocks: dict[int, list[str]] = {}
+        for n, label in enumerate(labels, start=1):
+            blocks.setdefault(label, []).append(f"r{n}")
+        return InterpretedSystem(
+            name, self.ref.agents, self.ref.roles, self.ref.actions,
+            tuple(Run(f"r{n}", frozenset(f for b, f in enumerate(self.facts) if m >> b & 1))
+                  for n, m in enumerate(runs, start=1)),
+            {"j": ObserverPartition("j", tuple(map(frozenset, blocks.values())))})
 
     def column(self, columns, atom: Atom) -> int:
         """The atom's truth, given every fact's: bit ``s`` of ``columns[b]``
@@ -941,16 +940,13 @@ def _shape_of(cfg: GenConfig) -> _Shape:
 class _Universe:
     """One flavor's exhaustive universe: the 256 one-run systems ``x{m}``,
     one per fact set ``m`` of the 2/2/2 shape, then ``x{a}-{b}`` for every
-    ``a < b``.  ``runs[m]`` are the shared ``r1``/``r2`` runs with fact set
-    ``m``.  Its chunks are batches of 2 slots and one block each, whose fact
-    columns are built once."""
+    ``a < b``.  Its chunks are batches of 2 slots and one block each, whose
+    fact columns are built once."""
 
     def __init__(self, flavor: str):
         self.shape = _shape(flavor, 2, 2, 2)
         facts = self.shape.facts
         n_sets = 1 << len(facts)
-        self.runs = tuple((Run("r1", fs), Run("r2", fs)) for fs in (
-            frozenset(f for b, f in enumerate(facts) if m >> b & 1) for m in range(n_sets)))
         #: Index of the first system ``x{a}-...``, per ``a``, then the size.
         self.starts = list(accumulate(range(n_sets - 1, 0, -1), initial=n_sets))
         self.size = self.starts[-1]
@@ -963,39 +959,26 @@ class _Universe:
         for lo, columns in zip(range(0, self.size, _CHUNK), self._columns):
             yield lo, self.shape.batch(columns, min(_CHUNK, self.size - lo))
 
+    def system(self, index: int) -> InterpretedSystem:
+        """System ``index``: fact set ``m`` as the one run of ``x{m}``, or
+        fact sets ``a`` and ``b`` as the runs of ``x{a}-{b}``, in one block."""
+        if index < self.starts[0]:
+            return self.shape.system(f"x{index}", [index], [0])
+        a = bisect_right(self.starts, index) - 1
+        b = a + 1 + index - self.starts[a]
+        return self.shape.system(f"x{a}-{b}", [a, b], [0, 0])
+
 
 @lru_cache(maxsize=None)
 def _universe(flavor: str) -> _Universe:
     return _Universe(flavor)
 
 
-def _exhaustive_system(flavor: str, index: int) -> InterpretedSystem:
-    """System ``index`` of the exhaustive universe of ``flavor``.
-
-    Skipping :func:`build_system` is safe: the shape's ``ref`` passed it
-    with every fact in its run, so agents, roles, actions and every run's
-    facts are validated; the runs are ``r1`` and ``r2`` (or ``r1`` alone),
-    with distinct fact sets, and the one block of ``j`` is exactly their
-    ids.
-    """
-    universe = _universe(flavor)
-    if index < len(universe.runs):
-        name, runs = f"x{index}", (universe.runs[index][0],)
-    else:
-        a = bisect_right(universe.starts, index) - 1
-        b = a + 1 + index - universe.starts[a]
-        name, runs = f"x{a}-{b}", (universe.runs[a][0], universe.runs[b][1])
-    ref = universe.shape.ref
-    block = frozenset(run.run_id for run in runs)
-    return InterpretedSystem(name, ref.agents, ref.roles, ref.actions,
-                             runs, {"j": ObserverPartition("j", (block,))})
-
-
 def exhaustive_systems(flavor: str = "sequential"):
     """Every system over the 2/2/2 fact universe with at most two distinct
     runs and a single observer block, in canonical order."""
-    for index in range(_universe(flavor).size):
-        yield _exhaustive_system(flavor, index)
+    universe = _universe(flavor)
+    yield from map(universe.system, range(universe.size))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,16 +1035,16 @@ _MAX_PENDING = 8 * _CHUNK
 
 
 def _pool_batches(pool):
-    """(shape, members) per batch of the configurations of ``pool``: the
-    members are (pool index, configuration) pairs of one shape, of either
-    partition policy, at most :data:`_CHUNK` of them, in pool order.  Once
-    :data:`_MAX_PENDING` configurations wait, every partial batch is cut."""
-    groups: dict[_Shape, list[tuple[int, GenConfig]]] = {}
+    """(shape, members) per batch of the (configuration, seed) items of
+    ``pool``: the members are (pool index, item) pairs of one shape, of
+    either partition policy, at most :data:`_CHUNK` of them, in pool order.
+    Once :data:`_MAX_PENDING` items wait, every partial batch is cut."""
+    groups: dict[_Shape, list[tuple[int, tuple[GenConfig, int]]]] = {}
     pending = 0
-    for idx, cfg in enumerate(pool):
-        shape = _shape_of(cfg)
+    for idx, item in enumerate(pool):
+        shape = _shape_of(item[0])
         group = groups.setdefault(shape, [])
-        group.append((idx, cfg))
+        group.append((idx, item))
         pending += 1
         if len(group) == _CHUNK:
             pending -= _CHUNK
@@ -1070,6 +1053,27 @@ def _pool_batches(pool):
             yield from groups.items()
             groups, pending = {}, 0
     yield from groups.items()
+
+
+def _batches(flavor: str, pool, exhaustive: bool = True):
+    """The systems of one flavor, a batch at a time: the exhaustive
+    universe's chunks, unless ``exhaustive`` is false, then the random
+    systems of the (configuration, seed) items of ``pool``, batched by shape
+    (see :func:`_pool_batches`).  Yields (suite, context, positions,
+    system_at) per batch: bit ``s`` of the context is the system at
+    ``positions[s]`` of this stream, and until the next batch is drawn,
+    ``system_at(s)`` builds it."""
+    base = 0
+    if exhaustive:
+        universe = _universe(flavor)
+        for lo, ctx in universe.chunks():
+            yield (universe.shape.suite(), ctx, range(lo, universe.size),
+                   lambda bit: universe.system(lo + bit))
+        base = universe.size
+    for shape, members in _pool_batches(pool):
+        draws = [_draw(cfg, random.Random(seed), shape.bounds) for _, (cfg, seed) in members]
+        yield (shape.suite(), shape.drawn_batch(draws), [base + idx for idx, _ in members],
+               lambda bit: shape.system(f"rnd-{flavor}-{members[bit][1][1]}", *draws[bit]))
 
 
 def _held(holds, names, held):
@@ -1133,13 +1137,13 @@ def _sweep_batch(suite: CheckSuite, ctx, flavor: str, claim_ids, stats):
 
 
 def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
-          exhaustive: bool = True, bound: int = 2) -> SweepReport:
+          exhaustive: bool = True) -> SweepReport:
     """Check registered claims over the exhaustive small universe plus a
     seeded random pool (per flavor).  REFUTED entries in the result indicate
     a genuine bug somewhere: the claims are theorems.
 
-    Both are decided a batch of systems at a time: the exhaustive universe
-    in chunks, the random pool by declaration shape.  Refutations
+    Each flavor's systems come from one batch stream (:func:`_batches`):
+    the universe in chunks, then the pool by declaration shape.  Refutations
     and implication violations are listed by system, in universe then pool
     order, and then by claim, implication and hypothesis.
     """
@@ -1154,41 +1158,24 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     violations: list = []
     n_violations = 0
     systems_checked = {"sequential": 0, "parallel": 0}
-
-    def record(batch, positions, system_at):
-        nonlocal refutations, violations, n_violations
-        refuted, violated = batch
-        n_violations += sum(v.bit_count() for _, v in violated)
-        refutations = sorted(refutations + [
-            (positions[bit], rank, (cid, system_at(bit)))
-            for bit, rank, cid in islice(_in_order(refuted), _MAX_REPORTED)])[:_MAX_REPORTED]
-        violations = sorted(violations + [
-            (positions[bit], rank, (stronger, weaker, f"{system_at(bit).name}: {name} fails"))
-            for bit, rank, (stronger, weaker, name)
-            in islice(_in_order(violated), _MAX_REPORTED)])[:_MAX_REPORTED]
-
     for flavor in ("sequential", "parallel"):
         flavor_claims = [cid for cid in claims if CLAIMS[cid].flavor == flavor]
         if not flavor_claims:
             continue
         offset = sum(systems_checked.values())
-        if exhaustive:
-            universe = _universe(flavor)
-            suite = universe.shape.suite(bound)
-            for lo, ctx in universe.chunks():
-                record(_sweep_batch(suite, ctx, flavor, flavor_claims, stats),
-                       range(offset + lo, offset + universe.size),
-                       lambda bit: _exhaustive_system(flavor, lo + bit))
-            systems_checked[flavor] += universe.size
-            offset += universe.size
-        for shape, members in _pool_batches(_random_pool(flavor, n_random, seed)):
-            cfgs = [cfg for _, cfg in members]
-            ctx = shape.drawn_batch([_draw(cfg, random.Random(cfg.seed), shape.bounds)
-                                     for cfg in cfgs])
-            record(_sweep_batch(shape.suite(bound), ctx, flavor, flavor_claims, stats),
-                   [offset + idx for idx, _ in members],
-                   lambda bit: random_system(cfgs[bit]))
-        systems_checked[flavor] += n_random
+        pool = ((cfg, cfg.seed) for cfg in _random_pool(flavor, n_random, seed))
+        for suite, ctx, positions, system_at in _batches(flavor, pool, exhaustive):
+            refuted, violated = _sweep_batch(suite, ctx, flavor, flavor_claims, stats)
+            n_violations += sum(v.bit_count() for _, v in violated)
+            refutations = sorted(refutations + [
+                (offset + positions[bit], rank, (cid, system_at(bit)))
+                for bit, rank, cid in islice(_in_order(refuted), _MAX_REPORTED)])[:_MAX_REPORTED]
+            violations = sorted(violations + [
+                (offset + positions[bit], rank,
+                 (stronger, weaker, f"{system_at(bit).name}: {name} fails"))
+                for bit, rank, (stronger, weaker, name)
+                in islice(_in_order(violated), _MAX_REPORTED)])[:_MAX_REPORTED]
+        systems_checked[flavor] = n_random + (_universe(flavor).size if exhaustive else 0)
     return SweepReport(stats, [entry for *_, entry in refutations],
                        [entry for *_, entry in violations], systems_checked,
                        time.monotonic() - started, n_violations)
@@ -1210,59 +1197,34 @@ class FalsifyResult:
 
 
 def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
-            drop=(), bound: int = 2) -> FalsifyResult:
+            drop=()) -> FalsifyResult:
     """Search for a system whose (remaining) hypotheses hold while the
-    conclusion fails.
-
-    Phase one exhausts the tiny 2/2/2 universe (at most two distinct runs,
-    single observer block); phase two samples ``cfg.budget`` random systems
-    from ``cfg``.  Both are decided a batch at a time, and the first system
-    in search order that refutes the claim is reported.  With no dropped
-    hypothesis this searches for refutations of a theorem and is expected
-    to come back empty.
+    conclusion fails, along one batch stream (:func:`_batches`): the tiny
+    2/2/2 universe (at most two distinct runs, single observer block), then
+    ``cfg.budget`` random systems of ``cfg``, seeded from ``cfg.seed``.  The
+    first system in search order that refutes the claim is reported, with
+    its phase.  With no dropped hypothesis this searches for refutations of
+    a theorem and is expected to come back empty.
     """
     dropped = tuple(drop)
     cdef = _claim(claim_id, dropped, "falsify")
     cfg = replace(cfg or GenConfig(), flavor=cdef.flavor)
     hyp_names = [n for n in cdef.hypotheses if n not in dropped]
-
-    examined = 0
-    held = 0
-
-    def first_counterexample(suite: CheckSuite, ctx) -> int | None:
-        """Index in ``ctx`` of the first system on which the hypotheses hold
-        and the conclusion fails, counting the systems examined up to it."""
-        nonlocal examined, held
+    rng = random.Random(cfg.seed)
+    pool = ((cfg, rng.getrandbits(48)) for _ in range(cfg.budget))
+    examined = held = 0
+    for suite, ctx, positions, system_at in _batches(cdef.flavor, pool):
         h = _held(lambda name: suite.checker(name).holds(ctx), hyp_names, ctx.all)
         bad = h & ~suite.checker(cdef.conclusion).holds(ctx) if h else 0
-        if not bad:
-            examined += ctx.all.bit_count()
-            held += h.bit_count()
-            return None
-        first = (bad & -bad).bit_length() - 1
-        examined += first + 1
-        held += (h & ((2 << first) - 1)).bit_count()
-        return first
-
-    def found(system: InterpretedSystem, phase: str) -> FalsifyResult:
-        report = check_claim(claim_id, system, drop=dropped, bound=bound)
-        return FalsifyResult(claim_id, dropped, system, report, examined, held, phase)
-
-    universe = _universe(cdef.flavor)
-    suite = universe.shape.suite(bound)
-    for lo, ctx in universe.chunks():
-        first = first_counterexample(suite, ctx)
-        if first is not None:
-            return found(_exhaustive_system(cdef.flavor, lo + first), "exhaustive")
-    rng = random.Random(cfg.seed)
-    shape = _shape_of(cfg)
-    suite = shape.suite(bound)
-    for lo in range(0, cfg.budget, _CHUNK):
-        seeds = [rng.getrandbits(48) for _ in range(min(_CHUNK, cfg.budget - lo))]
-        ctx = shape.drawn_batch([_draw(cfg, random.Random(s), shape.bounds) for s in seeds])
-        first = first_counterexample(suite, ctx)
-        if first is not None:
-            return found(random_system(replace(cfg, seed=seeds[first])), "random")
+        if bad:
+            first = (bad & -bad).bit_length() - 1
+            system = system_at(first)
+            phase = "exhaustive" if positions[first] < _universe(cdef.flavor).size else "random"
+            report = check_claim(claim_id, system, drop=dropped)
+            return FalsifyResult(claim_id, dropped, system, report, examined + first + 1,
+                                 held + (h & ((2 << first) - 1)).bit_count(), phase)
+        examined += ctx.all.bit_count()
+        held += h.bit_count()
     return FalsifyResult(claim_id, dropped, None, None, examined, held, None)
 
 

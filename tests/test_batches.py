@@ -33,30 +33,29 @@ def _batch(cfgs):
     return shape, shape.drawn_batch(draws)
 
 
-def _independence_checkers(shape, bound):
+def _independence_checkers(shape):
     """(kind, [(label, formula), ...]) per independence checker of the
     shape's suite."""
-    suite = shape.suite(bound)
+    suite = shape.suite()
     return [(kind, [(ob.label, ob.formula) for ob in suite.checker(name).obligations])
             for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
-@pytest.mark.parametrize("bound", [1, 2, 3])
-def test_shared_independence_checkers_match_the_obligations(flavor, bound):
+def test_shared_independence_checkers_match_the_obligations(flavor):
     """Suites of every shape share their obligation tables, and each still
     checks exactly what :func:`independence_obligations` lists."""
     for shape_args in SHAPES[flavor]:
         shape = scenarios._shape(flavor, *shape_args)
-        schema = shape.suite(bound).schema
-        for kind, obligations in _independence_checkers(shape, bound):
+        schema = shape.suite().schema
+        for kind, obligations in _independence_checkers(shape):
             assert obligations == list(independence_obligations(
-                shape.ref, schema, "j", kind, bound)), (shape_args, kind)
+                shape.ref, schema, "j", kind)), (shape_args, kind)
 
 
 def test_shapes_share_one_object_per_obligation():
-    small = dict(_independence_checkers(scenarios._shape("sequential", 2, 2, 2), 2))
-    large = dict(_independence_checkers(scenarios._shape("sequential", 3, 3, 3), 2))
+    small = dict(_independence_checkers(scenarios._shape("sequential", 2, 2, 2)))
+    large = dict(_independence_checkers(scenarios._shape("sequential", 3, 3, 3)))
     shared = 0
     for kind, obligations in small.items():
         formulas = dict(large[kind])
@@ -68,8 +67,7 @@ def test_shapes_share_one_object_per_obligation():
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
-@pytest.mark.parametrize("bound", [1, 2, 3])
-def test_batch_vectors_match_per_system_checks(flavor, bound):
+def test_batch_vectors_match_per_system_checks(flavor):
     """Bit s of every checker's vector over a batch is its verdict on
     system s, built and derived on its own: every shape, batches of either
     partition policy and of both, both styles, one to four runs."""
@@ -82,7 +80,7 @@ def test_batch_vectors_match_per_system_checks(flavor, bound):
                               flavor=flavor, seed=1000 * nr + 100 * np_ + 10 * nc + seed)
                     for style in ("uniform", "matching") for seed in range(3)]
             shape, ctx = _batch(cfgs)
-            suite = shape.suite(bound)
+            suite = shape.suite()
             systems = [random_system(cfg) for cfg in cfgs]
             for name in names:
                 vector = suite.checker(name).holds(ctx)
@@ -180,18 +178,18 @@ def test_falsify_random_phase_reports_the_first_refuting_system(max_runs, monkey
 
 
 def test_pool_batches_hold_back_a_bounded_number_of_configurations(monkeypatch):
-    """Every pooled configuration lands in exactly one batch of its shape,
-    whatever its partition policy, in pool order, and at most
+    """Every pooled (configuration, seed) item lands in exactly one batch of
+    its shape, whatever its partition policy, in pool order, and at most
     ``_MAX_PENDING`` of them wait for their batch at any time."""
     monkeypatch.setattr(scenarios, "_MAX_PENDING", 300)
-    pool = list(scenarios._random_pool("sequential", 3000, 7))
+    pool = [(cfg, cfg.seed) for cfg in scenarios._random_pool("sequential", 3000, 7)]
     pulled = 0
 
     def counted():
         nonlocal pulled
-        for cfg in pool:
+        for item in pool:
             pulled += 1
-            yield cfg
+            yield item
 
     seen, batches, mixed = [], 0, 0
     for shape, members in scenarios._pool_batches(counted()):
@@ -199,9 +197,9 @@ def test_pool_batches_hold_back_a_bounded_number_of_configurations(monkeypatch):
         assert pulled - len(seen) <= 300
         indices = [idx for idx, _ in members]
         assert indices == sorted(indices)
-        assert {scenarios._shape_of(cfg) for _, cfg in members} == {shape}
-        assert all(pool[idx] is cfg for idx, cfg in members)
-        mixed += len({cfg.partition for _, cfg in members}) == 2
+        assert {scenarios._shape_of(cfg) for _, (cfg, _) in members} == {shape}
+        assert all(pool[idx] is item for idx, item in members)
+        mixed += len({cfg.partition for _, (cfg, _) in members}) == 2
         seen += indices
     # The pool has 27 shapes and no shape fills a _CHUNK batch from 3,000
     # configurations, so without the cut there would be at most 27 batches.

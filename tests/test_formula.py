@@ -113,10 +113,19 @@ class TestNodes:
 
     @pytest.mark.parametrize("f", [USE_K1, TRUE, And(USE_K1, Not(TRUE)),
                                    Iff(Knows("j", USE_K1), Or(FALSE, Poss("j", USE_K1))),
-                                   _chain(30)], ids=["atom", "const", "and", "modal", "chain"])
+                                   _chain(30), _chain(10_000)],
+                             ids=["atom", "const", "and", "modal", "chain", "deep-chain"])
     def test_pickle_and_copies_return_the_node(self, f):
-        assert pickle.loads(pickle.dumps(f)) is f
         assert copy.copy(f) is f and copy.deepcopy(f) is f
+        if f is not _chain(10_000):  # pickle still recurses once per level
+            assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_atoms_take_only_actions(self):
+        with pytest.raises(TypeError):
+            Atom("i97", ("use", "k1"))  # would be the node of every equal atom
+        assert render(parse("theta(i97, use(k1))")) == "theta(i97, use(k1))"
+        with pytest.raises(TypeError):
+            Atom("i1", "use(k1)")  # would match no fact
 
     def test_deep_formulas_compare_and_hash(self):
         f = _chain(10_000)

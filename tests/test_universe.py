@@ -11,7 +11,7 @@ import pytest
 from anoncheck import (CLAIMS, FALSE, TRUE, And, GenConfig, Iff,
                        Implies, Knows, Not, Or, Poss, build_system,
                        exhaustive_systems, falsify, random_system,
-                       render_system, scenarios, sweep)
+                       render_system, scenarios, sweep, to_json_dict)
 from anoncheck.scenarios import ClaimDef
 from reference import Reference
 from test_acceptance import _seeded_formula
@@ -27,19 +27,18 @@ def _checker_names(flavor):
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
-@pytest.mark.parametrize("bound", [1, 2, 3])
-def test_checker_vectors_match_per_system_checks(flavor, bound):
+def test_checker_vectors_match_per_system_checks(flavor):
     """Bit s of a checker's vector is its verdict on system s: all one-run
     systems and every 31st pair."""
     universe = scenarios._universe(flavor)
-    suite = universe.shape.suite(bound)
+    suite = universe.shape.suite()
     names = _checker_names(flavor)
     vectors = dict.fromkeys(names, 0)
     for lo, ctx in universe.chunks():
         for name in names:
             vectors[name] |= suite.checker(name).holds(ctx) << lo
     for index in itertools.chain(range(256), range(256, universe.size, 31)):
-        ctx = suite.context(scenarios._exhaustive_system(flavor, index))
+        ctx = suite.context(universe.system(index))
         for name in names:
             assert bool(vectors[name] >> index & 1) is suite.checker(name).holds(ctx), \
                 (name, index)
@@ -54,8 +53,7 @@ def test_slot_planes_match_the_evaluator_on_universe_chunks():
     agents = ("i1", "i2", "k1", "k2", "j")
     for lo, planes in itertools.islice(universe.chunks(), 0, None, 9):
         sample = range(0, planes.all.bit_length(), 13)
-        evaluators = [Reference(scenarios._exhaustive_system("sequential", lo + s))
-                      for s in sample]
+        evaluators = [Reference(universe.system(lo + s)) for s in sample]
         for _ in range(25):
             f = _seeded_formula(rng, agents, actions, ("j",), 4)
             g = _seeded_formula(rng, agents, actions, ("j",), 3)
@@ -66,29 +64,46 @@ def test_slot_planes_match_the_evaluator_on_universe_chunks():
                     [ev.holds(h) for ev in evaluators]
 
 
-def _built_system(flavor, fact_sets):
-    """Universe system ``x{a}`` or ``x{a}-{b}`` as it went through
-    build_system."""
-    agents, actions, facts = scenarios._declaration(GenConfig(flavor=flavor))
+def _assert_built(system, name, cfg, fact_sets, labels):
+    """``system`` is the draw (see ``scenarios._draw``) of ``cfg``'s shape
+    with run fact sets ``fact_sets`` and block labels ``labels``, as it
+    comes out of build_system: same name, equal, and rendered and saved
+    alike."""
+    agents, actions, facts = scenarios._declaration(cfg)
     runs = [(f"r{n}", [f for bit, f in enumerate(facts) if m >> bit & 1])
             for n, m in enumerate(fact_sets, start=1)]
-    return build_system(name="x" + "-".join(map(str, fact_sets)), agents=agents,
-                        actions=actions, runs=runs,
-                        observers={"j": [[rid for rid, _ in runs]]})
+    # Blocks out of canonical order, for build_system to sort.
+    blocks = [[f"r{n}" for n, label in enumerate(labels, start=1) if label == block]
+              for block in sorted(set(labels), reverse=True)]
+    built = build_system(name=name, agents=agents, actions=actions, runs=runs,
+                         observers={"j": blocks})
+    assert system.name == built.name and system == built
+    assert render_system(system) == render_system(built)
+    assert to_json_dict(system) == to_json_dict(built)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_exhaustive_systems_equal_the_built_ones(flavor):
-    """Name, equality and rendering on every 37th system and the last."""
+    """Every 37th universe system and the last, and every system of a
+    seeded random pool: every shape, both styles, one to four runs, one
+    block or several."""
     fact_sets = [(m,) for m in range(256)] + list(itertools.combinations(range(256), 2))
     checked = 0
     for index, system in enumerate(exhaustive_systems(flavor)):
         if index % 37 == 0 or index == len(fact_sets) - 1:
-            built = _built_system(flavor, fact_sets[index])
-            assert system.name == built.name and system == built
-            assert render_system(system) == render_system(built)
+            _assert_built(system, "x" + "-".join(map(str, fact_sets[index])),
+                          GenConfig(flavor=flavor), fact_sets[index], [0] * len(fact_sets[index]))
             checked += 1
     assert index == 32_895 and checked == 891
+    runs_seen, blocks_seen, styles = set(), set(), set()
+    for cfg in scenarios._random_pool(flavor, 400, 11):
+        draw = scenarios._draw(cfg, random.Random(cfg.seed), scenarios._shape_of(cfg).bounds)
+        _assert_built(random_system(cfg), f"rnd-{flavor}-{cfg.seed}", cfg, *draw)
+        runs_seen.add(len(draw[0]))
+        blocks_seen.add(len(set(draw[1])))
+        styles.add(cfg.style)
+    assert runs_seen == {1, 2, 3, 4} and {1, 2, 3} <= blocks_seen
+    assert styles == {"uniform", "matching"}
 
 
 #: ``sweep(n_random=0)`` per claim, as [checked, confirmed, vacuous, refuted],
@@ -250,10 +265,10 @@ def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
     claims = ["ZZ.1", "ZZ.2"]
     report = sweep(claims=claims, n_random=200, seed=3, exhaustive=exhaustive)
     universe = scenarios._universe("sequential")
-    pool = ((scenarios._shape_of(cfg).suite(2), random_system(cfg))
+    pool = ((scenarios._shape_of(cfg).suite(), random_system(cfg))
             for cfg in scenarios._random_pool("sequential", 200, 3))
     systems = itertools.chain(
-        ((universe.shape.suite(2), s) for s in exhaustive_systems("sequential"))
+        ((universe.shape.suite(), s) for s in exhaustive_systems("sequential"))
         if exhaustive else (), pool)
     refutations, violations = _reference_sweep(claims, systems)
     cap = scenarios._MAX_REPORTED
