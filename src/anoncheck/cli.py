@@ -351,19 +351,14 @@ def _write(path: str, write) -> None:
 # Commands
 
 
-def _dot_graph(system: InterpretedSystem, formula) -> str:
-    ev = Evaluator(system)
-    order = {run.run_id: i for i, run in enumerate(system.runs)}
+def _dot_graph(system: InterpretedSystem, values: dict[str, bool]) -> str:
     lines = [f'graph "{system.name}" {{', "  node [shape=box];"]
     for observer, part in system.observers.items():
         for bi, block in enumerate(part.blocks):
             lines.append(f'  subgraph "cluster_{observer}_{bi}" {{')
             lines.append(f'    label="{observer} block {bi + 1}";')
-            for run_id in sorted(block, key=order.__getitem__):
-                color = "none"
-                if formula is not None:
-                    value = ev.evaluate(formula, system.run(run_id))
-                    color = "darkgreen" if value else "red"
+            for run_id in sorted(block, key=system.position):
+                color = "darkgreen" if values[run_id] else "red"
                 lines.append(f'    "{observer}:{run_id}" '
                              f'[label="{run_id}", color={color}];')
             lines.append("  }")
@@ -376,13 +371,15 @@ def cmd_eval(args) -> int:
     formula = parse_formula(args.formula)
     ev = Evaluator(system)
     check_names(system, formula)
+    values = [(run.run_id, ev.evaluate(formula, run)) for run in system.runs]
+    failing = next((rid for rid, v in values if not v), None)
     if args.dot is not None:
         # "-" replaces the report with the graph; the exit code still
         # reflects validity either way
-        dot = _dot_graph(system, formula)
+        dot = _dot_graph(system, dict(values))
         if args.dot == "-":
             print(dot, end="")
-            return 0 if all(ev.evaluate(formula, r) for r in system.runs) else 1
+            return 0 if failing is None else 1
         _write(args.dot, lambda: Path(args.dot).write_text(dot))
     if args.run is not None:
         value = ev.evaluate(formula, system.run(args.run))
@@ -391,8 +388,6 @@ def cmd_eval(args) -> int:
               [("value", "true" if value else "false")],
               {"value": value, "run": args.run})
         return 0 if value else 1
-    values = [(run.run_id, ev.evaluate(formula, run)) for run in system.runs]
-    failing = next((rid for rid, v in values if not v), None)
     verdict = "holds" if failing is None else "fails"
     width = max(len(rid) for rid, _ in values)
     human = [render(formula)]

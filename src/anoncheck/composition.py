@@ -14,7 +14,8 @@ Parallel composition conjoins two families over a shared parameter set:
 
 Derivation adds facts and actions only; runs keep their identities and all
 observer partitions are shared unchanged, so formulas over pre-existing
-atoms keep their truth values.
+atoms keep their truth values.  Both definitions are Boolean combinations
+of base facts, so a derived fact's runs come from their run masks.
 
 Independence checks ask the observer's possibility operator to distribute
 over conjunctions of stage facts: every variant instantiates the one schema
@@ -23,15 +24,14 @@ disjoined facts of the two stages, and checks it on every run.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product
 
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
                       conj, disj, render)
 from .properties import PropertyReport
-from .system import Action, InterpretedSystem, Run, ValidationError
+from .system import Action, Fact, InterpretedSystem, Run, ValidationError, _bits, _gc_paused
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,14 @@ class StructuralCondition:
 # Schema validation and derivation
 
 
-def _validate_sequential(system: InterpretedSystem, schema: SequentialSchema) -> None:
+def _validate(system: InterpretedSystem, schema: SequentialSchema | ParallelSchema) -> None:
+    """Every agent and action that ``schema`` names is declared."""
+    if isinstance(schema, ParallelSchema):
+        for c in schema.params:
+            for fam in (schema.family_a, schema.family_b):
+                if not system.has_action(Action(fam, c)):
+                    raise ValidationError(f"undeclared action {Action(fam, c)}")
+        return
     for i in schema.first_agents:
         if not system.has_agent(i):
             raise ValidationError(f"schema first-stage agent {i!r} is not declared")
@@ -149,13 +156,6 @@ def _validate_sequential(system: InterpretedSystem, schema: SequentialSchema) ->
             raise ValidationError(f"undeclared action {Action(schema.second_family, c)}")
 
 
-def _validate_parallel(system: InterpretedSystem, schema: ParallelSchema) -> None:
-    for c in schema.params:
-        for fam in (schema.family_a, schema.family_b):
-            if not system.has_action(Action(fam, c)):
-                raise ValidationError(f"undeclared action {Action(fam, c)}")
-
-
 def _require_fresh(system: InterpretedSystem, schema) -> None:
     """The derived actions must be undeclared and pairwise distinct."""
     if any(a.family == schema.derived_family for a in system.actions):
@@ -166,21 +166,44 @@ def _require_fresh(system: InterpretedSystem, schema) -> None:
             raise ValidationError(f"duplicate action {action}")
 
 
-def _extend(system: InterpretedSystem, schema, new_facts) -> InterpretedSystem:
-    """``system`` plus the schema's derived actions, each run's facts joined
-    with ``new_facts(run.facts)``; runs holding the same derived fact share
-    one tuple.  Skipping :func:`build_system` is safe:
-    ``system`` passed it, agents, run ids and partitions are kept, every new
-    fact's performer is declared (it performs a fact of the same run), and
+def _conjuncts(system: InterpretedSystem, schema) -> dict[Fact, tuple]:
+    """Each derived fact, any declared agent performing it, and its conjunct
+    pairs (see the module docstring): it holds where some pair both hold."""
+    if isinstance(schema, SequentialSchema):
+        firsts = tuple(zip(schema.first_params, schema.first_actions))
+        return {(x, d): tuple(((x, u), (k, p)) for k, u in firsts)
+                for x in system.agents
+                for p, d in zip(schema.second_actions, schema.derived_actions)}
+    return {(x, d): (((x, a), (x, b)),)
+            for x in system.agents
+            for a, b, d in zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
+
+
+@_gc_paused()
+def _extend(system: InterpretedSystem, schema) -> InterpretedSystem:
+    """``system`` plus the schema's derived actions and facts: a derived
+    fact's column ORs its :func:`_conjuncts` pairs' ANDed columns, and one
+    walk over the new columns' bits adds it to its runs, as one shared tuple.
+    Skipping :func:`build_system` is safe: ``system`` passed it, run ids and
+    partitions are kept, every new fact's performer is declared, and
     :func:`_require_fresh` makes the appended actions new and distinct."""
+    _validate(system, schema)
     _require_fresh(system, schema)
-    shared: dict = {}
-    runs = tuple(Run(run.run_id, run.facts.union(
-        [shared.setdefault(fact, fact) for fact in new_facts(run.facts)]))
-        for run in system.runs)
-    return InterpretedSystem(system.name, system.agents, system.roles,
-                             system.actions + schema.derived_actions, runs,
-                             system.observers)
+    columns = {}
+    for fact, pairs in _conjuncts(system, schema).items():
+        mask = 0
+        for first, second in pairs:
+            mask |= system.holding(first) & system.holding(second)
+        if mask:
+            columns[fact] = mask
+    n = len(system.runs)
+    added: list[list[Fact]] = [[] for _ in range(n)]
+    for fact, mask in columns.items():
+        for i in compress(range(n), _bits(mask, n)):
+            added[i].append(fact)
+    runs = tuple(Run(run.run_id, run.facts.union(new)) if new else run
+                 for run, new in zip(system.runs, added))
+    return system._extended(schema.derived_actions, runs, columns)
 
 
 def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> InterpretedSystem:
@@ -190,29 +213,13 @@ def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> In
     applied to every declared agent in performer position.  Runs holding the
     same derived fact share one tuple.
     """
-    _validate_sequential(system, schema)
-    intermediary = dict(zip(schema.first_actions, schema.first_params))  # use(k) -> k
-    derived = dict(zip(schema.second_actions, schema.derived_actions))  # post(c) -> submit(c)
-
-    def chained(facts):
-        posted = defaultdict(list)  # k -> the submit(c) of each post(c) k performs
-        for k, action in facts:
-            if action in derived:
-                posted[k].append(derived[action])
-        return [(x, d) for x, action in facts if action in intermediary
-                for d in posted.get(intermediary[action], ())]
-
-    return _extend(system, schema, chained)
+    return _extend(system, schema)
 
 
 def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> InterpretedSystem:
     """Extend every run with the conjoined facts of ``schema.derived_family``;
     runs holding the same derived fact share one tuple."""
-    _validate_parallel(system, schema)
-    joint = {a: (b, d) for a, b, d in
-             zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
-    return _extend(system, schema, lambda facts: {
-        (x, joint[a][1]) for x, a in facts if a in joint and (x, joint[a][0]) in facts})
+    return _extend(system, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +229,8 @@ def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> Interp
 def parallel_subjects(system: InterpretedSystem, observer: str) -> tuple[str, ...]:
     """The agent population parallel-composition statements quantify over:
     agents tagged ``real`` when any are, else every non-observer agent."""
-    tagged = system.agents_with_role("real")
-    if tagged:
-        return tagged
-    return tuple(a for a in system.agents
-                 if a != observer and system.roles.get(a) != "observer")
+    return system.agents_with_role("real") or tuple(
+        a for a in system.agents if a != observer and system.roles.get(a) != "observer")
 
 
 def _distributes(j: str, u: Formula, p: Formula) -> Formula:
@@ -312,10 +316,7 @@ def check_independence(system: InterpretedSystem,
                        bound: int = 2) -> PropertyReport:
     """Check one independence variant; the counterexample names the first
     failing instantiation (canonical order) and the first failing run."""
-    if isinstance(schema, SequentialSchema):
-        _validate_sequential(system, schema)
-    else:
-        _validate_parallel(system, schema)
+    _validate(system, schema)
     if observer not in system.observers:
         raise ValidationError(f"{observer!r} has no declared partition")
     parts = list(independence_obligations(system, schema, observer, kind, bound))
@@ -388,6 +389,6 @@ def structural_formula(system: InterpretedSystem,
 def check_structural(system: InterpretedSystem,
                      schema: SequentialSchema,
                      cond: StructuralCondition) -> PropertyReport:
-    _validate_sequential(system, schema)
+    _validate(system, schema)
     f = structural_formula(system, schema, cond)
     return _report(system, cond.label, f, [(render(f), f)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .system import Action, InterpretedSystem, Run, ValidationError
+from .system import Action, InterpretedSystem, Run, ValidationError, _bits, _mask
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +60,35 @@ class Formula:
         return node
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # Every distinct node once, in post-order, a child as its row number
+        # (an int; no other field is one): pickling does not recurse.
+        rows: dict[Formula, int] = {}
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            todo = [v for v in map(node.__getattribute__, node.__slots__)
+                    if isinstance(v, Formula) and v not in rows]
+            if todo:
+                stack += [node, *todo]
+            else:
+                rows.setdefault(node, len(rows))
+        table = tuple((type(n), *(rows.get(v, v) for v in map(n.__getattribute__, n.__slots__)))
+                      for n in rows)
+        return _rebuild, (table,)
 
     def __copy__(self):  # a node is immutable and canonical: its own copy
         return self
 
     def __deepcopy__(self, memo):
         return self
+
+
+def _rebuild(table) -> Formula:
+    """The last node of a :meth:`Formula.__reduce__` table."""
+    nodes: list[Formula] = []
+    for cls, *fields in table:
+        nodes.append(cls(*(nodes[v] if type(v) is int else v for v in fields)))
+    return nodes[-1]
 
 
 @_node
@@ -230,11 +252,6 @@ class _Vectors:
         return x
 
 
-# Bytes of 0/1 digits to bytes of 0/1 values, and back.
-_BITS = bytes.maketrans(b"01", b"\0\1")
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
 class Evaluator(_Vectors):
     """Evaluates formulas over one system, as run bitmasks.
 
@@ -250,7 +267,7 @@ class Evaluator(_Vectors):
     on first use; so base and derived formulas share one evaluator.
     """
 
-    __slots__ = ("system", "_derive", "_derived")
+    __slots__ = ("system", "_derive", "_derived", "_values")
 
     #: The one system evaluated, as a batch vector (see :class:`SlotPlanes`).
     all = True
@@ -260,14 +277,19 @@ class Evaluator(_Vectors):
         self.system = system
         self._derive = derive
         self._derived: InterpretedSystem | None = None
+        self._values: dict[Formula, bytes] = {}
 
     def holds(self, f: Formula) -> bool:
         """Whether ``f`` holds at every run."""
         return self.mask(f) == self._full
 
     def evaluate(self, f: Formula, run: Run) -> bool:
-        """Truth of ``f`` at ``run``."""
-        return bool(self.mask(f) >> self.system.position(run.run_id) & 1)
+        """Truth of ``f`` at ``run``, read off one byte per run, which the
+        first call for ``f`` spreads its mask into."""
+        values = self._values.get(f)
+        if values is None:
+            values = self._values[f] = _bits(self.mask(f), len(self.system.runs))
+        return values[self.system.position(run.run_id)] == 1
 
     def valid(self, f: Formula) -> Verdict:
         """Truth of ``f`` at every run; the counterexample is the first
@@ -289,10 +311,8 @@ class Evaluator(_Vectors):
         if x == 0 or x == self._full:
             return x
         index = self.system.block_numbers(observer)
-        # One byte per run, in run order: 1 where x holds.
-        bits = format(x, f"0{len(index)}b").encode()[::-1].translate(_BITS)
-        met = set(compress(index, bits))
-        return int(bytes(map(met.__contains__, index))[::-1].translate(_DIGITS), 2)
+        met = set(compress(index, _bits(x, len(index))))
+        return _mask(bytes(map(met.__contains__, index)))
 
 
 class SlotPlanes(_Vectors):
@@ -366,22 +386,16 @@ def check_names(system: InterpretedSystem, f: Formula) -> None:
     while stack:
         node = stack.pop()
         t = type(node)
+        if t not in _PREC:
+            raise TypeError(f"not a formula: {node!r}")
         if t is Atom:
             if not system.has_agent(node.agent):
                 raise ValidationError(f"formula mentions undeclared agent {node.agent!r}")
             if not system.has_action(node.action):
                 raise ValidationError(f"formula mentions undeclared action {node.action}")
-        elif t in (Knows, Poss):
-            if node.observer not in system.observers:
-                raise ValidationError(f"{node.observer!r} has no declared partition")
-            stack.append(node.child)
-        elif t is Not:
-            stack.append(node.child)
-        elif t in (And, Or, Implies, Iff):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif t is not Const:
-            raise TypeError(f"not a formula: {node!r}")
+        elif t in (Knows, Poss) and node.observer not in system.observers:
+            raise ValidationError(f"{node.observer!r} has no declared partition")
+        stack += [v for v in map(node.__getattribute__, node.__slots__) if isinstance(v, Formula)]
 
 
 def evaluate(system: InterpretedSystem, run: Run | str, f: Formula) -> bool:
@@ -416,7 +430,6 @@ _PUNCT = ("<->", "->", "(", ")", ",", "!", "&", "|", "[", "]")
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, pos)
         self._scan()
         self.index = 0

@@ -89,20 +89,13 @@ class PropertyReport:
     counterexample: tuple[str, str] | None
 
 
-def _ordered_agents(system: InterpretedSystem, names) -> tuple[str, ...]:
-    given = set(names)
-    for n in given:
-        if not system.has_agent(n):
-            raise ValidationError(f"undeclared agent {n!r} in property universe")
-    return tuple(a for a in system.agents if a in given)
-
-
-def _ordered_actions(system: InterpretedSystem, acts) -> tuple[Action, ...]:
-    given = set(acts)
-    for a in given:
-        if not system.has_action(a):
-            raise ValidationError(f"undeclared action {a} in property universe")
-    return tuple(a for a in system.actions if a in given)
+def _ordered(declared: tuple, given, what: str, show=repr) -> tuple:
+    """``given`` in declaration order; an undeclared one is an error, the
+    first in the order given."""
+    for x in given:
+        if x not in declared:
+            raise ValidationError(f"undeclared {what} {show(x)} in property universe")
+    return tuple(filter(set(given).__contains__, declared))
 
 
 def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str, Formula]]:
@@ -119,10 +112,10 @@ def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str,
 
     if kind is PropertyKind.ANONYMOUS_UP_TO:
         return [(i2, Poss(j, Atom(i2, action)))
-                for i2 in _ordered_agents(system, spec.anonymity_set)]
+                for i2 in _ordered(system.agents, spec.anonymity_set, "agent")]
     if kind is PropertyKind.PRIVATE_UP_TO:
         return [(str(a2), Poss(j, Atom(subject, a2)))
-                for a2 in _ordered_actions(system, spec.privacy_set)]
+                for a2 in _ordered(system.actions, spec.privacy_set, "action", str)]
     if kind in (PropertyKind.MINIMALLY_ANONYMOUS, PropertyKind.MINIMALLY_PRIVATE):
         f = Poss(j, Not(Atom(subject, action)))
         return [(render(f), f)]
@@ -131,7 +124,7 @@ def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str,
         return [(render(f), f)]
     if kind is PropertyKind.ROLE_INTERCHANGEABLE:
         universe = (system.actions if spec.action_universe is None
-                    else _ordered_actions(system, spec.action_universe))
+                    else _ordered(system.actions, spec.action_universe, "action", str))
         out = []
         for i2 in system.agents:
             if i2 == j:

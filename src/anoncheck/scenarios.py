@@ -31,15 +31,16 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import (accumulate, chain, combinations, combinations_with_replacement,
-                       groupby, islice, permutations, repeat)
+from itertools import (accumulate, chain, combinations, groupby, islice,
+                       permutations, repeat)
 from pathlib import Path
 from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
-                          StructuralCondition, StructuralKind, derive_parallel,
-                          derive_sequential, independence_obligations,
-                          parallel_subjects, structural_formula)
+                          StructuralCondition, StructuralKind, _conjuncts,
+                          derive_parallel, derive_sequential,
+                          independence_obligations, parallel_subjects,
+                          structural_formula)
 from .formula import (And, Atom, Evaluator, Formula, Implies, Poss, SlotPlanes,
                       conj)
 from .properties import (anonymous_up_to, compile_property,
@@ -48,7 +49,7 @@ from .properties import (anonymous_up_to, compile_property,
                          private_up_to, role_interchangeable)
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition, Run,
-                     ValidationError, build_system)
+                     ValidationError, _gc_paused, build_system)
 
 ClaimId = str
 
@@ -73,14 +74,9 @@ def standard_sequential_schema(system: InterpretedSystem,
     if not first_params or not second_params:
         raise ValidationError(
             f"cannot infer schema: no {first_family}/{second_family} actions declared")
-    first_agents = system.agents_with_role("real")
-    if not first_agents:
-        performers = set()
-        for run in system.runs:
-            for agent, action in run.facts:
-                if action.family == first_family:
-                    performers.add(agent)
-        first_agents = tuple(a for a in system.agents if a in performers)
+    first_agents = system.agents_with_role("real") or tuple(
+        a for a in system.agents
+        if any(system.holding((a, Action(first_family, k))) for k in first_params))
     if not first_agents:
         raise ValidationError("cannot infer schema: no first-stage agents")
     return SequentialSchema(first_family, first_agents, first_params,
@@ -837,12 +833,11 @@ class _Shape:
     """One generated declaration shape: its facts, its suite, and every
     atom's truth as a function of the facts that hold.
 
-    A derived fact is a disjunction of two-fact conjunctions.  So the
-    library's own derivation of a catalog with one run per set of at most
-    two facts gives each atom its *terms*: the minimal such sets on which
-    it holds (a base fact is its own term).  ``ref`` is the declaration,
-    with every fact in its one run, and ``bounds`` are its facts'
-    :func:`_row_bounds`.
+    A derived fact is a disjunction of two-fact conjunctions, the conjunct
+    pairs of its derivation (``composition._conjuncts``); they are the
+    atom's *terms*, as pairs of fact positions, and a base fact is its own
+    term.  ``ref`` is the declaration, with every fact in its one run, and
+    ``bounds`` are its facts' :func:`_row_bounds`.
     """
 
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
@@ -852,20 +847,13 @@ class _Shape:
         self.bounds = _row_bounds(self.facts)
         self.ref = build_system(name="ref", agents=agents, actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
-        pairs = list(combinations_with_replacement(range(len(self.facts)), 2))
-        catalog = build_system(
-            name="catalog", agents=agents, actions=actions,
-            runs=[(f"p{n}", [self.facts[a], self.facts[b]]) for n, (a, b) in enumerate(pairs)],
-            observers={"j": [[f"p{n}" for n in range(len(pairs))]]})
-        infer_schema, derive = _flavor_functions(flavor)
-        holding: dict[Atom, set[tuple[int, int]]] = {}
-        for pair, run in zip(pairs, derive(catalog, infer_schema(catalog)).runs):
-            for fact in run.facts:
-                holding.setdefault(Atom(*fact), set()).add(pair)
-        self._terms = {atom: tuple((a, b) for a, b in sorted(sets)
-                                   if a == b or not {(a, a), (b, b)} & sets)
-                       for atom, sets in holding.items()}
-        self._suite = CheckSuite(flavor, infer_schema(self.ref), "j", self.ref)
+        schema = _flavor_functions(flavor)[0](self.ref)
+        index = {fact: b for b, fact in enumerate(self.facts)}
+        self._terms = {Atom(*fact): ((b, b),) for fact, b in index.items()}
+        self._terms.update((Atom(*fact), tuple((index[u], index[p]) for u, p in pairs
+                                               if u in index and p in index))
+                           for fact, pairs in _conjuncts(self.ref, schema).items())
+        self._suite = CheckSuite(flavor, schema, "j", self.ref)
 
     def suite(self) -> CheckSuite:
         """The shape's checkers, whose formulas every shape shares."""
@@ -1238,6 +1226,7 @@ def _as_permutation(mapping, messages) -> dict[str, str]:
     return {m: mapping[m] for m in messages}
 
 
+@_gc_paused()
 def mixer_chain(perm1, perm2, observed_indistinguishability: str = "single",
                 messages=None) -> InterpretedSystem:
     """A two-mixer relay modeled as a two-stage system.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .system import Action, InterpretedSystem, ValidationError, build_system
+from .system import Action, InterpretedSystem, ValidationError, _gc_paused, build_system
 
 
 class SysFileError(ValueError):
@@ -33,6 +33,7 @@ class SysFileError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+@_gc_paused()
 def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
     name = default_name
     agents: list[tuple[str, str | None]] | None = None
@@ -154,17 +155,15 @@ def render_system(system: InterpretedSystem) -> str:
     for run in system.runs:
         rendered = " ".join(map(text.__getitem__, sorted(run.facts, key=key.__getitem__)))
         lines.append(f"run {run.run_id}: {rendered}".rstrip())
-    order = {run.run_id: i for i, run in enumerate(system.runs)}
     for observer, part in system.observers.items():
         rendered = " ".join(
-            "{" + " ".join(sorted(block, key=order.__getitem__)) + "}"
+            "{" + " ".join(sorted(block, key=system.position)) + "}"
             for block in part.blocks)
         lines.append(f"indist {observer}: {rendered}")
     return "\n".join(lines) + "\n"
 
 
 def to_json_dict(system: InterpretedSystem) -> dict:
-    order = {run.run_id: i for i, run in enumerate(system.runs)}
     text = {action: str(action) for action in system.actions}  # once per action
     return {
         "name": system.name,
@@ -173,7 +172,7 @@ def to_json_dict(system: InterpretedSystem) -> dict:
         "runs": [{"id": run.run_id,
                   "facts": sorted([agent, text[action]] for agent, action in run.facts)}
                  for run in system.runs],
-        "observers": {obs: [sorted(block, key=order.__getitem__)
+        "observers": {obs: [sorted(block, key=system.position)
                             for block in part.blocks]
                       for obs, part in system.observers.items()},
     }
@@ -185,6 +184,7 @@ def _json_fact(fact) -> tuple:
     return tuple(fact)
 
 
+@_gc_paused()
 def from_json_dict(data: dict) -> InterpretedSystem:
     try:
         agents = [(a["name"], a.get("role")) for a in data["agents"]]
@@ -203,6 +203,7 @@ def from_json_dict(data: dict) -> InterpretedSystem:
         raise SysFileError(str(exc)) from exc
 
 
+@_gc_paused()
 def load_system(path: str | Path) -> InterpretedSystem:
     """Load a system file; ``.json`` selects the JSON encoding, anything
     else the text format.  The filename stem is the default system name."""

@@ -10,9 +10,13 @@ within a run, so no point-in-time index is kept.
 """
 from __future__ import annotations
 
+import copy
+import gc
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 
@@ -21,6 +25,35 @@ class ValidationError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, and restore the caller's state on
+    exit.  Bulk builders and loaders run in a pause, as the collector would
+    walk their growing data again and again; it is safe, as they make only
+    acyclic data (strings, tuples, lists, dicts, frozensets, ``Run``s)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_BITS, _DIGITS = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(mask: int, n: int) -> bytes:
+    """One byte per run of ``n``, in run order: 1 where ``mask`` holds."""
+    return format(mask, f"0{n}b").encode()[::-1].translate(_BITS)
+
+
+def _mask(bits) -> int:
+    """The run mask of one byte per run, 1 where it holds."""
+    return int(bits[::-1].translate(_DIGITS), 2)
+
 
 #: Roles an agent may be tagged with.  Tags are metadata used by schema
 #: inference and the file format; the semantics never depend on them.
@@ -55,15 +88,12 @@ class Action(NamedTuple):
 Fact = tuple[str, Action]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Run:
     """One run: an identifier and the set of facts true in it."""
 
     run_id: str
     facts: frozenset[Fact]
-
-    def holds(self, agent: str, action: Action) -> bool:
-        return (agent, action) in self.facts
 
 
 @dataclass(frozen=True)
@@ -89,10 +119,10 @@ class InterpretedSystem:
 
     Outside input goes through :func:`build_system`, which validates the
     declaration and normalizes input forms.  Derivation (``composition``)
-    extends an already validated system by constructing it directly.
+    extends an already validated system with :meth:`_extended`.
 
     Run masks (see :class:`~anoncheck.formula.Evaluator`) are ints in which
-    bit ``i`` stands for ``runs[i]``.
+    bit ``i`` stands for ``runs[i]``; the fact index holds each fact's.
     """
 
     __slots__ = (
@@ -116,7 +146,7 @@ class InterpretedSystem:
         for obs, part in observers.items():
             block_of = {rid: bi for bi, block in enumerate(part.blocks) for rid in block}
             self._blocks[obs] = tuple(block_of[r.run_id] for r in runs)
-        self._holding: dict[Fact, int] = {}
+        self._holding: dict[Fact, int] | None = None
 
     # -- lookups ---------------------------------------------------------
 
@@ -163,17 +193,35 @@ class InterpretedSystem:
         return tuple(r for r, b in zip(self.runs, self._blocks[observer]) if b == block)
 
     def holding(self, fact: Fact) -> int:
-        """The runs holding ``fact``, as a run mask; each fact's runs are
-        scanned once, on first use."""
-        mask = self._holding.get(fact)
-        if mask is None:
-            mask = int("".join("01"[fact in run.facts] for run in reversed(self.runs)), 2)
-            self._holding[fact] = mask
-        return mask
+        """The runs holding ``fact``, as a run mask.  The first call indexes
+        every fact in one pass over the runs."""
+        return self._columns().get(fact, 0)
+
+    def _columns(self) -> dict[Fact, int]:
+        """The fact index: each fact that holds somewhere, and its runs."""
+        if self._holding is None:
+            rows: dict[Fact, bytearray] = defaultdict(partial(bytearray, len(self.runs)))
+            for i, run in enumerate(self.runs):
+                for fact in run.facts:
+                    rows[fact][i] = 1
+            self._holding = {fact: _mask(row) for fact, row in rows.items()}
+        return self._holding
+
+    def _extended(self, actions, runs, columns: dict[Fact, int]) -> InterpretedSystem:
+        """This system with ``actions`` and ``runs``, which keep every run id
+        in order and add only facts of ``actions``, with columns ``columns``:
+        it shares the run-id and partition indexes, and adds ``columns`` to
+        the fact index."""
+        extended = copy.copy(self)
+        extended.actions = self.actions + actions
+        extended._action_set = frozenset(extended.actions)
+        extended.runs = runs
+        extended._holding = {**self._columns(), **columns}
+        return extended
 
     def holds(self, run: Run | str, agent: str, action: Action | str) -> bool:
         r = self.run(run) if isinstance(run, str) else run
-        return r.holds(agent, _coerce_action(action))
+        return (agent, _coerce_action(action)) in r.facts
 
     # -- equality: structural, ignoring declaration-order differences in the
     # agent/action lists and block ordering, but keeping run order (run order
@@ -209,6 +257,7 @@ def _check_name(name: str, what: str) -> str:
     return name
 
 
+@_gc_paused()
 def build_system(*, agents, actions, runs, observers, name: str = "system") -> InterpretedSystem:
     """Validated constructor.
 

@@ -1,15 +1,21 @@
 """A per-run evaluator written straight from the semantics, and the
 property, independence and structural checks restated on it: the
-reference that the bitmask evaluators are tested against.
+reference that the bitmask evaluators are tested against.  Derivation
+and the fact index are restated run by run too, for the column algebra
+of ``composition`` and ``InterpretedSystem.holding``.
 
 An atom reads ``run.facts``; ``K[j]``/``P[j]`` are ``all``/``any`` over
 ``system.kernel(j, run)``.  There is no memo and no mask, so it is slow
 on purpose and only fit for small systems and shallow formulas.
 """
-from anoncheck.composition import independence_obligations, structural_formula
+from collections import defaultdict
+
+from anoncheck.composition import (SequentialSchema, independence_obligations,
+                                   structural_formula)
 from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
                                Poss, Verdict, render)
 from anoncheck.properties import PropertyReport, _conjuncts
+from anoncheck.system import InterpretedSystem, Run
 
 
 class Reference:
@@ -92,3 +98,42 @@ def check_structural(system, schema, cond):
 
 def outcome(report: PropertyReport):
     return report.holds, report.counterexample
+
+
+def holding(system, fact):
+    """The runs holding ``fact``, as a run mask, from a scan of every run."""
+    return sum(1 << i for i, run in enumerate(system.runs) if fact in run.facts)
+
+
+def _chained(schema):
+    """A run's chained facts theta(x, derived(c)): x performs first(k) and
+    k performs second(c), for some intermediary k."""
+    intermediary = dict(zip(schema.first_actions, schema.first_params))  # use(k) -> k
+    derived = dict(zip(schema.second_actions, schema.derived_actions))  # post(c) -> submit(c)
+
+    def new_facts(facts):
+        posted = defaultdict(list)  # k -> the submit(c) of each post(c) k performs
+        for k, action in facts:
+            if action in derived:
+                posted[k].append(derived[action])
+        return {(x, d) for x, action in facts if action in intermediary
+                for d in posted.get(intermediary[action], ())}
+    return new_facts
+
+
+def _joint(schema):
+    """A run's joint facts theta(x, joint(c)): x performs both a(c) and b(c)."""
+    joint = {a: (b, d) for a, b, d in
+             zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
+    return lambda facts: {(x, joint[a][1]) for x, a in facts
+                          if a in joint and (x, joint[a][0]) in facts}
+
+
+def derive(system, schema):
+    """``system`` with the schema's derived facts added run by run, as a
+    new system with indexes of its own (no validation)."""
+    new_facts = (_chained if isinstance(schema, SequentialSchema) else _joint)(schema)
+    runs = tuple(Run(run.run_id, run.facts | new_facts(run.facts)) for run in system.runs)
+    return InterpretedSystem(system.name, system.agents, system.roles,
+                             system.actions + schema.derived_actions, runs,
+                             system.observers)

@@ -117,8 +117,8 @@ class TestNodes:
                              ids=["atom", "const", "and", "modal", "chain", "deep-chain"])
     def test_pickle_and_copies_return_the_node(self, f):
         assert copy.copy(f) is f and copy.deepcopy(f) is f
-        if f is not _chain(10_000):  # pickle still recurses once per level
-            assert pickle.loads(pickle.dumps(f)) is f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
 
     def test_atoms_take_only_actions(self):
         with pytest.raises(TypeError):

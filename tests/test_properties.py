@@ -3,6 +3,9 @@ bundled systems, validation of kind-specific fields, and the semantic laws
 (vacuity, subset monotonicity, exclusivity implications) brute-forced over
 generated systems."""
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +137,23 @@ class TestSpecValidation:
             check_property(s12, minimally_anonymous("i1", Action.parse("fly"), "j"))
         with pytest.raises(ValidationError, match="'i1' has no declared partition"):
             check_property(s12, minimally_anonymous("i1", USE_K1, "i1"))
+
+    def test_undeclared_universe_names_the_first_given(self):
+        # Sets of strings iterate in an order that depends on string hashing.
+        code = ("from anoncheck import Action, anonymous_up_to, check_property, paper_system\n"
+                "s12 = paper_system('s12')\n"
+                "for names in (['x3', 'i1', 'x1', 'x2'], ['x1', 'x2', 'x3']):\n"
+                "    try:\n"
+                "        check_property(s12, anonymous_up_to('i1', Action('use', 'k1'), names, 'j'))\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        messages = {subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                   text=True, check=True, timeout=60,
+                                   env={**env, "PYTHONHASHSEED": str(seed)}).stdout
+                    for seed in range(1, 6)}
+        assert messages == {"undeclared agent 'x3' in property universe\n"
+                            "undeclared agent 'x1' in property universe\n"}
 
 
 class TestPinnedVerdicts:

@@ -1,13 +1,17 @@
 """Construction and validation of interpreted systems."""
+import copy
+import gc
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from anoncheck.sysfile import parse_system
-from anoncheck.system import (Action, InterpretedSystem, ValidationError,
-                              build_system)
+from anoncheck.sysfile import (SysFileError, from_json_dict, load_system, parse_system,
+                               save_system)
+from anoncheck.system import (Action, InterpretedSystem, Run, ValidationError,
+                              _gc_paused, build_system)
 
 
 def tiny(**overrides):
@@ -232,3 +236,72 @@ class TestEquality:
 
     def test_not_equal_to_other_types(self):
         assert tiny() != "tiny"
+
+
+class TestRuns:
+    def test_runs_have_no_instance_dict(self):
+        run = tiny().runs[0]
+        assert not hasattr(run, "__dict__")
+        with pytest.raises(AttributeError):
+            run.run_id = "r9"
+
+    def test_runs_and_systems_pickle_and_copy(self):
+        s = tiny()
+        run = s.runs[0]
+        for clone in (pickle.loads(pickle.dumps(run)), copy.copy(run), copy.deepcopy(run)):
+            assert clone == run and isinstance(clone, Run)
+        assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector's state, restored after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _runs_seeing_the_collector(seen):
+    """The runs of :func:`tiny`, noting the collector's state as they are read."""
+    seen.append(gc.isenabled())
+    yield from [("r1", [("a", "go(x)")]), ("r2", [("b", "go(y)")])]
+
+
+class TestGcPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_builders_pause_and_restore_the_collector(self, collector, enabled, tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        assert tiny(runs=_runs_seeing_the_collector(seen)) == tiny()
+        assert seen == [False] and gc.isenabled() is enabled
+        parse_system("agents: a j\nactions: go\nrun r1: a:go\nindist j: {r1}\n")
+        from_json_dict({"agents": [{"name": "j"}], "actions": ["go"],
+                        "runs": [{"id": "r1", "facts": []}], "observers": {"j": [["r1"]]}})
+        for suffix in (".sys", ".json"):
+            save_system(tiny(), tmp_path / f"tiny{suffix}")
+            assert load_system(tmp_path / f"tiny{suffix}") == tiny()
+        assert gc.isenabled() is enabled
+
+    def test_pauses_nest(self, collector):
+        gc.enable()
+        with _gc_paused():
+            with _gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_state_restored_after_an_error_mid_build(self, collector):
+        gc.enable()
+        with pytest.raises(ValidationError, match="undeclared agent 'zz'"):
+            tiny(runs=[("r1", [("a", "go(x)")]), ("r2", [("zz", "go(y)")])])
+        assert gc.isenabled()
+        with pytest.raises(SysFileError, match="unknown run 'r9'"):
+            parse_system("agents: a j\nactions: go\nrun r1: a:go\nindist j: {r1 r9}\n")
+        assert gc.isenabled()
+        with pytest.raises(SysFileError, match="appears twice"):
+            parse_system("agents: a j\nactions: go\nrun r1: a:go\nindist j: {r1 r1}\n")
+        assert gc.isenabled()
+        gc.disable()
+        with pytest.raises(ValidationError):
+            tiny(observers={"j": [["r1"]]})
+        assert not gc.isenabled()
