@@ -371,7 +371,7 @@ def cmd_eval(args) -> int:
     formula = parse_formula(args.formula)
     ev = Evaluator(system)
     check_names(system, formula)
-    values = [(run.run_id, ev.evaluate(formula, run)) for run in system.runs]
+    values = [(rid, ev.evaluate(formula, rid)) for rid in system.run_ids]
     failing = next((rid for rid, v in values if not v), None)
     if args.dot is not None:
         # "-" replaces the report with the graph; the exit code still
@@ -382,7 +382,7 @@ def cmd_eval(args) -> int:
             return 0 if failing is None else 1
         _write(args.dot, lambda: Path(args.dot).write_text(dot))
     if args.run is not None:
-        value = ev.evaluate(formula, system.run(args.run))
+        value = ev.evaluate(formula, args.run)
         _emit(args,
               [f"{render(formula)} is {'true' if value else 'false'} at {args.run}"],
               [("value", "true" if value else "false")],
@@ -428,7 +428,7 @@ def cmd_compose(args) -> int:
     derived = derive(system, schema)
     if args.out:
         _write(args.out, lambda: save_system(derived, args.out))
-        print(f"wrote {derived.name} ({len(derived.runs)} runs) to {args.out}")
+        print(f"wrote {derived.name} ({len(derived.run_ids)} runs) to {args.out}")
     elif args.format == "json":
         print(json.dumps(to_json_dict(derived), indent=2, sort_keys=True))
     else:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, compress, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
                       conj, disj, render)
 from .properties import PropertyReport
-from .system import Action, Fact, InterpretedSystem, Run, ValidationError, _bits, _gc_paused
+from .system import Action, Fact, InterpretedSystem, ValidationError
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,9 @@ def _conjuncts(system: InterpretedSystem, schema) -> dict[Fact, tuple]:
             for a, b, d in zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
 
 
-@_gc_paused()
 def _extend(system: InterpretedSystem, schema) -> InterpretedSystem:
     """``system`` plus the schema's derived actions and facts: a derived
-    fact's column ORs its :func:`_conjuncts` pairs' ANDed columns, and one
-    walk over the new columns' bits adds it to its runs, as one shared tuple.
+    fact's column ORs its :func:`_conjuncts` pairs' ANDed columns.
     Skipping :func:`build_system` is safe: ``system`` passed it, run ids and
     partitions are kept, every new fact's performer is declared, and
     :func:`_require_fresh` makes the appended actions new and distinct."""
@@ -196,29 +194,20 @@ def _extend(system: InterpretedSystem, schema) -> InterpretedSystem:
             mask |= system.holding(first) & system.holding(second)
         if mask:
             columns[fact] = mask
-    n = len(system.runs)
-    added: list[list[Fact]] = [[] for _ in range(n)]
-    for fact, mask in columns.items():
-        for i in compress(range(n), _bits(mask, n)):
-            added[i].append(fact)
-    runs = tuple(Run(run.run_id, run.facts.union(new)) if new else run
-                 for run, new in zip(system.runs, added))
-    return system._extended(schema.derived_actions, runs, columns)
+    return system._extended(schema.derived_actions, columns)
 
 
 def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> InterpretedSystem:
     """Extend every run with the chained facts of ``schema.derived_family``.
 
     The defining disjunction ranges over the declared intermediaries; it is
-    applied to every declared agent in performer position.  Runs holding the
-    same derived fact share one tuple.
+    applied to every declared agent in performer position.
     """
     return _extend(system, schema)
 
 
 def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> InterpretedSystem:
-    """Extend every run with the conjoined facts of ``schema.derived_family``;
-    runs holding the same derived fact share one tuple."""
+    """Extend every run with the conjoined facts of ``schema.derived_family``."""
     return _extend(system, schema)
 
 

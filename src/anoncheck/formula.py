@@ -255,7 +255,7 @@ class _Vectors:
 class Evaluator(_Vectors):
     """Evaluates formulas over one system, as run bitmasks.
 
-    Bit ``i`` of a mask is the formula's truth at ``system.runs[i]``, so a
+    Bit ``i`` of a mask is the formula's truth at ``system.run_ids[i]``, so a
     formula is evaluated once per system, not once per run: an atom is the
     mask of the runs holding its fact (:meth:`InterpretedSystem.holding`),
     and ``P[j]`` is the union of the observer's blocks that the child's
@@ -273,7 +273,7 @@ class Evaluator(_Vectors):
     all = True
 
     def __init__(self, system: InterpretedSystem, derive=None):
-        super().__init__((1 << len(system.runs)) - 1)
+        super().__init__((1 << len(system.run_ids)) - 1)
         self.system = system
         self._derive = derive
         self._derived: InterpretedSystem | None = None
@@ -283,13 +283,13 @@ class Evaluator(_Vectors):
         """Whether ``f`` holds at every run."""
         return self.mask(f) == self._full
 
-    def evaluate(self, f: Formula, run: Run) -> bool:
-        """Truth of ``f`` at ``run``, read off one byte per run, which the
-        first call for ``f`` spreads its mask into."""
+    def evaluate(self, f: Formula, run: Run | str) -> bool:
+        """Truth of ``f`` at ``run`` (a run or its id), read off one byte
+        per run, which the first call for ``f`` spreads its mask into."""
         values = self._values.get(f)
         if values is None:
-            values = self._values[f] = _bits(self.mask(f), len(self.system.runs))
-        return values[self.system.position(run.run_id)] == 1
+            values = self._values[f] = _bits(self.mask(f), len(self.system.run_ids))
+        return values[self.system.position(run if isinstance(run, str) else run.run_id)] == 1
 
     def valid(self, f: Formula) -> Verdict:
         """Truth of ``f`` at every run; the counterexample is the first
@@ -297,7 +297,7 @@ class Evaluator(_Vectors):
         missing = self._full ^ self.mask(f)
         if not missing:
             return Verdict(True, None)
-        return Verdict(False, self.system.runs[(missing & -missing).bit_length() - 1].run_id)
+        return Verdict(False, self.system.run_ids[(missing & -missing).bit_length() - 1])
 
     def _atom(self, f: Atom) -> int:
         system = self.system
@@ -401,8 +401,7 @@ def check_names(system: InterpretedSystem, f: Formula) -> None:
 def evaluate(system: InterpretedSystem, run: Run | str, f: Formula) -> bool:
     """Truth of ``f`` at one run (validates names against the declaration)."""
     check_names(system, f)
-    r = system.run(run) if isinstance(run, str) else run
-    return Evaluator(system).evaluate(f, r)
+    return Evaluator(system).evaluate(f, run)
 
 
 def valid(system: InterpretedSystem, f: Formula) -> Verdict:

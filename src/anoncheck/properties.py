@@ -26,9 +26,17 @@ class PropertyKind(Enum):
     MAXIMALLY_IDENTIFIED = "maximally-identified"
 
 
-#: Per kind: (required set field, additionally permitted set fields).
 _SET_FIELDS = ("anonymity_set", "privacy_set", "action_universe")
-_FIELD_RULES: dict["PropertyKind", tuple[str | None, frozenset[str]]] = {}
+#: Per kind: (required set field, additionally permitted set fields).
+_FIELD_RULES = {
+    PropertyKind.ANONYMOUS_UP_TO: ("anonymity_set", frozenset()),
+    PropertyKind.MINIMALLY_ANONYMOUS: (None, frozenset()),
+    PropertyKind.PRIVATE_UP_TO: ("privacy_set", frozenset()),
+    PropertyKind.MINIMALLY_PRIVATE: (None, frozenset()),
+    PropertyKind.ROLE_INTERCHANGEABLE: (None, frozenset({"action_universe"})),
+    PropertyKind.MAXIMALLY_ONYMOUS: (None, frozenset()),
+    PropertyKind.MAXIMALLY_IDENTIFIED: (None, frozenset()),
+}
 
 
 @dataclass(frozen=True)
@@ -63,17 +71,6 @@ class PropertySpec:
                 raise ValidationError(f"{self.kind.value} does not take {field}")
             if not isinstance(value, tuple):
                 object.__setattr__(self, field, tuple(value))
-
-
-_FIELD_RULES.update({
-    PropertyKind.ANONYMOUS_UP_TO: ("anonymity_set", frozenset()),
-    PropertyKind.MINIMALLY_ANONYMOUS: (None, frozenset()),
-    PropertyKind.PRIVATE_UP_TO: ("privacy_set", frozenset()),
-    PropertyKind.MINIMALLY_PRIVATE: (None, frozenset()),
-    PropertyKind.ROLE_INTERCHANGEABLE: (None, frozenset({"action_universe"})),
-    PropertyKind.MAXIMALLY_ONYMOUS: (None, frozenset()),
-    PropertyKind.MAXIMALLY_IDENTIFIED: (None, frozenset()),
-})
 
 
 @dataclass(frozen=True)
@@ -156,9 +153,9 @@ def check_property(system: InterpretedSystem, spec: PropertySpec) -> PropertyRep
     verdict = ev.valid(witness)
     if verdict.holds:
         return PropertyReport(spec, True, witness, None)
-    run = system.run(verdict.counterexample)
-    desc = next(desc for desc, f in parts if not ev.evaluate(f, run))
-    return PropertyReport(spec, False, witness, (run.run_id, desc))
+    run_id = verdict.counterexample
+    desc = next(desc for desc, f in parts if not ev.evaluate(f, run_id))
+    return PropertyReport(spec, False, witness, (run_id, desc))
 
 
 # -- convenience constructors ------------------------------------------------

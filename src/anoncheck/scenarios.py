@@ -28,9 +28,10 @@ from __future__ import annotations
 import random
 import time
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations, groupby, islice,
                        permutations, repeat)
 from pathlib import Path
@@ -48,8 +49,8 @@ from .properties import (anonymous_up_to, compile_property,
                          minimally_anonymous, minimally_private,
                          private_up_to, role_interchangeable)
 from .sysfile import load_system
-from .system import (Action, InterpretedSystem, ObserverPartition, Run,
-                     ValidationError, _gc_paused, build_system)
+from .system import (Action, InterpretedSystem, ObserverPartition,
+                     ValidationError, _mask, build_system)
 
 ClaimId = str
 
@@ -872,10 +873,11 @@ class _Shape:
         blocks: dict[int, list[str]] = {}
         for n, label in enumerate(labels, start=1):
             blocks.setdefault(label, []).append(f"r{n}")
+        columns = _transpose(runs, len(self.facts))
         return InterpretedSystem(
             name, self.ref.agents, self.ref.roles, self.ref.actions,
-            tuple(Run(f"r{n}", frozenset(f for b, f in enumerate(self.facts) if m >> b & 1))
-                  for n, m in enumerate(runs, start=1)),
+            tuple(f"r{n}" for n in range(1, len(runs) + 1)),
+            {fact: mask for fact, mask in zip(self.facts, columns) if mask},
             {"j": ObserverPartition("j", tuple(map(frozenset, blocks.values())))})
 
     def column(self, columns, atom: Atom) -> int:
@@ -1226,7 +1228,6 @@ def _as_permutation(mapping, messages) -> dict[str, str]:
     return {m: mapping[m] for m in messages}
 
 
-@_gc_paused()
 def mixer_chain(perm1, perm2, observed_indistinguishability: str = "single",
                 messages=None) -> InterpretedSystem:
     """A two-mixer relay modeled as a two-stage system.
@@ -1270,29 +1271,31 @@ def mixer_chain(perm1, perm2, observed_indistinguishability: str = "single",
             return [dict(zip(msgs, image)) for image in permutations(msgs)]
         raise ValidationError(f"cannot interpret {p!r} as a permutation family")
 
-    # One fact tuple per (message, slot) pair, shared by every run using it.
-    use = {m: {x: (f"in_{m}", f"use(mid_{x})") for x in msgs} for m in msgs}
-    post = {x: {m: (f"mid_{x}", f"post(out_{m})") for m in msgs} for x in msgs}
-    runs = []
-    count = 0
-    for p1 in family(perm1):
-        if perm2 == "inverse":
-            p2s = [{v: k for k, v in p1.items()}]
-        else:
-            p2s = family(perm2)
-        for p2 in p2s:
-            count += 1
-            facts = [use[m][p1[m]] for m in msgs] + [post[x][p2[x]] for x in msgs]
-            runs.append((f"r{count}", facts))
+    # Run r{a * width + b + 1} pairs first mapping a with second mapping b (or
+    # its inverse): a use holds on a slice of runs, a post on every width-th.
+    firsts = family(perm1)
+    seconds = [] if perm2 == "inverse" else family(perm2)
+    width = len(seconds) or 1
+    ones = b"\1" * width
+    columns: dict = defaultdict(partial(bytearray, len(firsts) * width))
+    for a, p1 in enumerate(firsts):
+        for m, x in p1.items():
+            columns[f"in_{m}", Action("use", f"mid_{x}")][a * width:(a + 1) * width] = ones
+            if not seconds:
+                columns[f"mid_{x}", Action("post", f"out_{m}")][a] = 1
+    for b, p2 in enumerate(seconds):
+        for x, m in p2.items():
+            columns[f"mid_{x}", Action("post", f"out_{m}")][b::width] = b"\1" * len(firsts)
 
-    agents = ([(f"in_{m}", "real") for m in msgs]
-              + [(f"mid_{m}", "pseudo") for m in msgs]
-              + [("j", "observer")])
-    actions = ([f"use(mid_{m})" for m in msgs] + [f"post(out_{m})" for m in msgs])
-    run_ids = [rid for rid, _ in runs]
-    if observed_indistinguishability == "single":
-        blocks = [run_ids]
-    else:
-        blocks = [[rid] for rid in run_ids]
-    return build_system(name="mixer_chain", agents=agents, actions=actions,
-                        runs=runs, observers={"j": blocks})
+    # Built with every fact in its one run, the declaration is checked.
+    ref = build_system(
+        name="mixer_chain",
+        agents=([(f"in_{m}", "real") for m in msgs] + [(f"mid_{m}", "pseudo") for m in msgs]
+                + [("j", "observer")]),
+        actions=[f"use(mid_{m})" for m in msgs] + [f"post(out_{m})" for m in msgs],
+        runs=[("r1", columns)], observers={"j": [["r1"]]})
+    run_ids = tuple(f"r{i}" for i in range(1, len(firsts) * width + 1))
+    blocks = [run_ids] if observed_indistinguishability == "single" else zip(run_ids)
+    return InterpretedSystem(ref.name, ref.agents, ref.roles, ref.actions, run_ids,
+                             {fact: _mask(col) for fact, col in columns.items()},
+                             {"j": ObserverPartition("j", tuple(map(frozenset, blocks)))})

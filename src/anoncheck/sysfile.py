@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .system import Action, InterpretedSystem, ValidationError, _gc_paused, build_system
+from .system import InterpretedSystem, ValidationError, _gc_paused, build_system
 
 
 class SysFileError(ValueError):
@@ -38,8 +38,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
     name = default_name
     agents: list[tuple[str, str | None]] | None = None
     actions: list[str] | None = None
-    runs: list[tuple[str, list[tuple[str, str]]]] = []
-    run_ids: set[str] = set()
+    runs: dict[str, list[tuple[str, str]]] = {}  # each run's facts, in file order
     observers: dict[str, list[list[str]]] = {}
     declared_agents: set[str] = set()
     declared_actions: set[str] = set()
@@ -69,11 +68,10 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             if not sep:
                 raise SysFileError("expected 'run ID: facts'", lineno)
             run_id = head.strip()
-            if run_id in run_ids:
+            if run_id in runs:
                 raise SysFileError(f"duplicate run id {run_id!r}", lineno)
-            runs.append((run_id, [known.get(token) or learn(token, run_id, lineno)
-                                  for token in rest.split()]))
-            run_ids.add(run_id)
+            runs[run_id] = [known.get(token) or learn(token, run_id, lineno)
+                            for token in rest.split()]
         elif line.split(None, 1)[0] == "system":
             parts = line.split()
             if len(parts) != 2:
@@ -118,7 +116,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
                 if not members:
                     raise SysFileError("empty partition block", lineno)
                 for rid in members:
-                    if rid not in run_ids:
+                    if rid not in runs:
                         raise SysFileError(f"unknown run {rid!r} in block", lineno)
                 blocks.append(members)
                 chunk = chunk[end + 1:].strip()
@@ -136,7 +134,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
         raise SysFileError("no observer partition declared (expected an indist line)")
     try:
         return build_system(name=name, agents=agents, actions=actions,
-                            runs=runs, observers=observers)
+                            runs=runs.items(), observers=observers)
     except ValidationError as exc:
         raise SysFileError(str(exc)) from exc
 
@@ -147,14 +145,12 @@ def render_system(system: InterpretedSystem) -> str:
         f"{a}:{system.roles[a]}" if system.roles.get(a) else a
         for a in system.agents))
     lines.append("actions: " + " ".join(str(a) for a in system.actions))
-    # Each distinct fact's sort key and text, computed once for all runs.
+    # Each run's fact text, in action declaration order, then by agent.
     position = {action: i for i, action in enumerate(system.actions)}
-    facts = frozenset().union(*(run.facts for run in system.runs))
-    key = {fact: (position[fact[1]], fact[0]) for fact in facts}
-    text = {fact: f"{fact[0]}:{fact[1]}" for fact in facts}
-    for run in system.runs:
-        rendered = " ".join(map(text.__getitem__, sorted(run.facts, key=key.__getitem__)))
-        lines.append(f"run {run.run_id}: {rendered}".rstrip())
+    facts = sorted(system._holding, key=lambda fact: (position[fact[1]], fact[0]))
+    texts = system._spread(facts, [f"{agent}:{action}" for agent, action in facts])
+    for run_id, rendered in zip(system.run_ids, map(" ".join, texts)):
+        lines.append(f"run {run_id}: {rendered}".rstrip())
     for observer, part in system.observers.items():
         rendered = " ".join(
             "{" + " ".join(sorted(block, key=system.position)) + "}"
@@ -164,14 +160,15 @@ def render_system(system: InterpretedSystem) -> str:
 
 
 def to_json_dict(system: InterpretedSystem) -> dict:
-    text = {action: str(action) for action in system.actions}  # once per action
+    # Each run's facts as sorted [agent, action] pairs, a new list each.
+    facts = sorted(system._holding, key=lambda fact: (fact[0], str(fact[1])))
+    pairs = system._spread(facts, [(agent, str(action)) for agent, action in facts])
     return {
         "name": system.name,
         "agents": [{"name": a, "role": system.roles[a]} for a in system.agents],
         "actions": [str(a) for a in system.actions],
-        "runs": [{"id": run.run_id,
-                  "facts": sorted([agent, text[action]] for agent, action in run.facts)}
-                 for run in system.runs],
+        "runs": [{"id": run_id, "facts": list(map(list, run_facts))}
+                 for run_id, run_facts in zip(system.run_ids, pairs)],
         "observers": {obs: [sorted(block, key=system.position)
                             for block in part.blocks]
                       for obs, part in system.observers.items()},

@@ -13,10 +13,11 @@ from __future__ import annotations
 import copy
 import gc
 import re
-from collections import Counter, defaultdict
-from contextlib import contextmanager
+from collections import Counter
+from collections.abc import Sequence
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import partial
+from itertools import compress, repeat
 from typing import NamedTuple
 
 
@@ -30,9 +31,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
 @contextmanager
 def _gc_paused():
     """Pause the cyclic garbage collector, and restore the caller's state on
-    exit.  Bulk builders and loaders run in a pause, as the collector would
-    walk their growing data again and again; it is safe, as they make only
-    acyclic data (strings, tuples, lists, dicts, frozensets, ``Run``s)."""
+    exit.  Builders and loaders run in a pause, as the collector would walk
+    their growing per-run lists and blocks again and again; it is safe, as
+    they make only acyclic data (strings, tuples, lists, dicts, frozensets,
+    byte columns)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -114,51 +116,91 @@ def _coerce_action(value) -> Action:
     raise ValidationError(f"cannot interpret {value!r} as an action")
 
 
+class _Runs(Sequence):
+    """``system.runs``: its length is the number of run ids, and its rows are
+    built from the fact columns, all at once, when one is first read."""
+
+    __slots__ = ("_system",)
+
+    def __init__(self, system: InterpretedSystem):
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system.run_ids)
+
+    def __getitem__(self, index):
+        return self._system._rows()[index]
+
+
 class InterpretedSystem:
-    """An immutable interpreted system with a partition index per observer.
+    """An immutable interpreted system: run ids, fact columns, partitions.
 
     Outside input goes through :func:`build_system`, which validates the
     declaration and normalizes input forms.  Derivation (``composition``)
     extends an already validated system with :meth:`_extended`.
 
     Run masks (see :class:`~anoncheck.formula.Evaluator`) are ints in which
-    bit ``i`` stands for ``runs[i]``; the fact index holds each fact's.
+    bit ``i`` stands for ``run_ids[i]``; a fact's column is the mask of the
+    runs holding it.  Rows (:class:`Run`) are built from the columns on demand.
     """
 
     __slots__ = (
-        "name", "agents", "roles", "actions", "runs", "observers",
-        "_action_set", "_run_index", "_blocks", "_holding",
+        "name", "agents", "roles", "actions", "run_ids", "observers",
+        "_action_set", "_run_index", "_blocks", "_holding", "_built",
     )
 
     def __init__(self, name: str, agents: tuple[str, ...], roles: dict[str, str | None],
-                 actions: tuple[Action, ...], runs: tuple[Run, ...],
-                 observers: dict[str, ObserverPartition]):
+                 actions: tuple[Action, ...], run_ids: tuple[str, ...],
+                 holding: dict[Fact, int], observers: dict[str, ObserverPartition]):
         self.name = name
         self.agents = agents
         self.roles = roles
         self.actions = actions
         self._action_set = frozenset(actions)
-        self.runs = runs
+        self.run_ids = run_ids
+        self._holding = holding
         self.observers = observers
-        self._run_index = {r.run_id: i for i, r in enumerate(runs)}
+        self._run_index = {rid: i for i, rid in enumerate(run_ids)}
         # Per observer: each run's block position, in run order.
         self._blocks: dict[str, tuple[int, ...]] = {}
         for obs, part in observers.items():
             block_of = {rid: bi for bi, block in enumerate(part.blocks) for rid in block}
-            self._blocks[obs] = tuple(block_of[r.run_id] for r in runs)
-        self._holding: dict[Fact, int] | None = None
+            self._blocks[obs] = tuple(map(block_of.__getitem__, run_ids))
+        self._built: tuple[Run, ...] | None = None
 
     # -- lookups ---------------------------------------------------------
 
+    @property
+    def runs(self) -> Sequence[Run]:
+        """Every run, in order (see :class:`_Runs`)."""
+        return _Runs(self)
+
+    def _rows(self) -> tuple[Run, ...]:
+        if self._built is None:
+            facts = tuple(self._holding)
+            self._built = tuple(map(Run, self.run_ids, map(frozenset, self._spread(facts, facts))))
+        return self._built
+
+    def _spread(self, facts, values):
+        """Per run, in run order, the ``values`` of the ``facts`` it holds, in
+        the order given: run ``i``'s bytes in a grid of the facts' columns
+        are every ``n``-th from ``i``."""
+        n = len(self.run_ids)
+        grid = b"".join(_bits(self._holding.get(fact, 0), n) for fact in facts)
+        return map(compress, repeat(values),
+                   map(grid.__getitem__, map(slice, range(n), repeat(None), repeat(n))))
+
     def position(self, run_id: str) -> int:
-        """Where the run stands in ``runs``."""
+        """Where the run stands in ``run_ids``."""
         try:
             return self._run_index[run_id]
         except KeyError:
             raise ValidationError(f"unknown run {run_id!r} in system {self.name!r}") from None
 
     def run(self, run_id: str) -> Run:
-        return self.runs[self.position(run_id)]
+        """The run ``run_id``, built from the fact columns."""
+        i = self.position(run_id)
+        return Run(run_id, frozenset(f for f, mask in self._holding.items() if mask >> i & 1))
 
     def has_agent(self, name: str) -> bool:
         return name in self.roles
@@ -193,30 +235,18 @@ class InterpretedSystem:
         return tuple(r for r, b in zip(self.runs, self._blocks[observer]) if b == block)
 
     def holding(self, fact: Fact) -> int:
-        """The runs holding ``fact``, as a run mask.  The first call indexes
-        every fact in one pass over the runs."""
-        return self._columns().get(fact, 0)
+        """The runs holding ``fact``, as a run mask: its column."""
+        return self._holding.get(fact, 0)
 
-    def _columns(self) -> dict[Fact, int]:
-        """The fact index: each fact that holds somewhere, and its runs."""
-        if self._holding is None:
-            rows: dict[Fact, bytearray] = defaultdict(partial(bytearray, len(self.runs)))
-            for i, run in enumerate(self.runs):
-                for fact in run.facts:
-                    rows[fact][i] = 1
-            self._holding = {fact: _mask(row) for fact, row in rows.items()}
-        return self._holding
-
-    def _extended(self, actions, runs, columns: dict[Fact, int]) -> InterpretedSystem:
-        """This system with ``actions`` and ``runs``, which keep every run id
-        in order and add only facts of ``actions``, with columns ``columns``:
-        it shares the run-id and partition indexes, and adds ``columns`` to
-        the fact index."""
+    def _extended(self, actions, columns: dict[Fact, int]) -> InterpretedSystem:
+        """This system with ``actions`` appended and the nonzero ``columns``
+        of their facts added: it shares the run ids and the partition
+        indexes."""
         extended = copy.copy(self)
         extended.actions = self.actions + actions
         extended._action_set = frozenset(extended.actions)
-        extended.runs = runs
-        extended._holding = {**self._columns(), **columns}
+        extended._holding = {**self._holding, **columns}
+        extended._built = None
         return extended
 
     def holds(self, run: Run | str, agent: str, action: Action | str) -> bool:
@@ -233,7 +263,8 @@ class InterpretedSystem:
             frozenset(self.agents),
             frozenset((a, self.roles.get(a)) for a in self.agents),
             frozenset(self.actions),
-            tuple((r.run_id, r.facts) for r in self.runs),
+            self.run_ids,
+            frozenset(self._holding.items()),
             frozenset((obs, frozenset(part.blocks))
                       for obs, part in self.observers.items()),
         )
@@ -248,7 +279,7 @@ class InterpretedSystem:
 
     def __repr__(self) -> str:
         return (f"InterpretedSystem({self.name!r}, {len(self.agents)} agents, "
-                f"{len(self.actions)} actions, {len(self.runs)} runs)")
+                f"{len(self.actions)} actions, {len(self.run_ids)} runs)")
 
 
 def _check_name(name: str, what: str) -> str:
@@ -271,69 +302,53 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
     iterable of run ids.  Every observer's blocks must partition the full
     run set exactly.
     """
-    agent_list: list[str] = []
-    roles: dict[str, str | None] = {}
+    roles: dict[str, str | None] = {}  # in declaration order
     for entry in agents:
-        if isinstance(entry, str):
-            agent, role = entry, None
-        else:
-            agent, role = entry
+        agent, role = (entry, None) if isinstance(entry, str) else entry
         _check_name(agent, "agent")
         if role is not None and role not in ROLES:
             raise ValidationError(f"unknown role {role!r} for agent {agent!r}")
         if agent in roles:
             raise ValidationError(f"duplicate agent {agent!r}")
-        agent_list.append(agent)
         roles[agent] = role
-    if not agent_list:
+    if not roles:
         raise ValidationError("a system needs at least one agent")
 
-    action_list: list[Action] = []
-    action_set: set[Action] = set()
-    for entry in actions:
-        act = _coerce_action(entry)
-        if act in action_set:
+    declared: dict[Action, None] = {}  # in declaration order
+    for act in map(_coerce_action, actions):
+        if act in declared:
             raise ValidationError(f"duplicate action {act}")
-        action_list.append(act)
-        action_set.add(act)
+        declared[act] = None
 
-    def check(fact, run_id: str) -> Fact:
-        agent = fact[0]
-        act = _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
-        if agent not in roles:
-            raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
-        if act not in action_set:
-            raise ValidationError(f"undeclared action {act} in run {run_id!r}")
-        return (agent, act)
-
-    # Raw fact -> its validated (agent, Action): each distinct fact is
-    # checked once, and every run holding it shares the one tuple.
+    # A run sets one byte per fact it holds in the fact's column; each raw
+    # fact is checked once, then maps straight to its checked form's column.
+    runs = list(runs)
+    n = len(runs)
+    columns: dict[Fact, bytearray] = {}
     table: dict = {}
-    run_list: list[Run] = []
-    run_ids: set[str] = set()
-    for run_id, facts in runs:
+    index: dict[str, int] = {}
+    for i, (run_id, facts) in enumerate(runs):
         _check_name(run_id, "run")
-        if run_id in run_ids:
+        if run_id in index:
             raise ValidationError(f"duplicate run id {run_id!r}")
-        run_ids.add(run_id)
-        facts = tuple(facts)
-        try:
-            norm = frozenset(map(table.__getitem__, facts))
-        except (KeyError, TypeError):  # a new fact, or an unhashable one (a list)
-            norm = set()
-            for fact in facts:
-                try:
-                    norm.add(table[fact])
-                except KeyError:
-                    norm.add(table.setdefault(fact, check(fact, run_id)))
-                except TypeError:
-                    norm.add(check(fact, run_id))
-        run_list.append(Run(run_id, frozenset(norm)))
-    if not run_list:
+        index[run_id] = i
+        for fact in facts:
+            try:
+                col = table[fact]
+            except (KeyError, TypeError):  # a new fact, or an unhashable one (a list)
+                agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
+                if agent not in roles:
+                    raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
+                if act not in declared:
+                    raise ValidationError(f"undeclared action {act} in run {run_id!r}")
+                col = columns.get((agent, act)) or columns.setdefault((agent, act), bytearray(n))
+                with suppress(TypeError):
+                    table[fact] = col
+            col[i] = 1
+    if not index:
         raise ValidationError("a system needs at least one run")
 
     partitions: dict[str, ObserverPartition] = {}
-    order = {rid: i for i, rid in enumerate(r.run_id for r in run_list)}
     for obs, blocks in observers.items():
         if obs not in roles:
             raise ValidationError(f"observer {obs!r} is not a declared agent")
@@ -347,7 +362,7 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
             if not ids:
                 raise ValidationError(f"empty indistinguishability block for {obs!r}")
             for rid in block:  # in the order given, so errors name the first
-                if rid not in run_ids:
+                if rid not in index:
                     raise ValidationError(f"unknown run {rid!r} in partition of {obs!r}")
                 if rid in seen:
                     raise ValidationError(f"run {rid!r} appears in two blocks of {obs!r}")
@@ -356,16 +371,16 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
                 raise ValidationError(f"run {rid!r} appears twice in a block of {obs!r}")
             seen |= ids
             norm_blocks.append(ids)
-        missing = run_ids - seen
+        missing = index.keys() - seen
         if missing:
             names = ", ".join(sorted(missing))
             raise ValidationError(f"partition of {obs!r} does not cover runs: {names}")
         # Canonical block order: by first member in run declaration order.
-        norm_blocks.sort(key=lambda b: min(order[rid] for rid in b))
+        norm_blocks.sort(key=lambda b: min(map(index.__getitem__, b)))
         partitions[obs] = ObserverPartition(obs, tuple(norm_blocks))
     if not partitions:
         raise ValidationError("a system needs at least one observer partition")
 
-    return InterpretedSystem(name, tuple(agent_list), roles, tuple(action_list),
-                             tuple(run_list), partitions)
+    return InterpretedSystem(name, tuple(roles), roles, tuple(declared), tuple(index),
+                             {fact: _mask(col) for fact, col in columns.items()}, partitions)
 

@@ -1,21 +1,23 @@
 """A per-run evaluator written straight from the semantics, and the
 property, independence and structural checks restated on it: the
-reference that the bitmask evaluators are tested against.  Derivation
-and the fact index are restated run by run too, for the column algebra
-of ``composition`` and ``InterpretedSystem.holding``.
+reference that the bitmask evaluators are tested against.  Systems are
+restated as rows (:class:`RowSystem`), built, derived, rendered and
+encoded run by run, for the fact columns of ``InterpretedSystem`` and the
+column algebra of ``composition`` and ``sysfile``.
 
 An atom reads ``run.facts``; ``K[j]``/``P[j]`` are ``all``/``any`` over
 ``system.kernel(j, run)``.  There is no memo and no mask, so it is slow
 on purpose and only fit for small systems and shallow formulas.
 """
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from anoncheck.composition import (SequentialSchema, independence_obligations,
                                    structural_formula)
 from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
                                Poss, Verdict, render)
 from anoncheck.properties import PropertyReport, _conjuncts
-from anoncheck.system import InterpretedSystem, Run
+from anoncheck.system import (ROLES, ObserverPartition, Run, ValidationError,
+                              _check_name, _coerce_action)
 
 
 class Reference:
@@ -100,11 +102,6 @@ def outcome(report: PropertyReport):
     return report.holds, report.counterexample
 
 
-def holding(system, fact):
-    """The runs holding ``fact``, as a run mask, from a scan of every run."""
-    return sum(1 << i for i, run in enumerate(system.runs) if fact in run.facts)
-
-
 def _chained(schema):
     """A run's chained facts theta(x, derived(c)): x performs first(k) and
     k performs second(c), for some intermediary k."""
@@ -131,9 +128,161 @@ def _joint(schema):
 
 def derive(system, schema):
     """``system`` with the schema's derived facts added run by run, as a
-    new system with indexes of its own (no validation)."""
+    :class:`RowSystem` (no validation)."""
     new_facts = (_chained if isinstance(schema, SequentialSchema) else _joint)(schema)
     runs = tuple(Run(run.run_id, run.facts | new_facts(run.facts)) for run in system.runs)
-    return InterpretedSystem(system.name, system.agents, system.roles,
-                             system.actions + schema.derived_actions, runs,
-                             system.observers)
+    return RowSystem(system.name, system.agents, system.roles,
+                     system.actions + schema.derived_actions, runs, system.observers)
+
+
+# ---------------------------------------------------------------------------
+# Systems as rows
+
+
+class RowSystem:
+    """A system held as its rows: one :class:`Run` per run, with the
+    frozenset of its facts.  ``anoncheck`` holds fact columns instead and
+    builds rows on demand; this is what it is tested against."""
+
+    def __init__(self, name, agents, roles, actions, runs, observers):
+        self.name, self.agents, self.roles, self.actions = name, agents, roles, actions
+        self.runs, self.observers = runs, observers
+        self._index = {run.run_id: i for i, run in enumerate(runs)}
+
+    def position(self, run_id):
+        return self._index[run_id]
+
+    def run(self, run_id):
+        return self.runs[self._index[run_id]]
+
+    def kernel(self, observer, run):
+        block = next(b for b in self.observers[observer].blocks if run.run_id in b)
+        return tuple(r for r in self.runs if r.run_id in block)
+
+    def key(self):
+        """What ``==`` and ``hash`` compare: declaration sets, the runs in
+        order with their facts, and the partitions."""
+        return (frozenset(self.agents), frozenset(self.roles.items()), frozenset(self.actions),
+                tuple((r.run_id, r.facts) for r in self.runs),
+                frozenset((obs, frozenset(part.blocks)) for obs, part in self.observers.items()))
+
+
+def holding(system, fact):
+    """The runs holding ``fact``, as a run mask, from a scan of every run."""
+    return sum(1 << i for i, run in enumerate(system.runs) if fact in run.facts)
+
+
+def build(*, agents, actions, runs, observers, name="system"):
+    """:func:`~anoncheck.system.build_system` row by row: the same checks,
+    in the same order and with the same messages, and each run's facts kept
+    as a frozenset."""
+    roles = {}
+    for entry in agents:
+        agent, role = (entry, None) if isinstance(entry, str) else entry
+        _check_name(agent, "agent")
+        if role is not None and role not in ROLES:
+            raise ValidationError(f"unknown role {role!r} for agent {agent!r}")
+        if agent in roles:
+            raise ValidationError(f"duplicate agent {agent!r}")
+        roles[agent] = role
+    if not roles:
+        raise ValidationError("a system needs at least one agent")
+    declared = []
+    for entry in actions:
+        act = _coerce_action(entry)
+        if act in declared:
+            raise ValidationError(f"duplicate action {act}")
+        declared.append(act)
+    rows = []
+    for run_id, facts in runs:
+        _check_name(run_id, "run")
+        if any(r.run_id == run_id for r in rows):
+            raise ValidationError(f"duplicate run id {run_id!r}")
+        checked = set()
+        for fact in facts:
+            agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
+            if agent not in roles:
+                raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
+            if act not in declared:
+                raise ValidationError(f"undeclared action {act} in run {run_id!r}")
+            checked.add((agent, act))
+        rows.append(Run(run_id, frozenset(checked)))
+    if not rows:
+        raise ValidationError("a system needs at least one run")
+    ids = [r.run_id for r in rows]
+    partitions = {}
+    for obs, blocks in observers.items():
+        if obs not in roles:
+            raise ValidationError(f"observer {obs!r} is not a declared agent")
+        seen, norm = set(), []
+        for block in map(tuple, blocks):
+            if not block:
+                raise ValidationError(f"empty indistinguishability block for {obs!r}")
+            for rid in block:
+                if rid not in ids:
+                    raise ValidationError(f"unknown run {rid!r} in partition of {obs!r}")
+                if rid in seen:
+                    raise ValidationError(f"run {rid!r} appears in two blocks of {obs!r}")
+            if len(set(block)) < len(block):
+                rid = Counter(block).most_common(1)[0][0]
+                raise ValidationError(f"run {rid!r} appears twice in a block of {obs!r}")
+            seen.update(block)
+            norm.append(frozenset(block))
+        if len(seen) < len(ids):
+            missing = ", ".join(sorted(set(ids) - seen))
+            raise ValidationError(f"partition of {obs!r} does not cover runs: {missing}")
+        norm.sort(key=lambda b: min(map(ids.index, b)))
+        partitions[obs] = ObserverPartition(obs, tuple(norm))
+    if not partitions:
+        raise ValidationError("a system needs at least one observer partition")
+    return RowSystem(name, tuple(roles), roles, tuple(declared), tuple(rows), partitions)
+
+
+def parse(text):
+    """The ``build_system`` arguments of a well-formed ``.sys`` text."""
+    spec = {"name": "system", "agents": [], "actions": [], "runs": [], "observers": {}}
+    for line in text.splitlines():
+        word, _, rest = line.split("#", 1)[0].strip().partition(" ")
+        if word == "system":
+            spec["name"] = rest
+        elif word == "agents:":
+            spec["agents"] = [tuple(t.split(":")) if ":" in t else t for t in rest.split()]
+        elif word == "actions:":
+            spec["actions"] = rest.split()
+        elif word == "run":
+            run_id, facts = rest.split(":", 1)
+            spec["runs"].append((run_id.strip(), [tuple(t.split(":", 1)) for t in facts.split()]))
+        elif word == "indist":
+            observer, blocks = rest.split(":", 1)
+            blocks = blocks.replace("}", "").split("{")[1:]
+            spec["observers"][observer.strip()] = [block.split() for block in blocks]
+    return spec
+
+
+def render_system(system):
+    """The ``.sys`` text of a system, from its rows."""
+    position = {action: i for i, action in enumerate(system.actions)}
+    lines = [f"system {system.name}",
+             "agents: " + " ".join(f"{a}:{system.roles[a]}" if system.roles.get(a) else a
+                                   for a in system.agents),
+             "actions: " + " ".join(map(str, system.actions))]
+    for run in system.runs:
+        facts = sorted(run.facts, key=lambda f: (position[f[1]], f[0]))
+        lines.append(f"run {run.run_id}: {' '.join(f'{a}:{act}' for a, act in facts)}".rstrip())
+    for observer, part in system.observers.items():
+        lines.append(f"indist {observer}: " + " ".join(
+            "{" + " ".join(sorted(block, key=system.position)) + "}" for block in part.blocks))
+    return "\n".join(lines) + "\n"
+
+
+def to_json_dict(system):
+    """The JSON encoding of a system, from its rows."""
+    return {
+        "name": system.name,
+        "agents": [{"name": a, "role": system.roles[a]} for a in system.agents],
+        "actions": [str(a) for a in system.actions],
+        "runs": [{"id": run.run_id, "facts": sorted([a, str(act)] for a, act in run.facts)}
+                 for run in system.runs],
+        "observers": {obs: [sorted(block, key=system.position) for block in part.blocks]
+                      for obs, part in system.observers.items()},
+    }
