@@ -259,7 +259,8 @@ class Evaluator(_Vectors):
     formula is evaluated once per system, not once per run: an atom is the
     mask of the runs holding its fact (:meth:`InterpretedSystem.holding`),
     and ``P[j]`` is the union of the observer's blocks that the child's
-    mask meets, read off the partition index in one pass over the runs.
+    mask meets, read off the partition index in one pass over the runs
+    (every run, if the mask is not empty and the partition one block).
 
     ``derive()``, if given, returns ``system`` extended by derivation, which
     keeps its runs and partitions and only adds facts of new actions.  An
@@ -311,6 +312,8 @@ class Evaluator(_Vectors):
         if x == 0 or x == self._full:
             return x
         index = self.system.block_numbers(observer)
+        if len(self.system.observers[observer].blocks) == 1:
+            return self._full
         met = set(compress(index, _bits(x, len(index))))
         return _mask(bytes(map(met.__contains__, index)))
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 import time
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -595,10 +594,9 @@ def _claim(claim_id: ClaimId, dropped=(), search: str | None = None) -> ClaimDef
     return cdef
 
 
-def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
-                observer: str | None = None, schema=None,
-                drop=()) -> ClaimReport:
-    """Evaluate one registered claim on one system.
+def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> ClaimReport:
+    """Evaluate one registered claim on one system, for its first observer
+    and the schema inferred from its declaration.
 
     ``drop`` removes hypotheses by name before the verdict is computed,
     which is how hypothesis necessity is probed.  Witness-only claims
@@ -607,13 +605,10 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *,
     """
     dropped = tuple(drop)
     cdef = _claim(claim_id, dropped)
-    if observer is None:
-        if not system.observers:
-            raise ValidationError("system declares no observer")
-        observer = next(iter(system.observers))
-    if schema is None:
-        schema = _flavor_functions(cdef.flavor)[0](system)
-    suite = CheckSuite(cdef.flavor, schema, observer, system)
+    if not system.observers:
+        raise ValidationError("system declares no observer")
+    schema = _flavor_functions(cdef.flavor)[0](system)
+    suite = CheckSuite(cdef.flavor, schema, next(iter(system.observers)), system)
     ctx = suite.context(system)
     if cdef.witness_only:
         return _check_witness_claim(suite, ctx, system)
@@ -894,22 +889,25 @@ class _Shape:
         return SlotPlanes(lambda atom: tuple(self.column(c, atom) for c in columns),
                           width, len(columns), blocks)
 
+    def columns(self, systems, width: int | None = None) -> list[list[int]]:
+        """The slot columns of ``systems``, each a sequence of fact sets (or
+        of other masks of ``width`` bits): bit ``s`` of ``columns[i][b]`` is
+        bit ``b`` of run ``i`` of system ``s``, with a slot per run of the
+        longest.  A shorter system repeats its first run, which changes no
+        verdict (see :class:`SlotPlanes`)."""
+        slots = max(map(len, systems))
+        if min(map(len, systems)) < slots:
+            systems = [[*runs, *runs[:1] * (slots - len(runs))] for runs in systems]
+        return [_transpose(sets, width or len(self.facts)) for sets in zip(*systems)]
+
     def drawn_batch(self, draws) -> SlotPlanes:
-        """The drawn systems (see :func:`_draw`) as one batch, with a slot per
-        run of the longest; a shorter system repeats its first run."""
-        slots = max(len(runs) for runs, _ in draws)
-        n_blocks = 1 + max(max(labels) for _, labels in draws)
-        slot_sets = [[] for _ in range(slots)]
-        in_block = []  # per system: bit label * slots + i set iff slot i is in block label
-        for runs, labels in draws:
-            pad = slots - len(runs)
-            for sets, m in zip(slot_sets, runs + runs[:1] * pad):
-                sets.append(m)
-            in_block.append(sum(1 << label * slots + i
-                                for i, label in enumerate(labels + labels[:1] * pad)))
-        planes = _transpose(in_block, n_blocks * slots)
-        return self.batch([_transpose(sets, self.bounds[-1]) for sets in slot_sets],
-                          len(draws), [planes[v * slots:(v + 1) * slots] for v in range(n_blocks)])
+        """The drawn systems (see :func:`_draw`) as one batch: a run in block
+        ``v`` of ``j`` is the mask ``1 << v``, so the columns of those masks
+        are each block's planes, slot by slot."""
+        runs, labels = zip(*draws)
+        n_blocks = 1 + max(map(max, labels))
+        in_block = self.columns([[1 << v for v in ls] for ls in labels], n_blocks)
+        return self.batch(self.columns(runs), len(draws), list(zip(*in_block)))
 
 
 @lru_cache(maxsize=64)
@@ -927,48 +925,32 @@ def _shape_of(cfg: GenConfig) -> _Shape:
 # The exhaustive universe
 
 
-class _Universe:
-    """One flavor's exhaustive universe: the 256 one-run systems ``x{m}``,
-    one per fact set ``m`` of the 2/2/2 shape, then ``x{a}-{b}`` for every
-    ``a < b``.  Its chunks are batches of 2 slots and one block each, whose
-    fact columns are built once."""
-
-    def __init__(self, flavor: str):
-        self.shape = _shape(flavor, 2, 2, 2)
-        facts = self.shape.facts
-        n_sets = 1 << len(facts)
-        #: Index of the first system ``x{a}-...``, per ``a``, then the size.
-        self.starts = list(accumulate(range(n_sets - 1, 0, -1), initial=n_sets))
-        self.size = self.starts[-1]
-        pairs = chain(((m, m) for m in range(n_sets)), combinations(range(n_sets), 2))
-        self._columns = [[_transpose(sets, len(facts)) for sets in zip(*islice(pairs, _CHUNK))]
-                         for _ in range(0, self.size, _CHUNK)]
-
-    def chunks(self):
-        """(first index, context) per chunk of :data:`_CHUNK` systems."""
-        for lo, columns in zip(range(0, self.size, _CHUNK), self._columns):
-            yield lo, self.shape.batch(columns, min(_CHUNK, self.size - lo))
-
-    def system(self, index: int) -> InterpretedSystem:
-        """System ``index``: fact set ``m`` as the one run of ``x{m}``, or
-        fact sets ``a`` and ``b`` as the runs of ``x{a}-{b}``, in one block."""
-        if index < self.starts[0]:
-            return self.shape.system(f"x{index}", [index], [0])
-        a = bisect_right(self.starts, index) - 1
-        b = a + 1 + index - self.starts[a]
-        return self.shape.system(f"x{a}-{b}", [a, b], [0, 0])
-
-
 @lru_cache(maxsize=None)
-def _universe(flavor: str) -> _Universe:
-    return _Universe(flavor)
+def _universe(flavor: str):
+    """One flavor's exhaustive universe: the 2/2/2 shape, and (system count,
+    slot columns) per chunk of :data:`_CHUNK` systems.  Its systems are the
+    one-run systems ``x{m}``, one per fact set ``m`` of the shape, then
+    ``x{a}-{b}`` for every ``a < b``, in one block."""
+    shape = _shape(flavor, 2, 2, 2)
+    systems = chain.from_iterable(combinations(range(1 << len(shape.facts)), n) for n in (1, 2))
+    return shape, [(len(chunk), shape.columns(chunk))
+                   for chunk in iter(lambda: list(islice(systems, _CHUNK)), [])]
+
+
+def _universe_system(shape: _Shape, columns, bit: int) -> InterpretedSystem:
+    """System ``bit`` of a universe chunk, read back from its columns: its
+    runs are the distinct fact sets of its slots."""
+    sets = list(dict.fromkeys(sum((c >> bit & 1) << b for b, c in enumerate(slot))
+                              for slot in columns))
+    return shape.system("x" + "-".join(map(str, sets)), sets, [0] * len(sets))
 
 
 def exhaustive_systems(flavor: str = "sequential"):
     """Every system over the 2/2/2 fact universe with at most two distinct
     runs and a single observer block, in canonical order."""
-    universe = _universe(flavor)
-    yield from map(universe.system, range(universe.size))
+    shape, chunks = _universe(flavor)
+    for count, columns in chunks:
+        yield from map(partial(_universe_system, shape, columns), range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -1049,20 +1031,21 @@ def _batches(flavor: str, pool, exhaustive: bool = True):
     """The systems of one flavor, a batch at a time: the exhaustive
     universe's chunks, unless ``exhaustive`` is false, then the random
     systems of the (configuration, seed) items of ``pool``, batched by shape
-    (see :func:`_pool_batches`).  Yields (suite, context, positions,
-    system_at) per batch: bit ``s`` of the context is the system at
-    ``positions[s]`` of this stream, and until the next batch is drawn,
-    ``system_at(s)`` builds it."""
+    (see :func:`_pool_batches`).  Yields (phase, suite, context, positions,
+    system_at) per batch, the phase being ``"exhaustive"`` or ``"random"``:
+    bit ``s`` of the context is the system at ``positions[s]`` of this
+    stream, and until the next batch is drawn, ``system_at(s)`` builds it."""
     base = 0
     if exhaustive:
-        universe = _universe(flavor)
-        for lo, ctx in universe.chunks():
-            yield (universe.shape.suite(), ctx, range(lo, universe.size),
-                   lambda bit: universe.system(lo + bit))
-        base = universe.size
+        shape, chunks = _universe(flavor)
+        for count, columns in chunks:
+            yield ("exhaustive", shape.suite(), shape.batch(columns, count),
+                   range(base, base + count), partial(_universe_system, shape, columns))
+            base += count
     for shape, members in _pool_batches(pool):
         draws = [_draw(cfg, random.Random(seed), shape.bounds) for _, (cfg, seed) in members]
-        yield (shape.suite(), shape.drawn_batch(draws), [base + idx for idx, _ in members],
+        yield ("random", shape.suite(), shape.drawn_batch(draws),
+               [base + idx for idx, _ in members],
                lambda bit: shape.system(f"rnd-{flavor}-{members[bit][1][1]}", *draws[bit]))
 
 
@@ -1154,7 +1137,8 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
             continue
         offset = sum(systems_checked.values())
         pool = ((cfg, cfg.seed) for cfg in _random_pool(flavor, n_random, seed))
-        for suite, ctx, positions, system_at in _batches(flavor, pool, exhaustive):
+        for _, suite, ctx, positions, system_at in _batches(flavor, pool, exhaustive):
+            systems_checked[flavor] += ctx.all.bit_count()
             refuted, violated = _sweep_batch(suite, ctx, flavor, flavor_claims, stats)
             n_violations += sum(v.bit_count() for _, v in violated)
             refutations = sorted(refutations + [
@@ -1165,7 +1149,6 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
                  (stronger, weaker, f"{system_at(bit).name}: {name} fails"))
                 for bit, rank, (stronger, weaker, name)
                 in islice(_in_order(violated), _MAX_REPORTED)])[:_MAX_REPORTED]
-        systems_checked[flavor] = n_random + (_universe(flavor).size if exhaustive else 0)
     return SweepReport(stats, [entry for *_, entry in refutations],
                        [entry for *_, entry in violations], systems_checked,
                        time.monotonic() - started, n_violations)
@@ -1203,13 +1186,12 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
     rng = random.Random(cfg.seed)
     pool = ((cfg, rng.getrandbits(48)) for _ in range(cfg.budget))
     examined = held = 0
-    for suite, ctx, positions, system_at in _batches(cdef.flavor, pool):
+    for phase, suite, ctx, _, system_at in _batches(cdef.flavor, pool):
         h = _held(lambda name: suite.checker(name).holds(ctx), hyp_names, ctx.all)
         bad = h & ~suite.checker(cdef.conclusion).holds(ctx) if h else 0
         if bad:
             first = (bad & -bad).bit_length() - 1
             system = system_at(first)
-            phase = "exhaustive" if positions[first] < _universe(cdef.flavor).size else "random"
             report = check_claim(claim_id, system, drop=dropped)
             return FalsifyResult(claim_id, dropped, system, report, examined + first + 1,
                                  held + (h & ((2 << first) - 1)).bit_count(), phase)

@@ -160,7 +160,7 @@ def test_random_sweep_reproduces_the_benchmark_oracle():
 def test_falsify_random_phase_reports_the_first_refuting_system(max_runs, monkeypatch):
     """With the universe skipped, a search stops at the same system, with
     the same counts, as checking its random systems one by one."""
-    monkeypatch.setattr(scenarios._Universe, "chunks", lambda self: iter(()))
+    monkeypatch.setattr(scenarios, "_universe", lambda flavor: (None, []))
     cfg = GenConfig(n_real=2, n_pseudo=3, n_articles=2, max_runs=max_runs, budget=3000,
                     partition="random", style="matching", seed=8)
     result = falsify("CA.1", cfg, drop=("pairwise-independence",))

@@ -184,3 +184,24 @@ def test_entry_points_match_the_reference(name, system):
             atom = Atom(agent, action)
             assert ev.valid(atom) == derived_ref.valid(atom)
             assert [ev.evaluate(atom, run) for run in system.runs] == derived_ref.values(atom)
+
+
+def test_possible_on_one_block_reads_no_partition_index(monkeypatch):
+    """On a one-block partition, ``P`` of a mask that is not empty is every
+    run, found without spreading the mask over the block index; an unknown
+    observer is still rejected with the same error."""
+    from anoncheck import Action, ValidationError, formula
+
+    relay = mixer_chain("all", "all", messages=["m1", "m2", "m3"])
+    fact = Atom("in_m1", Action("use", "mid_m2"))
+    want = reference.Reference(relay).values(Poss("j", fact))
+    ev = Evaluator(relay)
+
+    def spread(*args):
+        raise AssertionError("the mask was spread over the block index")
+
+    monkeypatch.setattr(formula, "_bits", spread)
+    assert [bool(ev.mask(Poss("j", fact)) >> i & 1) for i in range(36)] == want
+    assert ev.mask(Knows("j", fact)) == 0
+    with pytest.raises(ValidationError, match="^'zz' is not a declared observer$"):
+        ev.mask(Poss("zz", fact))

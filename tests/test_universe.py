@@ -30,30 +30,28 @@ def _checker_names(flavor):
 def test_checker_vectors_match_per_system_checks(flavor):
     """Bit s of a checker's vector is its verdict on system s: all one-run
     systems and every 31st pair."""
-    universe = scenarios._universe(flavor)
-    suite = universe.shape.suite()
     names = _checker_names(flavor)
-    vectors = dict.fromkeys(names, 0)
-    for lo, ctx in universe.chunks():
-        for name in names:
-            vectors[name] |= suite.checker(name).holds(ctx) << lo
-    for index in itertools.chain(range(256), range(256, universe.size, 31)):
-        ctx = suite.context(universe.system(index))
-        for name in names:
-            assert bool(vectors[name] >> index & 1) is suite.checker(name).holds(ctx), \
-                (name, index)
+    for _, suite, ctx, positions, system_at in scenarios._batches(flavor, ()):
+        vectors = {name: suite.checker(name).holds(ctx) for name in names}
+        for bit, index in enumerate(positions):
+            if index < 256 or index % 31 == 8:
+                one = suite.context(system_at(bit))
+                for name in names:
+                    assert bool(vectors[name] >> bit & 1) is suite.checker(name).holds(one), \
+                        (name, index)
 
 
 def test_slot_planes_match_the_evaluator_on_universe_chunks():
     """Every connective, against the per-run reference, on the chunk holding
     the one-run systems and on a chunk of pairs only."""
     rng = random.Random(0xB17)
-    universe = scenarios._universe("sequential")
-    actions = tuple(universe.shape.ref.actions)
+    shape, chunks = scenarios._universe("sequential")
+    actions = tuple(shape.ref.actions)
     agents = ("i1", "i2", "k1", "k2", "j")
-    for lo, planes in itertools.islice(universe.chunks(), 0, None, 9):
-        sample = range(0, planes.all.bit_length(), 13)
-        evaluators = [Reference(universe.system(lo + s)) for s in sample]
+    for count, columns in chunks[::9]:
+        planes = shape.batch(columns, count)
+        sample = range(0, count, 13)
+        evaluators = [Reference(scenarios._universe_system(shape, columns, s)) for s in sample]
         for _ in range(25):
             f = _seeded_formula(rng, agents, actions, ("j",), 4)
             g = _seeded_formula(rng, agents, actions, ("j",), 3)
@@ -264,11 +262,11 @@ def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
                         (("ZZ.2", "ZZ.1"), ("L3.1", "C3.5")))
     claims = ["ZZ.1", "ZZ.2"]
     report = sweep(claims=claims, n_random=200, seed=3, exhaustive=exhaustive)
-    universe = scenarios._universe("sequential")
+    shape, _ = scenarios._universe("sequential")
     pool = ((scenarios._shape_of(cfg).suite(), random_system(cfg))
             for cfg in scenarios._random_pool("sequential", 200, 3))
     systems = itertools.chain(
-        ((universe.shape.suite(), s) for s in exhaustive_systems("sequential"))
+        ((shape.suite(), s) for s in exhaustive_systems("sequential"))
         if exhaustive else (), pool)
     refutations, violations = _reference_sweep(claims, systems)
     cap = scenarios._MAX_REPORTED
