@@ -258,21 +258,16 @@ def _sequential_terms(kind: IndependenceKind, stages, bound: int):
     raise ValidationError(f"unknown independence kind {kind!r}")
 
 
-def independence_obligations(system: InterpretedSystem,
-                             schema: SequentialSchema | ParallelSchema,
-                             observer: str, kind: IndependenceKind, bound: int = 2):
-    """Yield (label, formula) per instantiation, in canonical order.
-
-    Canonical order enumerates agents and parameters in schema declaration
-    order; paired variants enumerate unordered fact pairs (combinations with
-    replacement) because conjunction order is immaterial.
-    """
+def _independence_terms(system: InterpretedSystem,
+                        schema: SequentialSchema | ParallelSchema,
+                        observer: str, kind: IndependenceKind, bound: int = 2):
+    """:func:`independence_obligations` as the (label, u, p) of each one."""
     if kind is IndependenceKind.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
         for i, c in product(parallel_subjects(system, observer), schema.params):
-            yield (f"{i},{c}", _distributes(observer, Atom(i, Action(schema.family_a, c)),
-                                            Atom(i, Action(schema.family_b, c))))
+            yield (f"{i},{c}", Atom(i, Action(schema.family_a, c)),
+                   Atom(i, Action(schema.family_b, c)))
         return
 
     if not isinstance(schema, SequentialSchema):
@@ -283,7 +278,20 @@ def independence_obligations(system: InterpretedSystem,
                for k in schema.first_params for c in schema.second_params])
     sep, (firsts, seconds) = _sequential_terms(kind, stages, bound)
     for (first_label, u), (second_label, p) in product(firsts, seconds):
-        yield f"{first_label}{sep}{second_label}", _distributes(observer, u, p)
+        yield f"{first_label}{sep}{second_label}", u, p
+
+
+def independence_obligations(system: InterpretedSystem,
+                             schema: SequentialSchema | ParallelSchema,
+                             observer: str, kind: IndependenceKind, bound: int = 2):
+    """Yield (label, formula) per instantiation, in canonical order.
+
+    Canonical order enumerates agents and parameters in schema declaration
+    order; paired variants enumerate unordered fact pairs (combinations with
+    replacement) because conjunction order is immaterial.
+    """
+    for label, u, p in _independence_terms(system, schema, observer, kind, bound):
+        yield label, _distributes(observer, u, p)
 
 
 def _report(system: InterpretedSystem, name: str, witness: Formula,

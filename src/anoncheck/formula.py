@@ -200,13 +200,13 @@ class _Vectors:
     :class:`SlotPlanes` share; each supplies its carrier.
 
     A formula's value is an int holding its truth at every point of the
-    carrier, ``_full`` being true everywhere.  A carrier supplies
-    ``_atom(atom)`` and ``_possible(observer, x)``, which is ``P[observer]``
-    of ``x``; ``K[j]`` is ``!P[j]!``.  ``&``, ``|`` and ``->`` skip their
-    right operand when the left one already decides every point.  Every
-    node's value is memoized; formulas are hash-consed, so equal
-    subformulas are one object and are evaluated once.  Names are not
-    validated (see :func:`check_names`).
+    carrier, ``_full`` being true everywhere.  A carrier supplies ``all``,
+    ``_atom(atom)``, ``_possible(observer, x)`` (``P[observer]`` of ``x``)
+    and ``_some(x)``, the systems with a point in ``x``; ``K[j]`` is
+    ``!P[j]!``.  ``&``, ``|`` and ``->`` skip their right operand when the
+    left one already decides every point.  Every node's value is memoized;
+    formulas are hash-consed, so equal subformulas are one object and are
+    evaluated once.  Names are not validated (see :func:`check_names`).
     """
 
     __slots__ = ("_full", "_memo")
@@ -251,6 +251,33 @@ class _Vectors:
         self._memo[f] = x
         return x
 
+    def holds(self, f: Formula):
+        """The systems on which ``f`` holds at every point, as a vector."""
+        return self.all ^ self._some(self._full ^ self.mask(f))
+
+    def distributes(self, observer: str, terms):
+        """The systems on which ``P[j] u & P[j] p -> P[j] (u & p)``, ``j``
+        being ``observer``, is valid for every ``(label, u, p)`` of
+        ``terms``, with no formula built.  Equal ``u`` come in runs; after
+        each, the walk stops if every system fails."""
+        possible = self._possible
+        seen: dict[Formula, tuple[int, int]] = {}  # p -> (its mask, P of it)
+        bad, last = 0, None
+        for _, u, p in terms:
+            if u is not last:
+                if bad and self._some(bad) == self.all:
+                    break
+                mu, last = self.mask(u), u
+                pu = possible(observer, mu)
+            values = seen.get(p)
+            if values is None:
+                mp = self.mask(p)
+                values = seen[p] = mp, possible(observer, mp)
+            mp, pp = values
+            if pu & pp:
+                bad |= pu & pp & ~possible(observer, mu & mp)
+        return self.all ^ self._some(bad)
+
 
 class Evaluator(_Vectors):
     """Evaluates formulas over one system, as run bitmasks.
@@ -280,10 +307,6 @@ class Evaluator(_Vectors):
         self._derived: InterpretedSystem | None = None
         self._values: dict[Formula, bytes] = {}
 
-    def holds(self, f: Formula) -> bool:
-        """Whether ``f`` holds at every run."""
-        return self.mask(f) == self._full
-
     def evaluate(self, f: Formula, run: Run | str) -> bool:
         """Truth of ``f`` at ``run`` (a run or its id), read off one byte
         per run, which the first call for ``f`` spreads its mask into."""
@@ -299,6 +322,9 @@ class Evaluator(_Vectors):
         if not missing:
             return Verdict(True, None)
         return Verdict(False, self.system.run_ids[(missing & -missing).bit_length() - 1])
+
+    def _some(self, x: int) -> bool:
+        return x != 0
 
     def _atom(self, f: Atom) -> int:
         system = self.system
@@ -366,12 +392,11 @@ class SlotPlanes(_Vectors):
         width``, with bits above the planes left for a mask to clear."""
         return x >> shift | x << self._end - shift
 
-    def holds(self, f: Formula) -> int:
-        """The systems on which ``f`` holds at every run, as a vector."""
-        x = held = self.mask(f)
+    def _some(self, x: int) -> int:
+        some = x
         for shift in self._shifts:
-            held &= x >> shift
-        return held & self.all
+            some |= x >> shift
+        return some & self.all
 
     def _atom(self, f: Atom) -> int:
         return self._pack(self._atoms(f))
@@ -588,6 +613,7 @@ def parse(text: str) -> Formula:
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Knows: 5, Poss: 5,
          Atom: 6, Const: 6}
+_BINARY = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
 
 
 def render(f: Formula) -> str:
@@ -595,30 +621,30 @@ def render(f: Formula) -> str:
 
     Parentheses appear only where precedence or associativity requires them.
     """
-    return _render(f, 0)
-
-
-def _render(f: Formula, parent: int) -> str:
-    t = type(f)
-    prec = _PREC[t]
-    if t is Atom:
-        text = f"theta({f.agent}, {f.action})"
-    elif t is Const:
-        text = "true" if f.value else "false"
-    elif t is Not:
-        text = "!" + _render(f.child, prec)
-    elif t is Knows:
-        text = f"K[{f.observer}] " + _render(f.child, prec)
-    elif t is Poss:
-        text = f"P[{f.observer}] " + _render(f.child, prec)
-    elif t in (And, Or):
-        op = "&" if t is And else "|"
-        # Left-associative: the right child needs brackets at equal precedence.
-        text = f"{_render(f.left, prec)} {op} {_render(f.right, prec + 1)}"
-    else:
-        op = "->" if t is Implies else "<->"
-        # Right-associative: the left child needs brackets at equal precedence.
-        text = f"{_render(f.left, prec + 1)} {op} {_render(f.right, prec)}"
-    if prec < parent:
-        return f"({text})"
-    return text
+    out: list[str] = []
+    stack: list = [(f, 0)]  # text, or (formula, the precedence it sits under)
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, parent = item
+        t = type(f)
+        prec = _PREC[t]
+        if t is Atom:
+            parts = [f"theta({f.agent}, {f.action})"]
+        elif t is Const:
+            parts = ["true" if f.value else "false"]
+        elif t is Not:
+            parts = ["!", (f.child, prec)]
+        elif t in (Knows, Poss):
+            parts = [f"{'K' if t is Knows else 'P'}[{f.observer}] ", (f.child, prec)]
+        else:
+            # & and | group to the left, -> and <-> to the right: the other side
+            # needs brackets at equal precedence.
+            left = prec > _PREC[Implies]
+            parts = [(f.left, prec + (not left)), _BINARY[t], (f.right, prec + left)]
+        if prec < parent:
+            parts = ["(", *parts, ")"]
+        stack += reversed(parts)
+    return "".join(out)

@@ -15,8 +15,9 @@ tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
 name their condition.  A suite compiles them once per declaration shape;
 formulas are hash-consed where they are built, so equal subformulas of
-every suite are one object.  A checker is decided on a context, which is
-an evaluator: one system's run bitmasks
+every suite are one object, and an independence checker keeps only its
+stage terms.  A checker is decided on a context, which is an evaluator:
+one system's run bitmasks
 (:class:`~anoncheck.formula.Evaluator`), whose derived facts are
 derived only when a formula reads them, or a batch of generated systems
 as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one
@@ -38,8 +39,8 @@ from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, _conjuncts,
-                          derive_parallel, derive_sequential,
-                          independence_obligations, parallel_subjects,
+                          _distributes, _independence_terms, derive_parallel,
+                          derive_sequential, parallel_subjects,
                           structural_formula)
 from .formula import (And, Atom, Evaluator, Formula, Implies, Poss, SlotPlanes,
                       conj)
@@ -119,15 +120,6 @@ class _Obligation(NamedTuple):
 # needs an :class:`Evaluator`, whose ``valid`` names the first failing run.
 
 
-def _all_valid(ctx, obligations):
-    held = ctx.all
-    for ob in obligations:
-        held &= ctx.holds(ob.formula)
-        if not held:
-            break
-    return held
-
-
 class _AllValid:
     """Holds iff every obligation formula is valid."""
 
@@ -138,13 +130,40 @@ class _AllValid:
         self.obligations = tuple(obligations)
 
     def holds(self, ctx):
-        return _all_valid(ctx, self.obligations)
+        held = ctx.all
+        for ob in self.obligations:
+            held &= ctx.holds(ob.formula)
+            if not held:
+                break
+        return held
 
     def first_failure(self, ctx: Evaluator) -> str | None:
         for ob in self.obligations:
             run_id = ctx.valid(ob.formula).counterexample
             if run_id is not None:
                 return f"{ob.label} @ {run_id}"
+        return None
+
+
+class _Distributes:
+    """Holds iff ``P[j] u & P[j] p -> P[j] (u & p)`` is valid for every
+    ``(label, u, p)`` term; only a failure's report builds the formulas."""
+
+    __slots__ = ("name", "observer", "terms")
+
+    def __init__(self, name: str, observer: str, terms):
+        self.name = name
+        self.observer = observer
+        self.terms = tuple(terms)
+
+    def holds(self, ctx):
+        return ctx.distributes(self.observer, self.terms)
+
+    def first_failure(self, ctx: Evaluator) -> str | None:
+        for label, u, p in self.terms:
+            run_id = ctx.valid(_distributes(self.observer, u, p)).counterexample
+            if run_id is not None:
+                return f"{label} @ {run_id}"
         return None
 
 
@@ -179,26 +198,24 @@ class _AnyOfEachValid:
 
 
 class _EquivalenceValid:
-    """Two obligation bundles must agree: both all-valid or neither."""
+    """Two checkers must agree: both hold or neither."""
 
-    __slots__ = ("name", "left", "right", "left_label", "right_label")
+    __slots__ = ("name", "left", "right")
 
-    def __init__(self, name: str, left, right, left_label: str, right_label: str):
+    def __init__(self, name: str, left, right):
         self.name = name
-        self.left = tuple(left)
-        self.right = tuple(right)
-        self.left_label = left_label
-        self.right_label = right_label
+        self.left = left
+        self.right = right
 
     def holds(self, ctx):
-        return ctx.all ^ _all_valid(ctx, self.left) ^ _all_valid(ctx, self.right)
+        return ctx.all ^ self.left.holds(ctx) ^ self.right.holds(ctx)
 
     def first_failure(self, ctx: Evaluator) -> str | None:
-        lv, rv = _all_valid(ctx, self.left), _all_valid(ctx, self.right)
+        lv, rv = self.left.holds(ctx), self.right.holds(ctx)
         if lv == rv:
             return None
-        return (f"{self.left_label}={'holds' if lv else 'fails'} but "
-                f"{self.right_label}={'holds' if rv else 'fails'}")
+        return (f"{self.left.name}={'holds' if lv else 'fails'} but "
+                f"{self.right.name}={'holds' if rv else 'fails'}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +350,6 @@ class CheckSuite:
             obligations.append(_Obligation(label, compile_property(ref, spec)))
         return _AllValid(name, obligations)
 
-    def _independence_obligations(self, kind: IndependenceKind):
-        return list(map(_Obligation._make, independence_obligations(
-            self.ref_base, self.schema, self.observer, kind)))
-
     def _structural(self, name: str, conds):
         return _AllValid(name, [
             _Obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
@@ -348,7 +361,8 @@ class CheckSuite:
     def _build(self, name: str):
         kind = _INDEPENDENCE_KINDS[self.flavor].get(name)
         if kind is not None:
-            return _AllValid(name, self._independence_obligations(kind))
+            return _Distributes(name, self.observer, _independence_terms(
+                self.ref_base, self.schema, self.observer, kind))
         if name in _PROPERTY_CHECKERS[self.flavor]:
             stage_name, _, prop = name.partition("-")
             stage, make_spec = self._stages()[stage_name], _PROPERTY_SPECS[prop]
@@ -365,7 +379,6 @@ class CheckSuite:
     def _reformulation_equivalence(self, name: str):
         sch, j = self.schema, self.observer
         use, post = sch.first_family, sch.second_family
-        left = self._independence_obligations(IndependenceKind.BASIC)
         right = []
         for i2 in sch.first_agents:
             for k2 in sch.first_params:
@@ -377,7 +390,8 @@ class CheckSuite:
                                             Atom(k2, Action(post, c)))))
                         for i in sch.first_agents for k in sch.first_params)
                     right.append(_Obligation(f"{i2},{k2},{c}", Implies(guard, body)))
-        return _EquivalenceValid(name, left, right, "independence", "reformulation")
+        return _EquivalenceValid(name, self.checker("independence"),
+                                 _AllValid("reformulation", right))
 
     def _min_privacy_either(self, name: str):
         stages = self._stages()

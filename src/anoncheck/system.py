@@ -217,14 +217,14 @@ class InterpretedSystem:
         try:
             return self._blocks[observer]
         except KeyError:
-            raise ValidationError(f"{observer!r} is not a declared observer") from None
+            raise ValidationError(f"{observer!r} has no declared partition") from None
 
     def block_index(self, observer: str, run_id: str) -> int:
         try:
             return self._blocks[observer][self._run_index[run_id]]
         except KeyError:
             if observer not in self.observers:
-                raise ValidationError(f"{observer!r} is not a declared observer") from None
+                raise ValidationError(f"{observer!r} has no declared partition") from None
             raise ValidationError(f"unknown run {run_id!r}") from None
 
     def kernel(self, observer: str, run: Run | str) -> tuple[Run, ...]:

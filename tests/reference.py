@@ -11,8 +11,8 @@ on purpose and only fit for small systems and shallow formulas.
 """
 from collections import Counter, defaultdict
 
-from anoncheck.composition import (SequentialSchema, independence_obligations,
-                                   structural_formula)
+from anoncheck.composition import (SequentialSchema, _distributes,
+                                   independence_obligations, structural_formula)
 from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
                                Poss, Verdict, render)
 from anoncheck.properties import PropertyReport, _conjuncts
@@ -57,6 +57,9 @@ class Reference:
 
     def holds(self, f):
         return all(self.values(f))
+
+    def distributes(self, observer, terms):
+        return all(self.holds(_distributes(observer, u, p)) for _, u, p in terms)
 
     def valid(self, f):
         for run in self.system.runs:

@@ -1,7 +1,7 @@
 """Generated systems decided in batches, as slot planes: checker vectors,
-formula planes, derived-atom tables and falsify's random phase against
-the per-system path, and the random sweep against the benchmark's pinned
-table."""
+formula planes, independence decided from its terms, derived-atom tables
+and falsify's random phase against the per-system path, and the random
+sweep against the benchmark's pinned table."""
 import dataclasses
 import itertools
 import json
@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
-                       build_system, check_claim, derive_parallel,
-                       derive_sequential, falsify, independence_obligations,
-                       random_system, scenarios, sweep)
+                       build_system, check_claim, composition, derive_parallel,
+                       derive_sequential, falsify, formula, independence_obligations,
+                       random_system, scenarios, sweep, valid)
+from anoncheck.composition import _distributes, _independence_terms
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from test_acceptance import _seeded_formula
 from test_universe import _checker_names
@@ -37,8 +39,10 @@ def _independence_checkers(shape):
     """(kind, [(label, formula), ...]) per independence checker of the
     shape's suite."""
     suite = shape.suite()
-    return [(kind, [(ob.label, ob.formula) for ob in suite.checker(name).obligations])
-            for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
+    checkers = [(kind, suite.checker(name))
+                for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
+    return [(kind, [(label, _distributes(c.observer, u, p)) for label, u, p in c.terms])
+            for kind, c in checkers]
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
@@ -64,6 +68,61 @@ def test_shapes_share_one_object_per_obligation():
                 assert formulas[label] is f, (kind, label)
                 shared += 1
     assert shared == sum(map(len, small.values()))
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+def test_distributes_matches_the_obligations(flavor):
+    """Every independence kind, decided from its terms: bit s of a batch's
+    vector is the verdict on system s of the evaluator, of the reference
+    and of the obligation formulas, on pooled systems of every shape, one
+    to four runs, single and random partitions."""
+    infer_schema, _ = scenarios._flavor_functions(flavor)
+    outcomes, runs_seen, split_seen = set(), set(), False
+    for nr, np_, nc in SHAPES[flavor]:
+        cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
+                          partition=("single", "random")[seed % 2],
+                          style=("uniform", "matching")[seed // 2 % 2], flavor=flavor,
+                          seed=7000 + 100 * nr + 10 * np_ + nc + seed)
+                for seed in range(4)]
+        shape, planes = _batch(cfgs)
+        systems = [random_system(cfg) for cfg in cfgs]
+        for kind in scenarios._INDEPENDENCE_KINDS[flavor].values():
+            terms = tuple(_independence_terms(shape.ref, shape.suite().schema, "j", kind))
+            vector = planes.distributes("j", terms)
+            for s, system in enumerate(systems):
+                got = Evaluator(system).distributes("j", terms)
+                assert type(got) is bool
+                assert bool(vector >> s & 1) is got, (kind, nr, np_, nc, s)
+                assert reference.Reference(system).distributes("j", terms) is got
+                obligations = independence_obligations(system, infer_schema(system), "j", kind)
+                assert all(valid(system, f).holds for _, f in obligations) is got
+                outcomes.add((kind, got))
+        runs_seen |= {len(system.runs) for system in systems}
+        split_seen |= any(len(s.observers["j"].blocks) > 1 for s in systems)
+    kinds = scenarios._INDEPENDENCE_KINDS[flavor].values()
+    assert outcomes == {(kind, got) for kind in kinds for got in (True, False)}
+    assert runs_seen == {1, 2, 3, 4} and split_seen
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
+    """Compiling an independence checker and deciding it on a batch build
+    no obligation formula, and no formula node at all."""
+    def refuse(*args):
+        raise AssertionError("an obligation formula was built")
+
+    monkeypatch.setattr(composition, "_distributes", refuse)
+    monkeypatch.setattr(scenarios, "_distributes", refuse)
+    nr, np_, nc = SHAPES[flavor][-1]
+    cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4, partition="random",
+                      flavor=flavor, seed=seed) for seed in range(16)]
+    shape, planes = _batch(cfgs)
+    suite = scenarios.CheckSuite(flavor, shape.suite().schema, "j", shape.ref)
+    for name in scenarios._INDEPENDENCE_KINDS[flavor]:
+        checker = suite.checker(name)
+        nodes = len(formula._NODES)
+        assert 0 <= checker.holds(planes) <= planes.all
+        assert len(formula._NODES) == nodes, name
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])

@@ -9,6 +9,7 @@ import pytest
 
 from anoncheck import CLAIMS, ClaimVerdict, check_claim, parse_system, scenarios
 from anoncheck.cli import main
+from anoncheck.composition import _distributes
 from test_universe import FLAVORS, _checker_names
 
 
@@ -17,7 +18,9 @@ def _formulas(checker):
     if isinstance(checker, scenarios._AnyOfEachValid):
         return [f for _, alternatives in checker.items for f in alternatives]
     if isinstance(checker, scenarios._EquivalenceValid):
-        return [ob.formula for ob in checker.left + checker.right]
+        return _formulas(checker.left) + _formulas(checker.right)
+    if isinstance(checker, scenarios._Distributes):
+        return [_distributes(checker.observer, u, p) for _, u, p in checker.terms]
     return [ob.formula for ob in checker.obligations]
 
 
@@ -53,7 +56,7 @@ def test_a_checker_holds_on_a_system_iff_on_each_block(flavor):
             for f in _formulas(checker):
                 assert whole.holds(f) is all(p.holds(f) for p in parts), (name, cfg)
             held, on_blocks = checker.holds(whole), all(checker.holds(p) for p in parts)
-            if isinstance(checker, scenarios._AllValid):
+            if isinstance(checker, (scenarios._AllValid, scenarios._Distributes)):
                 assert held is on_blocks, (name, cfg)
             if name in hypotheses:
                 assert on_blocks or not held, (name, cfg)

@@ -317,6 +317,28 @@ class TestRendering:
             "(true -> false) -> true"
         assert render(Not(And(TRUE, FALSE))) == "!(true & false)"
 
+    @pytest.mark.parametrize("build, text, parseable", [
+        (Not, lambda t, n: "!" * n + t, 900),
+        (lambda f: And(f, USE_K1), lambda t, n: " & ".join([t] * (n + 1)), 10_000),
+        (lambda f: And(USE_K1, f),
+         lambda t, n: f"{t} & (" * (n - 1) + f"{t} & {t}" + ")" * (n - 1), 100),
+        (lambda f: Implies(USE_K1, f), lambda t, n: f"{t} -> " * n + t, 500),
+        (lambda f: Implies(f, USE_K1),
+         lambda t, n: "(" * (n - 1) + t + f" -> {t})" * (n - 1) + f" -> {t}", 100),
+    ], ids=["not", "left-and", "right-and", "right-implies", "left-implies"])
+    def test_deep_chains(self, build, text, parseable):
+        """Rendering keeps its own stack, so 10,000-deep chains render, with
+        brackets only where they are needed; each reparses as deep as the
+        parser reaches."""
+        def chain(depth):
+            f = USE_K1
+            for _ in range(depth):
+                f = build(f)
+            return f
+
+        assert render(chain(10_000)) == text(render(USE_K1), 10_000)
+        assert parse(render(chain(parseable))) == chain(parseable)
+
     @given(formulas())
     @settings(max_examples=500, deadline=None)
     def test_round_trip_hypothesis(self, f):

@@ -203,5 +203,5 @@ def test_possible_on_one_block_reads_no_partition_index(monkeypatch):
     monkeypatch.setattr(formula, "_bits", spread)
     assert [bool(ev.mask(Poss("j", fact)) >> i & 1) for i in range(36)] == want
     assert ev.mask(Knows("j", fact)) == 0
-    with pytest.raises(ValidationError, match="^'zz' is not a declared observer$"):
+    with pytest.raises(ValidationError, match="^'zz' has no declared partition$"):
         ev.mask(Poss("zz", fact))

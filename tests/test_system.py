@@ -200,7 +200,7 @@ class TestPartitions:
 
     def test_block_index_errors(self):
         s = tiny()
-        with pytest.raises(ValidationError, match="not a declared observer"):
+        with pytest.raises(ValidationError, match="^'a' has no declared partition$"):
             s.block_index("a", "r1")
         with pytest.raises(ValidationError, match="unknown run"):
             s.block_index("j", "r9")
