@@ -9,7 +9,9 @@ Grammar (ASCII concrete syntax, whitespace-insensitive)::
            | "(" f ")"
 
 Precedence, tightest first: ! (and the modalities K[..] / P[..]), &, |,
-->, <->.  & and | associate to the left, -> and <-> to the right.
+->, <->.  & and | associate to the left, -> and <-> to the right.  One
+table, ``_PREC``, holds this order for both :func:`parse` and
+:func:`render`, and neither recurses, so formulas of any depth round-trip.
 
 K[j] f holds at a run iff f holds at every run j cannot distinguish from
 it; P[j] f iff f holds at some such run.  Facts are run-level, so no time
@@ -409,13 +411,20 @@ class SlotPlanes(_Vectors):
 
 
 def check_names(system: InterpretedSystem, f: Formula) -> None:
-    """Reject formulas mentioning undeclared agents, actions, or observers."""
-    stack = [f]
+    """Reject formulas mentioning undeclared agents, actions, or observers.
+
+    A pre-order walk that checks each distinct node once: a shared subformula
+    was checked whole at its first visit, so the first error is the tree's.
+    """
+    stack, seen = [f], set()
     while stack:
         node = stack.pop()
         t = type(node)
         if t not in _PREC:
             raise TypeError(f"not a formula: {node!r}")
+        if node in seen:
+            continue
+        seen.add(node)
         if t is Atom:
             if not system.has_agent(node.agent):
                 raise ValidationError(f"formula mentions undeclared agent {node.agent!r}")
@@ -451,6 +460,12 @@ class ParseError(ValueError):
         self.position = position
 
 
+#: Binding strength of each node type, which both :func:`parse` and
+#: :func:`render` read; each binary connective as rendered, and as a token.
+_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Knows: 5, Poss: 5,
+         Atom: 6, Const: 6}
+_BINARY = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
+_INFIX = {text.strip(): t for t, text in _BINARY.items()}
 _PUNCT = ("<->", "->", "(", ")", ",", "!", "&", "|", "[", "]")
 
 
@@ -513,107 +528,77 @@ class _Tokenizer:
         return got, pos
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
-
-    def parse(self) -> Formula:
-        f = self._iff()
-        kind, value, pos = self.toks.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", pos)
-        return f
-
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self.toks.peek()[1] == "<->":
-            self.toks.next()
-            return Iff(left, self._iff())
-        return left
-
-    def _implies(self) -> Formula:
-        left = self._or()
-        if self.toks.peek()[1] == "->":
-            self.toks.next()
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.toks.peek()[1] == "|":
-            self.toks.next()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._unary()
-        while self.toks.peek()[1] == "&":
-            self.toks.next()
-            f = And(f, self._unary())
-        return f
-
-    def _unary(self) -> Formula:
-        kind, value, pos = self.toks.peek()
-        if value == "!":
-            self.toks.next()
-            return Not(self._unary())
-        if kind == "name" and value in ("K", "P"):
-            # Modal only when immediately followed by '['; a bare K or P is a
-            # malformed atom start and falls through to _primary's error.
-            nxt = self.toks.tokens[self.toks.index + 1]
-            if nxt[1] == "[":
-                self.toks.next()
-                self.toks.expect("[")
-                obs, _ = self.toks.expect_name("observer name")
-                self.toks.expect("]")
-                child = self._unary()
-                return Knows(obs, child) if value == "K" else Poss(obs, child)
-        return self._primary()
-
-    def _primary(self) -> Formula:
-        kind, value, pos = self.toks.peek()
-        if value == "(":
-            self.toks.next()
-            f = self._iff()
-            self.toks.expect(")")
-            return f
-        if kind == "name":
-            if value == "true":
-                self.toks.next()
-                return TRUE
-            if value == "false":
-                self.toks.next()
-                return FALSE
-            if value == "theta":
-                return self._atom()
-            raise ParseError(f"unexpected name {value!r} (expected theta, true, false)", pos)
-        shown = value if kind != "end" else "end of input"
-        raise ParseError(f"expected a formula, found {shown!r}", pos)
-
-    def _atom(self) -> Formula:
-        self.toks.next()  # theta
-        self.toks.expect("(")
-        agent, _ = self.toks.expect_name("agent name")
-        self.toks.expect(",")
-        family, _ = self.toks.expect_name("action name")
-        param = ""
-        if self.toks.peek()[1] == "(":
-            self.toks.next()
-            param, _ = self.toks.expect_name("action parameter")
-            self.toks.expect(")")
-        self.toks.expect(")")
-        return Atom(agent, Action(family, param))
+def _operand(toks: _Tokenizer) -> Formula:
+    """A constant or an atom."""
+    kind, value, pos = toks.peek()
+    if kind == "name":
+        if value in ("true", "false"):
+            toks.next()
+            return TRUE if value == "true" else FALSE
+        if value == "theta":
+            toks.next()
+            toks.expect("(")
+            agent, _ = toks.expect_name("agent name")
+            toks.expect(",")
+            family, _ = toks.expect_name("action name")
+            param = ""
+            if toks.peek()[1] == "(":
+                toks.next()
+                param, _ = toks.expect_name("action parameter")
+                toks.expect(")")
+            toks.expect(")")
+            return Atom(agent, Action(family, param))
+        raise ParseError(f"unexpected name {value!r} (expected theta, true, false)", pos)
+    shown = value if kind != "end" else "end of input"
+    raise ParseError(f"expected a formula, found {shown!r}", pos)
 
 
 def parse(text: str) -> Formula:
     """Parse the ASCII concrete syntax; raises :class:`ParseError` with a
-    character position on malformed input."""
-    return _Parser(text).parse()
+    character position on malformed input.
 
-
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Knows: 5, Poss: 5,
-         Atom: 6, Const: 6}
-_BINARY = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
+    Operator precedence from :data:`_PREC`, with one explicit stack, so any
+    depth parses: each pending connective waits there as ``(precedence, node
+    type, the fields before its last operand)``, and an open bracket as
+    precedence 0, which only its ``)`` takes off.
+    """
+    toks = _Tokenizer(text)
+    pending: list = []
+    while True:
+        kind, value, pos = toks.peek()
+        if value in ("!", "("):
+            toks.next()
+            pending.append((_PREC[Not], Not, ()) if value == "!" else (0, None, ()))
+            continue
+        # Modal only when immediately followed by '['; a bare K or P is a
+        # malformed atom start and falls through to _operand's error.
+        if kind == "name" and value in ("K", "P") and toks.tokens[toks.index + 1][1] == "[":
+            toks.next()
+            toks.expect("[")
+            observer, _ = toks.expect_name("observer name")
+            toks.expect("]")
+            pending.append((_PREC[Knows], Knows if value == "K" else Poss, (observer,)))
+            continue
+        f = _operand(toks)
+        while True:  # f is complete: close it under what binds tighter than the next token
+            kind, value, pos = toks.peek()
+            t = _INFIX.get(value)
+            prec = _PREC[t] if t else 0
+            # & and | group to the left, as in render: they close an equal one too
+            left = prec > _PREC[Implies]
+            while pending and pending[-1][0] > prec - left:
+                _, node, fields = pending.pop()
+                f = node(*fields, f)
+            if t:
+                toks.next()
+                pending.append((prec, t, (f,)))
+                break
+            if not pending:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {value!r}", pos)
+                return f
+            toks.expect(")")
+            pending.pop()
 
 
 def render(f: Formula) -> str:

@@ -1136,6 +1136,7 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     """
     if claims is None:
         claims = [cid for cid, cdef in CLAIMS.items() if not cdef.witness_only]
+    claims = list(dict.fromkeys(claims))  # a repeated id is checked once
     for cid in claims:
         _claim(cid, search="sweep")
     started = time.monotonic()

@@ -11,7 +11,7 @@ from anoncheck.formula import (FALSE, TRUE, And, Atom, Const, Evaluator, Iff,
                                Implies, Knows, Not, Or, ParseError, Poss,
                                check_names, conj, disj, evaluate, parse, render,
                                valid)
-from anoncheck.system import Action, ValidationError, build_system
+from anoncheck.system import Action, InterpretedSystem, ValidationError, build_system
 
 AGENTS = ("i1", "i2", "k1", "k2", "j")
 ACTIONS = (Action("use", "k1"), Action("use", "k2"),
@@ -177,6 +177,25 @@ class TestEvaluation:
             valid(swap_system, Knows("i1", TRUE))
         check_names(swap_system, Knows("j", Atom("i1", Action("use", "k1"))))
 
+    def test_names_are_checked_once_per_distinct_node(self, swap_system, monkeypatch):
+        agents = []
+        has_agent = InterpretedSystem.has_agent
+        monkeypatch.setattr(InterpretedSystem, "has_agent",
+                            lambda system, name: agents.append(name) or has_agent(system, name))
+        f = USE_K1
+        for _ in range(12):
+            f = And(f, f)
+        check_names(swap_system, f)
+        assert agents == ["i1"]  # a tree walk would check 4,096 leaves
+
+    def test_first_name_error_is_the_pre_order_one(self, swap_system):
+        # The modality is checked before the atom below it.
+        with pytest.raises(ValidationError, match="^'zz' has no declared partition$"):
+            valid(swap_system, parse("K[zz] theta(yy, use(k1))"))
+        shared = Atom("yy", Action("use", "k1"))
+        with pytest.raises(ValidationError, match="^'zz' has no declared partition$"):
+            valid(swap_system, And(shared, Poss("zz", And(shared, shared))))
+
     def test_conj_disj_folds(self, swap_system):
         assert conj([]) is TRUE and disj([]) is FALSE
         a = Atom("i1", Action("use", "k1"))
@@ -305,6 +324,12 @@ class TestParsing:
             parse("true & ???")
         assert err.value.position == 7
 
+    def test_negations_past_the_recursion_limit(self):
+        f = TRUE
+        for _ in range(1200):
+            f = Not(f)
+        assert parse("!" * 1200 + "true") is f
+
 
 class TestRendering:
     def test_goldens(self):
@@ -317,27 +342,26 @@ class TestRendering:
             "(true -> false) -> true"
         assert render(Not(And(TRUE, FALSE))) == "!(true & false)"
 
-    @pytest.mark.parametrize("build, text, parseable", [
-        (Not, lambda t, n: "!" * n + t, 900),
-        (lambda f: And(f, USE_K1), lambda t, n: " & ".join([t] * (n + 1)), 10_000),
+    @pytest.mark.parametrize("build, text", [
+        (Not, lambda t, n: "!" * n + t),
+        (lambda f: And(f, USE_K1), lambda t, n: " & ".join([t] * (n + 1))),
         (lambda f: And(USE_K1, f),
-         lambda t, n: f"{t} & (" * (n - 1) + f"{t} & {t}" + ")" * (n - 1), 100),
-        (lambda f: Implies(USE_K1, f), lambda t, n: f"{t} -> " * n + t, 500),
+         lambda t, n: f"{t} & (" * (n - 1) + f"{t} & {t}" + ")" * (n - 1)),
+        (lambda f: Implies(USE_K1, f), lambda t, n: f"{t} -> " * n + t),
         (lambda f: Implies(f, USE_K1),
-         lambda t, n: "(" * (n - 1) + t + f" -> {t})" * (n - 1) + f" -> {t}", 100),
+         lambda t, n: "(" * (n - 1) + t + f" -> {t})" * (n - 1) + f" -> {t}"),
     ], ids=["not", "left-and", "right-and", "right-implies", "left-implies"])
-    def test_deep_chains(self, build, text, parseable):
-        """Rendering keeps its own stack, so 10,000-deep chains render, with
-        brackets only where they are needed; each reparses as deep as the
-        parser reaches."""
-        def chain(depth):
-            f = USE_K1
-            for _ in range(depth):
-                f = build(f)
-            return f
-
-        assert render(chain(10_000)) == text(render(USE_K1), 10_000)
-        assert parse(render(chain(parseable))) == chain(parseable)
+    def test_deep_chains(self, build, text):
+        """Rendering and parsing keep their own stacks, so 10,000-deep chains
+        render, with brackets only where they are needed, parse back to the
+        same node, and pickle."""
+        f = USE_K1
+        for _ in range(10_000):
+            f = build(f)
+        assert render(f) == text(render(USE_K1), 10_000)
+        parsed = parse(render(f))
+        assert parsed is f
+        assert pickle.loads(pickle.dumps(parsed)) is f
 
     @given(formulas())
     @settings(max_examples=500, deadline=None)

@@ -250,6 +250,11 @@ class TestSweep:
         with pytest.raises(ValidationError, match="^unknown claim 'nope'$"):
             sweep(claims=["nope"], n_random=10, exhaustive=False)
 
+    def test_a_repeated_claim_is_checked_once(self):
+        report = sweep(claims=["C3.2", "C3.2"], n_random=10, exhaustive=False)
+        assert list(report.stats) == ["C3.2"]
+        assert report.stats["C3.2"].checked == report.systems_checked["sequential"] == 10
+
     def test_witness_claims_cannot_be_swept(self):
         with pytest.raises(ValidationError,
                            match=r"^claim C3\.1 is witness-only; nothing to sweep$"):
