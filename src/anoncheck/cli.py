@@ -261,14 +261,14 @@ def parse_schema_text(text: str, system: InterpretedSystem):
 
 
 def _emit(args, human_lines, machine_pairs, json_obj) -> None:
+    """Write the requested format in one call; the others may be None."""
     if args.format == "human":
-        for line in human_lines:
-            print(line)
+        lines = human_lines
     elif args.format == "machine":
-        for key, value in machine_pairs:
-            print(f"{key}={value}")
+        lines = [f"{key}={value}" for key, value in machine_pairs]
     else:
-        print(json.dumps(json_obj, indent=2, sort_keys=True))
+        lines = [json.dumps(json_obj, indent=2, sort_keys=True)]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _property_output(args, report: PropertyReport, label: str) -> int:
@@ -389,19 +389,23 @@ def cmd_eval(args) -> int:
               {"value": value, "run": args.run})
         return 0 if value else 1
     verdict = "holds" if failing is None else "fails"
-    width = max(len(rid) for rid, _ in values)
-    human = [render(formula)]
-    human.extend(f"  {rid:<{width}}  {'true' if v else 'false'}"
-                 for rid, v in values)
-    human.append("valid over all runs" if failing is None
-                 else f"not valid (first false at {failing})")
-    pairs = [("verdict", verdict)]
-    pairs.extend((f"run.{rid}", "true" if v else "false") for rid, v in values)
-    obj = {"formula": render(formula), "verdict": verdict,
-           "runs": [{"run": rid, "value": v} for rid, v in values]}
-    if failing is not None:
-        pairs.append(("counterexample_run", failing))
-        obj["counterexample_run"] = failing
+    human = pairs = obj = None
+    if args.format == "human":
+        width = max(map(len, system.run_ids))
+        human = [render(formula)]
+        human += [f"  {rid:<{width}}  {'true' if v else 'false'}" for rid, v in values]
+        human.append("valid over all runs" if failing is None
+                     else f"not valid (first false at {failing})")
+    elif args.format == "machine":
+        pairs = [("verdict", verdict)]
+        pairs += [(f"run.{rid}", "true" if v else "false") for rid, v in values]
+        if failing is not None:
+            pairs.append(("counterexample_run", failing))
+    else:
+        obj = {"formula": render(formula), "verdict": verdict,
+               "runs": [{"run": rid, "value": v} for rid, v in values]}
+        if failing is not None:
+            obj["counterexample_run"] = failing
     _emit(args, human, pairs, obj)
     return 0 if failing is None else 1
 

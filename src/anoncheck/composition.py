@@ -258,17 +258,18 @@ def _sequential_terms(kind: IndependenceKind, stages, bound: int):
     raise ValidationError(f"unknown independence kind {kind!r}")
 
 
-def _independence_terms(system: InterpretedSystem,
+def _independence_pairs(system: InterpretedSystem,
                         schema: SequentialSchema | ParallelSchema,
                         observer: str, kind: IndependenceKind, bound: int = 2):
-    """:func:`independence_obligations` as the (label, u, p) of each one."""
+    """The label separator and, per instantiation of
+    :func:`independence_obligations` in its order, the ((label, u),
+    (label, p)) stage terms, whose labels the separator joins."""
     if kind is IndependenceKind.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
-        for i, c in product(parallel_subjects(system, observer), schema.params):
-            yield (f"{i},{c}", Atom(i, Action(schema.family_a, c)),
-                   Atom(i, Action(schema.family_b, c)))
-        return
+        return ",", [((i, Atom(i, Action(schema.family_a, c))),
+                      (c, Atom(i, Action(schema.family_b, c))))
+                     for i, c in product(parallel_subjects(system, observer), schema.params)]
 
     if not isinstance(schema, SequentialSchema):
         raise ValidationError(f"{kind.value} independence needs a SequentialSchema")
@@ -277,8 +278,7 @@ def _independence_terms(system: InterpretedSystem,
               [(f"{k},{c}", Atom(k, Action(schema.second_family, c)))
                for k in schema.first_params for c in schema.second_params])
     sep, (firsts, seconds) = _sequential_terms(kind, stages, bound)
-    for (first_label, u), (second_label, p) in product(firsts, seconds):
-        yield f"{first_label}{sep}{second_label}", u, p
+    return sep, product(firsts, seconds)
 
 
 def independence_obligations(system: InterpretedSystem,
@@ -290,8 +290,9 @@ def independence_obligations(system: InterpretedSystem,
     order; paired variants enumerate unordered fact pairs (combinations with
     replacement) because conjunction order is immaterial.
     """
-    for label, u, p in _independence_terms(system, schema, observer, kind, bound):
-        yield label, _distributes(observer, u, p)
+    sep, pairs = _independence_pairs(system, schema, observer, kind, bound)
+    for (first_label, u), (second_label, p) in pairs:
+        yield f"{first_label}{sep}{second_label}", _distributes(observer, u, p)
 
 
 def _report(system: InterpretedSystem, name: str, witness: Formula,

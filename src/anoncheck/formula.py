@@ -197,25 +197,73 @@ class Verdict:
     counterexample: str | None = None
 
 
+#: Fact terms, the conjuncts that property checkers are decided from: a
+#: term ``(op, *facts)``, each fact an (agent, action) pair, stands for the
+#: formula that ``_TERMS[op]`` builds from the observer and the facts'
+#: atoms; :meth:`_Vectors.guarded` decides it with no formula built.
+_TERMS = {
+    "P": lambda j, f: Poss(j, f),
+    "P!": lambda j, f: Poss(j, Not(f)),
+    "K": lambda j, f: Knows(j, f),
+    "->P&": lambda j, g, x, y: Implies(g, Poss(j, And(x, y))),
+    "P->P&": lambda j, x, y: Implies(Poss(j, x), Poss(j, And(x, y))),
+}
+
+
+#: Every term tuple a checker keeps, by value: equal ones are one tuple,
+#: however many suites build them, as equal formulas are one node.
+_SHARED: dict[tuple, tuple] = {}
+
+
+def _shared(value: tuple) -> tuple:
+    """The one kept tuple equal to ``value``: a fact term (see
+    :data:`_TERMS`) or a pair of stage terms."""
+    return _SHARED.setdefault(value, value)
+
+
+def _term_formula(observer: str, term) -> Formula:
+    """The formula of a fact term (see :data:`_TERMS`)."""
+    op, *facts = term
+    return _TERMS[op](observer, *(Atom(*fact) for fact in facts))
+
+
+def _guarded_formula(observer: str, guard, terms) -> Formula:
+    """``g -> t1 & t2 & ...``: the conjunction of the ``guard`` facts implies
+    every fact term of ``terms``."""
+    return Implies(conj(Atom(*fact) for fact in guard),
+                   conj(_term_formula(observer, t) for t in terms))
+
+
 class _Vectors:
     """The memoized walk over the connectives that :class:`Evaluator` and
     :class:`SlotPlanes` share; each supplies its carrier.
 
     A formula's value is an int holding its truth at every point of the
     carrier, ``_full`` being true everywhere.  A carrier supplies ``all``,
-    ``_atom(atom)``, ``_possible(observer, x)`` (``P[observer]`` of ``x``)
-    and ``_some(x)``, the systems with a point in ``x``; ``K[j]`` is
-    ``!P[j]!``.  ``&``, ``|`` and ``->`` skip their right operand when the
-    left one already decides every point.  Every node's value is memoized;
-    formulas are hash-consed, so equal subformulas are one object and are
-    evaluated once.  Names are not validated (see :func:`check_names`).
+    ``_fact(fact)`` (the points where an (agent, action) pair holds),
+    ``_possible(observer, x)`` (``P[observer]`` of ``x``) and ``_some(x)``,
+    the systems with a point in ``x``; ``K[j]`` is ``!P[j]!``.  ``&``,
+    ``|`` and ``->`` skip their right operand when the left one already
+    decides every point.  Every node's value is memoized; formulas are
+    hash-consed, so equal subformulas are one object and are evaluated
+    once.  Facts and fact terms are memoized too.  Names are not validated
+    (see :func:`check_names`).
     """
 
-    __slots__ = ("_full", "_memo")
+    __slots__ = ("_full", "_memo", "_facts", "_term_masks")
 
     def __init__(self, full: int):
         self._full = full
         self._memo: dict[Formula, int] = {}
+        self._facts: dict[tuple, int] = {}
+        self._term_masks: dict[str, dict[tuple, int]] = {}  # per observer
+
+    def fact(self, fact) -> int:
+        """The points where ``fact``, an (agent, action) pair, holds."""
+        x = self._facts.get(fact)
+        if x is None:
+            x = self._facts[fact] = self._fact(fact)
+        return x
 
     def mask(self, f: Formula) -> int:
         """The points where ``f`` holds, as an int."""
@@ -225,7 +273,7 @@ class _Vectors:
         t = type(f)
         full = self._full
         if t is Atom:
-            x = self._atom(f)
+            x = self.fact((f.agent, f.action))
         elif t is And:
             x = self.mask(f.left)
             if x:
@@ -257,15 +305,57 @@ class _Vectors:
         """The systems on which ``f`` holds at every point, as a vector."""
         return self.all ^ self._some(self._full ^ self.mask(f))
 
+    def _term(self, observer: str, term) -> int:
+        """The points where a fact term holds: :data:`_TERMS` on masks."""
+        op, full, possible, fact = term[0], self._full, self._possible, self.fact
+        if op == "P":
+            return possible(observer, fact(term[1]))
+        if op == "P!":
+            return possible(observer, full ^ fact(term[1]))
+        if op == "K":
+            return full ^ possible(observer, full ^ fact(term[1]))
+        if op == "->P&":  # as in mask(), no P when the guard holds nowhere
+            _, g, x, y = term
+            off = full ^ fact(g)
+            return off if off == full else off | possible(observer, fact(x) & fact(y))
+        x, y = fact(term[1]), fact(term[2])  # "P->P&"
+        px = possible(observer, x)
+        return full if not px else full ^ px | possible(observer, x & y)
+
+    def guarded(self, observer: str, rows):
+        """The systems on which :func:`_guarded_formula` of every ``(guard,
+        terms)`` row of ``rows`` is valid, ``j`` being ``observer``, with no
+        formula built.  Each term is decided once per observer; a row stops
+        once no point of its guard is left where every term so far holds,
+        and the walk once every system fails."""
+        memo = self._term_masks.setdefault(observer, {})
+        fact = self.fact
+        bad = 0
+        for guard, terms in rows:
+            g = self._full
+            for f in guard:
+                g &= fact(f)
+            for t in terms:
+                if not g:
+                    break
+                x = memo.get(t)
+                if x is None:
+                    x = memo[t] = self._term(observer, t)
+                bad |= g & ~x
+                g &= x
+            if bad and self._some(bad) == self.all:
+                break
+        return self.all ^ self._some(bad)
+
     def distributes(self, observer: str, terms):
         """The systems on which ``P[j] u & P[j] p -> P[j] (u & p)``, ``j``
-        being ``observer``, is valid for every ``(label, u, p)`` of
-        ``terms``, with no formula built.  Equal ``u`` come in runs; after
-        each, the walk stops if every system fails."""
+        being ``observer``, is valid for every ``(u, p)`` of ``terms``, with
+        no formula built.  Equal ``u`` come in runs; after each, the walk
+        stops if every system fails."""
         possible = self._possible
         seen: dict[Formula, tuple[int, int]] = {}  # p -> (its mask, P of it)
         bad, last = 0, None
-        for _, u, p in terms:
+        for u, p in terms:
             if u is not last:
                 if bad and self._some(bad) == self.all:
                     break
@@ -328,13 +418,13 @@ class Evaluator(_Vectors):
     def _some(self, x: int) -> bool:
         return x != 0
 
-    def _atom(self, f: Atom) -> int:
+    def _fact(self, fact) -> int:
         system = self.system
-        if self._derive is not None and not system.has_action(f.action):
+        if self._derive is not None and not system.has_action(fact[1]):
             if self._derived is None:
                 self._derived = self._derive()
             system = self._derived
-        return system.holding((f.agent, f.action))
+        return system.holding(fact)
 
     def _possible(self, observer: str, x: int) -> int:
         if x == 0 or x == self._full:
@@ -361,19 +451,20 @@ class SlotPlanes(_Vectors):
     block holds every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] &
     c_k``, where ``same[i][k]`` holds the systems whose slots ``i`` and
     ``k`` share a block.  Every modality reads this one partition, whatever
-    observer it names.  ``atoms(atom)`` gives an atom's planes.
+    observer it names.  ``facts(fact)`` gives an (agent, action) pair's
+    planes.
     """
 
-    __slots__ = ("all", "_width", "_shifts", "_end", "_atoms", "_mates")
+    __slots__ = ("all", "_width", "_shifts", "_end", "_facts_of", "_mates")
 
-    def __init__(self, atoms, width: int, slots: int, blocks=None):
+    def __init__(self, facts, width: int, slots: int, blocks=None):
         super().__init__((1 << width * slots) - 1)
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
         self._width = width
         self._shifts = range(width, width * slots, width)  # where planes 1.. start
         self._end = width * slots
-        self._atoms = atoms
+        self._facts_of = facts
         packed = [self._full] if blocks is None else [self._pack(b) for b in blocks]
         # Per shift by d planes: plane i holds same[i][i + d (mod slots)].
         self._mates = []
@@ -400,10 +491,12 @@ class SlotPlanes(_Vectors):
             some |= x >> shift
         return some & self.all
 
-    def _atom(self, f: Atom) -> int:
-        return self._pack(self._atoms(f))
+    def _fact(self, fact) -> int:
+        return self._pack(self._facts_of(fact))
 
     def _possible(self, observer: str, x: int) -> int:
+        if not x:
+            return x
         out = x
         for shift, mates in zip(self._shifts, self._mates):
             out |= mates & self._rotate(x, shift)

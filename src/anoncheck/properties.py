@@ -2,18 +2,23 @@
 
 Every property is an implication guarded by the fact under scrutiny: a
 property of (subject, action) holds vacuously in systems where the subject
-never performs the action.  The compiled formulas are the single source of
-truth; :func:`check_property` finds the first run where the whole formula
-fails, then the first conjunct that fails there.
+never performs the action.  The single source of truth is a property's
+expansion (:func:`_expand`): its guard fact and its conjuncts as fact terms
+(:data:`~anoncheck.formula._TERMS`), ``P f``, ``P !f``, ``K f`` or
+``g -> P(x & y)``.  :func:`compile_property` builds the formula from it,
+and the claim checkers decide it with no formula built
+(:meth:`~anoncheck.formula._Vectors.guarded`).  :func:`check_property`
+finds the first run where the whole formula fails, then the first conjunct
+that fails there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import (And, Atom, Evaluator, Formula, Implies, Knows, Not,
-                      Poss, conj, render)
-from .system import Action, InterpretedSystem, ValidationError
+from .formula import (Evaluator, Formula, _guarded_formula, _shared,
+                      _term_formula, render)
+from .system import Action, Fact, InterpretedSystem, ValidationError
 
 
 class PropertyKind(Enum):
@@ -95,9 +100,9 @@ def _ordered(declared: tuple, given, what: str, show=repr) -> tuple:
     return tuple(filter(set(given).__contains__, declared))
 
 
-def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str, Formula]]:
-    """(description, formula) pairs in fixed expansion order: agents first,
-    then actions, each in system declaration order."""
+def _expand(system: InterpretedSystem, spec: PropertySpec) -> tuple[Fact, tuple]:
+    """The guard fact and the fact terms of ``spec``, in fixed expansion
+    order: agents first, then actions, each in system declaration order."""
     kind = spec.kind
     subject, action, j = spec.subject, spec.action, spec.observer
     if not system.has_agent(subject):
@@ -107,37 +112,51 @@ def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str,
     if j not in system.observers:
         raise ValidationError(f"{j!r} has no declared partition")
 
+    guard = (subject, action)
     if kind is PropertyKind.ANONYMOUS_UP_TO:
-        return [(i2, Poss(j, Atom(i2, action)))
-                for i2 in _ordered(system.agents, spec.anonymity_set, "agent")]
-    if kind is PropertyKind.PRIVATE_UP_TO:
-        return [(str(a2), Poss(j, Atom(subject, a2)))
-                for a2 in _ordered(system.actions, spec.privacy_set, "action", str)]
-    if kind in (PropertyKind.MINIMALLY_ANONYMOUS, PropertyKind.MINIMALLY_PRIVATE):
-        f = Poss(j, Not(Atom(subject, action)))
-        return [(render(f), f)]
-    if kind in (PropertyKind.MAXIMALLY_ONYMOUS, PropertyKind.MAXIMALLY_IDENTIFIED):
-        f = Knows(j, Atom(subject, action))
-        return [(render(f), f)]
-    if kind is PropertyKind.ROLE_INTERCHANGEABLE:
+        terms = [("P", (i2, action))
+                 for i2 in _ordered(system.agents, spec.anonymity_set, "agent")]
+    elif kind is PropertyKind.PRIVATE_UP_TO:
+        terms = [("P", (subject, a2))
+                 for a2 in _ordered(system.actions, spec.privacy_set, "action", str)]
+    elif kind in (PropertyKind.MINIMALLY_ANONYMOUS, PropertyKind.MINIMALLY_PRIVATE):
+        terms = [("P!", guard)]
+    elif kind in (PropertyKind.MAXIMALLY_ONYMOUS, PropertyKind.MAXIMALLY_IDENTIFIED):
+        terms = [("K", guard)]
+    elif kind is PropertyKind.ROLE_INTERCHANGEABLE:
         universe = (system.actions if spec.action_universe is None
                     else _ordered(system.actions, spec.action_universe, "action", str))
-        out = []
-        for i2 in system.agents:
-            if i2 == j:
-                continue
-            for a2 in universe:
-                guard = Atom(i2, a2)
-                swap = Poss(j, And(Atom(i2, action), Atom(subject, a2)))
-                out.append((f"{i2}:{a2}", Implies(guard, swap)))
-        return out
-    raise ValidationError(f"unknown property kind {kind!r}")
+        terms = [("->P&", (i2, a2), (i2, action), (subject, a2))
+                 for i2 in system.agents if i2 != j for a2 in universe]
+    else:
+        raise ValidationError(f"unknown property kind {kind!r}")
+    return guard, tuple(map(_shared, terms))
+
+
+def _conjuncts(system: InterpretedSystem, spec: PropertySpec) -> list[tuple[str, Formula]]:
+    """(description, formula) per term of the expansion: the agent or the
+    action a candidate names, ``i2:a2`` for role interchangeability, else
+    the rendered formula."""
+    kind, j = spec.kind, spec.observer
+    out = []
+    for term in _expand(system, spec)[1]:
+        f = _term_formula(j, term)
+        if kind is PropertyKind.ANONYMOUS_UP_TO:
+            desc = term[1][0]
+        elif kind is PropertyKind.PRIVATE_UP_TO:
+            desc = str(term[1][1])
+        elif kind is PropertyKind.ROLE_INTERCHANGEABLE:
+            desc = "{}:{}".format(*term[1])
+        else:
+            desc = render(f)
+        out.append((desc, f))
+    return out
 
 
 def compile_property(system: InterpretedSystem, spec: PropertySpec) -> Formula:
     """The property as one formula: theta(subject, action) -> conjunction."""
-    body = conj(f for _, f in _conjuncts(system, spec))
-    return Implies(Atom(spec.subject, spec.action), body)
+    guard, terms = _expand(system, spec)
+    return _guarded_formula(spec.observer, (guard,), terms)
 
 
 def check_property(system: InterpretedSystem, spec: PropertySpec) -> PropertyReport:
@@ -148,7 +167,7 @@ def check_property(system: InterpretedSystem, spec: PropertySpec) -> PropertyRep
     order).  ``holds`` always agrees with ``valid(system, witness_formula)``.
     """
     parts = _conjuncts(system, spec)
-    witness = Implies(Atom(spec.subject, spec.action), conj(f for _, f in parts))
+    witness = compile_property(system, spec)
     ev = Evaluator(system)
     verdict = ev.valid(witness)
     if verdict.holds:

@@ -13,11 +13,10 @@ every generated system is assembled by one builder, :meth:`_Shape.system`.
 Hypotheses and conclusions are named checkers.  Most are looked up in
 tables: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers
-name their condition.  A suite compiles them once per declaration shape;
-formulas are hash-consed where they are built, so equal subformulas of
-every suite are one object, and an independence checker keeps only its
-stage terms.  A checker is decided on a context, which is an evaluator:
-one system's run bitmasks
+name their condition.  A suite compiles them once per declaration shape:
+property and independence checkers keep only tables of fact and stage
+terms, and only a failure's report builds their formulas.  A checker is
+decided on a context, which is an evaluator: one system's run bitmasks
 (:class:`~anoncheck.formula.Evaluator`), whose derived facts are
 derived only when a formula reads them, or a batch of generated systems
 as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one
@@ -39,12 +38,11 @@ from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, _conjuncts,
-                          _distributes, _independence_terms, derive_parallel,
-                          derive_sequential, parallel_subjects,
+                          _independence_pairs, derive_parallel, derive_sequential,
+                          independence_obligations, parallel_subjects,
                           structural_formula)
-from .formula import (And, Atom, Evaluator, Formula, Implies, Poss, SlotPlanes,
-                      conj)
-from .properties import (anonymous_up_to, compile_property,
+from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared
+from .properties import (PropertyKind, _expand, anonymous_up_to,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
                          private_up_to, role_interchangeable)
@@ -107,11 +105,6 @@ def _flavor_functions(flavor: str):
 # Checkers: named obligation bundles shared by claims
 
 
-class _Obligation(NamedTuple):
-    label: str
-    formula: Formula
-
-
 # A checker's context is an evaluator: an :class:`Evaluator` for one system
 # (see :meth:`CheckSuite.context`), a :class:`SlotPlanes` for a batch.  Its
 # ``holds(ctx)`` is the vector of the context's systems on which it holds:
@@ -121,68 +114,94 @@ class _Obligation(NamedTuple):
 
 
 class _AllValid:
-    """Holds iff every obligation formula is valid."""
+    """Holds iff every (label, formula) of ``obligations()`` is valid."""
 
-    __slots__ = ("name", "obligations")
-
-    def __init__(self, name: str, obligations):
-        self.name = name
-        self.obligations = tuple(obligations)
-
-    def holds(self, ctx):
-        held = ctx.all
-        for ob in self.obligations:
-            held &= ctx.holds(ob.formula)
-            if not held:
-                break
-        return held
+    __slots__ = ()
 
     def first_failure(self, ctx: Evaluator) -> str | None:
-        for ob in self.obligations:
-            run_id = ctx.valid(ob.formula).counterexample
-            if run_id is not None:
-                return f"{ob.label} @ {run_id}"
-        return None
-
-
-class _Distributes:
-    """Holds iff ``P[j] u & P[j] p -> P[j] (u & p)`` is valid for every
-    ``(label, u, p)`` term; only a failure's report builds the formulas."""
-
-    __slots__ = ("name", "observer", "terms")
-
-    def __init__(self, name: str, observer: str, terms):
-        self.name = name
-        self.observer = observer
-        self.terms = tuple(terms)
-
-    def holds(self, ctx):
-        return ctx.distributes(self.observer, self.terms)
-
-    def first_failure(self, ctx: Evaluator) -> str | None:
-        for label, u, p in self.terms:
-            run_id = ctx.valid(_distributes(self.observer, u, p)).counterexample
+        for label, f in self.obligations():
+            run_id = ctx.valid(f).counterexample
             if run_id is not None:
                 return f"{label} @ {run_id}"
         return None
 
 
+class _Formulas(_AllValid):
+    """Holds iff every obligation formula, compiled in advance, is valid."""
+
+    __slots__ = ("name", "_obligations")
+
+    def __init__(self, name: str, obligations):
+        self.name = name
+        self._obligations = tuple(obligations)
+
+    def obligations(self):
+        return self._obligations
+
+    def holds(self, ctx):
+        held = ctx.all
+        for _, f in self._obligations:
+            held &= ctx.holds(f)
+            if not held:
+                break
+        return held
+
+
+class _Guarded(_AllValid):
+    """Holds iff :func:`_guarded_formula` of every ``(guard, terms)`` row is
+    valid; a report labels it ``label.format(*guard)`` (a format string
+    takes less memory than a function per checker)."""
+
+    __slots__ = ("name", "observer", "rows", "label")
+
+    def __init__(self, name: str, observer: str, rows, label: str):
+        self.name = name
+        self.observer = observer
+        self.rows = tuple(rows)
+        self.label = label
+
+    def holds(self, ctx):
+        return ctx.guarded(self.observer, self.rows)
+
+    def obligations(self):
+        j = self.observer
+        return ((self.label.format(*guard), _guarded_formula(j, guard, terms))
+                for guard, terms in self.rows)
+
+
+class _Distributes(_AllValid):
+    """Holds iff ``P[j] u & P[j] p -> P[j] (u & p)`` is valid for every
+    ``(u, p)`` of ``terms``; ``obligations()`` builds those formulas, with
+    their labels, for a report."""
+
+    __slots__ = ("name", "observer", "terms", "obligations")
+
+    def __init__(self, name: str, observer: str, terms, obligations):
+        self.name = name
+        self.observer = observer
+        self.terms = tuple(map(_shared, terms))
+        self.obligations = obligations
+
+    def holds(self, ctx):
+        return ctx.distributes(self.observer, self.terms)
+
+
 class _AnyOfEachValid:
-    """For each item, at least one alternative must be valid (CB-style
+    """For each item, at least one alternative checker must hold (CB-style
     either/or hypotheses).  Symmetric in the alternatives."""
 
     __slots__ = ("name", "items")
 
     def __init__(self, name: str, items):
         self.name = name
-        self.items = tuple(items)  # (label, (formula, ...))
+        self.items = tuple(items)  # (label, (checker, ...))
 
     def holds(self, ctx):
         held = ctx.all
-        for _, fs in self.items:
+        for _, alternatives in self.items:
             some = False
-            for f in fs:
-                some |= ctx.holds(f)
+            for c in alternatives:
+                some |= c.holds(ctx)
                 if not held & ~some:
                     break
             held &= some
@@ -191,8 +210,8 @@ class _AnyOfEachValid:
         return held
 
     def first_failure(self, ctx: Evaluator) -> str | None:
-        for label, fs in self.items:
-            if not any(ctx.holds(f) for f in fs):
+        for label, alternatives in self.items:
+            if not any(c.holds(ctx) for c in alternatives):
                 return f"{label} (no alternative holds)"
         return None
 
@@ -248,17 +267,22 @@ def _parallel_stages(schema: ParallelSchema, system, observer) -> dict[str, _Sta
 
 _STAGES = {"sequential": _sequential_stages, "parallel": _parallel_stages}
 
-#: Property suffix of a ``<stage>-<property>`` checker -> the spec it asks
-#: of each (subject, action) of the stage.
+#: Property suffix of a ``<stage>-<property>`` checker -> the kind and the
+#: spec it asks of each (subject, action) of the stage.
 _PROPERTY_SPECS = {
-    "anonymity": lambda i, a, stage, j: anonymous_up_to(i, a, stage.subjects, j),
-    "privacy": lambda i, a, stage, j: private_up_to(i, a, stage.actions, j),
-    "onymity": lambda i, a, stage, j: maximally_onymous(i, a, j),
-    "identity": lambda i, a, stage, j: maximally_identified(i, a, j),
-    "min-anonymity": lambda i, a, stage, j: minimally_anonymous(i, a, j),
-    "min-privacy": lambda i, a, stage, j: minimally_private(i, a, j),
-    "role-interchangeability":
-        lambda i, a, stage, j: role_interchangeable(i, a, j, stage.actions),
+    "anonymity": (PropertyKind.ANONYMOUS_UP_TO,
+                  lambda i, a, stage, j: anonymous_up_to(i, a, stage.subjects, j)),
+    "privacy": (PropertyKind.PRIVATE_UP_TO,
+                lambda i, a, stage, j: private_up_to(i, a, stage.actions, j)),
+    "onymity": (PropertyKind.MAXIMALLY_ONYMOUS, lambda i, a, _, j: maximally_onymous(i, a, j)),
+    "identity": (PropertyKind.MAXIMALLY_IDENTIFIED,
+                 lambda i, a, _, j: maximally_identified(i, a, j)),
+    "min-anonymity": (PropertyKind.MINIMALLY_ANONYMOUS,
+                      lambda i, a, _, j: minimally_anonymous(i, a, j)),
+    "min-privacy": (PropertyKind.MINIMALLY_PRIVATE, lambda i, a, _, j: minimally_private(i, a, j)),
+    "role-interchangeability": (
+        PropertyKind.ROLE_INTERCHANGEABLE,
+        lambda i, a, stage, j: role_interchangeable(i, a, j, stage.actions)),
 }
 
 #: The ``<stage>-<property>`` checkers each flavor offers.
@@ -305,10 +329,10 @@ class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
     A suite is reusable across every system sharing the declaration (the
-    sweep generates thousands of such systems).  Formulas are hash-consed
-    (:class:`~anoncheck.formula.Formula`), so structurally equal
-    subformulas of every suite are one object, and an evaluator evaluates
-    each once, whichever obligation or checker reaches it first.
+    sweep generates thousands of such systems).  Its property and
+    independence checkers are term tables, so compiling them builds no
+    formula, and an evaluator decides each term or subformula once,
+    whichever checker reaches it first.
     """
 
     def __init__(self, flavor: str, schema, observer: str, ref_base: InterpretedSystem):
@@ -342,17 +366,14 @@ class CheckSuite:
 
     # -- builders ---------------------------------------------------------
 
-    def _props(self, name: str, target: str, specs):
+    def _props(self, name: str, target: str, kind: PropertyKind, specs) -> _Guarded:
         ref = self.ref_base if target == "base" else self.ref_derived
-        obligations = []
-        for spec in specs:
-            label = f"{spec.kind.value}({spec.subject}, {spec.action})"
-            obligations.append(_Obligation(label, compile_property(ref, spec)))
-        return _AllValid(name, obligations)
+        rows = (((guard,), terms) for guard, terms in (_expand(ref, s) for s in specs))
+        return _Guarded(name, self.observer, rows, kind.value + "({0[0]}, {0[1]})")
 
     def _structural(self, name: str, conds):
-        return _AllValid(name, [
-            _Obligation(cond.label, structural_formula(self.ref_base, self.schema, cond))
+        return _Formulas(name, [
+            (cond.label, structural_formula(self.ref_base, self.schema, cond))
             for cond in conds])
 
     def _stages(self) -> dict[str, _Stage]:
@@ -361,12 +382,14 @@ class CheckSuite:
     def _build(self, name: str):
         kind = _INDEPENDENCE_KINDS[self.flavor].get(name)
         if kind is not None:
-            return _Distributes(name, self.observer, _independence_terms(
-                self.ref_base, self.schema, self.observer, kind))
+            args = (self.ref_base, self.schema, self.observer, kind)
+            pairs = _independence_pairs(*args)[1]
+            return _Distributes(name, self.observer, [(u, p) for (_, u), (_, p) in pairs],
+                                partial(independence_obligations, *args))
         if name in _PROPERTY_CHECKERS[self.flavor]:
             stage_name, _, prop = name.partition("-")
-            stage, make_spec = self._stages()[stage_name], _PROPERTY_SPECS[prop]
-            return self._props(name, stage.target, [
+            stage, (prop_kind, make_spec) = self._stages()[stage_name], _PROPERTY_SPECS[prop]
+            return self._props(name, stage.target, prop_kind, [
                 make_spec(i, a, stage, self.observer)
                 for i in stage.subjects for a in stage.actions])
         if self.flavor == "sequential" and name in _STRUCTURAL_CONDITIONS:
@@ -377,21 +400,16 @@ class CheckSuite:
         raise ValidationError(f"unknown checker {name!r}")
 
     def _reformulation_equivalence(self, name: str):
-        sch, j = self.schema, self.observer
-        use, post = sch.first_family, sch.second_family
-        right = []
-        for i2 in sch.first_agents:
-            for k2 in sch.first_params:
-                for c in sch.second_params:
-                    guard = And(Atom(i2, Action(use, k2)), Atom(k2, Action(post, c)))
-                    body = conj(
-                        Implies(Poss(j, Atom(i, Action(use, k))),
-                                Poss(j, And(Atom(i, Action(use, k)),
-                                            Atom(k2, Action(post, c)))))
-                        for i in sch.first_agents for k in sch.first_params)
-                    right.append(_Obligation(f"{i2},{k2},{c}", Implies(guard, body)))
-        return _EquivalenceValid(name, self.checker("independence"),
-                                 _AllValid("reformulation", right))
+        """Independence against its guarded reformulation: per (i2, k2, c),
+        ``theta(i2, use(k2)) & theta(k2, post(c))`` implies, for every
+        first-stage fact x, ``P[j] x -> P[j] (x & theta(k2, post(c)))``."""
+        sch = self.schema
+        uses = [(i, a) for i in sch.first_agents for a in sch.first_actions]
+        rows = ((((i2, u), (k2, p)), tuple(_shared(("P->P&", x, (k2, p))) for x in uses))
+                for i2 in sch.first_agents for k2, u in zip(sch.first_params, sch.first_actions)
+                for p in sch.second_actions)
+        return _EquivalenceValid(name, self.checker("independence"), _Guarded(
+            "reformulation", self.observer, rows, "{0[0]},{1[0]},{1[1].param}"))
 
     def _min_privacy_either(self, name: str):
         stages = self._stages()
@@ -399,16 +417,16 @@ class CheckSuite:
         items = []
         for i in a.subjects:
             for pair in zip(a.actions, b.actions):
-                alts = tuple(compile_property(
-                    self.ref_base, minimally_private(i, act, self.observer))
-                    for act in pair)
+                alts = tuple(self._props(name, "base", PropertyKind.MINIMALLY_PRIVATE,
+                                         [minimally_private(i, act, self.observer)])
+                             for act in pair)
                 items.append((f"{i},{pair[0].param}", alts))
         return _AnyOfEachValid(name, items)
 
     def _ab_identity(self, name: str):
         stages = self._stages()
         a, b = stages["a"], stages["b"]
-        return self._props(name, "base", [
+        return self._props(name, "base", PropertyKind.MAXIMALLY_IDENTIFIED, [
             maximally_identified(i, act, self.observer)
             for i in a.subjects for pair in zip(a.actions, b.actions)
             for act in pair])
@@ -841,12 +859,12 @@ def _transpose(values, width: int) -> list[int]:
 
 class _Shape:
     """One generated declaration shape: its facts, its suite, and every
-    atom's truth as a function of the facts that hold.
+    fact's truth as a function of the declared facts that hold.
 
     A derived fact is a disjunction of two-fact conjunctions, the conjunct
     pairs of its derivation (``composition._conjuncts``); they are the
-    atom's *terms*, as pairs of fact positions, and a base fact is its own
-    term.  ``ref`` is the declaration, with every fact in its one run, and
+    fact's *terms*, as pairs of fact positions, and a declared fact is its
+    own term.  ``ref`` is the declaration, with every fact in its one run, and
     ``bounds`` are its facts' :func:`_row_bounds`.
     """
 
@@ -859,9 +877,9 @@ class _Shape:
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
         schema = _flavor_functions(flavor)[0](self.ref)
         index = {fact: b for b, fact in enumerate(self.facts)}
-        self._terms = {Atom(*fact): ((b, b),) for fact, b in index.items()}
-        self._terms.update((Atom(*fact), tuple((index[u], index[p]) for u, p in pairs
-                                               if u in index and p in index))
+        self._terms = {fact: ((b, b),) for fact, b in index.items()}
+        self._terms.update((fact, tuple((index[u], index[p]) for u, p in pairs
+                                        if u in index and p in index))
                            for fact, pairs in _conjuncts(self.ref, schema).items())
         self._suite = CheckSuite(flavor, schema, "j", self.ref)
 
@@ -889,18 +907,19 @@ class _Shape:
             {fact: mask for fact, mask in zip(self.facts, columns) if mask},
             {"j": ObserverPartition("j", tuple(map(frozenset, blocks.values())))})
 
-    def column(self, columns, atom: Atom) -> int:
-        """The atom's truth, given every fact's: bit ``s`` of ``columns[b]``
-        is fact ``b`` in fact set ``s``."""
+    def column(self, columns, fact) -> int:
+        """The truth of ``fact``, an (agent, action) pair, given every fact's
+        of the declaration: bit ``s`` of ``columns[b]`` is fact ``b`` in fact
+        set ``s``."""
         out = 0
-        for a, b in self._terms.get(atom, ()):
+        for a, b in self._terms.get(fact, ()):
             out |= columns[a] & columns[b]
         return out
 
     def batch(self, columns, width: int, blocks=None) -> SlotPlanes:
         """``width`` systems: bit ``s`` of ``columns[i][b]`` is fact ``b`` at
         slot ``i`` of system ``s``; ``blocks`` are as in :class:`SlotPlanes`."""
-        return SlotPlanes(lambda atom: tuple(self.column(c, atom) for c in columns),
+        return SlotPlanes(lambda fact: tuple(self.column(c, fact) for c in columns),
                           width, len(columns), blocks)
 
     def columns(self, systems, width: int | None = None) -> list[list[int]]:
@@ -1134,6 +1153,8 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     and implication violations are listed by system, in universe then pool
     order, and then by claim, implication and hypothesis.
     """
+    if n_random < 0:
+        raise ValidationError("n_random must be non-negative")
     if claims is None:
         claims = [cid for cid, cdef in CLAIMS.items() if not cdef.witness_only]
     claims = list(dict.fromkeys(claims))  # a repeated id is checked once

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from anoncheck.composition import (SequentialSchema, _distributes,
                                    independence_obligations, structural_formula)
 from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
-                               Poss, Verdict, render)
+                               Poss, Verdict, _guarded_formula, render)
 from anoncheck.properties import PropertyReport, _conjuncts
 from anoncheck.system import (ROLES, ObserverPartition, Run, ValidationError,
                               _check_name, _coerce_action)
@@ -58,8 +58,11 @@ class Reference:
     def holds(self, f):
         return all(self.values(f))
 
+    def guarded(self, observer, rows):
+        return all(self.holds(_guarded_formula(observer, guard, terms)) for guard, terms in rows)
+
     def distributes(self, observer, terms):
-        return all(self.holds(_distributes(observer, u, p)) for _, u, p in terms)
+        return all(self.holds(_distributes(observer, u, p)) for u, p in terms)
 
     def valid(self, f):
         for run in self.system.runs:

@@ -12,10 +12,11 @@ import pytest
 
 import reference
 from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
-                       build_system, check_claim, composition, derive_parallel,
-                       derive_sequential, falsify, formula, independence_obligations,
-                       random_system, scenarios, sweep, valid)
-from anoncheck.composition import _distributes, _independence_terms
+                       build_system, check_claim, compile_property, composition,
+                       derive_parallel, derive_sequential, falsify, formula,
+                       independence_obligations, properties, random_system, scenarios,
+                       sweep, valid)
+from anoncheck.composition import _independence_pairs
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from test_acceptance import _seeded_formula
 from test_universe import _checker_names
@@ -41,8 +42,7 @@ def _independence_checkers(shape):
     suite = shape.suite()
     checkers = [(kind, suite.checker(name))
                 for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
-    return [(kind, [(label, _distributes(c.observer, u, p)) for label, u, p in c.terms])
-            for kind, c in checkers]
+    return [(kind, list(c.obligations())) for kind, c in checkers]
 
 
 @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
@@ -87,7 +87,8 @@ def test_distributes_matches_the_obligations(flavor):
         shape, planes = _batch(cfgs)
         systems = [random_system(cfg) for cfg in cfgs]
         for kind in scenarios._INDEPENDENCE_KINDS[flavor].values():
-            terms = tuple(_independence_terms(shape.ref, shape.suite().schema, "j", kind))
+            terms = tuple((u, p) for (_, u), (_, p) in _independence_pairs(
+                shape.ref, shape.suite().schema, "j", kind)[1])
             vector = planes.distributes("j", terms)
             for s, system in enumerate(systems):
                 got = Evaluator(system).distributes("j", terms)
@@ -112,7 +113,6 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
         raise AssertionError("an obligation formula was built")
 
     monkeypatch.setattr(composition, "_distributes", refuse)
-    monkeypatch.setattr(scenarios, "_distributes", refuse)
     nr, np_, nc = SHAPES[flavor][-1]
     cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4, partition="random",
                       flavor=flavor, seed=seed) for seed in range(16)]
@@ -121,6 +121,103 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
     for name in scenarios._INDEPENDENCE_KINDS[flavor]:
         checker = suite.checker(name)
         nodes = len(formula._NODES)
+        assert 0 <= checker.holds(planes) <= planes.all
+        assert len(formula._NODES) == nodes, name
+
+
+def _guarded_names(flavor):
+    """The checkers decided from fact-term rows: every property checker,
+    the either/or one and the independence reformulation equivalence."""
+    return list(scenarios._PROPERTY_CHECKERS[flavor]) + list(scenarios.CheckSuite._METHODS[flavor])
+
+
+def _obligation_verdict(checker, ref):
+    """The checker restated on a :class:`reference.Reference`: the AND of
+    its obligations' validity, or of the either/or of its alternatives'."""
+    if isinstance(checker, scenarios._AnyOfEachValid):
+        return all(any(_obligation_verdict(c, ref) for c in alternatives)
+                   for _, alternatives in checker.items)
+    if isinstance(checker, scenarios._EquivalenceValid):
+        return _obligation_verdict(checker.left, ref) is _obligation_verdict(checker.right, ref)
+    return all(ref.valid(f).holds for _, f in checker.obligations())
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+def test_guarded_checkers_match_their_obligations(flavor):
+    """Every checker decided from fact terms: bit s of a batch's vector is
+    its verdict on system s from the evaluator and from the reference, the
+    AND of its compiled obligations' validity, on pooled systems of every
+    shape, one to four runs, single and random partitions; the equivalence's
+    reformulation side is compared on its own.  Each is seen holding and
+    failing."""
+    infer_schema, derive = scenarios._flavor_functions(flavor)
+    outcomes, runs_seen, split_seen = set(), set(), False
+    for nr, np_, nc in SHAPES[flavor]:
+        cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
+                          partition=("single", "random")[seed % 2],
+                          style=("uniform", "matching")[seed // 2 % 2], flavor=flavor,
+                          seed=9000 + 100 * nr + 10 * np_ + nc + seed)
+                for seed in range(6)]
+        shape, planes = _batch(cfgs)
+        suite = shape.suite()
+        systems = [random_system(cfg) for cfg in cfgs]
+        checkers = {name: suite.checker(name) for name in _guarded_names(flavor)}
+        if flavor == "sequential":
+            checkers["reformulation"] = checkers["independence-reformulation-equivalence"].right
+        vectors = {name: c.holds(planes) for name, c in checkers.items()}
+        for s, system in enumerate(systems):
+            ctx = suite.context(system)
+            ref = reference.Reference(system, lambda: derive(system, infer_schema(system)))
+            for name, checker in checkers.items():
+                got = checker.holds(ctx)
+                assert type(got) is bool
+                assert bool(vectors[name] >> s & 1) is got, (name, nr, np_, nc, s)
+                assert _obligation_verdict(checker, ref) is got, (name, nr, np_, nc, s)
+                outcomes.add((name, got))
+        runs_seen |= {len(system.runs) for system in systems}
+        split_seen |= any(len(s.observers["j"].blocks) > 1 for s in systems)
+    names = {name for name, _ in outcomes}
+    assert outcomes == {(name, got) for name in names for got in (True, False)}
+    assert runs_seen == {1, 2, 3, 4} and split_seen
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+def test_property_checker_obligations_are_the_compiled_properties(flavor):
+    """A ``<stage>-<property>`` checker's obligations are its stage's
+    compiled properties, labelled ``kind(subject, action)``."""
+    for shape_args in SHAPES[flavor]:
+        suite = scenarios._shape(flavor, *shape_args).suite()
+        for name in scenarios._PROPERTY_CHECKERS[flavor]:
+            stage_name, _, prop = name.partition("-")
+            stage = suite._stages()[stage_name]
+            ref = suite.ref_base if stage.target == "base" else suite.ref_derived
+            make_spec = scenarios._PROPERTY_SPECS[prop][1]
+            specs = [make_spec(i, a, stage, "j") for i in stage.subjects for a in stage.actions]
+            assert list(suite.checker(name).obligations()) == [
+                (f"{spec.kind.value}({spec.subject}, {spec.action})", compile_property(ref, spec))
+                for spec in specs], (name, shape_args)
+
+
+@pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+def test_guarded_checkers_build_no_formula(flavor, monkeypatch):
+    """Compiling a checker decided from fact terms and deciding it on a
+    batch build no property formula, and no formula node at all."""
+    def refuse(*args):
+        raise AssertionError("a formula was built")
+
+    for module in (properties, scenarios, formula):
+        for name in ("compile_property", "_guarded_formula", "_term_formula"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    nr, np_, nc = SHAPES[flavor][-1]
+    cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4, partition="random",
+                      flavor=flavor, seed=seed) for seed in range(16)]
+    shape, planes = _batch(cfgs)
+    suite = scenarios.CheckSuite(flavor, shape.suite().schema, "j", shape.ref)
+    suite.checker("independence")  # the equivalence's other side builds its stage terms
+    for name in _guarded_names(flavor):
+        nodes = len(formula._NODES)
+        checker = suite.checker(name)
         assert 0 <= checker.holds(planes) <= planes.all
         assert len(formula._NODES) == nodes, name
 
@@ -201,7 +298,8 @@ def test_derived_atom_tables_match_the_derivation(flavor):
         for agent in derived.agents:
             for action in derived.actions:
                 atom = Atom(agent, action)
-                assert shape.column(columns, atom) == masks.mask(atom), (atom, nr, np_, nc)
+                assert shape.column(columns, (agent, action)) == masks.mask(atom), \
+                    (atom, nr, np_, nc)
 
 
 def test_random_sweep_reproduces_the_benchmark_oracle():

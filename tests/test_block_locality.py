@@ -9,19 +9,17 @@ import pytest
 
 from anoncheck import CLAIMS, ClaimVerdict, check_claim, parse_system, scenarios
 from anoncheck.cli import main
-from anoncheck.composition import _distributes
 from test_universe import FLAVORS, _checker_names
 
 
 def _formulas(checker):
     """The formulas whose validity the checker combines."""
     if isinstance(checker, scenarios._AnyOfEachValid):
-        return [f for _, alternatives in checker.items for f in alternatives]
+        return [f for _, alternatives in checker.items for c in alternatives
+                for f in _formulas(c)]
     if isinstance(checker, scenarios._EquivalenceValid):
         return _formulas(checker.left) + _formulas(checker.right)
-    if isinstance(checker, scenarios._Distributes):
-        return [_distributes(checker.observer, u, p) for _, u, p in checker.terms]
-    return [ob.formula for ob in checker.obligations]
+    return [f for _, f in checker.obligations()]
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -56,7 +54,7 @@ def test_a_checker_holds_on_a_system_iff_on_each_block(flavor):
             for f in _formulas(checker):
                 assert whole.holds(f) is all(p.holds(f) for p in parts), (name, cfg)
             held, on_blocks = checker.holds(whole), all(checker.holds(p) for p in parts)
-            if isinstance(checker, (scenarios._AllValid, scenarios._Distributes)):
+            if isinstance(checker, scenarios._AllValid):
                 assert held is on_blocks, (name, cfg)
             if name in hypotheses:
                 assert on_blocks or not held, (name, cfg)

@@ -13,7 +13,7 @@ from anoncheck import (GenConfig, anonymous_up_to, build_system, check_property,
                        save_system, to_json_dict)
 from anoncheck.cli import main
 from anoncheck.composition import _conjuncts
-from anoncheck.formula import Atom, Evaluator, parse
+from anoncheck.formula import Evaluator, parse
 from anoncheck.scenarios import (DATA_DIR, FIXTURE_NAMES, _draw, _shape, _shape_of,
                                  fixture_system, standard_parallel_schema,
                                  standard_sequential_schema)
@@ -287,19 +287,18 @@ def test_shape_terms_match_a_derived_catalog(flavor):
         holding: dict = {}
         for pair, run in zip(pairs, reference.derive(catalog, infer(catalog)).runs):
             for fact in run.facts:
-                holding.setdefault(Atom(*fact), set()).add(pair)
-        expected = {atom: {(a, b) for a, b in sets if a == b or not {(a, a), (b, b)} & sets}
-                    for atom, sets in holding.items()}
-        terms = {atom: set(t) for atom, t in shape._terms.items() if t}
+                holding.setdefault(fact, set()).add(pair)
+        expected = {fact: {(a, b) for a, b in sets if a == b or not {(a, a), (b, b)} & sets}
+                    for fact, sets in holding.items()}
+        terms = {fact: set(t) for fact, t in shape._terms.items() if t}
         assert terms == expected, (flavor, sizes)
         rng = random.Random(str(sizes))
         columns = [rng.getrandbits(64) for _ in facts]
         for fact in _conjuncts(shape.ref, infer(shape.ref)):
-            atom = Atom(*fact)
             want = 0
-            for a, b in expected.get(atom, ()):
+            for a, b in expected.get(fact, ()):
                 want |= columns[a] & columns[b]
-            assert shape.column(columns, atom) == want
+            assert shape.column(columns, fact) == want
 
 
 def test_evaluate_reads_every_run_from_one_mask():

@@ -255,6 +255,12 @@ class TestSweep:
         assert list(report.stats) == ["C3.2"]
         assert report.stats["C3.2"].checked == report.systems_checked["sequential"] == 10
 
+    def test_a_negative_pool_size_is_rejected(self):
+        with pytest.raises(ValidationError, match="^n_random must be non-negative$"):
+            sweep(n_random=-5, exhaustive=False)
+        assert sweep(claims=["C4.1"], n_random=0, exhaustive=False).systems_checked == {
+            "sequential": 0, "parallel": 0}
+
     def test_witness_claims_cannot_be_swept(self):
         with pytest.raises(ValidationError,
                            match=r"^claim C3\.1 is witness-only; nothing to sweep$"):
