@@ -17,11 +17,7 @@ from pathlib import Path
 from .composition import IndependenceKind, check_independence
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
-from .properties import (PropertyReport, PropertySpec, anonymous_up_to,
-                         check_property, maximally_identified,
-                         maximally_onymous, minimally_anonymous,
-                         minimally_private, private_up_to,
-                         role_interchangeable)
+from .properties import _FORMS, PropertyReport, PropertySpec, check_property
 from .scenarios import (CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                         ClaimReport, ClaimVerdict, GenConfig, _flavor_functions,
                         check_claim, falsify, fixture_system,
@@ -92,7 +88,7 @@ def parse_property_text(text: str) -> PropertySpec:
     open_at = text.find("(")
     if open_at < 0 or not text.endswith(")"):
         raise CliError(f"expected KIND(args), got {text!r}")
-    kind = text[:open_at].strip()
+    word = text[:open_at].strip()
     args = _split_top_level(text[open_at + 1:-1])
 
     def act(s: str) -> Action:
@@ -101,40 +97,22 @@ def parse_property_text(text: str) -> PropertySpec:
         except ValidationError as exc:
             raise CliError(str(exc)) from None
 
-    try:
-        if kind == "anon-upto":
-            subject, action, agents, observer = args
-            return anonymous_up_to(subject, act(action),
-                                   _braced_list(agents, "anonymity set"), observer)
-        if kind == "priv-upto":
-            subject, action, actions, observer = args
-            return private_up_to(subject, act(action),
-                                 [act(a) for a in _braced_list(actions, "privacy set")],
-                                 observer)
-        if kind == "min-anon":
-            subject, action, observer = args
-            return minimally_anonymous(subject, act(action), observer)
-        if kind == "min-priv":
-            subject, action, observer = args
-            return minimally_private(subject, act(action), observer)
-        if kind == "max-onym":
-            subject, action, observer = args
-            return maximally_onymous(subject, act(action), observer)
-        if kind == "max-ident":
-            subject, action, observer = args
-            return maximally_identified(subject, act(action), observer)
-        if kind == "role-int":
-            if len(args) == 3:
-                subject, action, observer = args
-                return role_interchangeable(subject, act(action), observer)
-            subject, action, universe, observer = args
-            return role_interchangeable(subject, act(action), observer,
-                                        [act(a) for a in _braced_list(universe, "action universe")])
-    except ValueError as exc:
-        if isinstance(exc, CliError):
-            raise
-        raise CliError(f"property {kind!r}: wrong arguments ({exc})") from None
-    raise CliError(f"unknown property kind {kind!r}")
+    kind = next((k for k, form in _FORMS.items() if form.word == word), None)
+    if kind is None:
+        raise CliError(f"unknown property kind {word!r}")
+    # four arguments when the kind's set is required or given, else three
+    field, required = _FORMS[kind].field, _FORMS[kind].required
+    n = 3 + (field is not None and (required or len(args) != 3))
+    if len(args) != n:
+        problem = (f"not enough values to unpack (expected {n}, got {len(args)})"
+                   if len(args) < n else f"too many values to unpack (expected {n})")
+        raise CliError(f"property {word!r}: wrong arguments ({problem})")
+    subject, action, observer = args[0], act(args[1]), args[-1]
+    sets = {}
+    if n == 4:
+        items = _braced_list(args[2], field.replace("_", " "))
+        sets[field] = tuple(items if field == "anonymity_set" else map(act, items))
+    return PropertySpec(kind, subject, action, observer, **sets)
 
 
 _NAME_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
@@ -371,7 +349,9 @@ def cmd_eval(args) -> int:
     formula = parse_formula(args.formula)
     ev = Evaluator(system)
     check_names(system, formula)
-    values = [(rid, ev.evaluate(formula, rid)) for rid in system.run_ids]
+    # --run alone reads only the run it names
+    wanted = system.run_ids if args.run is None or args.dot is not None else ()
+    values = [(rid, ev.evaluate(formula, rid)) for rid in wanted]
     failing = next((rid for rid, v in values if not v), None)
     if args.dot is not None:
         # "-" replaces the report with the graph; the exit code still

@@ -2,8 +2,10 @@
 
 Every property is an implication guarded by the fact under scrutiny: a
 property of (subject, action) holds vacuously in systems where the subject
-never performs the action.  The single source of truth is a property's
-expansion (:func:`_expand`): its guard fact and its conjuncts as fact terms
+never performs the action.  A kind's forms live in one table,
+:data:`_FORMS`: its ``check`` word, its claim checkers' suffix and the set
+it takes.  A property's one source of truth is its expansion
+(:func:`_expand`): its guard fact and its conjuncts as fact terms
 (:data:`~anoncheck.formula._TERMS`), ``P f``, ``P !f``, ``K f`` or
 ``g -> P(x & y)``.  :func:`compile_property` builds the formula from it,
 and the claim checkers decide it with no formula built
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .formula import (Evaluator, Formula, _guarded_formula, _shared,
-                      _term_formula, render)
+from .formula import (Atom, Evaluator, Formula, Implies, _guarded_formula,
+                      _shared, _term_formula, conj, render)
 from .system import Action, Fact, InterpretedSystem, ValidationError
 
 
@@ -31,29 +34,35 @@ class PropertyKind(Enum):
     MAXIMALLY_IDENTIFIED = "maximally-identified"
 
 
-_SET_FIELDS = ("anonymity_set", "privacy_set", "action_universe")
-#: Per kind: (required set field, additionally permitted set fields).
-_FIELD_RULES = {
-    PropertyKind.ANONYMOUS_UP_TO: ("anonymity_set", frozenset()),
-    PropertyKind.MINIMALLY_ANONYMOUS: (None, frozenset()),
-    PropertyKind.PRIVATE_UP_TO: ("privacy_set", frozenset()),
-    PropertyKind.MINIMALLY_PRIVATE: (None, frozenset()),
-    PropertyKind.ROLE_INTERCHANGEABLE: (None, frozenset({"action_universe"})),
-    PropertyKind.MAXIMALLY_ONYMOUS: (None, frozenset()),
-    PropertyKind.MAXIMALLY_IDENTIFIED: (None, frozenset()),
+class _Form(NamedTuple):
+    word: str  # the ``check`` surface word, ``word(subject, action, [set,] observer)``
+    suffix: str  # of the claim checkers ``<stage>-<suffix>``
+    field: str | None  # the set field the kind takes
+    required: bool  # whether that field must be given
+
+
+#: Every form of each kind, written once: the ``check`` parser, the
+#: ``<stage>-<property>`` claim checkers and :class:`PropertySpec` read it.
+_FORMS = {
+    PropertyKind.ANONYMOUS_UP_TO: _Form("anon-upto", "anonymity", "anonymity_set", True),
+    PropertyKind.MINIMALLY_ANONYMOUS: _Form("min-anon", "min-anonymity", None, False),
+    PropertyKind.PRIVATE_UP_TO: _Form("priv-upto", "privacy", "privacy_set", True),
+    PropertyKind.MINIMALLY_PRIVATE: _Form("min-priv", "min-privacy", None, False),
+    PropertyKind.ROLE_INTERCHANGEABLE: _Form("role-int", "role-interchangeability",
+                                             "action_universe", False),
+    PropertyKind.MAXIMALLY_ONYMOUS: _Form("max-onym", "onymity", None, False),
+    PropertyKind.MAXIMALLY_IDENTIFIED: _Form("max-ident", "identity", None, False),
 }
+_SET_FIELDS = ("anonymity_set", "privacy_set", "action_universe")
 
 
 @dataclass(frozen=True)
 class PropertySpec:
     """What to check: a kind, the scrutinized (subject, action), the observer,
-    and the kind-specific universe.
-
-    ``anonymity_set``: candidate performers, required for ANONYMOUS_UP_TO.
-    ``privacy_set``: candidate actions, required for PRIVATE_UP_TO.
-    ``action_universe``: for ROLE_INTERCHANGEABLE only; defaults to all
-    declared actions of the system.  A set field that the kind does not use
-    must be left unset.
+    and the set the kind takes (:data:`_FORMS`): ``anonymity_set``, the
+    candidate performers, ``privacy_set``, the candidate actions, or
+    ``action_universe``, which defaults to all declared actions.  A set
+    field that the kind does not take must be left unset.
     """
 
     kind: PropertyKind
@@ -65,16 +74,15 @@ class PropertySpec:
     action_universe: tuple[Action, ...] | None = None
 
     def __post_init__(self):
-        required, optional = _FIELD_RULES[self.kind]
+        form = _FORMS[self.kind]
         for field in _SET_FIELDS:
             value = getattr(self, field)
-            if field == required and value is None:
-                raise ValidationError(f"{self.kind.value} needs {field}")
             if value is None:
-                continue
-            if field != required and field not in optional:
+                if field == form.field and form.required:
+                    raise ValidationError(f"{self.kind.value} needs {field}")
+            elif field != form.field:
                 raise ValidationError(f"{self.kind.value} does not take {field}")
-            if not isinstance(value, tuple):
+            elif not isinstance(value, tuple):
                 object.__setattr__(self, field, tuple(value))
 
 
@@ -164,10 +172,11 @@ def check_property(system: InterpretedSystem, spec: PropertySpec) -> PropertyRep
 
     The report names the first failing run (declaration order) and, inside
     it, the first failing conjunct (agents before actions, declaration
-    order).  ``holds`` always agrees with ``valid(system, witness_formula)``.
+    order).  ``holds`` always agrees with ``valid(system, witness_formula)``,
+    the formula :func:`compile_property` builds.
     """
     parts = _conjuncts(system, spec)
-    witness = compile_property(system, spec)
+    witness = Implies(Atom(spec.subject, spec.action), conj(f for _, f in parts))
     ev = Evaluator(system)
     verdict = ev.valid(witness)
     if verdict.holds:

@@ -42,10 +42,8 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           independence_obligations, parallel_subjects,
                           structural_formula)
 from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared
-from .properties import (PropertyKind, _expand, anonymous_up_to,
-                         maximally_identified, maximally_onymous,
-                         minimally_anonymous, minimally_private,
-                         private_up_to, role_interchangeable)
+from .properties import (_FORMS, PropertyKind, PropertySpec, _expand,
+                         maximally_identified, minimally_private)
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition,
                      ValidationError, _mask, build_system)
@@ -267,24 +265,6 @@ def _parallel_stages(schema: ParallelSchema, system, observer) -> dict[str, _Sta
 
 _STAGES = {"sequential": _sequential_stages, "parallel": _parallel_stages}
 
-#: Property suffix of a ``<stage>-<property>`` checker -> the kind and the
-#: spec it asks of each (subject, action) of the stage.
-_PROPERTY_SPECS = {
-    "anonymity": (PropertyKind.ANONYMOUS_UP_TO,
-                  lambda i, a, stage, j: anonymous_up_to(i, a, stage.subjects, j)),
-    "privacy": (PropertyKind.PRIVATE_UP_TO,
-                lambda i, a, stage, j: private_up_to(i, a, stage.actions, j)),
-    "onymity": (PropertyKind.MAXIMALLY_ONYMOUS, lambda i, a, _, j: maximally_onymous(i, a, j)),
-    "identity": (PropertyKind.MAXIMALLY_IDENTIFIED,
-                 lambda i, a, _, j: maximally_identified(i, a, j)),
-    "min-anonymity": (PropertyKind.MINIMALLY_ANONYMOUS,
-                      lambda i, a, _, j: minimally_anonymous(i, a, j)),
-    "min-privacy": (PropertyKind.MINIMALLY_PRIVATE, lambda i, a, _, j: minimally_private(i, a, j)),
-    "role-interchangeability": (
-        PropertyKind.ROLE_INTERCHANGEABLE,
-        lambda i, a, stage, j: role_interchangeable(i, a, j, stage.actions)),
-}
-
 #: The ``<stage>-<property>`` checkers each flavor offers.
 _PROPERTY_CHECKERS = {
     "sequential": ("use-anonymity", "use-onymity", "use-min-anonymity",
@@ -387,10 +367,14 @@ class CheckSuite:
             return _Distributes(name, self.observer, [(u, p) for (_, u), (_, p) in pairs],
                                 partial(independence_obligations, *args))
         if name in _PROPERTY_CHECKERS[self.flavor]:
-            stage_name, _, prop = name.partition("-")
-            stage, (prop_kind, make_spec) = self._stages()[stage_name], _PROPERTY_SPECS[prop]
-            return self._props(name, stage.target, prop_kind, [
-                make_spec(i, a, stage, self.observer)
+            stage_name, _, suffix = name.partition("-")
+            stage = self._stages()[stage_name]
+            kind, field = next((k, form.field) for k, form in _FORMS.items()
+                               if form.suffix == suffix)
+            sets = {} if field is None else {
+                field: stage.subjects if field == "anonymity_set" else stage.actions}
+            return self._props(name, stage.target, kind, [
+                PropertySpec(kind, i, a, self.observer, **sets)
                 for i in stage.subjects for a in stage.actions])
         if self.flavor == "sequential" and name in _STRUCTURAL_CONDITIONS:
             return self._structural(name, _STRUCTURAL_CONDITIONS[name](self.schema))

@@ -12,10 +12,10 @@ import pytest
 
 import reference
 from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
-                       build_system, check_claim, compile_property, composition,
-                       derive_parallel, derive_sequential, falsify, formula,
-                       independence_obligations, properties, random_system, scenarios,
-                       sweep, valid)
+                       PropertySpec, build_system, check_claim, compile_property,
+                       composition, derive_parallel, derive_sequential, falsify,
+                       formula, independence_obligations, properties, random_system,
+                       scenarios, sweep, valid)
 from anoncheck.composition import _independence_pairs
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from test_acceptance import _seeded_formula
@@ -191,8 +191,12 @@ def test_property_checker_obligations_are_the_compiled_properties(flavor):
             stage_name, _, prop = name.partition("-")
             stage = suite._stages()[stage_name]
             ref = suite.ref_base if stage.target == "base" else suite.ref_derived
-            make_spec = scenarios._PROPERTY_SPECS[prop][1]
-            specs = [make_spec(i, a, stage, "j") for i in stage.subjects for a in stage.actions]
+            kind, = (k for k, form in properties._FORMS.items() if form.suffix == prop)
+            field = properties._FORMS[kind].field
+            sets = {} if field is None else {
+                field: stage.subjects if field == "anonymity_set" else stage.actions}
+            specs = [PropertySpec(kind, i, a, "j", **sets)
+                     for i in stage.subjects for a in stage.actions]
             assert list(suite.checker(name).obligations()) == [
                 (f"{spec.kind.value}({spec.subject}, {spec.action})", compile_property(ref, spec))
                 for spec in specs], (name, shape_args)

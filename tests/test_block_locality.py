@@ -1,9 +1,10 @@
 """Block-locality: every checker reads one observer's partition, so it holds
 on a system iff it holds on each of its blocks, each taken as a one-block
-system; and a one-block system that the exhaustive universe and the random
-pool miss, pinned with its verdicts."""
+system; and four one-block systems that the exhaustive universe and the
+random pool of the sweep miss, pinned with their verdicts."""
 import dataclasses
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -63,32 +64,64 @@ def test_a_checker_holds_on_a_system_iff_on_each_block(flavor):
     assert multi_block > 100
 
 
-#: A 4-run one-block system refuting CA.3 without ``exhaustive-posting`` and
-#: ``exclusive-posts``; the exhaustive universe stops at two runs.
-SAT = """\
-system sat
-agents: i1:real i2:real k1:pseudo k2:pseudo j:observer
-actions: use(k1) use(k2) post(c1) post(c2)
-run r1: i2:use(k1) k1:post(c2)
-run r2: i2:use(k2) k2:post(c2)
-run r3: i2:use(k1) k1:post(c2) k2:post(c2)
-run r4: i2:use(k2) k1:post(c2) k2:post(c2)
-indist j: {r1 r2 r3 r4}
-"""
-
-BOTH = ("exhaustive-posting", "exclusive-posts")
+class _Pin(NamedTuple):
+    claim: str
+    runs: tuple[str, ...]
+    refuting: tuple[str, ...]  # the dropped hypotheses under which it is REFUTED
+    conclusion: str  # the failing conclusion, with either drop
+    vacuous: tuple[str, ...]  # fewer dropped: the claim is vacuous ...
+    failing: tuple[str, str]  # ... because this hypothesis fails
 
 
-def _batch_verdict(drop):
-    """CA.3 on ``sat`` as the one system of a batch of the 2/2/2 shape."""
-    system = parse_system(SAT)
+#: One-block 4-run systems over the 2/2/2 declaration, each refuting its
+#: claim with hypotheses dropped; the exhaustive universe stops at two runs.
+#: The last two were found by ``falsify(claim, GenConfig(max_runs=6,
+#: budget=300_000, seed=11), drop=refuting)`` in its random phase.
+PINS = [
+    _Pin("CA.3", ("i2:use(k1) k1:post(c2)", "i2:use(k2) k2:post(c2)",
+                  "i2:use(k1) k1:post(c2) k2:post(c2)", "i2:use(k2) k1:post(c2) k2:post(c2)"),
+         ("exhaustive-posting", "exclusive-posts"), "minimally-private(i2, submit(c2)) @ r1",
+         ("exhaustive-posting",), ("exclusive-posts", "exclusive-action[post(c2)] @ r3")),
+    _Pin("CA.4", ("i2:use(k1) k1:post(c2)", "i2:use(k2) k2:post(c2)",
+                  "i2:use(k1) i2:use(k2) k1:post(c2)", "i2:use(k1) i2:use(k2) k2:post(c2)"),
+         ("exhaustive-registration", "exclusive-agents"),
+         "minimally-anonymous(i2, submit(c2)) @ r1",
+         ("exhaustive-registration",), ("exclusive-agents", "exclusive-agent[i2] @ r3")),
+    _Pin("CA.3", ("i1:use(k1) i2:use(k2) k1:post(c1) k2:post(c1) k1:post(c2) k2:post(c2)",
+                  "i2:use(k1) k1:post(c1) k2:post(c2)", "i2:use(k2) k2:post(c1) k2:post(c2)",
+                  "i2:use(k1) k1:post(c1) k2:post(c1) k1:post(c2)"),
+         ("exclusive-posts",), "minimally-private(i2, submit(c1)) @ r1",
+         (), ("exclusive-posts", "exclusive-action[post(c1)] @ r1")),
+    _Pin("CA.4", ("i2:use(k1) i1:use(k2) k1:post(c1) k2:post(c2)",
+                  "i2:use(k1) i1:use(k2) i2:use(k2) k2:post(c1)",
+                  "i1:use(k1) i2:use(k2) k2:post(c1) k2:post(c2)",
+                  "i1:use(k1) i2:use(k1) i1:use(k2) i2:use(k2) k1:post(c1) k2:post(c2)"),
+         ("exclusive-agents",), "minimally-anonymous(i2, submit(c1)) @ r1",
+         (), ("exclusive-agents", "exclusive-agent[i1] @ r4")),
+]
+#: The claim and the last word of each refuting drop: ``CA.3-posting+posts``.
+PIN_IDS = [f"{pin.claim}-{'+'.join(h.split('-')[-1] for h in pin.refuting)}" for pin in PINS]
+
+
+def _text(pin):
+    return "".join([
+        "system sat\n",
+        "agents: i1:real i2:real k1:pseudo k2:pseudo j:observer\n",
+        "actions: use(k1) use(k2) post(c1) post(c2)\n",
+        *(f"run r{n}: {run}\n" for n, run in enumerate(pin.runs, 1)),
+        "indist j: {r1 r2 r3 r4}\n"])
+
+
+def _batch_verdict(claim, system, drop):
+    """``claim`` on ``system`` as the one system of a batch of the 2/2/2
+    shape."""
     shape = scenarios._shape("sequential", 2, 2, 2)
     masks = [sum(1 << b for b, fact in enumerate(shape.facts) if fact in run.facts)
              for run in system.runs]
     columns = shape.columns([masks])
     assert len(columns) == 4
     ctx = shape.batch(columns, 1)
-    suite, cdef = shape.suite(), CLAIMS["CA.3"]
+    suite, cdef = shape.suite(), CLAIMS[claim]
     held = scenarios._held(lambda name: suite.checker(name).holds(ctx),
                            [n for n in cdef.hypotheses if n not in drop], ctx.all)
     if not held:
@@ -98,27 +131,28 @@ def _batch_verdict(drop):
     return ClaimVerdict.REFUTED
 
 
-@pytest.mark.parametrize("drop, verdict", [
-    (BOTH, ClaimVerdict.REFUTED),
-    (BOTH[:1], ClaimVerdict.VACUOUS),
-])
-def test_the_four_run_system_is_pinned(drop, verdict):
-    report = check_claim("CA.3", parse_system(SAT), drop=drop)
+@pytest.mark.parametrize("refuted", [True, False], ids=["refuted", "vacuous"])
+@pytest.mark.parametrize("pin", PINS, ids=PIN_IDS)
+def test_the_four_run_system_is_pinned(pin, refuted):
+    system = parse_system(_text(pin))
+    drop, verdict = ((pin.refuting, ClaimVerdict.REFUTED) if refuted
+                     else (pin.vacuous, ClaimVerdict.VACUOUS))
+    report = check_claim(pin.claim, system, drop=drop)
     assert report.verdict is verdict
-    assert report.conclusion.detail == "minimally-private(i2, submit(c2)) @ r1"
+    assert report.conclusion.detail == pin.conclusion
     failing = [(h.name, h.detail) for h in report.hypotheses if not h.holds]
-    assert failing == ([] if drop == BOTH
-                       else [("exclusive-posts", "exclusive-action[post(c2)] @ r3")])
-    assert _batch_verdict(drop) is verdict
+    assert failing == ([] if refuted else [pin.failing])
+    assert _batch_verdict(pin.claim, system, drop) is verdict
 
 
-def test_the_cli_refutes_ca3_on_the_four_run_system(tmp_path, capsys):
+@pytest.mark.parametrize("pin", PINS, ids=PIN_IDS)
+def test_the_cli_refutes_on_the_four_run_system(pin, tmp_path, capsys):
     path = tmp_path / "sat.sys"
-    path.write_text(SAT)
-    argv = ["claims", "run", "CA.3", "--system", str(path), "--drop", "exhaustive-posting"]
-    assert main(argv + ["--drop", "exclusive-posts"]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "CA.3 on sat: REFUTED"
-    assert main(argv) == 0
+    path.write_text(_text(pin))
+    argv = ["claims", "run", pin.claim, "--system", str(path)]
+    assert main(argv + [a for h in pin.refuting for a in ("--drop", h)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"{pin.claim} on sat: REFUTED"
+    assert main(argv + [a for h in pin.vacuous for a in ("--drop", h)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "CA.3 on sat: vacuous"
-    assert "  hypothesis exclusive-posts: fails (exclusive-action[post(c2)] @ r3)" in out
+    assert out[0] == f"{pin.claim} on sat: vacuous"
+    assert "  hypothesis {}: fails ({})".format(*pin.failing) in out

@@ -155,6 +155,119 @@ class TestCheck:
         assert rc == 2 and "'zz' has no declared partition" in err
 
 
+#: ``check s12 TEXT`` -> exit code, stdout in human and in json format, and
+#: stderr (the same in both), recorded before the parser read the table of
+#: property forms: every kind, and malformed texts (wrong arity for
+#: fixed-set, set-free and optional-set kinds, empty and unbraced sets, bad
+#: actions in and out of a set, an unknown kind, undeclared names, no
+#: argument list).
+CHECK_GOLDEN = [
+    ('anon-upto(i1, use(k1), {i1,i2}, j)', 0,
+     'anon-upto(i1, use(k1), {i1,i2}, j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('min-anon(i1, use(k1), j)', 0,
+     'min-anon(i1, use(k1), j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('priv-upto(k1, post(c1), {post(c1),post(c2)}, j)', 0,
+     'priv-upto(k1, post(c1), {post(c1),post(c2)}, j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('min-priv(k1, post(c1), j)', 0,
+     'min-priv(k1, post(c1), j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('role-int(i1, use(k1), j)', 1,
+     'role-int(i1, use(k1), j): FAILS\n  counterexample run: r1\n  failing conjunct: k1:post(c1)\n',
+     '{\n  "counterexample_run": "r1",\n  "failing_conjunct": "k1:post(c1)",\n  "verdict": "fails"\n}\n',
+     ''),
+    ('role-int(i1, use(k1), {use(k1),use(k2)}, j)', 0,
+     'role-int(i1, use(k1), {use(k1),use(k2)}, j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('max-onym(i1, use(k1), j)', 1,
+     'max-onym(i1, use(k1), j): FAILS\n  counterexample run: r1\n  failing conjunct: K[j] theta(i1, use(k1))\n',
+     '{\n  "counterexample_run": "r1",\n  "failing_conjunct": "K[j] theta(i1, use(k1))",\n  "verdict": "fails"\n}\n',
+     ''),
+    ('max-ident(k1, post(c1), j)', 1,
+     'max-ident(k1, post(c1), j): FAILS\n  counterexample run: r1\n  failing conjunct: K[j] theta(k1, post(c1))\n',
+     '{\n  "counterexample_run": "r1",\n  "failing_conjunct": "K[j] theta(k1, post(c1))",\n  "verdict": "fails"\n}\n',
+     ''),
+    ('anon-upto(i1, use(k1), {i2,i1}, j)', 0,
+     'anon-upto(i1, use(k1), {i2,i1}, j): HOLDS\n',
+     '{\n  "verdict": "holds"\n}\n',
+     ''),
+    ('anon-upto(i1, use(k1), j)', 2,
+     '',
+     '',
+     "error: property 'anon-upto': wrong arguments (not enough values to unpack (expected 4, got 3))\n"),
+    ('anon-upto(i1)', 2,
+     '',
+     '',
+     "error: property 'anon-upto': wrong arguments (not enough values to unpack (expected 4, got 1))\n"),
+    ('priv-upto(k1, post(c1), {post(c1)}, j, j)', 2,
+     '',
+     '',
+     "error: property 'priv-upto': wrong arguments (too many values to unpack (expected 4))\n"),
+    ('min-anon(i1, use(k1), {i1,i2}, j)', 2,
+     '',
+     '',
+     "error: property 'min-anon': wrong arguments (too many values to unpack (expected 3))\n"),
+    ('max-ident(k1, post(c1))', 2,
+     '',
+     '',
+     "error: property 'max-ident': wrong arguments (not enough values to unpack (expected 3, got 2))\n"),
+    ('role-int(i1, use(k1))', 2,
+     '',
+     '',
+     "error: property 'role-int': wrong arguments (not enough values to unpack (expected 4, got 2))\n"),
+    ('role-int(i1, use(k1), {use(k1)}, j, j)', 2,
+     '',
+     '',
+     "error: property 'role-int': wrong arguments (too many values to unpack (expected 4))\n"),
+    ('anon-upto(i1, use(k1), {}, j)', 2, '', '', 'error: anonymity set must not be empty\n'),
+    ('role-int(i1, use(k1), { , }, j)', 2, '', '', 'error: action universe must not be empty\n'),
+    ('priv-upto(k1, post(c1), {post(c1),bogus}, j)', 2,
+     '',
+     '',
+     'error: undeclared action bogus in property universe\n'),
+    ('role-int(i1, use(k1), {use(k1),use(}, j)', 2,
+     '',
+     '',
+     "error: '{use(k1),use(}, j' has no declared partition\n"),
+    ('priv-upto(k1, post(c1), {post(c1),post()}, j)', 2,
+     '',
+     '',
+     "error: malformed action 'post()'\n"),
+    ('role-int(i1, use(k1), {use(k1),1x}, j)', 2, '', '', "error: malformed action '1x'\n"),
+    ('anon-upto(i1, use(k1), i1, j)', 2,
+     '',
+     '',
+     "error: anonymity set must be a braced list like {x,y}, got 'i1'\n"),
+    ('min-priv(k1, post(), j)', 2, '', '', "error: malformed action 'post()'\n"),
+    ('min-priv(k1, bogus, j)', 2, '', '', 'error: undeclared action bogus\n'),
+    ('who-knows(i1, use(k1), j)', 2, '', '', "error: unknown property kind 'who-knows'\n"),
+    ('min-anon(i1, use(k1), zz)', 2, '', '', "error: 'zz' has no declared partition\n"),
+    ('anon-upto(i1, use(k1), {i1,zz}, j)', 2,
+     '',
+     '',
+     "error: undeclared agent 'zz' in property universe\n"),
+    ('max-onym(zz, use(k1), j)', 2, '', '', "error: undeclared agent 'zz'\n"),
+    ('min-anon(i1, use(k1), j', 2,
+     '',
+     '',
+     "error: expected KIND(args), got 'min-anon(i1, use(k1), j'\n"),
+    ('min-anon', 2, '', '', "error: expected KIND(args), got 'min-anon'\n"),
+]
+
+
+@pytest.mark.parametrize("text,rc,human,js,err", CHECK_GOLDEN)
+def test_check_output_is_pinned(text, rc, human, js, err):
+    assert invoke("check", "s12", text) == (rc, human, err)
+    assert invoke("check", "s12", text, "--format", "json") == (rc, js, err)
+
+
 class TestIndep:
     def test_failing_variant(self):
         rc, out, _ = invoke("indep", "s12",

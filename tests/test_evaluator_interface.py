@@ -88,3 +88,23 @@ def test_checks_and_cli_use_only_evaluate_and_valid(monkeypatch):
         monkeypatch.setattr(module, "Evaluator", Wrapper)
     assert _outputs() == expected
     assert calls["evaluate"] > 0 and calls["valid"] > 0
+
+
+def test_eval_of_one_run_evaluates_that_run_alone(monkeypatch, tmp_path):
+    """``eval --run`` evaluates the formula at the named run only; with
+    ``--dot`` the graph still needs every run."""
+    seen = []
+
+    class Counting(formula.Evaluator):
+        def evaluate(self, f, run):
+            seen.append(run)
+            return super().evaluate(f, run)
+
+    monkeypatch.setattr(cli, "Evaluator", Counting)
+    runs = list(fixture_system("s1234").run_ids)
+    for extra, expected in (([], ["r2"]), (["--dot", str(tmp_path / "g.dot")], runs + ["r2"]),
+                            (["--dot", "-"], runs)):
+        seen.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["eval", "s1234", FORMULA, "--run", "r2", *extra])
+        assert seen == expected, extra
