@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -18,12 +17,11 @@ from .composition import IndependenceKind, check_independence
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
 from .properties import _FORMS, PropertyReport, PropertySpec, check_property
-from .scenarios import (CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
-                        ClaimReport, ClaimVerdict, GenConfig, _flavor_functions,
-                        check_claim, falsify, fixture_system,
-                        standard_parallel_schema, standard_sequential_schema)
+from .scenarios import (_FLAVORS, CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
+                        ClaimReport, ClaimVerdict, GenConfig, check_claim, falsify,
+                        fixture_system, standard_parallel_schema, standard_sequential_schema)
 from .sysfile import SysFileError, load_system, render_system, save_system, to_json_dict
-from .system import Action, InterpretedSystem, ValidationError
+from .system import _NAME_RE, Action, InterpretedSystem, ValidationError
 
 
 class CliError(Exception):
@@ -47,13 +45,26 @@ def _resolve_system(value: str) -> InterpretedSystem:
 # Surface syntax for properties and schemas
 
 
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, current = [], 0, []
+def _nesting(text: str, brackets: str = "(){}"):
+    """Each character of ``text`` with the number of ``brackets`` pairs open
+    after it; a bracket that closes nothing, or leaves another open, or stays
+    open is reported as unbalanced."""
+    opened = []
     for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
+        if ch in brackets[::2]:
+            opened.append(ch)
+        elif ch in brackets[1::2]:
+            if not opened or brackets.index(opened[-1]) + 1 != brackets.index(ch):
+                raise CliError(f"unbalanced {(opened or [ch])[-1]!r} in {text!r}")
+            opened.pop()
+        yield ch, len(opened)
+    if opened:
+        raise CliError(f"unbalanced {opened[-1]!r} in {text!r}")
+
+
+def _split_top_level(text: str) -> list[str]:
+    parts, current = [], []
+    for ch, depth in _nesting(text):
         if ch == "," and depth == 0:
             parts.append("".join(current).strip())
             current = []
@@ -115,21 +126,9 @@ def parse_property_text(text: str) -> PropertySpec:
     return PropertySpec(kind, subject, action, observer, **sets)
 
 
-_NAME_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
-
-
 def _collapse_braces(text: str) -> str:
     """Remove whitespace inside {...} so whitespace-splitting is safe."""
-    out, depth = [], 0
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth = max(0, depth - 1)
-        if depth and ch.isspace():
-            continue
-        out.append(ch)
-    return "".join(out)
+    return "".join(ch for ch, depth in _nesting(text, "{}") if not (depth and ch.isspace()))
 
 
 def _stage_token(token: str, what: str) -> tuple[str, tuple[str, ...] | None]:
@@ -149,7 +148,7 @@ def _stage_token(token: str, what: str) -> tuple[str, tuple[str, ...] | None]:
         items = tuple(s for s in rest[1:-1].split(",") if s)
         if not items:
             raise CliError(f"{what}: empty parameter set")
-    if not _NAME_TOKEN.match(family):
+    if not _NAME_RE.match(family):
         raise CliError(f"{what}: bad family name {family!r}")
     return family, items
 
@@ -177,7 +176,7 @@ def parse_schema_text(text: str, system: InterpretedSystem):
             if "=>" in rest:
                 arrow = rest.index("=>")
                 stage_toks, tail = rest[:arrow], rest[arrow + 1:]
-                if len(tail) != 1 or not _NAME_TOKEN.match(tail[0]):
+                if len(tail) != 1 or not _NAME_RE.match(tail[0]):
                     raise CliError("expected one derived family name after '=>'")
                 derived = tail[0]
             else:
@@ -211,7 +210,7 @@ def parse_schema_text(text: str, system: InterpretedSystem):
                     _, params = _stage_token(f"x:{setpart.strip()}", "parameter set")
                 else:
                     derived = tail_text.strip()
-                if not _NAME_TOKEN.match(derived):
+                if not _NAME_RE.match(derived):
                     raise CliError(f"bad derived family name {derived!r}")
             else:
                 fam_toks = rest
@@ -223,7 +222,7 @@ def parse_schema_text(text: str, system: InterpretedSystem):
             else:
                 fam_a, fam_b = "act_a", "act_b"
             for fam in (fam_a, fam_b):
-                if not _NAME_TOKEN.match(fam):
+                if not _NAME_RE.match(fam):
                     raise CliError(f"bad family name {fam!r}")
             schema = standard_parallel_schema(system, fam_a, fam_b, derived)
             if params is not None:
@@ -408,8 +407,7 @@ def cmd_indep(args) -> int:
 def cmd_compose(args) -> int:
     system = _resolve_system(args.system)
     flavor, schema = parse_schema_text(args.schema, system)
-    _, derive = _flavor_functions(flavor)
-    derived = derive(system, schema)
+    derived = _FLAVORS[flavor].derive(system, schema)
     if args.out:
         _write(args.out, lambda: save_system(derived, args.out))
         print(f"wrote {derived.name} ({len(derived.run_ids)} runs) to {args.out}")
@@ -421,9 +419,8 @@ def cmd_compose(args) -> int:
 
 
 def _admits(system: InterpretedSystem, flavor: str) -> bool:
-    infer_schema, _ = _flavor_functions(flavor)
     try:
-        infer_schema(system)
+        _FLAVORS[flavor].infer_schema(system)
     except ValidationError:
         return False
     return True
@@ -452,7 +449,7 @@ def cmd_claims(args) -> int:
         # the claims of each flavor whose schema the system admits and that
         # have every dropped hypothesis; if none, the first claim reports why
         admitted = {flavor: given is None or _admits(given, flavor)
-                    for flavor in ("sequential", "parallel")}
+                    for flavor in _FLAVORS}
         claim_ids = [cid for cid in claim_ids if admitted[CLAIMS[cid].flavor]
                      and set(drop) <= set(CLAIMS[cid].hypotheses)] or claim_ids
     reports = []

@@ -10,24 +10,25 @@ re-running searches with a hypothesis dropped.  Both walk one batch stream
 of generated systems, the exhaustive universe and then a random pool, and
 every generated system is assembled by one builder, :meth:`_Shape.system`.
 
-Hypotheses and conclusions are named checkers.  Most are looked up in
-tables: a ``<stage>-<property>`` checker asks one property of every
-(subject, action) of a stage, and independence and structural checkers
-name their condition.  A suite compiles them once per declaration shape:
-property and independence checkers keep only tables of fact and stage
-terms, and only a failure's report builds their formulas.  A checker is
-decided on a context, which is an evaluator: one system's run bitmasks
-(:class:`~anoncheck.formula.Evaluator`), whose derived facts are
-derived only when a formula reads them, or a batch of generated systems
-as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one
-walk over the connectives; all semantics lives in the formula/property/
-composition modules.  The bundled systems are the ``data/*.sys`` files.
+Hypotheses and conclusions are named checkers, looked up in one table per
+flavor (:data:`_FLAVORS`) that also gives its schema inference, derivation
+and stages: a ``<stage>-<property>`` checker asks one property of every
+(subject, action) of a stage, and independence and structural checkers name
+their kind.  A suite compiles them once per declaration shape: property and
+independence checkers keep only tables of fact and stage terms, and only a
+failure's report builds their formulas.  A checker is decided on a context,
+which is an evaluator: one system's run bitmasks
+(:class:`~anoncheck.formula.Evaluator`), whose derived facts are derived
+only when a formula reads them, or a batch of generated systems as slot
+planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one walk over
+the connectives; all semantics lives in the formula/property/composition
+modules.  The bundled systems are the ``data/*.sys`` files.
 """
 from __future__ import annotations
 
 import random
 import time
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -42,8 +43,7 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           independence_obligations, parallel_subjects,
                           structural_formula)
 from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared
-from .properties import (_FORMS, PropertyKind, PropertySpec, _expand,
-                         maximally_identified, minimally_private)
+from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition,
                      ValidationError, _mask, build_system)
@@ -90,13 +90,6 @@ def standard_parallel_schema(system: InterpretedSystem,
         raise ValidationError(
             f"cannot infer schema: {family_a}/{family_b} parameter sets differ")
     return ParallelSchema(family_a, family_b, derived_family, params)
-
-
-def _flavor_functions(flavor: str):
-    """The schema inference and the derivation of a claim flavor."""
-    if flavor == "parallel":
-        return standard_parallel_schema, derive_parallel
-    return standard_sequential_schema, derive_sequential
 
 
 # ---------------------------------------------------------------------------
@@ -257,52 +250,13 @@ def _sequential_stages(schema: SequentialSchema, system, observer) -> dict[str, 
 
 
 def _parallel_stages(schema: ParallelSchema, system, observer) -> dict[str, _Stage]:
+    """Stages a, b, joint, and ab: each a action, then its b action."""
     subjects = parallel_subjects(system, observer)
+    pairs = chain.from_iterable(zip(schema.actions_a, schema.actions_b))
     return {"a": _Stage("base", subjects, schema.actions_a),
             "b": _Stage("base", subjects, schema.actions_b),
+            "ab": _Stage("base", subjects, tuple(pairs)),
             "joint": _Stage("derived", subjects, schema.derived_actions)}
-
-
-_STAGES = {"sequential": _sequential_stages, "parallel": _parallel_stages}
-
-#: The ``<stage>-<property>`` checkers each flavor offers.
-_PROPERTY_CHECKERS = {
-    "sequential": ("use-anonymity", "use-onymity", "use-min-anonymity",
-                   "use-role-interchangeability", "post-privacy",
-                   "post-identity", "post-min-privacy",
-                   "post-role-interchangeability", "submit-privacy",
-                   "submit-anonymity", "submit-min-privacy",
-                   "submit-min-anonymity", "submit-onymity",
-                   "submit-role-interchangeability"),
-    "parallel": ("a-privacy", "b-privacy", "a-anonymity", "b-anonymity",
-                 "joint-privacy", "joint-anonymity", "joint-min-privacy",
-                 "joint-identity"),
-}
-
-_INDEPENDENCE_KINDS = {
-    "sequential": {"independence": IndependenceKind.BASIC,
-                   "pairwise-independence": IndependenceKind.PAIRWISE,
-                   "disjunctive-independence": IndependenceKind.DISJUNCTIVE,
-                   "posneg-independence": IndependenceKind.POS_NEG,
-                   "negpos-independence": IndependenceKind.NEG_POS},
-    "parallel": {"independence": IndependenceKind.PARALLEL},
-}
-
-#: Structural checkers (sequential flavor) -> their conditions.
-_STRUCTURAL_CONDITIONS = {
-    "exhaustive-posting":
-        lambda sch: [StructuralCondition(StructuralKind.EXHAUSTIVE_POSTING)],
-    "exhaustive-registration":
-        lambda sch: [StructuralCondition(StructuralKind.EXHAUSTIVE_REGISTRATION)],
-    "backward-causality":
-        lambda sch: [StructuralCondition(StructuralKind.BACKWARD_CAUSALITY)],
-    "exclusive-posts":
-        lambda sch: [StructuralCondition(StructuralKind.EXCLUSIVE_ACTION, action=a)
-                     for a in sch.second_actions],
-    "exclusive-agents":
-        lambda sch: [StructuralCondition(StructuralKind.EXCLUSIVE_AGENT, agent=i)
-                     for i in sch.first_agents],
-}
 
 
 class CheckSuite:
@@ -326,62 +280,61 @@ class CheckSuite:
     @property
     def ref_derived(self) -> InterpretedSystem:
         if self._ref_derived is None:
-            _, derive = _flavor_functions(self.flavor)
-            self._ref_derived = derive(self.ref_base, self.schema)
+            self._ref_derived = _FLAVORS[self.flavor].derive(self.ref_base, self.schema)
         return self._ref_derived
 
     def context(self, system: InterpretedSystem) -> Evaluator:
         """The checkers' context on ``system``, derived on first use."""
         if system is self.ref_base:
             return Evaluator(system, lambda: self.ref_derived)
-        _, derive = _flavor_functions(self.flavor)
-        return Evaluator(system, lambda: derive(system, self.schema))
+        return Evaluator(system, lambda: _FLAVORS[self.flavor].derive(system, self.schema))
 
     def checker(self, name: str):
+        """The flavor's checker ``name`` (see :data:`_FLAVORS`), built once."""
         c = self._checkers.get(name)
         if c is None:
-            c = self._build(name)
-            self._checkers[name] = c
+            if name not in _FLAVORS[self.flavor].checkers:
+                raise ValidationError(f"unknown checker {name!r}")
+            build, *args = _FLAVORS[self.flavor].checkers[name]
+            c = self._checkers[name] = build(self, name, *args)
         return c
 
     # -- builders ---------------------------------------------------------
+
+    def _stages(self) -> dict[str, _Stage]:
+        return _FLAVORS[self.flavor].stages(self.schema, self.ref_base, self.observer)
 
     def _props(self, name: str, target: str, kind: PropertyKind, specs) -> _Guarded:
         ref = self.ref_base if target == "base" else self.ref_derived
         rows = (((guard,), terms) for guard, terms in (_expand(ref, s) for s in specs))
         return _Guarded(name, self.observer, rows, kind.value + "({0[0]}, {0[1]})")
 
-    def _structural(self, name: str, conds):
-        return _Formulas(name, [
-            (cond.label, structural_formula(self.ref_base, self.schema, cond))
-            for cond in conds])
+    def _stage_property(self, name: str, stage_name: str, kind: PropertyKind) -> _Guarded:
+        """``kind`` of every (subject, action) of a stage, up to its agents or actions."""
+        stage = self._stages()[stage_name]
+        field = _FORMS[kind].field
+        sets = {} if field is None else {
+            field: stage.subjects if field == "anonymity_set" else stage.actions}
+        return self._props(name, stage.target, kind, [
+            PropertySpec(kind, i, a, self.observer, **sets)
+            for i in stage.subjects for a in stage.actions])
 
-    def _stages(self) -> dict[str, _Stage]:
-        return _STAGES[self.flavor](self.schema, self.ref_base, self.observer)
+    def _independence(self, name: str, kind: IndependenceKind) -> _Distributes:
+        args = (self.ref_base, self.schema, self.observer, kind)
+        pairs = _independence_pairs(*args)[1]
+        return _Distributes(name, self.observer, [(u, p) for (_, u), (_, p) in pairs],
+                            partial(independence_obligations, *args))
 
-    def _build(self, name: str):
-        kind = _INDEPENDENCE_KINDS[self.flavor].get(name)
-        if kind is not None:
-            args = (self.ref_base, self.schema, self.observer, kind)
-            pairs = _independence_pairs(*args)[1]
-            return _Distributes(name, self.observer, [(u, p) for (_, u), (_, p) in pairs],
-                                partial(independence_obligations, *args))
-        if name in _PROPERTY_CHECKERS[self.flavor]:
-            stage_name, _, suffix = name.partition("-")
-            stage = self._stages()[stage_name]
-            kind, field = next((k, form.field) for k, form in _FORMS.items()
-                               if form.suffix == suffix)
-            sets = {} if field is None else {
-                field: stage.subjects if field == "anonymity_set" else stage.actions}
-            return self._props(name, stage.target, kind, [
-                PropertySpec(kind, i, a, self.observer, **sets)
-                for i in stage.subjects for a in stage.actions])
-        if self.flavor == "sequential" and name in _STRUCTURAL_CONDITIONS:
-            return self._structural(name, _STRUCTURAL_CONDITIONS[name](self.schema))
-        method = self._METHODS[self.flavor].get(name)
-        if method is not None:
-            return method(self, name)
-        raise ValidationError(f"unknown checker {name!r}")
+    def _structural(self, name: str, kind: StructuralKind) -> _Formulas:
+        """Condition ``kind``: of each second-stage action if it is
+        exclusive-action, of each first-stage agent if exclusive-agent."""
+        sch = self.schema
+        conds = ([StructuralCondition(kind, action=a) for a in sch.second_actions]
+                 if kind is StructuralKind.EXCLUSIVE_ACTION else
+                 [StructuralCondition(kind, agent=i) for i in sch.first_agents]
+                 if kind is StructuralKind.EXCLUSIVE_AGENT else [StructuralCondition(kind)])
+        return _Formulas(name, [(cond.label, structural_formula(self.ref_base, sch, cond))
+                                for cond in conds])
 
     def _reformulation_equivalence(self, name: str):
         """Independence against its guarded reformulation: per (i2, k2, c),
@@ -398,29 +351,61 @@ class CheckSuite:
     def _min_privacy_either(self, name: str):
         stages = self._stages()
         a, b = stages["a"], stages["b"]
-        items = []
-        for i in a.subjects:
-            for pair in zip(a.actions, b.actions):
-                alts = tuple(self._props(name, "base", PropertyKind.MINIMALLY_PRIVATE,
-                                         [minimally_private(i, act, self.observer)])
-                             for act in pair)
-                items.append((f"{i},{pair[0].param}", alts))
-        return _AnyOfEachValid(name, items)
+        return _AnyOfEachValid(name, [
+            (f"{i},{pair[0].param}",
+             tuple(self._props(name, "base", PropertyKind.MINIMALLY_PRIVATE,
+                               [minimally_private(i, act, self.observer)]) for act in pair))
+            for i in a.subjects for pair in zip(a.actions, b.actions)])
 
-    def _ab_identity(self, name: str):
-        stages = self._stages()
-        a, b = stages["a"], stages["b"]
-        return self._props(name, "base", PropertyKind.MAXIMALLY_IDENTIFIED, [
-            maximally_identified(i, act, self.observer)
-            for i in a.subjects for pair in zip(a.actions, b.actions)
-            for act in pair])
 
-    #: Checkers written out as methods, per flavor.
-    _METHODS = {
-        "sequential": {"independence-reformulation-equivalence": _reformulation_equivalence},
-        "parallel": {"min-privacy-either": _min_privacy_either,
-                     "ab-identity": _ab_identity},
-    }
+def _properties(stage: str, *kinds: PropertyKind) -> dict[str, tuple]:
+    """The ``<stage>-<property>`` checker of each of ``kinds``."""
+    return {f"{stage}-{_FORMS[kind].suffix}": (CheckSuite._stage_property, stage, kind)
+            for kind in kinds}
+
+
+_Flavor = namedtuple("_Flavor", "infer_schema derive stages checkers")
+
+#: Each claim flavor, described once: how a system's schema is inferred, how
+#: its derived system is made (through this module's name, so that a
+#: rebinding of the name is seen), its stages, and every checker it offers,
+#: by name, as a :class:`CheckSuite` builder and the builder's arguments.
+_FLAVORS = {
+    "sequential": _Flavor(
+        standard_sequential_schema, lambda system, schema: derive_sequential(system, schema),
+        _sequential_stages, {
+            "independence": (CheckSuite._independence, IndependenceKind.BASIC),
+            "pairwise-independence": (CheckSuite._independence, IndependenceKind.PAIRWISE),
+            "disjunctive-independence": (CheckSuite._independence, IndependenceKind.DISJUNCTIVE),
+            "posneg-independence": (CheckSuite._independence, IndependenceKind.POS_NEG),
+            "negpos-independence": (CheckSuite._independence, IndependenceKind.NEG_POS),
+            **_properties("use", PropertyKind.ANONYMOUS_UP_TO, PropertyKind.MAXIMALLY_ONYMOUS,
+                          PropertyKind.MINIMALLY_ANONYMOUS, PropertyKind.ROLE_INTERCHANGEABLE),
+            **_properties("post", PropertyKind.PRIVATE_UP_TO, PropertyKind.MAXIMALLY_IDENTIFIED,
+                          PropertyKind.MINIMALLY_PRIVATE, PropertyKind.ROLE_INTERCHANGEABLE),
+            **_properties("submit", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO,
+                          PropertyKind.MINIMALLY_PRIVATE, PropertyKind.MINIMALLY_ANONYMOUS,
+                          PropertyKind.MAXIMALLY_ONYMOUS, PropertyKind.ROLE_INTERCHANGEABLE),
+            "exhaustive-posting": (CheckSuite._structural, StructuralKind.EXHAUSTIVE_POSTING),
+            "exhaustive-registration":
+                (CheckSuite._structural, StructuralKind.EXHAUSTIVE_REGISTRATION),
+            "backward-causality": (CheckSuite._structural, StructuralKind.BACKWARD_CAUSALITY),
+            "exclusive-posts": (CheckSuite._structural, StructuralKind.EXCLUSIVE_ACTION),
+            "exclusive-agents": (CheckSuite._structural, StructuralKind.EXCLUSIVE_AGENT),
+            "independence-reformulation-equivalence": (CheckSuite._reformulation_equivalence,),
+        }),
+    "parallel": _Flavor(
+        standard_parallel_schema, lambda system, schema: derive_parallel(system, schema),
+        _parallel_stages, {
+            "independence": (CheckSuite._independence, IndependenceKind.PARALLEL),
+            **_properties("a", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
+            **_properties("b", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
+            **_properties("joint", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO,
+                          PropertyKind.MINIMALLY_PRIVATE, PropertyKind.MAXIMALLY_IDENTIFIED),
+            "min-privacy-either": (CheckSuite._min_privacy_either,),
+            **_properties("ab", PropertyKind.MAXIMALLY_IDENTIFIED),
+        }),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +608,7 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> Cla
     cdef = _claim(claim_id, dropped)
     if not system.observers:
         raise ValidationError("system declares no observer")
-    schema = _flavor_functions(cdef.flavor)[0](system)
+    schema = _FLAVORS[cdef.flavor].infer_schema(system)
     suite = CheckSuite(cdef.flavor, schema, next(iter(system.observers)), system)
     ctx = suite.context(system)
     if cdef.witness_only:
@@ -737,7 +722,7 @@ class GenConfig:
             raise ValidationError("generator counts must be at least 1")
         if self.partition not in ("single", "random"):
             raise ValidationError(f"unknown partition policy {self.partition!r}")
-        if self.flavor not in ("sequential", "parallel"):
+        if self.flavor not in _FLAVORS:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.style not in ("uniform", "matching"):
             raise ValidationError(f"unknown generator style {self.style!r}")
@@ -859,7 +844,7 @@ class _Shape:
         self.bounds = _row_bounds(self.facts)
         self.ref = build_system(name="ref", agents=agents, actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
-        schema = _flavor_functions(flavor)[0](self.ref)
+        schema = _FLAVORS[flavor].infer_schema(self.ref)
         index = {fact: b for b, fact in enumerate(self.facts)}
         self._terms = {fact: ((b, b),) for fact, b in index.items()}
         self._terms.update((fact, tuple((index[u], index[p]) for u, p in pairs
@@ -1150,8 +1135,8 @@ def sweep(*, claims=None, n_random: int = 100_000, seed: int = 2026,
     refutations: list = []
     violations: list = []
     n_violations = 0
-    systems_checked = {"sequential": 0, "parallel": 0}
-    for flavor in ("sequential", "parallel"):
+    systems_checked = dict.fromkeys(_FLAVORS, 0)
+    for flavor in _FLAVORS:
         flavor_claims = [cid for cid in claims if CLAIMS[cid].flavor == flavor]
         if not flavor_claims:
             continue

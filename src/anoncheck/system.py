@@ -25,7 +25,8 @@ class ValidationError(ValueError):
     """Raised when a system declaration is inconsistent."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_-]*"
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 
 @contextmanager
@@ -80,7 +81,7 @@ class Action(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "Action":
         text = text.strip()
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_-]*)(?:\(([A-Za-z_][A-Za-z0-9_-]*)\))?", text)
+        m = re.fullmatch(rf"({_NAME})(?:\(({_NAME})\))?", text)
         if not m:
             raise ValidationError(f"malformed action {text!r}")
         return cls(m.group(1), m.group(2) or "")

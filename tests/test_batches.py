@@ -36,12 +36,24 @@ def _batch(cfgs):
     return shape, shape.drawn_batch(draws)
 
 
+def _entries(flavor, *builders):
+    """(name, builder arguments) of each of the flavor's checkers that one
+    of ``builders`` builds."""
+    return [(name, args) for name, (build, *args) in scenarios._FLAVORS[flavor].checkers.items()
+            if build in builders]
+
+
+def _independence_kinds(flavor):
+    """Each independence checker's name and its kind, from its table entry."""
+    return {name: kind for name, (kind,) in _entries(flavor, scenarios.CheckSuite._independence)}
+
+
 def _independence_checkers(shape):
     """(kind, [(label, formula), ...]) per independence checker of the
     shape's suite."""
     suite = shape.suite()
     checkers = [(kind, suite.checker(name))
-                for name, kind in scenarios._INDEPENDENCE_KINDS[shape.flavor].items()]
+                for name, kind in _independence_kinds(shape.flavor).items()]
     return [(kind, list(c.obligations())) for kind, c in checkers]
 
 
@@ -76,7 +88,7 @@ def test_distributes_matches_the_obligations(flavor):
     vector is the verdict on system s of the evaluator, of the reference
     and of the obligation formulas, on pooled systems of every shape, one
     to four runs, single and random partitions."""
-    infer_schema, _ = scenarios._flavor_functions(flavor)
+    infer_schema = scenarios._FLAVORS[flavor].infer_schema
     outcomes, runs_seen, split_seen = set(), set(), False
     for nr, np_, nc in SHAPES[flavor]:
         cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
@@ -86,7 +98,7 @@ def test_distributes_matches_the_obligations(flavor):
                 for seed in range(4)]
         shape, planes = _batch(cfgs)
         systems = [random_system(cfg) for cfg in cfgs]
-        for kind in scenarios._INDEPENDENCE_KINDS[flavor].values():
+        for kind in _independence_kinds(flavor).values():
             terms = tuple((u, p) for (_, u), (_, p) in _independence_pairs(
                 shape.ref, shape.suite().schema, "j", kind)[1])
             vector = planes.distributes("j", terms)
@@ -100,7 +112,7 @@ def test_distributes_matches_the_obligations(flavor):
                 outcomes.add((kind, got))
         runs_seen |= {len(system.runs) for system in systems}
         split_seen |= any(len(s.observers["j"].blocks) > 1 for s in systems)
-    kinds = scenarios._INDEPENDENCE_KINDS[flavor].values()
+    kinds = _independence_kinds(flavor).values()
     assert outcomes == {(kind, got) for kind in kinds for got in (True, False)}
     assert runs_seen == {1, 2, 3, 4} and split_seen
 
@@ -118,7 +130,7 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
                       flavor=flavor, seed=seed) for seed in range(16)]
     shape, planes = _batch(cfgs)
     suite = scenarios.CheckSuite(flavor, shape.suite().schema, "j", shape.ref)
-    for name in scenarios._INDEPENDENCE_KINDS[flavor]:
+    for name in _independence_kinds(flavor):
         checker = suite.checker(name)
         nodes = len(formula._NODES)
         assert 0 <= checker.holds(planes) <= planes.all
@@ -128,7 +140,9 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
 def _guarded_names(flavor):
     """The checkers decided from fact-term rows: every property checker,
     the either/or one and the independence reformulation equivalence."""
-    return list(scenarios._PROPERTY_CHECKERS[flavor]) + list(scenarios.CheckSuite._METHODS[flavor])
+    cls = scenarios.CheckSuite
+    return [name for name, _ in _entries(flavor, cls._stage_property, cls._min_privacy_either,
+                                         cls._reformulation_equivalence)]
 
 
 def _obligation_verdict(checker, ref):
@@ -150,7 +164,8 @@ def test_guarded_checkers_match_their_obligations(flavor):
     shape, one to four runs, single and random partitions; the equivalence's
     reformulation side is compared on its own.  Each is seen holding and
     failing."""
-    infer_schema, derive = scenarios._flavor_functions(flavor)
+    described = scenarios._FLAVORS[flavor]
+    infer_schema, derive = described.infer_schema, described.derive
     outcomes, runs_seen, split_seen = set(), set(), False
     for nr, np_, nc in SHAPES[flavor]:
         cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
@@ -187,11 +202,9 @@ def test_property_checker_obligations_are_the_compiled_properties(flavor):
     compiled properties, labelled ``kind(subject, action)``."""
     for shape_args in SHAPES[flavor]:
         suite = scenarios._shape(flavor, *shape_args).suite()
-        for name in scenarios._PROPERTY_CHECKERS[flavor]:
-            stage_name, _, prop = name.partition("-")
+        for name, (stage_name, kind) in _entries(flavor, scenarios.CheckSuite._stage_property):
             stage = suite._stages()[stage_name]
             ref = suite.ref_base if stage.target == "base" else suite.ref_derived
-            kind, = (k for k, form in properties._FORMS.items() if form.suffix == prop)
             field = properties._FORMS[kind].field
             sets = {} if field is None else {
                 field: stage.subjects if field == "anonymity_set" else stage.actions}
@@ -295,8 +308,7 @@ def test_derived_atom_tables_match_the_derivation(flavor):
             actions=ref.actions, observers={"j": [[f"r{n}" for n in range(30)]]},
             runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
                   for n, m in enumerate(fact_sets)])
-        infer_schema, _ = scenarios._flavor_functions(flavor)
-        derived = derive(system, infer_schema(system))
+        derived = derive(system, scenarios._FLAVORS[flavor].infer_schema(system))
         columns = scenarios._transpose(fact_sets, len(facts))
         masks = Evaluator(derived)
         for agent in derived.agents:

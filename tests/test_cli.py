@@ -235,7 +235,12 @@ CHECK_GOLDEN = [
     ('role-int(i1, use(k1), {use(k1),use(}, j)', 2,
      '',
      '',
-     "error: '{use(k1),use(}, j' has no declared partition\n"),
+     "error: unbalanced '(' in 'i1, use(k1), {use(k1),use(}, j'\n"),
+    ('max-onym(i1, use(k1), j))', 2, '', '', "error: unbalanced ')' in 'i1, use(k1), j)'\n"),
+    ('anon-upto(i1, use(k1), {i1,i2}}, j)', 2,
+     '',
+     '',
+     "error: unbalanced '}' in 'i1, use(k1), {i1,i2}}, j'\n"),
     ('priv-upto(k1, post(c1), {post(c1),post()}, j)', 2,
      '',
      '',
@@ -308,6 +313,12 @@ class TestIndep:
         rc, _, _ = invoke("indep", "s1234", "seq use post => submit",
                           "disjunctive", "--bound", "1")
         assert rc == 0
+
+    def test_unbalanced_braces_are_reported(self):
+        for schema, brace in (("seq use:{k1,k2 post:{c1,c2} => submit", "{"),
+                              ("seq use:{k1,k2}} post:{c1,c2} => submit", "}")):
+            assert invoke("indep", "s1234", schema, "basic") == (
+                2, "", f"error: unbalanced {brace!r} in {schema!r}\n")
 
     def test_error_exits(self):
         rc, _, err = invoke("indep", "s12", "seq use post => submit", "parallel")

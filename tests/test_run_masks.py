@@ -145,7 +145,8 @@ def test_entry_points_match_the_reference(name, system):
     through Evaluator(system, derive)."""
     rng = random.Random(name)
     flavor = _flavor(system)
-    infer_schema, derive = scenarios._flavor_functions(flavor)
+    described = scenarios._FLAVORS[flavor]
+    infer_schema, derive = described.infer_schema, described.derive
     schema = infer_schema(system)
     derived = derive(system, schema)
     ref, derived_ref = reference.Reference(system), reference.Reference(derived)

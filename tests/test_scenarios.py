@@ -7,13 +7,13 @@ import pytest
 from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        HYPOTHESIS_IMPLICATIONS, PAPER_SYSTEM_NAMES, Action,
                        ClaimVerdict, GenConfig, IndependenceKind,
-                       ValidationError, anonymous_up_to, check_claim,
+                       ValidationError, anonymous_up_to, build_system, check_claim,
                        check_independence, check_property, derive_sequential,
                        exhaustive_systems, falsify, fixture_system,
                        maximally_onymous, mixer_chain, paper_system,
                        random_system, role_interchangeable, sweep)
 from anoncheck import scenarios
-from anoncheck.scenarios import (CheckSuite, standard_parallel_schema,
+from anoncheck.scenarios import (CheckSuite, ClaimDef, standard_parallel_schema,
                                  standard_sequential_schema)
 
 
@@ -139,6 +139,72 @@ class TestClaimRegistry:
             with pytest.raises(ValidationError, match=f"unknown checker '{name}'"):
                 suites[flavor].checker(name)
 
+    def test_each_flavor_offers_its_pinned_checkers(self):
+        """Every checker of the flavor table, by name, with what it asks:
+        an independence kind, a stage and a property kind, a structural
+        kind, or nothing for a checker written out as a builder."""
+        def described(flavor):
+            return {name: " ".join(arg.value if hasattr(arg, "value") else arg for arg in args)
+                    for name, (_, *args) in scenarios._FLAVORS[flavor].checkers.items()}
+
+        assert list(scenarios._FLAVORS) == ["sequential", "parallel"]
+        sequential = {
+            "independence": "basic",
+            "pairwise-independence": "pairwise",
+            "disjunctive-independence": "disjunctive",
+            "posneg-independence": "posneg",
+            "negpos-independence": "negpos",
+            "use-anonymity": "use anonymous-up-to",
+            "use-onymity": "use maximally-onymous",
+            "use-min-anonymity": "use minimally-anonymous",
+            "use-role-interchangeability": "use role-interchangeable",
+            "post-privacy": "post private-up-to",
+            "post-identity": "post maximally-identified",
+            "post-min-privacy": "post minimally-private",
+            "post-role-interchangeability": "post role-interchangeable",
+            "submit-privacy": "submit private-up-to",
+            "submit-anonymity": "submit anonymous-up-to",
+            "submit-min-privacy": "submit minimally-private",
+            "submit-min-anonymity": "submit minimally-anonymous",
+            "submit-onymity": "submit maximally-onymous",
+            "submit-role-interchangeability": "submit role-interchangeable",
+            "exhaustive-posting": "exhaustive-posting",
+            "exhaustive-registration": "exhaustive-registration",
+            "backward-causality": "backward-causality",
+            "exclusive-posts": "exclusive-action",
+            "exclusive-agents": "exclusive-agent",
+            "independence-reformulation-equivalence": "",
+        }
+        parallel = {
+            "independence": "parallel",
+            "a-privacy": "a private-up-to",
+            "a-anonymity": "a anonymous-up-to",
+            "b-privacy": "b private-up-to",
+            "b-anonymity": "b anonymous-up-to",
+            "joint-privacy": "joint private-up-to",
+            "joint-anonymity": "joint anonymous-up-to",
+            "joint-min-privacy": "joint minimally-private",
+            "joint-identity": "joint maximally-identified",
+            "ab-identity": "ab maximally-identified",
+            "min-privacy-either": "",
+        }
+        assert (len(sequential), len(parallel)) == (25, 11)
+        assert described("sequential") == sequential
+        assert described("parallel") == parallel
+
+    def test_ab_identity_names_its_first_failure_in_paired_order(self):
+        """ab-identity asks each a action, then its b action: here
+        act_b(c1) fails before act_a(c2), which an a-then-b order would
+        name first."""
+        system = build_system(
+            name="ab-order", agents=[("i1", "real"), ("j", "observer")],
+            actions=["act_a(c1)", "act_a(c2)", "act_b(c1)", "act_b(c2)"],
+            runs=[("r1", [("i1", "act_b(c1)"), ("i1", "act_a(c2)")]), ("r2", [])],
+            observers={"j": [["r1", "r2"]]})
+        report = check_claim("CB.2", system)
+        assert report.verdict is ClaimVerdict.VACUOUS
+        assert report.hypotheses[0].detail == "maximally-identified(i1, act_b(c1)) @ r1"
+
     def test_min_anonymity_failure_names_its_property(self, s12):
         report = check_claim("CA.4", s12)
         assert report.conclusion.name == "submit-min-anonymity"
@@ -180,6 +246,18 @@ class TestClaimRegistry:
         assert check_claim("L3.1", s1234).verdict is ClaimVerdict.VACUOUS
         assert calls == []
         assert check_claim("C3.2", s1234).verdict is ClaimVerdict.CONFIRMED
+        assert len(calls) == 1
+
+    def test_only_parallel_claims_that_read_joint_facts_derive(self, par_swap, monkeypatch):
+        calls = []
+        derive = scenarios.derive_parallel
+        monkeypatch.setattr(scenarios, "derive_parallel",
+                            lambda *args: calls.append(args) or derive(*args))
+        monkeypatch.setitem(CLAIMS, "AB.0", ClaimDef(
+            "AB.0", "parallel", "a and b facts alone", ("a-privacy", "b-privacy"), "ab-identity"))
+        assert check_claim("AB.0", par_swap).verdict is ClaimVerdict.REFUTED
+        assert calls == []
+        assert check_claim("C4.1", par_swap).verdict is ClaimVerdict.CONFIRMED
         assert len(calls) == 1
 
     def test_base_only_claims_check_a_derived_system(self, s1234):

@@ -20,10 +20,7 @@ FLAVORS = ("sequential", "parallel")
 
 
 def _checker_names(flavor):
-    return (list(scenarios._INDEPENDENCE_KINDS[flavor])
-            + list(scenarios._PROPERTY_CHECKERS[flavor])
-            + (list(scenarios._STRUCTURAL_CONDITIONS) if flavor == "sequential" else [])
-            + list(scenarios.CheckSuite._METHODS[flavor]))
+    return list(scenarios._FLAVORS[flavor].checkers)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
