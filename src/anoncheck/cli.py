@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
+from . import __version__
 from .composition import IndependenceKind, check_independence
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="anoncheck",
         description="Check anonymity and privacy properties of finite "
                     "interpreted systems, including composed actions.")
-    parser.add_argument("--version", action="version", version="anoncheck 0.1.0")
+    parser.add_argument("--version", action="version", version=f"anoncheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

@@ -253,7 +253,8 @@ def _sequential_terms(kind: IndependenceKind, stages, bound: int):
         if bound < 1:
             raise ValidationError("disjunct bound must be at least 1")
         return ";", [[("|".join(label for label, _ in group), disj(a for _, a in group))
-                      for n in range(1, bound + 1) for group in combinations(facts, n)]
+                      for n in range(1, min(bound, len(facts)) + 1)
+                      for group in combinations(facts, n)]
                      for facts in stages]
     raise ValidationError(f"unknown independence kind {kind!r}")
 

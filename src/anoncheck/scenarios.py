@@ -16,13 +16,17 @@ and stages: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers name
 their kind.  A suite compiles them once per declaration shape: property and
 independence checkers keep only tables of fact and stage terms, and only a
-failure's report builds their formulas.  A checker is decided on a context,
-which is an evaluator: one system's run bitmasks
-(:class:`~anoncheck.formula.Evaluator`), whose derived facts are derived
-only when a formula reads them, or a batch of generated systems as slot
-planes (:class:`~anoncheck.formula.SlotPlanes`).  Both share one walk over
-the connectives; all semantics lives in the formula/property/composition
-modules.  The bundled systems are the ``data/*.sys`` files.
+failure's report builds their formulas.  A checker that asks every
+obligation to be valid is one :class:`_AllValid`: a context call that
+decides it and a report builder that lists its labelled obligations; a
+structural condition is decided as one conjunction of its obligations.
+A checker is decided on a context, which is an evaluator: one system's
+run bitmasks (:class:`~anoncheck.formula.Evaluator`), whose derived facts
+are derived only when a formula reads them, or a batch of generated
+systems as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both
+share one walk over the connectives; all semantics lives in the
+formula/property/composition modules.  The bundled systems are the
+``data/*.sys`` files.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from itertools import (accumulate, chain, combinations, groupby, islice,
                        permutations, repeat)
+from operator import methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,7 +47,7 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           _independence_pairs, derive_parallel, derive_sequential,
                           independence_obligations, parallel_subjects,
                           structural_formula)
-from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared
+from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared, conj
 from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition,
@@ -105,9 +110,20 @@ def standard_parallel_schema(system: InterpretedSystem,
 
 
 class _AllValid:
-    """Holds iff every (label, formula) of ``obligations()`` is valid."""
+    """Holds iff every (label, formula) of ``obligations()`` is valid.
 
-    __slots__ = ()
+    ``holds(ctx)`` decides that on the context in one call: guarded fact
+    terms (:meth:`~anoncheck.formula._Vectors.guarded`), distributing stage
+    terms (:meth:`~anoncheck.formula._Vectors.distributes`) or the
+    conjunction of the obligations (``ctx.holds``), which holds on a system
+    iff every conjunct is valid there.  ``obligations()`` builds the
+    labelled formulas, for a report only."""
+
+    __slots__ = ("holds", "obligations")
+
+    def __init__(self, holds, obligations):
+        self.holds = holds
+        self.obligations = obligations
 
     def first_failure(self, ctx: Evaluator) -> str | None:
         for label, f in self.obligations():
@@ -117,74 +133,28 @@ class _AllValid:
         return None
 
 
-class _Formulas(_AllValid):
-    """Holds iff every obligation formula, compiled in advance, is valid."""
-
-    __slots__ = ("name", "_obligations")
-
-    def __init__(self, name: str, obligations):
-        self.name = name
-        self._obligations = tuple(obligations)
-
-    def obligations(self):
-        return self._obligations
-
-    def holds(self, ctx):
-        held = ctx.all
-        for _, f in self._obligations:
-            held &= ctx.holds(f)
-            if not held:
-                break
-        return held
+def _guarded_obligations(observer: str, rows, label: str):
+    """(``label.format(*guard)``, :func:`_guarded_formula`) of every
+    ``(guard, terms)`` row (a format string takes less memory than a
+    function per checker)."""
+    for guard, terms in rows:
+        yield label.format(*guard), _guarded_formula(observer, guard, terms)
 
 
-class _Guarded(_AllValid):
-    """Holds iff :func:`_guarded_formula` of every ``(guard, terms)`` row is
-    valid; a report labels it ``label.format(*guard)`` (a format string
-    takes less memory than a function per checker)."""
-
-    __slots__ = ("name", "observer", "rows", "label")
-
-    def __init__(self, name: str, observer: str, rows, label: str):
-        self.name = name
-        self.observer = observer
-        self.rows = tuple(rows)
-        self.label = label
-
-    def holds(self, ctx):
-        return ctx.guarded(self.observer, self.rows)
-
-    def obligations(self):
-        j = self.observer
-        return ((self.label.format(*guard), _guarded_formula(j, guard, terms))
-                for guard, terms in self.rows)
-
-
-class _Distributes(_AllValid):
-    """Holds iff ``P[j] u & P[j] p -> P[j] (u & p)`` is valid for every
-    ``(u, p)`` of ``terms``; ``obligations()`` builds those formulas, with
-    their labels, for a report."""
-
-    __slots__ = ("name", "observer", "terms", "obligations")
-
-    def __init__(self, name: str, observer: str, terms, obligations):
-        self.name = name
-        self.observer = observer
-        self.terms = tuple(map(_shared, terms))
-        self.obligations = obligations
-
-    def holds(self, ctx):
-        return ctx.distributes(self.observer, self.terms)
+def _guarded(observer: str, rows, label: str) -> _AllValid:
+    """Holds iff :func:`_guarded_formula` of every ``(guard, terms)`` row is valid."""
+    rows = tuple(rows)
+    return _AllValid(methodcaller("guarded", observer, rows),
+                     partial(_guarded_obligations, observer, rows, label))
 
 
 class _AnyOfEachValid:
     """For each item, at least one alternative checker must hold (CB-style
     either/or hypotheses).  Symmetric in the alternatives."""
 
-    __slots__ = ("name", "items")
+    __slots__ = ("items",)
 
-    def __init__(self, name: str, items):
-        self.name = name
+    def __init__(self, items):
         self.items = tuple(items)  # (label, (checker, ...))
 
     def holds(self, ctx):
@@ -208,12 +178,13 @@ class _AnyOfEachValid:
 
 
 class _EquivalenceValid:
-    """Two checkers must agree: both hold or neither."""
+    """Two checkers must agree: both hold or neither.  A report names each
+    side by its label in ``labels``."""
 
-    __slots__ = ("name", "left", "right")
+    __slots__ = ("labels", "left", "right")
 
-    def __init__(self, name: str, left, right):
-        self.name = name
+    def __init__(self, labels: tuple[str, str], left, right):
+        self.labels = labels
         self.left = left
         self.right = right
 
@@ -224,8 +195,9 @@ class _EquivalenceValid:
         lv, rv = self.left.holds(ctx), self.right.holds(ctx)
         if lv == rv:
             return None
-        return (f"{self.left.name}={'holds' if lv else 'fails'} but "
-                f"{self.right.name}={'holds' if rv else 'fails'}")
+        left, right = self.labels
+        return (f"{left}={'holds' if lv else 'fails'} but "
+                f"{right}={'holds' if rv else 'fails'}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +268,7 @@ class CheckSuite:
             if name not in _FLAVORS[self.flavor].checkers:
                 raise ValidationError(f"unknown checker {name!r}")
             build, *args = _FLAVORS[self.flavor].checkers[name]
-            c = self._checkers[name] = build(self, name, *args)
+            c = self._checkers[name] = build(self, *args)
         return c
 
     # -- builders ---------------------------------------------------------
@@ -304,28 +276,28 @@ class CheckSuite:
     def _stages(self) -> dict[str, _Stage]:
         return _FLAVORS[self.flavor].stages(self.schema, self.ref_base, self.observer)
 
-    def _props(self, name: str, target: str, kind: PropertyKind, specs) -> _Guarded:
+    def _props(self, target: str, kind: PropertyKind, specs) -> _AllValid:
         ref = self.ref_base if target == "base" else self.ref_derived
         rows = (((guard,), terms) for guard, terms in (_expand(ref, s) for s in specs))
-        return _Guarded(name, self.observer, rows, kind.value + "({0[0]}, {0[1]})")
+        return _guarded(self.observer, rows, kind.value + "({0[0]}, {0[1]})")
 
-    def _stage_property(self, name: str, stage_name: str, kind: PropertyKind) -> _Guarded:
+    def _stage_property(self, stage_name: str, kind: PropertyKind) -> _AllValid:
         """``kind`` of every (subject, action) of a stage, up to its agents or actions."""
         stage = self._stages()[stage_name]
         field = _FORMS[kind].field
         sets = {} if field is None else {
             field: stage.subjects if field == "anonymity_set" else stage.actions}
-        return self._props(name, stage.target, kind, [
+        return self._props(stage.target, kind, [
             PropertySpec(kind, i, a, self.observer, **sets)
             for i in stage.subjects for a in stage.actions])
 
-    def _independence(self, name: str, kind: IndependenceKind) -> _Distributes:
+    def _independence(self, kind: IndependenceKind) -> _AllValid:
         args = (self.ref_base, self.schema, self.observer, kind)
-        pairs = _independence_pairs(*args)[1]
-        return _Distributes(name, self.observer, [(u, p) for (_, u), (_, p) in pairs],
-                            partial(independence_obligations, *args))
+        terms = tuple(_shared((u, p)) for (_, u), (_, p) in _independence_pairs(*args)[1])
+        return _AllValid(methodcaller("distributes", self.observer, terms),
+                         partial(independence_obligations, *args))
 
-    def _structural(self, name: str, kind: StructuralKind) -> _Formulas:
+    def _structural(self, kind: StructuralKind) -> _AllValid:
         """Condition ``kind``: of each second-stage action if it is
         exclusive-action, of each first-stage agent if exclusive-agent."""
         sch = self.schema
@@ -333,10 +305,12 @@ class CheckSuite:
                  if kind is StructuralKind.EXCLUSIVE_ACTION else
                  [StructuralCondition(kind, agent=i) for i in sch.first_agents]
                  if kind is StructuralKind.EXCLUSIVE_AGENT else [StructuralCondition(kind)])
-        return _Formulas(name, [(cond.label, structural_formula(self.ref_base, sch, cond))
-                                for cond in conds])
+        obligations = tuple((cond.label, structural_formula(self.ref_base, sch, cond))
+                            for cond in conds)
+        return _AllValid(methodcaller("holds", conj(f for _, f in obligations)),
+                         partial(iter, obligations))
 
-    def _reformulation_equivalence(self, name: str):
+    def _reformulation_equivalence(self):
         """Independence against its guarded reformulation: per (i2, k2, c),
         ``theta(i2, use(k2)) & theta(k2, post(c))`` implies, for every
         first-stage fact x, ``P[j] x -> P[j] (x & theta(k2, post(c)))``."""
@@ -345,15 +319,15 @@ class CheckSuite:
         rows = ((((i2, u), (k2, p)), tuple(_shared(("P->P&", x, (k2, p))) for x in uses))
                 for i2 in sch.first_agents for k2, u in zip(sch.first_params, sch.first_actions)
                 for p in sch.second_actions)
-        return _EquivalenceValid(name, self.checker("independence"), _Guarded(
-            "reformulation", self.observer, rows, "{0[0]},{1[0]},{1[1].param}"))
+        return _EquivalenceValid(("independence", "reformulation"), self.checker("independence"),
+                                 _guarded(self.observer, rows, "{0[0]},{1[0]},{1[1].param}"))
 
-    def _min_privacy_either(self, name: str):
+    def _min_privacy_either(self):
         stages = self._stages()
         a, b = stages["a"], stages["b"]
-        return _AnyOfEachValid(name, [
+        return _AnyOfEachValid([
             (f"{i},{pair[0].param}",
-             tuple(self._props(name, "base", PropertyKind.MINIMALLY_PRIVATE,
+             tuple(self._props("base", PropertyKind.MINIMALLY_PRIVATE,
                                [minimally_private(i, act, self.observer)]) for act in pair))
             for i in a.subjects for pair in zip(a.actions, b.actions)])
 
@@ -600,11 +574,12 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> Cla
     and the schema inferred from its declaration.
 
     ``drop`` removes hypotheses by name before the verdict is computed,
-    which is how hypothesis necessity is probed.  Witness-only claims
+    which is how hypothesis necessity is probed; a name given twice is
+    dropped, and reported, once.  Witness-only claims
     (C3.1) report CONFIRMED when the system exhibits all items and VACUOUS
     otherwise; existence statements cannot be refuted by a single system.
     """
-    dropped = tuple(drop)
+    dropped = tuple(dict.fromkeys(drop))
     cdef = _claim(claim_id, dropped)
     if not system.observers:
         raise ValidationError("system declares no observer")
@@ -1184,7 +1159,7 @@ def falsify(claim_id: ClaimId, cfg: GenConfig | None = None, *,
     its phase.  With no dropped hypothesis this searches for refutations of
     a theorem and is expected to come back empty.
     """
-    dropped = tuple(drop)
+    dropped = tuple(dict.fromkeys(drop))
     cdef = _claim(claim_id, dropped, "falsify")
     cfg = replace(cfg or GenConfig(), flavor=cdef.flavor)
     hyp_names = [n for n in cdef.hypotheses if n not in dropped]

@@ -314,6 +314,15 @@ class TestIndep:
                           "disjunctive", "--bound", "1")
         assert rc == 0
 
+    def test_disjunctive_bound_past_the_fact_count(self):
+        """A bound past a stage's fact count (four facts here) lists the
+        same disjunctions, so it answers as the bound 4 does, at once."""
+        for system in ("s12", "s1234"):
+            for fmt in ("human", "json"):
+                args = ("indep", system, "seq use post => submit", "disjunctive",
+                        "--format", fmt, "--bound")
+                assert invoke(*args, str(10**9)) == invoke(*args, "4"), (system, fmt)
+
     def test_unbalanced_braces_are_reported(self):
         for schema, brace in (("seq use:{k1,k2 post:{c1,c2} => submit", "{"),
                               ("seq use:{k1,k2}} post:{c1,c2} => submit", "}")):
@@ -429,6 +438,19 @@ class TestClaims:
         assert ("  conclusion submit-min-privacy: fails"
                 " (minimally-private(i1, submit(c1)) @ r5)") in lines
 
+    def test_a_hypothesis_dropped_twice_is_listed_once(self):
+        """A repeated ``--drop`` keeps the first occurrence of each name, in
+        the order given."""
+        run = ("claims", "run", "CA.3", "--system", "s56")
+        once = ("--drop", "independence", "--drop", "exclusive-agents")
+        twice = once + ("--drop", "exclusive-agents", "--drop", "independence")
+        rc, out, err = invoke(*run, *twice)
+        assert (rc, out, err) == invoke(*run, *once)
+        assert out.splitlines()[1] == "  dropped hypotheses: independence, exclusive-agents"
+        rc, out, _ = invoke(*run, *twice, "--format", "json")
+        (report,) = json.loads(out)["claims"]
+        assert report["dropped"] == ["independence", "exclusive-agents"]
+
     def test_machine_format(self):
         rc, out, _ = invoke("claims", "run", "C3.1", "--format", "machine")
         assert rc == 0
@@ -515,6 +537,13 @@ class TestSearch:
         found = parse_system(sys_text)
         report = check_claim("C3.2", found, drop=("independence",))
         assert report.verdict.value == "REFUTED"
+
+    def test_a_hypothesis_dropped_twice_is_dropped_once(self):
+        search = ("search", "C3.2", "--budget", "100", "--format", "json")
+        twice = invoke(*search, "--drop-hypothesis", "independence",
+                       "--drop-hypothesis", "independence")
+        assert twice == invoke(*search, "--drop-hypothesis", "independence")
+        assert json.loads(twice[1])["report"]["dropped"] == ["independence"]
 
     def test_no_counterexample_without_drop(self):
         rc, out, _ = invoke("search", "C3.2", "--budget", "50", "--max-runs", "2")
