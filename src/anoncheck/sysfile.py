@@ -14,15 +14,27 @@ The ``system`` line is optional.  A directive is the line's whole first word
 (``systematic`` is not ``system``).  ``agents``/``actions`` must precede the
 runs; ``indist`` lines give one observer partition each, blocks in braces,
 and every run appears exactly once in each partition.  Errors about a
-block name its runs in the order the block gives them.
-A JSON encoding of the same structure is provided for interchange.
+block name its runs in the order the block gives them.  Lines end where
+``str.splitlines`` ends them.
+
+:func:`load_system` reads a file :data:`_CHUNK` bytes at a time and
+:func:`save_system` writes it :data:`_BATCH` lines at a time, so neither
+holds the whole text; each run line becomes one int row over the distinct
+fact tokens, and the rows become the fact columns at the end.  A JSON
+encoding of the same structure is provided for interchange (read and
+written whole).
 """
 from __future__ import annotations
 
+import codecs
 import json
+from functools import reduce
+from itertools import islice
+from operator import or_
 from pathlib import Path
 
-from .system import InterpretedSystem, ValidationError, _gc_paused, build_system
+from .system import (InterpretedSystem, ValidationError, _from_columns, _gc_paused,
+                     build_system)
 
 
 class SysFileError(ValueError):
@@ -33,20 +45,38 @@ class SysFileError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+#: Bytes :func:`load_system` reads and decodes at a time.
+_CHUNK = 1 << 16
+#: Lines :func:`save_system` writes at a time.
+_BATCH = 1024
+#: Per bit position, the table that maps a byte to b"1" where the bit is set, else b"0".
+_BIT_DIGITS = [bytes(b"01"[value >> k & 1] for value in range(256)) for k in range(8)]
+#: What ``str.splitlines`` ends a line at ("\r\n" is one break).
+_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 @_gc_paused()
 def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
+    return _parse(text.splitlines(), default_name)
+
+
+def _parse(lines, default_name: str) -> InterpretedSystem:
+    """The system of the ``.sys`` ``lines``.  Each run is one int row over
+    the distinct fact tokens met so far (bit ``k`` for the ``k``-th); one
+    transpose of the rows at the end gives the fact columns."""
     name = default_name
     agents: list[tuple[str, str | None]] | None = None
     actions: list[str] | None = None
-    runs: dict[str, list[tuple[str, str]]] = {}  # each run's facts, in file order
+    runs: dict[str, str] = {}  # each run id to itself, in file order
+    rows: list[int] = []  # each run's facts
     observers: dict[str, list[list[str]]] = {}
     declared_agents: set[str] = set()
     declared_actions: set[str] = set()
-    # Fact token -> its checked (agent, action): each distinct token is
-    # split and checked once, and every run holding it shares the tuple.
-    known: dict[str, tuple[str, str]] = {}
+    # Fact token -> its bit: each distinct token is split and checked once.
+    bit: dict[str, int] = {}
+    facts: list[tuple[str, str]] = []  # each token's (agent, action), by bit
 
-    def learn(token: str, run_id: str, lineno: int) -> tuple[str, str]:
+    def learn(token: str, run_id: str, lineno: int) -> int:
         if ":" not in token:
             raise SysFileError(f"fact {token!r} must look like agent:action", lineno)
         agent, action = token.split(":", 1)
@@ -54,10 +84,11 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             raise SysFileError(f"unknown agent {agent!r} in run {run_id}", lineno)
         if action not in declared_actions:
             raise SysFileError(f"unknown action {action!r} in run {run_id}", lineno)
-        known[token] = (agent, action)
-        return known[token]
+        bit[token] = 1 << len(facts)
+        facts.append((agent, action))
+        return bit[token]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -70,8 +101,15 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             run_id = head.strip()
             if run_id in runs:
                 raise SysFileError(f"duplicate run id {run_id!r}", lineno)
-            runs[run_id] = [known.get(token) or learn(token, run_id, lineno)
-                            for token in rest.split()]
+            runs[run_id] = run_id
+            tokens = rest.split()
+            try:
+                row = sum(map(bit.__getitem__, tokens))
+            except KeyError:
+                row = sum(bit.get(token) or learn(token, run_id, lineno) for token in tokens)
+            if row.bit_count() != len(tokens):  # a fact listed twice counts once
+                row = reduce(or_, map(bit.__getitem__, tokens))
+            rows.append(row)
         elif line.split(None, 1)[0] == "system":
             parts = line.split()
             if len(parts) != 2:
@@ -104,23 +142,7 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
             observer = head.strip()
             if observer in observers:
                 raise SysFileError(f"duplicate indist section for {observer!r}", lineno)
-            blocks: list[list[str]] = []
-            chunk = rest.strip()
-            while chunk:
-                if not chunk.startswith("{"):
-                    raise SysFileError("blocks must be brace-delimited", lineno)
-                end = chunk.find("}")
-                if end < 0:
-                    raise SysFileError("unclosed block brace", lineno)
-                members = chunk[1:end].split()
-                if not members:
-                    raise SysFileError("empty partition block", lineno)
-                for rid in members:
-                    if rid not in runs:
-                        raise SysFileError(f"unknown run {rid!r} in block", lineno)
-                blocks.append(members)
-                chunk = chunk[end + 1:].strip()
-            observers[observer] = blocks
+            observers[observer] = _blocks(rest, runs, lineno)
         else:
             raise SysFileError(f"unrecognized directive {line.split()[0]!r}", lineno)
 
@@ -132,31 +154,69 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
         raise SysFileError("no runs declared")
     if not observers:
         raise SysFileError("no observer partition declared (expected an indist line)")
+    # The rows as bytes of one size, last run first (each freed once
+    # copied): fact k's column, most significant run first, is bit k % 8 of
+    # every size-th byte from byte k // 8.
+    run_ids = tuple(runs)
+    del runs
+    size = (len(facts) + 7) // 8
+    grid = bytearray()
+    while rows:
+        grid += rows.pop().to_bytes(size, "little")
+    columns = [(fact, int(grid[k // 8::size].translate(_BIT_DIGITS[k % 8]), 2))
+               for k, fact in enumerate(facts)]
+    del grid
     try:
-        return build_system(name=name, agents=agents, actions=actions,
-                            runs=runs.items(), observers=observers)
+        return _from_columns(name, agents, actions, run_ids, columns, observers)
     except ValidationError as exc:
         raise SysFileError(str(exc)) from exc
 
 
-def render_system(system: InterpretedSystem) -> str:
-    lines = [f"system {system.name}"]
-    lines.append("agents: " + " ".join(
+def _blocks(text: str, runs: dict[str, str], lineno: int) -> list[list[str]]:
+    """The blocks of an ``indist`` line's ``{...} {...}`` ``text``, split in
+    one pass: every piece but the last ends a block at its "}".  A block
+    holds the run ids' own strings (``runs`` maps each to itself)."""
+    pieces = text.split("}")
+    last = len(pieces) - 1
+    blocks: list[list[str]] = []
+    for k, piece in enumerate(map(str.strip, pieces)):
+        if k == last and not piece:
+            break
+        if not piece.startswith("{"):
+            raise SysFileError("blocks must be brace-delimited", lineno)
+        if k == last:
+            raise SysFileError("unclosed block brace", lineno)
+        try:
+            block = list(map(runs.__getitem__, piece[1:].split()))
+        except KeyError as exc:
+            raise SysFileError(f"unknown run {exc.args[0]!r} in block", lineno) from None
+        if not block:
+            raise SysFileError("empty partition block", lineno)
+        blocks.append(block)
+    return blocks
+
+
+def _render_lines(system: InterpretedSystem):
+    """The ``.sys`` text of ``system``, a line (with its newline) at a time."""
+    yield f"system {system.name}\n"
+    yield "agents: " + " ".join(
         f"{a}:{system.roles[a]}" if system.roles.get(a) else a
-        for a in system.agents))
-    lines.append("actions: " + " ".join(str(a) for a in system.actions))
+        for a in system.agents) + "\n"
+    yield "actions: " + " ".join(str(a) for a in system.actions) + "\n"
     # Each run's fact text, in action declaration order, then by agent.
     position = {action: i for i, action in enumerate(system.actions)}
     facts = sorted(system._holding, key=lambda fact: (position[fact[1]], fact[0]))
     texts = system._spread(facts, [f"{agent}:{action}" for agent, action in facts])
     for run_id, rendered in zip(system.run_ids, map(" ".join, texts)):
-        lines.append(f"run {run_id}: {rendered}".rstrip())
+        yield f"run {run_id}: {rendered}\n" if rendered else f"run {run_id}:\n"
     for observer, part in system.observers.items():
-        rendered = " ".join(
+        yield f"indist {observer}: " + " ".join(
             "{" + " ".join(sorted(block, key=system.position)) + "}"
-            for block in part.blocks)
-        lines.append(f"indist {observer}: {rendered}")
-    return "\n".join(lines) + "\n"
+            for block in part.blocks) + "\n"
+
+
+def render_system(system: InterpretedSystem) -> str:
+    return "".join(_render_lines(system))
 
 
 def to_json_dict(system: InterpretedSystem) -> dict:
@@ -200,31 +260,73 @@ def from_json_dict(data: dict) -> InterpretedSystem:
         raise SysFileError(str(exc)) from exc
 
 
+def _text_lines(file, path: Path):
+    """The lines of the UTF-8 ``file`` as ``str.splitlines`` splits its
+    text, read and decoded a chunk at a time.  A line a chunk ends inside
+    goes on in the next chunk, and so does a final ``\\r``, which may start
+    a ``\\r\\n``; a decoding error gives its position from the start of the
+    file."""
+    start, undecoded, carry = 0, b"", ""  # undecoded starts at byte `start`
+    while True:
+        chunk = file.read(_CHUNK)
+        data = undecoded + chunk
+        try:
+            text, used = codecs.utf_8_decode(data, "strict", not chunk)
+        except UnicodeDecodeError as exc:
+            first, last = start + exc.start, start + exc.end - 1
+            where = (f"byte 0x{data[exc.start]:02x} in position {first}" if first == last
+                     else f"bytes in position {first}-{last}")
+            raise SysFileError(f"cannot read {path}: '{exc.encoding}' codec can't decode "
+                               f"{where}: {exc.reason}") from exc
+        if chunk and text.endswith("\r"):
+            text, used = text[:-1], used - 1
+        start, undecoded = start + used, data[used:]
+        text = carry + text
+        lines = text.splitlines()
+        carry = lines.pop() if chunk and text and text[-1] not in _BREAKS else ""
+        yield from lines
+        if not chunk:
+            return
+
+
 @_gc_paused()
 def load_system(path: str | Path) -> InterpretedSystem:
     """Load a system file; ``.json`` selects the JSON encoding, anything
     else the text format.  The filename stem is the default system name."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            text = path.read_text(encoding="utf-8")
+        else:
+            with path.open("rb") as file:
+                lines = _text_lines(file, path)
+                try:
+                    return _parse(lines, path.stem or "system")
+                except SysFileError:
+                    # As when the whole text is decoded first, a decoding
+                    # error anywhere in the file wins over a parse error.
+                    for _ in lines:
+                        pass
+                    raise
     except OSError as exc:
         raise SysFileError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise SysFileError(f"cannot read {path}: {exc}") from exc
-    if path.suffix == ".json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SysFileError(f"invalid JSON: {exc}", exc.lineno) from exc
-        except RecursionError as exc:
-            raise SysFileError(f"invalid JSON: {exc}") from exc
-        return from_json_dict(data)
-    return parse_system(text, default_name=path.stem or "system")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SysFileError(f"invalid JSON: {exc}", exc.lineno) from exc
+    except RecursionError as exc:
+        raise SysFileError(f"invalid JSON: {exc}") from exc
+    return from_json_dict(data)
 
 
 def save_system(system: InterpretedSystem, path: str | Path) -> None:
     path = Path(path)
     if path.suffix == ".json":
         path.write_text(json.dumps(to_json_dict(system), indent=2) + "\n", encoding="utf-8")
-    else:
-        path.write_text(render_system(system), encoding="utf-8")
+        return
+    lines = _render_lines(system)
+    with path.open("w", encoding="utf-8") as file:
+        while batch := "".join(islice(lines, _BATCH)):
+            file.write(batch)

@@ -165,8 +165,11 @@ class InterpretedSystem:
         # Per observer: each run's block position, in run order.
         self._blocks: dict[str, tuple[int, ...]] = {}
         for obs, part in observers.items():
-            block_of = {rid: bi for bi, block in enumerate(part.blocks) for rid in block}
-            self._blocks[obs] = tuple(map(block_of.__getitem__, run_ids))
+            numbers = [0] * len(run_ids)
+            for bi, block in enumerate(part.blocks):
+                for i in map(self._run_index.__getitem__, block):
+                    numbers[i] = bi
+            self._blocks[obs] = tuple(numbers)
         self._built: tuple[Run, ...] | None = None
 
     # -- lookups ---------------------------------------------------------
@@ -303,6 +306,36 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
     iterable of run ids.  Every observer's blocks must partition the full
     run set exactly.
     """
+    # A run sets one byte per fact it holds in the fact's column; a column
+    # is made when its fact is first met, and an unhashable fact (a list)
+    # gets one of its own each time.
+    runs = list(runs)
+    n = len(runs)
+    run_ids: list[str] = []
+    table: dict = {}
+    columns: list[tuple[object, bytearray]] = []  # in the order first met
+    for i, (run_id, facts) in enumerate(runs):
+        run_ids.append(run_id)
+        for fact in facts:
+            try:
+                col = table[fact]
+            except (KeyError, TypeError):
+                col = bytearray(n)
+                columns.append((fact, col))
+                with suppress(TypeError):
+                    table[fact] = col
+            col[i] = 1
+    return _from_columns(name, agents, actions, run_ids,
+                         ((fact, _mask(col)) for fact, col in columns), observers)
+
+
+def _from_columns(name: str, agents, actions, run_ids, columns, observers) -> InterpretedSystem:
+    """The validated system of ``run_ids`` whose facts hold where
+    ``columns``, ``(fact, run mask)`` pairs in the order the facts are first
+    met in the runs, say: :func:`build_system` and the text loader both
+    come here.  Errors come as a run-by-run walk would meet them: agents,
+    actions, then per run its name, a duplicate id and its first bad fact,
+    then the partitions.  Raw facts of one checked fact are merged."""
     roles: dict[str, str | None] = {}  # in declaration order
     for entry in agents:
         agent, role = (entry, None) if isinstance(entry, str) else entry
@@ -321,60 +354,61 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
             raise ValidationError(f"duplicate action {act}")
         declared[act] = None
 
-    # A run sets one byte per fact it holds in the fact's column; each raw
-    # fact is checked once, then maps straight to its checked form's column.
-    runs = list(runs)
-    n = len(runs)
-    columns: dict[Fact, bytearray] = {}
-    table: dict = {}
+    # Each fact is checked once; the first bad one (whatever it raises) is
+    # raised when the walk of run ids below reaches the run it was met in.
+    holding: dict[Fact, int] = {}
+    error, bad_run = None, -1
+    for fact, mask in columns:
+        first = (mask & -mask).bit_length() - 1
+        try:
+            agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
+            if agent not in roles:
+                raise ValidationError(f"undeclared agent {agent!r} in run {run_ids[first]!r}")
+            if act not in declared:
+                raise ValidationError(f"undeclared action {act} in run {run_ids[first]!r}")
+        except Exception as exc:
+            error, bad_run = exc, first
+            break
+        holding[agent, act] = holding.get((agent, act), 0) | mask
     index: dict[str, int] = {}
-    for i, (run_id, facts) in enumerate(runs):
+    for i, run_id in enumerate(run_ids):
         _check_name(run_id, "run")
         if run_id in index:
             raise ValidationError(f"duplicate run id {run_id!r}")
         index[run_id] = i
-        for fact in facts:
-            try:
-                col = table[fact]
-            except (KeyError, TypeError):  # a new fact, or an unhashable one (a list)
-                agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])
-                if agent not in roles:
-                    raise ValidationError(f"undeclared agent {agent!r} in run {run_id!r}")
-                if act not in declared:
-                    raise ValidationError(f"undeclared action {act} in run {run_id!r}")
-                col = columns.get((agent, act)) or columns.setdefault((agent, act), bytearray(n))
-                with suppress(TypeError):
-                    table[fact] = col
-            col[i] = 1
+        if i == bad_run:
+            raise error
     if not index:
         raise ValidationError("a system needs at least one run")
 
+    # A run's byte in `taken` is set once a block of the partition holds it.
     partitions: dict[str, ObserverPartition] = {}
     for obs, blocks in observers.items():
         if obs not in roles:
             raise ValidationError(f"observer {obs!r} is not a declared agent")
         if obs in partitions:
             raise ValidationError(f"duplicate partition for observer {obs!r}")
-        seen: set[str] = set()
+        taken = bytearray(len(index))
         norm_blocks: list[frozenset[str]] = []
         for block in blocks:
             block = tuple(block)
-            ids = frozenset(block)
-            if not ids:
+            if not block:
                 raise ValidationError(f"empty indistinguishability block for {obs!r}")
             for rid in block:  # in the order given, so errors name the first
-                if rid not in index:
+                i = index.get(rid)
+                if i is None:
                     raise ValidationError(f"unknown run {rid!r} in partition of {obs!r}")
-                if rid in seen:
+                if taken[i]:
                     raise ValidationError(f"run {rid!r} appears in two blocks of {obs!r}")
+            ids = frozenset(block)
             if len(ids) < len(block):
                 rid = Counter(block).most_common(1)[0][0]
                 raise ValidationError(f"run {rid!r} appears twice in a block of {obs!r}")
-            seen |= ids
+            for i in map(index.__getitem__, block):
+                taken[i] = 1
             norm_blocks.append(ids)
-        missing = index.keys() - seen
-        if missing:
-            names = ", ".join(sorted(missing))
+        if 0 in taken:
+            names = ", ".join(sorted(compress(index, map((0).__eq__, taken))))
             raise ValidationError(f"partition of {obs!r} does not cover runs: {names}")
         # Canonical block order: by first member in run declaration order.
         norm_blocks.sort(key=lambda b: min(map(index.__getitem__, b)))
@@ -382,6 +416,6 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
     if not partitions:
         raise ValidationError("a system needs at least one observer partition")
 
-    return InterpretedSystem(name, tuple(roles), roles, tuple(declared), tuple(index),
-                             {fact: _mask(col) for fact, col in columns.items()}, partitions)
-
+    del index  # the system indexes its run ids itself
+    return InterpretedSystem(name, tuple(roles), roles, tuple(declared), tuple(run_ids),
+                             holding, partitions)

@@ -221,6 +221,11 @@ def test_systems_match_the_row_reference():
     ([("r1", [("a", "go(x)")]), ("r 2", [("z", "go(x)")])], "bad run name 'r 2'"),
     ([("r1", [("a", "go(x)"), ("a", "go(")]), ("r2", [("z", "go(x)")])],
      "malformed action 'go('"),
+    # a run's name and id are checked before its facts, and after the runs before it
+    ([("r1", [("z", "go(x)")]), ("r 2", [("a", "go(x)")])], "undeclared agent 'z' in run 'r1'"),
+    ([("r1", [("a", "go(x)")]), ("r 2", [("z", "go(x)")])], "bad run name 'r 2'"),
+    ([("r1", []), ("r1", [("a", "go(y)"), ("a", "stop")])], "duplicate run id 'r1'"),
+    ([("r1", [["a", ["go"]]]), ("r 2", [])], "cannot interpret ['go'] as an action"),
 ])
 def test_build_reports_the_first_bad_fact_of_the_first_bad_run(runs, message):
     spec = dict(agents=["a", "b", "j"], actions=["go(x)", "go(y)"], runs=runs,

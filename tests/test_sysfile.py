@@ -1,19 +1,24 @@
 """Text and JSON encodings of systems: round trips over the bundled and
-generated systems, the packaged data files, and every parse diagnostic."""
+generated systems, the packaged data files, every parse diagnostic, and
+files read and written a chunk at a time."""
 import contextlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import anoncheck
+from anoncheck import sysfile
 from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, build_system,
                        derive_sequential, fixture_system, from_json_dict,
                        load_system, mixer_chain, parse_system, random_system,
                        render_system, save_system, to_json_dict)
 from anoncheck.cli import main
 from anoncheck.scenarios import standard_sequential_schema
+
+import reference
 
 DATA_DIR = Path(anoncheck.__file__).parent / "data"
 
@@ -108,6 +113,59 @@ def _json_dict_fact_by_fact(system):
         "observers": {obs: [sorted(block, key=order.__getitem__) for block in part.blocks]
                       for obs, part in system.observers.items()},
     }
+
+
+RELAY5 = ["m1", "m2", "m3", "m4", "m5"]
+
+
+def _relay5(policy):
+    """The 14,400-run relay and its derived system: their files span many
+    read chunks and write batches."""
+    relay = mixer_chain("all", "all", policy, messages=RELAY5)
+    return relay, derive_sequential(relay, standard_sequential_schema(relay))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("relay-single", "relay-discrete"))
+def test_saved_text_is_the_rendered_text(tmp_path, name):
+    if name.startswith("relay-"):
+        systems = _relay5(name[len("relay-"):])
+    else:
+        systems = [fixture_system(name)]
+    path = tmp_path / "x.sys"
+    for system in systems:
+        expected = reference.render_system(system)
+        save_system(system, path)
+        assert render_system(system) == expected
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _peak_bytes(call) -> int:
+    """The most memory ``call()`` held at once beyond what was held before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_a_relay_file_is_loaded_and_saved_without_its_whole_text(tmp_path):
+    """Loading and saving the derived 14,400-run relay hold less memory at
+    their peak than the file's size, the loaded system included: neither
+    holds the text, its lines or per-run fact lists."""
+    _, derived = _relay5("single")
+    path = tmp_path / "relay.sys"
+    save_system(derived, path)
+    size = path.stat().st_size
+    assert load_system(path) == derived
+    assert _peak_bytes(lambda: load_system(path)) < size
+    assert _peak_bytes(lambda: save_system(derived, tmp_path / "again.sys")) < size
+    assert (tmp_path / "again.sys").read_bytes() == path.read_bytes()
 
 
 class TestJsonFormat:
@@ -296,3 +354,114 @@ class TestDiagnostics:
         text = "agents: x:wizard\nactions: f\nrun r1:\nindist x: {r1}"
         with pytest.raises(SysFileError, match="unknown role"):
             parse_system(text)
+
+
+#: Every line break ``str.splitlines`` knows ("\r\n" is one).
+BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", " ", " "]
+
+
+def _breaks_text(runs: int, pad: int = 0) -> str:
+    """A ``.sys`` text whose lines end in every line break in turn and whose
+    comments hold multibyte characters; one run in seven lists a fact twice,
+    one token is first met halfway, and the last line has no break.  ``pad``
+    spaces after the first line's comment move every later byte."""
+    lines = ["system breaks  # é" + " " * pad, "agents: x y:real j:observer",
+             "actions: f g(a) g(b)"]
+    for i in range(1, runs + 1):
+        facts = "x:f y:g(a)" if i % 7 else "x:f y:g(a) x:f"
+        if i >= runs // 2:
+            facts += " y:g(b)"
+        lines.append(f"run r{i}: {facts}  # ü €")
+    lines.append("indist j: " + " ".join(f"{{r{i}}}" for i in range(1, runs + 1)))
+    return lines[0] + "".join(BREAKS[k % len(BREAKS)] + line
+                              for k, line in enumerate(lines[1:]))
+
+
+#: Late errors on a text of :func:`_breaks_text`: (old, new) replacements.
+LATE_ERRORS = [("run r150: x:f", "run r150: zz:f"), ("run r150:", "run r149:"),
+               ("run r150:", "bogus r150:"), ("{r299}", "{r299 r9999}"),
+               ("{r300}", "{r300")]
+
+
+def _outcome(load):
+    try:
+        return load()
+    except SysFileError as exc:
+        return str(exc), exc.line
+
+
+class TestChunkedReading:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 64, 4096])
+    def test_lines_split_as_splitlines_at_any_chunk_size(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(sysfile, "_CHUNK", chunk)
+        path = tmp_path / "breaks.sys"
+        for old, new in [("", "")] + LATE_ERRORS:
+            text = _breaks_text(300).replace(old, new, 1)
+            path.write_bytes(text.encode("utf-8"))
+            loaded = _outcome(lambda: load_system(path))
+            assert loaded == _outcome(lambda: parse_system(path.read_text(encoding="utf-8")))
+            assert loaded == _outcome(lambda: parse_system(text))
+        system = parse_system(_breaks_text(300))
+        assert len(system.run_ids) == 300 and len(system.observers["j"].blocks) == 300
+        assert system.holding(("y", ("g", "b"))) == ((1 << 151) - 1) << 149
+
+    def test_a_crlf_across_the_chunk_boundary(self, tmp_path):
+        """A "\\r\\n" whose halves lie in two chunks of the real size is one
+        break, for every offset of the lines after it."""
+        crlf = _breaks_text(6000).encode("utf-8").rindex(b"\r\n", 0, sysfile._CHUNK)
+        exact = sysfile._CHUNK - 1 - crlf  # the pad that puts its "\r" last in the chunk
+        path = tmp_path / "big.sys"
+        for pad in range(exact - 1, exact + 4):
+            text = _breaks_text(6000, pad)
+            path.write_bytes(text.encode("utf-8"))
+            assert load_system(path) == parse_system(text)
+        data = _breaks_text(6000, exact).encode("utf-8")
+        assert data[sysfile._CHUNK - 1:sysfile._CHUNK + 1] == b"\r\n"
+
+    @pytest.mark.parametrize("make", [
+        # an invalid byte past the first chunks
+        lambda text: text[:2 * sysfile._CHUNK + 999] + b"\xff" + text[2 * sysfile._CHUNK + 999:],
+        # a multibyte character cut by a bad byte across a chunk boundary
+        lambda text: text[:sysfile._CHUNK - 1] + b"\xe2(" + text[sysfile._CHUNK - 1:],
+        # a multibyte character cut off by the end of the file
+        lambda text: text + b"\xe2\x82",
+        # a parse error on line 1 and a bad byte far after it
+        lambda text: b"bogus\n" + text + b"\xff",
+    ], ids=["bad-byte", "bad-continuation", "cut-at-end", "after-parse-error"])
+    def test_decode_errors_give_the_position_in_the_file(self, tmp_path, make):
+        data = make(_breaks_text(6000).encode("utf-8"))
+        assert len(data) > 3 * sysfile._CHUNK
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "bad.sys"
+        path.write_bytes(data)
+        message = f"cannot read {path}: {whole.value}"
+        assert invoke("check", str(path), "anon-upto(x, f, {x}, j)") == (2, "", f"error: {message}\n")
+
+
+def _blocks_text(tail: str) -> str:
+    """2,000 runs and one partition of 1,998 one-run blocks, then ``tail``."""
+    runs = "".join(f"run r{i}:\n" for i in range(1, 2001))
+    blocks = " ".join(f"{{r{i}}}" for i in range(1, 1999))
+    return f"agents: x\nactions: f\n{runs}indist x: {blocks} {tail}\n"
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("{r1999} r2000", "blocks must be brace-delimited"),
+    ("{r1999}} {r2000}", "blocks must be brace-delimited"),
+    ("{r1999} {r2000", "unclosed block brace"),
+    ("{r1999 r2000} {}", "empty partition block"),
+    ("{r1999 zz r2000}", "unknown run 'zz' in block"),
+    ("{r1999 {r2000}", "unknown run '{r2000' in block"),
+    # the first error on the line is the one reported
+    ("{zz} {}", "unknown run 'zz' in block"),
+    ("{} {zz}", "empty partition block"),
+    ("{zz} {r2000", "unknown run 'zz' in block"),
+    ("{} r2000", "empty partition block"),
+    ("r1999 {r2000", "blocks must be brace-delimited"),
+])
+def test_block_errors_late_on_a_long_indist_line(tail, message):
+    with pytest.raises(SysFileError) as exc:
+        parse_system(_blocks_text(tail))
+    assert str(exc.value) == f"line 2003: {message}" and exc.value.line == 2003
+    assert len(parse_system(_blocks_text("{r1999} {r2000}")).observers["x"].blocks) == 2000
