@@ -296,16 +296,22 @@ def independence_obligations(system: InterpretedSystem,
         yield f"{first_label}{sep}{second_label}", _distributes(observer, u, p)
 
 
+def _first_failure(ev: Evaluator, obligations) -> tuple[str, str] | None:
+    """(first failing run, label) of the first (label, formula) obligation
+    that is not valid on ``ev``'s system, or None if all are."""
+    for label, f in obligations:
+        run_id = ev.valid(f).counterexample
+        if run_id is not None:
+            return run_id, label
+    return None
+
+
 def _report(system: InterpretedSystem, name: str, witness: Formula,
             obligations) -> PropertyReport:
     """Report ``name`` as failing at the first (label, formula) obligation
     that is not valid, with its first failing run; else as holding."""
-    ev = Evaluator(system)
-    for label, f in obligations:
-        verdict = ev.valid(f)
-        if not verdict.holds:
-            return PropertyReport(name, False, witness, (verdict.counterexample, label))
-    return PropertyReport(name, True, witness, None)
+    failure = _first_failure(Evaluator(system), obligations)
+    return PropertyReport(name, failure is None, witness, failure)
 
 
 def check_independence(system: InterpretedSystem,

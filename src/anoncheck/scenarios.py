@@ -36,22 +36,20 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import (accumulate, chain, combinations, groupby, islice,
-                       permutations, repeat)
+from itertools import accumulate, chain, combinations, groupby, islice, permutations
 from operator import methodcaller
 from pathlib import Path
 from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
-                          StructuralCondition, StructuralKind, _conjuncts,
+                          StructuralCondition, StructuralKind, _conjuncts, _first_failure,
                           _independence_pairs, derive_parallel, derive_sequential,
-                          independence_obligations, parallel_subjects,
-                          structural_formula)
+                          independence_obligations, parallel_subjects, structural_formula)
 from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared, conj
 from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition,
-                     ValidationError, _mask, build_system)
+                     ValidationError, _mask, _transpose, build_system)
 
 ClaimId = str
 
@@ -126,11 +124,8 @@ class _AllValid:
         self.obligations = obligations
 
     def first_failure(self, ctx: Evaluator) -> str | None:
-        for label, f in self.obligations():
-            run_id = ctx.valid(f).counterexample
-            if run_id is not None:
-                return f"{label} @ {run_id}"
-        return None
+        failure = _first_failure(ctx, self.obligations())
+        return failure and "{1} @ {0}".format(*failure)
 
 
 def _guarded_obligations(observer: str, rows, label: str):
@@ -787,20 +782,6 @@ def random_system(cfg: GenConfig) -> InterpretedSystem:
 _CHUNK = 2048
 
 
-@lru_cache(maxsize=None)
-def _bit_digits(k: int) -> bytes:
-    """Maps a byte to ``b"1"`` if its bit ``k`` is set, else to ``b"0"``."""
-    return bytes(b"01"[x >> k & 1] for x in range(256))
-
-
-def _transpose(values, width: int) -> list[int]:
-    """Bit ``s`` of the ``b``-th result is bit ``b`` of ``values[s]``, for
-    the ``width`` low bits; ``values`` is a non-empty sequence."""
-    size = (width + 7) // 8
-    raw = b"".join(map(int.to_bytes, reversed(values), repeat(size), repeat("little")))
-    return [int(raw[b // 8::size].translate(_bit_digits(b % 8)), 2) for b in range(width)]
-
-
 class _Shape:
     """One generated declaration shape: its facts, its suite, and every
     fact's truth as a function of the declared facts that hold.
@@ -844,7 +825,7 @@ class _Shape:
         blocks: dict[int, list[str]] = {}
         for n, label in enumerate(labels, start=1):
             blocks.setdefault(label, []).append(f"r{n}")
-        columns = _transpose(runs, len(self.facts))
+        columns = _transpose([*runs], len(self.facts))  # a copy: draws are kept
         return InterpretedSystem(
             name, self.ref.agents, self.ref.roles, self.ref.actions,
             tuple(f"r{n}" for n in range(1, len(runs) + 1)),
@@ -875,7 +856,7 @@ class _Shape:
         slots = max(map(len, systems))
         if min(map(len, systems)) < slots:
             systems = [[*runs, *runs[:1] * (slots - len(runs))] for runs in systems]
-        return [_transpose(sets, width or len(self.facts)) for sets in zip(*systems)]
+        return [_transpose([*sets], width or len(self.facts)) for sets in zip(*systems)]
 
     def drawn_batch(self, draws) -> SlotPlanes:
         """The drawn systems (see :func:`_draw`) as one batch: a run in block

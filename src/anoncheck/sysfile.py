@@ -20,7 +20,8 @@ block name its runs in the order the block gives them.  Lines end where
 :func:`load_system` reads a file :data:`_CHUNK` bytes at a time and
 :func:`save_system` writes it :data:`_BATCH` lines at a time, so neither
 holds the whole text; each run line becomes one int row over the distinct
-fact tokens, and the rows become the fact columns at the end.  A JSON
+fact tokens, which ``system`` transposes into fact columns once, as it does
+the rows of every source of systems.  A JSON
 encoding of the same structure is provided for interchange (read and
 written whole).
 """
@@ -33,7 +34,7 @@ from itertools import islice
 from operator import or_
 from pathlib import Path
 
-from .system import (InterpretedSystem, ValidationError, _from_columns, _gc_paused,
+from .system import (InterpretedSystem, ValidationError, _from_rows, _gc_paused, _one_word,
                      build_system)
 
 
@@ -49,8 +50,6 @@ class SysFileError(ValueError):
 _CHUNK = 1 << 16
 #: Lines :func:`save_system` writes at a time.
 _BATCH = 1024
-#: Per bit position, the table that maps a byte to b"1" where the bit is set, else b"0".
-_BIT_DIGITS = [bytes(b"01"[value >> k & 1] for value in range(256)) for k in range(8)]
 #: What ``str.splitlines`` ends a line at ("\r\n" is one break).
 _BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
@@ -62,8 +61,8 @@ def parse_system(text: str, default_name: str = "system") -> InterpretedSystem:
 
 def _parse(lines, default_name: str) -> InterpretedSystem:
     """The system of the ``.sys`` ``lines``.  Each run is one int row over
-    the distinct fact tokens met so far (bit ``k`` for the ``k``-th); one
-    transpose of the rows at the end gives the fact columns."""
+    the distinct fact tokens met so far (bit ``k`` for the ``k``-th), for
+    :func:`~anoncheck.system._from_rows`."""
     name = default_name
     agents: list[tuple[str, str | None]] | None = None
     actions: list[str] | None = None
@@ -154,20 +153,10 @@ def _parse(lines, default_name: str) -> InterpretedSystem:
         raise SysFileError("no runs declared")
     if not observers:
         raise SysFileError("no observer partition declared (expected an indist line)")
-    # The rows as bytes of one size, last run first (each freed once
-    # copied): fact k's column, most significant run first, is bit k % 8 of
-    # every size-th byte from byte k // 8.
     run_ids = tuple(runs)
-    del runs
-    size = (len(facts) + 7) // 8
-    grid = bytearray()
-    while rows:
-        grid += rows.pop().to_bytes(size, "little")
-    columns = [(fact, int(grid[k // 8::size].translate(_BIT_DIGITS[k % 8]), 2))
-               for k, fact in enumerate(facts)]
-    del grid
+    del runs  # freed before the transpose
     try:
-        return _from_columns(name, agents, actions, run_ids, columns, observers)
+        return _from_rows(name, agents, actions, run_ids, facts, rows, observers)
     except ValidationError as exc:
         raise SysFileError(str(exc)) from exc
 
@@ -248,8 +237,7 @@ def from_json_dict(data: dict) -> InterpretedSystem:
         runs = [(r["id"], [_json_fact(fact) for fact in r["facts"]])
                 for r in data["runs"]]
         name = data.get("name", "system")
-        # The name the text format's ``system NAME`` line can hold.
-        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+        if not _one_word(name):
             raise SysFileError(f"malformed system JSON: name {name!r} is not one word")
         return build_system(name=name, agents=agents,
                             actions=data["actions"], runs=runs,
@@ -292,7 +280,8 @@ def _text_lines(file, path: Path):
 @_gc_paused()
 def load_system(path: str | Path) -> InterpretedSystem:
     """Load a system file; ``.json`` selects the JSON encoding, anything
-    else the text format.  The filename stem is the default system name."""
+    else the text format.  The filename stem is the default system name,
+    or ``system`` if the stem is not one word with no ``#``."""
     path = Path(path)
     try:
         if path.suffix == ".json":
@@ -301,7 +290,7 @@ def load_system(path: str | Path) -> InterpretedSystem:
             with path.open("rb") as file:
                 lines = _text_lines(file, path)
                 try:
-                    return _parse(lines, path.stem or "system")
+                    return _parse(lines, path.stem if _one_word(path.stem) else "system")
                 except SysFileError:
                     # As when the whole text is decoded first, a decoding
                     # error anywhere in the file wins over a parse error.

@@ -35,7 +35,7 @@ def _gc_paused():
     exit.  Builders and loaders run in a pause, as the collector would walk
     their growing per-run lists and blocks again and again; it is safe, as
     they make only acyclic data (strings, tuples, lists, dicts, frozensets,
-    byte columns)."""
+    int rows)."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -56,6 +56,23 @@ def _bits(mask: int, n: int) -> bytes:
 def _mask(bits) -> int:
     """The run mask of one byte per run, 1 where it holds."""
     return int(bits[::-1].translate(_DIGITS), 2)
+
+
+#: Per bit position, the table that maps a byte to b"1" where the bit is set, else b"0".
+_BIT_DIGITS = [bytes(b"01"[value >> k & 1] for value in range(256)) for k in range(8)]
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """The ``width`` columns of the int ``rows`` (bit ``s`` of column ``b`` is
+    bit ``b`` of ``rows[s]``), emptying ``rows`` 1,024 rows at a time: as
+    bytes of one size, last row first, column ``b`` is bit ``b % 8`` of every
+    size-th byte from byte ``b // 8``, most significant row first."""
+    size = (width + 7) // 8
+    grid = bytearray()
+    while rows:
+        grid += b"".join(map(int.to_bytes, reversed(rows[-1024:]), repeat(size), repeat("little")))
+        del rows[-1024:]
+    return [int(grid[b // 8::size].translate(_BIT_DIGITS[b % 8]), 2) for b in range(width)]
 
 
 #: Roles an agent may be tagged with.  Tags are metadata used by schema
@@ -292,6 +309,11 @@ def _check_name(name: str, what: str) -> str:
     return name
 
 
+def _one_word(name) -> bool:
+    """Whether ``name`` is a system name a ``.sys`` ``system NAME`` line holds."""
+    return isinstance(name, str) and name.split() == [name] and "#" not in name
+
+
 @_gc_paused()
 def build_system(*, agents, actions, runs, observers, name: str = "system") -> InterpretedSystem:
     """Validated constructor.
@@ -306,36 +328,37 @@ def build_system(*, agents, actions, runs, observers, name: str = "system") -> I
     iterable of run ids.  Every observer's blocks must partition the full
     run set exactly.
     """
-    # A run sets one byte per fact it holds in the fact's column; a column
-    # is made when its fact is first met, and an unhashable fact (a list)
-    # gets one of its own each time.
-    runs = list(runs)
-    n = len(runs)
+    # A run is one int row, a bit per fact in the order first met; an
+    # unhashable fact (a list) gets a new bit each time.
     run_ids: list[str] = []
-    table: dict = {}
-    columns: list[tuple[object, bytearray]] = []  # in the order first met
-    for i, (run_id, facts) in enumerate(runs):
+    rows: list[int] = []
+    bit: dict = {}
+    facts: list = []  # by bit
+    for run_id, run_facts in runs:
         run_ids.append(run_id)
-        for fact in facts:
+        row = 0
+        for fact in run_facts:
             try:
-                col = table[fact]
+                row |= bit[fact]
             except (KeyError, TypeError):
-                col = bytearray(n)
-                columns.append((fact, col))
+                row |= 1 << len(facts)
                 with suppress(TypeError):
-                    table[fact] = col
-            col[i] = 1
-    return _from_columns(name, agents, actions, run_ids,
-                         ((fact, _mask(col)) for fact, col in columns), observers)
+                    bit[fact] = 1 << len(facts)
+                facts.append(fact)
+        rows.append(row)
+    return _from_rows(name, agents, actions, run_ids, facts, rows, observers)
 
 
-def _from_columns(name: str, agents, actions, run_ids, columns, observers) -> InterpretedSystem:
-    """The validated system of ``run_ids`` whose facts hold where
-    ``columns``, ``(fact, run mask)`` pairs in the order the facts are first
-    met in the runs, say: :func:`build_system` and the text loader both
-    come here.  Errors come as a run-by-run walk would meet them: agents,
-    actions, then per run its name, a duplicate id and its first bad fact,
-    then the partitions.  Raw facts of one checked fact are merged."""
+def _from_rows(name: str, agents, actions, run_ids, facts, rows, observers) -> InterpretedSystem:
+    """The validated system of ``run_ids`` whose runs hold the ``facts``
+    (raw, in the order first met in the runs) of their int ``rows``: bit
+    ``b`` of ``rows[s]`` is ``facts[b]`` in run ``s``.  ``rows`` is emptied
+    (see :func:`_transpose`); :func:`build_system` and the text loader both
+    come here.  Errors come as a run-by-run walk would meet them: the name,
+    agents, actions, then per run its name, a duplicate id and its first bad
+    fact, then the partitions.  Raw facts of one checked fact are merged."""
+    if not _one_word(name):
+        raise ValidationError(f"bad system name {name!r}")
     roles: dict[str, str | None] = {}  # in declaration order
     for entry in agents:
         agent, role = (entry, None) if isinstance(entry, str) else entry
@@ -358,7 +381,7 @@ def _from_columns(name: str, agents, actions, run_ids, columns, observers) -> In
     # raised when the walk of run ids below reaches the run it was met in.
     holding: dict[Fact, int] = {}
     error, bad_run = None, -1
-    for fact, mask in columns:
+    for fact, mask in zip(facts, _transpose(rows, len(facts))):
         first = (mask & -mask).bit_length() - 1
         try:
             agent, act = fact[0], _coerce_action(fact[1] if len(fact) == 2 else fact[1:])

@@ -17,7 +17,7 @@ from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
                                Poss, Verdict, _guarded_formula, render)
 from anoncheck.properties import PropertyReport, _conjuncts
 from anoncheck.system import (ROLES, ObserverPartition, Run, ValidationError,
-                              _check_name, _coerce_action)
+                              _check_name, _coerce_action, _one_word)
 
 
 class Reference:
@@ -182,6 +182,8 @@ def build(*, agents, actions, runs, observers, name="system"):
     """:func:`~anoncheck.system.build_system` row by row: the same checks,
     in the same order and with the same messages, and each run's facts kept
     as a frozenset."""
+    if not _one_word(name):
+        raise ValidationError(f"bad system name {name!r}")
     roles = {}
     for entry in agents:
         agent, role = (entry, None) if isinstance(entry, str) else entry

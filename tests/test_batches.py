@@ -18,6 +18,7 @@ from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
                        scenarios, sweep, valid)
 from anoncheck.composition import _independence_pairs
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
+from anoncheck.system import _transpose
 from test_acceptance import _seeded_formula
 from test_universe import _checker_names
 
@@ -309,13 +310,27 @@ def test_derived_atom_tables_match_the_derivation(flavor):
             runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
                   for n, m in enumerate(fact_sets)])
         derived = derive(system, scenarios._FLAVORS[flavor].infer_schema(system))
-        columns = scenarios._transpose(fact_sets, len(facts))
+        columns = _transpose(fact_sets, len(facts))
         masks = Evaluator(derived)
         for agent in derived.agents:
             for action in derived.actions:
                 atom = Atom(agent, action)
                 assert shape.column(columns, (agent, action)) == masks.mask(atom), \
                     (atom, nr, np_, nc)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2048, 14_400])
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 16, 17, 75])
+def test_transpose_matches_a_bit_by_bit_reference(width, n_rows):
+    """Column ``b``'s bit ``s`` is bit ``b`` of row ``s``, and the rows are
+    consumed: the list is left empty."""
+    rng = random.Random(width * 100_000 + n_rows)
+    rows = [rng.getrandbits(width) for _ in range(n_rows - 1)] + [(1 << width) - 1]
+    kept = list(rows)
+    columns = _transpose(rows, width)
+    assert rows == []
+    assert columns == [int("".join(str(row >> b & 1) for row in reversed(kept)), 2)
+                       for b in range(width)]
 
 
 def test_random_sweep_reproduces_the_benchmark_oracle():

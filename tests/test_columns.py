@@ -167,16 +167,28 @@ def _drawn(system, facts, masks, labels):
               for n, m in enumerate(masks, start=1)])
 
 
+#: ``build_system`` arguments with a fact listed twice in a run, and list
+#: (unhashable) facts met out of order among tuples of the same facts.
+_LISTED = dict(
+    name="listed", agents=["a", "b", "j"], actions=["go(x)", "go(y)", "stop"],
+    runs=[("r1", [["b", "go(y)"], ("a", "stop"), ("a", "stop"), ["b", "go(y)"]]),
+          ("r2", [("a", "go(x)"), ["a", "stop"], ("b", "go(y)"), ("b", "go", "x")]),
+          ("r3", []), ("r4", [["a", "go(x)"], ("a", "go(x)"), ["b", "go(x)"]])],
+    observers={"j": [["r1", "r3"], ["r4", "r2"]]})
+
+
 def _corpus():
-    """(system, its row-based reference) for every bundled fixture and its
-    derivation, pooled and universe-generated systems, and 3-message relays
-    with the single and the discrete observer."""
-    pairs = []
+    """(system, its row-based reference) for every bundled fixture (loaded,
+    and built from its parsed declaration) and its derivation, a declaration
+    with repeated and list facts, pooled and universe-generated systems, and
+    3-message relays with the single and the discrete observer."""
+    pairs = [(build_system(**_LISTED), reference.build(**_LISTED))]
     for name in FIXTURE_NAMES:
-        expected = reference.build(**reference.parse((DATA_DIR / f"{name}.sys").read_text()))
+        spec = reference.parse((DATA_DIR / f"{name}.sys").read_text())
+        expected = reference.build(**spec)
         system = fixture_system(name)
         infer, derive = _FLAVORS["parallel" if name.startswith("par_") else "sequential"]
-        pairs += [(system, expected),
+        pairs += [(system, expected), (build_system(**spec), expected),
                   (derive(system, infer(system)), reference.derive(expected, infer(system)))]
     rng = random.Random(2)
     for flavor in sorted(_FLAVORS):
@@ -234,6 +246,17 @@ def test_build_reports_the_first_bad_fact_of_the_first_bad_run(runs, message):
         with pytest.raises(ValidationError) as exc:
             build(**spec)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["a b", "a#b", "", " a", None])
+def test_build_rejects_a_system_name_that_is_not_one_word(name):
+    """Every built system's name is one that its saved files can hold."""
+    spec = dict(name=name, agents=["a", "j"], actions=["go"], runs=[("r1", [("a", "go")])],
+                observers={"j": [["r1"]]})
+    for build in (build_system, reference.build):
+        with pytest.raises(ValidationError) as exc:
+            build(**spec)
+        assert str(exc.value) == f"bad system name {name!r}"
 
 
 @pytest.mark.parametrize("messages", [["m 1", "m2"], ["m1", "m(2"]])

@@ -227,6 +227,29 @@ class TestFiles:
         path.write_text(text)
         assert load_system(path).name == "fromdisk"
 
+    def test_a_stem_that_is_not_one_word_names_the_system_system(self, tmp_path):
+        """A stem that no ``system NAME`` line can hold is not the default
+        name, so both encodings of the loaded system load back."""
+        path = tmp_path / "my relay.sys"
+        path.write_text("\n".join(GOOD.splitlines()[1:]))
+        loaded = load_system(path)
+        assert loaded.name == "system"
+        for fname in ("out.sys", "out.json"):
+            save_system(loaded, tmp_path / fname)
+            again = load_system(tmp_path / fname)
+            assert again == loaded and again.name == "system"
+
+    def test_compose_output_of_a_stem_that_is_not_one_word_loads(self, tmp_path):
+        source = tmp_path / "my relay.sys"
+        save_system(mixer_chain("all", "all", messages=["m1", "m2"]), source)
+        source.write_text(source.read_text().split("\n", 1)[1])  # no system line
+        out = tmp_path / "out.sys"
+        assert invoke("compose", str(source), "seq => submit", "-o", str(out))[0] == 0
+        rc, stdout, stderr = invoke("check", str(out),
+                                    "anon-upto(in_m1, submit(out_m2), {in_m1,in_m2}, j)")
+        assert (rc, stdout, stderr) == (0, "anon-upto(in_m1, submit(out_m2), {in_m1,in_m2}, j): "
+                                        "HOLDS\n", "")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(SysFileError, match="cannot read"):
             load_system(tmp_path / "absent.sys")
