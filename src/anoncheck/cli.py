@@ -14,7 +14,7 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import __version__
-from .composition import IndependenceKind, check_independence
+from .composition import IndependenceKind, check_independence, derive_sequential
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
 from .properties import _FORMS, PropertyReport, PropertySpec, check_property
@@ -407,8 +407,8 @@ def cmd_indep(args) -> int:
 
 def cmd_compose(args) -> int:
     system = _resolve_system(args.system)
-    flavor, schema = parse_schema_text(args.schema, system)
-    derived = _FLAVORS[flavor].derive(system, schema)
+    _, schema = parse_schema_text(args.schema, system)
+    derived = derive_sequential(system, schema)  # either flavor's schema
     if args.out:
         _write(args.out, lambda: save_system(derived, args.out))
         print(f"wrote {derived.name} ({len(derived.run_ids)} runs) to {args.out}")

@@ -29,7 +29,7 @@ from enum import Enum
 from itertools import combinations, combinations_with_replacement, product
 
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
-                      conj, disj, render)
+                      _derived_mask, conj, disj, render)
 from .properties import PropertyReport
 from .system import Action, Fact, InterpretedSystem, ValidationError
 
@@ -179,9 +179,15 @@ def _conjuncts(system: InterpretedSystem, schema) -> dict[Fact, tuple]:
             for a, b, d in zip(schema.actions_a, schema.actions_b, schema.derived_actions)}
 
 
-def _extend(system: InterpretedSystem, schema) -> InterpretedSystem:
-    """``system`` plus the schema's derived actions and facts: a derived
-    fact's column ORs its :func:`_conjuncts` pairs' ANDed columns.
+def derive_sequential(system: InterpretedSystem,
+                      schema: SequentialSchema | ParallelSchema) -> InterpretedSystem:
+    """``system`` plus the schema's derived actions and facts, of either
+    flavor: a derived fact's column is :func:`~anoncheck.formula._derived_mask`
+    of its :func:`_conjuncts` pairs.  ``derive_parallel`` is this same
+    function.  The sequential disjunction ranges over the declared
+    intermediaries, and both apply to every declared agent in performer
+    position.
+
     Skipping :func:`build_system` is safe: ``system`` passed it, run ids and
     partitions are kept, every new fact's performer is declared, and
     :func:`_require_fresh` makes the appended actions new and distinct."""
@@ -189,26 +195,13 @@ def _extend(system: InterpretedSystem, schema) -> InterpretedSystem:
     _require_fresh(system, schema)
     columns = {}
     for fact, pairs in _conjuncts(system, schema).items():
-        mask = 0
-        for first, second in pairs:
-            mask |= system.holding(first) & system.holding(second)
+        mask = _derived_mask(system.holding, pairs)
         if mask:
             columns[fact] = mask
     return system._extended(schema.derived_actions, columns)
 
 
-def derive_sequential(system: InterpretedSystem, schema: SequentialSchema) -> InterpretedSystem:
-    """Extend every run with the chained facts of ``schema.derived_family``.
-
-    The defining disjunction ranges over the declared intermediaries; it is
-    applied to every declared agent in performer position.
-    """
-    return _extend(system, schema)
-
-
-def derive_parallel(system: InterpretedSystem, schema: ParallelSchema) -> InterpretedSystem:
-    """Extend every run with the conjoined facts of ``schema.derived_family``."""
-    return _extend(system, schema)
+derive_parallel = derive_sequential
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,15 @@ def _guarded_formula(observer: str, guard, terms) -> Formula:
                    conj(_term_formula(observer, t) for t in terms))
 
 
+def _derived_mask(fact, pairs) -> int:
+    """Where a derived fact holds, given where each base fact does
+    (``fact``): where both facts of one of its conjunct ``pairs`` hold."""
+    mask = 0
+    for a, b in pairs:
+        mask |= fact(a) & fact(b)
+    return mask
+
+
 class _Vectors:
     """The memoized walk over the connectives that :class:`Evaluator` and
     :class:`SlotPlanes` share; each supplies its carrier.
@@ -248,12 +257,17 @@ class _Vectors:
     hash-consed, so equal subformulas are one object and are evaluated
     once.  Facts and fact terms are memoized too.  Names are not validated
     (see :func:`check_names`).
+
+    ``derived`` maps each derived fact to its conjunct pairs, as
+    ``composition._conjuncts`` gives them; such a fact is computed from
+    them by :func:`_derived_mask` when a formula reads it.
     """
 
-    __slots__ = ("_full", "_memo", "_facts", "_term_masks")
+    __slots__ = ("_full", "_derived", "_memo", "_facts", "_term_masks")
 
-    def __init__(self, full: int):
+    def __init__(self, full: int, derived=None):
         self._full = full
+        self._derived = derived or {}
         self._memo: dict[Formula, int] = {}
         self._facts: dict[tuple, int] = {}
         self._term_masks: dict[str, dict[tuple, int]] = {}  # per observer
@@ -262,7 +276,9 @@ class _Vectors:
         """The points where ``fact``, an (agent, action) pair, holds."""
         x = self._facts.get(fact)
         if x is None:
-            x = self._facts[fact] = self._fact(fact)
+            pairs = self._derived.get(fact)
+            x = self._facts[fact] = (
+                self._fact(fact) if pairs is None else _derived_mask(self.fact, pairs))
         return x
 
     def mask(self, f: Formula) -> int:
@@ -381,22 +397,20 @@ class Evaluator(_Vectors):
     mask meets, read off the partition index in one pass over the runs
     (every run, if the mask is not empty and the partition one block).
 
-    ``derive()``, if given, returns ``system`` extended by derivation, which
-    keeps its runs and partitions and only adds facts of new actions.  An
-    atom of an action ``system`` does not declare is read from it, derived
-    on first use; so base and derived formulas share one evaluator.
+    ``derived``, if given, is a table of derived facts (see
+    :class:`_Vectors`): the evaluator computes each from its conjunct pairs
+    when a formula reads it, so base and derived formulas share one
+    evaluator and no derived system is built.
     """
 
-    __slots__ = ("system", "_derive", "_derived", "_values")
+    __slots__ = ("system", "_values")
 
     #: The one system evaluated, as a batch vector (see :class:`SlotPlanes`).
     all = True
 
-    def __init__(self, system: InterpretedSystem, derive=None):
-        super().__init__((1 << len(system.run_ids)) - 1)
+    def __init__(self, system: InterpretedSystem, derived=None):
+        super().__init__((1 << len(system.run_ids)) - 1, derived)
         self.system = system
-        self._derive = derive
-        self._derived: InterpretedSystem | None = None
         self._values: dict[Formula, bytes] = {}
 
     def evaluate(self, f: Formula, run: Run | str) -> bool:
@@ -419,12 +433,7 @@ class Evaluator(_Vectors):
         return x != 0
 
     def _fact(self, fact) -> int:
-        system = self.system
-        if self._derive is not None and not system.has_action(fact[1]):
-            if self._derived is None:
-                self._derived = self._derive()
-            system = self._derived
-        return system.holding(fact)
+        return self.system.holding(fact)
 
     def _possible(self, observer: str, x: int) -> int:
         if x == 0 or x == self._full:
@@ -451,14 +460,15 @@ class SlotPlanes(_Vectors):
     block holds every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] &
     c_k``, where ``same[i][k]`` holds the systems whose slots ``i`` and
     ``k`` share a block.  Every modality reads this one partition, whatever
-    observer it names.  ``facts(fact)`` gives an (agent, action) pair's
-    planes.
+    observer it names.  ``facts(fact)`` gives a declared (agent, action)
+    pair's planes; ``derived`` is a table of derived facts, each computed
+    from its conjunct pairs when a formula reads it (see :class:`_Vectors`).
     """
 
     __slots__ = ("all", "_width", "_shifts", "_end", "_facts_of", "_mates")
 
-    def __init__(self, facts, width: int, slots: int, blocks=None):
-        super().__init__((1 << width * slots) - 1)
+    def __init__(self, facts, width: int, slots: int, blocks=None, derived=None):
+        super().__init__((1 << width * slots) - 1, derived)
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
         self._width = width

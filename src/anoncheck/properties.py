@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .formula import (Atom, Evaluator, Formula, Implies, _guarded_formula,
                       _shared, _term_formula, conj, render)
-from .system import Action, Fact, InterpretedSystem, ValidationError
+from .system import Action, Fact, InterpretedSystem, ValidationError, _coerce_action
 
 
 class PropertyKind(Enum):
@@ -62,7 +62,9 @@ class PropertySpec:
     and the set the kind takes (:data:`_FORMS`): ``anonymity_set``, the
     candidate performers, ``privacy_set``, the candidate actions, or
     ``action_universe``, which defaults to all declared actions.  A set
-    field that the kind does not take must be left unset.
+    field that the kind does not take must be left unset.  Actions may be
+    given as :class:`Action`, ``(family, param)`` or text such as
+    ``"use(k1)"``, as :func:`build_system` takes them.
     """
 
     kind: PropertyKind
@@ -75,6 +77,7 @@ class PropertySpec:
 
     def __post_init__(self):
         form = _FORMS[self.kind]
+        object.__setattr__(self, "action", _coerce_action(self.action))
         for field in _SET_FIELDS:
             value = getattr(self, field)
             if value is None:
@@ -82,8 +85,9 @@ class PropertySpec:
                     raise ValidationError(f"{self.kind.value} needs {field}")
             elif field != form.field:
                 raise ValidationError(f"{self.kind.value} does not take {field}")
-            elif not isinstance(value, tuple):
-                object.__setattr__(self, field, tuple(value))
+            else:
+                value = tuple(value if field == "anonymity_set" else map(_coerce_action, value))
+                object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True)

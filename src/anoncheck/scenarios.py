@@ -11,8 +11,8 @@ of generated systems, the exhaustive universe and then a random pool, and
 every generated system is assembled by one builder, :meth:`_Shape.system`.
 
 Hypotheses and conclusions are named checkers, looked up in one table per
-flavor (:data:`_FLAVORS`) that also gives its schema inference, derivation
-and stages: a ``<stage>-<property>`` checker asks one property of every
+flavor (:data:`_FLAVORS`) that also gives its schema inference and
+stages: a ``<stage>-<property>`` checker asks one property of every
 (subject, action) of a stage, and independence and structural checkers name
 their kind.  A suite compiles them once per declaration shape: property and
 independence checkers keep only tables of fact and stage terms, and only a
@@ -21,12 +21,12 @@ obligation to be valid is one :class:`_AllValid`: a context call that
 decides it and a report builder that lists its labelled obligations; a
 structural condition is decided as one conjunction of its obligations.
 A checker is decided on a context, which is an evaluator: one system's
-run bitmasks (:class:`~anoncheck.formula.Evaluator`), whose derived facts
-are derived only when a formula reads them, or a batch of generated
-systems as slot planes (:class:`~anoncheck.formula.SlotPlanes`).  Both
-share one walk over the connectives; all semantics lives in the
-formula/property/composition modules.  The bundled systems are the
-``data/*.sys`` files.
+run bitmasks (:class:`~anoncheck.formula.Evaluator`), or a batch of
+generated systems as slot planes (:class:`~anoncheck.formula.SlotPlanes`).
+Both share one walk over the connectives, and both compute each derived
+fact from its conjunct pairs (``composition._conjuncts``) when a formula
+reads it; all semantics lives in the formula/property/composition
+modules.  The bundled systems are the ``data/*.sys`` files.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, _conjuncts, _first_failure,
-                          _independence_pairs, derive_parallel, derive_sequential,
+                          _independence_pairs, derive_sequential,
                           independence_obligations, parallel_subjects, structural_formula)
 from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared, conj
 from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
@@ -246,15 +246,17 @@ class CheckSuite:
 
     @property
     def ref_derived(self) -> InterpretedSystem:
+        """``ref_base`` derived, made when a derived-stage checker is built
+        (through this module's name, so that a rebinding of it is seen)."""
         if self._ref_derived is None:
-            self._ref_derived = _FLAVORS[self.flavor].derive(self.ref_base, self.schema)
+            self._ref_derived = derive_sequential(self.ref_base, self.schema)
         return self._ref_derived
 
     def context(self, system: InterpretedSystem) -> Evaluator:
-        """The checkers' context on ``system``, derived on first use."""
-        if system is self.ref_base:
-            return Evaluator(system, lambda: self.ref_derived)
-        return Evaluator(system, lambda: _FLAVORS[self.flavor].derive(system, self.schema))
+        """The checkers' context on ``system``, any system of the suite's
+        declaration: an evaluator that computes each derived fact from its
+        conjunct pairs when a formula reads it."""
+        return Evaluator(system, _conjuncts(system, self.schema))
 
     def checker(self, name: str):
         """The flavor's checker ``name`` (see :data:`_FLAVORS`), built once."""
@@ -333,16 +335,14 @@ def _properties(stage: str, *kinds: PropertyKind) -> dict[str, tuple]:
             for kind in kinds}
 
 
-_Flavor = namedtuple("_Flavor", "infer_schema derive stages checkers")
+_Flavor = namedtuple("_Flavor", "infer_schema stages checkers")
 
-#: Each claim flavor, described once: how a system's schema is inferred, how
-#: its derived system is made (through this module's name, so that a
-#: rebinding of the name is seen), its stages, and every checker it offers,
-#: by name, as a :class:`CheckSuite` builder and the builder's arguments.
+#: Each claim flavor, described once: how a system's schema is inferred, its
+#: stages, and every checker it offers, by name, as a :class:`CheckSuite`
+#: builder and the builder's arguments.
 _FLAVORS = {
     "sequential": _Flavor(
-        standard_sequential_schema, lambda system, schema: derive_sequential(system, schema),
-        _sequential_stages, {
+        standard_sequential_schema, _sequential_stages, {
             "independence": (CheckSuite._independence, IndependenceKind.BASIC),
             "pairwise-independence": (CheckSuite._independence, IndependenceKind.PAIRWISE),
             "disjunctive-independence": (CheckSuite._independence, IndependenceKind.DISJUNCTIVE),
@@ -364,8 +364,7 @@ _FLAVORS = {
             "independence-reformulation-equivalence": (CheckSuite._reformulation_equivalence,),
         }),
     "parallel": _Flavor(
-        standard_parallel_schema, lambda system, schema: derive_parallel(system, schema),
-        _parallel_stages, {
+        standard_parallel_schema, _parallel_stages, {
             "independence": (CheckSuite._independence, IndependenceKind.PARALLEL),
             **_properties("a", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
             **_properties("b", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
@@ -783,14 +782,11 @@ _CHUNK = 2048
 
 
 class _Shape:
-    """One generated declaration shape: its facts, its suite, and every
-    fact's truth as a function of the declared facts that hold.
-
-    A derived fact is a disjunction of two-fact conjunctions, the conjunct
-    pairs of its derivation (``composition._conjuncts``); they are the
-    fact's *terms*, as pairs of fact positions, and a declared fact is its
-    own term.  ``ref`` is the declaration, with every fact in its one run, and
-    ``bounds`` are its facts' :func:`_row_bounds`.
+    """One generated declaration shape: its facts, each fact's position
+    among them, its derived facts' conjunct pairs
+    (``composition._conjuncts``), which its batches compute derived facts
+    from, and its suite.  ``ref`` is the declaration, with every fact in its
+    one run, and ``bounds`` are its facts' :func:`_row_bounds`.
     """
 
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
@@ -801,11 +797,8 @@ class _Shape:
         self.ref = build_system(name="ref", agents=agents, actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
         schema = _FLAVORS[flavor].infer_schema(self.ref)
-        index = {fact: b for b, fact in enumerate(self.facts)}
-        self._terms = {fact: ((b, b),) for fact, b in index.items()}
-        self._terms.update((fact, tuple((index[u], index[p]) for u, p in pairs
-                                        if u in index and p in index))
-                           for fact, pairs in _conjuncts(self.ref, schema).items())
+        self._index = {fact: b for b, fact in enumerate(self.facts)}
+        self._derived = _conjuncts(self.ref, schema)
         self._suite = CheckSuite(flavor, schema, "j", self.ref)
 
     def suite(self) -> CheckSuite:
@@ -832,20 +825,13 @@ class _Shape:
             {fact: mask for fact, mask in zip(self.facts, columns) if mask},
             {"j": ObserverPartition("j", tuple(map(frozenset, blocks.values())))})
 
-    def column(self, columns, fact) -> int:
-        """The truth of ``fact``, an (agent, action) pair, given every fact's
-        of the declaration: bit ``s`` of ``columns[b]`` is fact ``b`` in fact
-        set ``s``."""
-        out = 0
-        for a, b in self._terms.get(fact, ()):
-            out |= columns[a] & columns[b]
-        return out
-
     def batch(self, columns, width: int, blocks=None) -> SlotPlanes:
         """``width`` systems: bit ``s`` of ``columns[i][b]`` is fact ``b`` at
-        slot ``i`` of system ``s``; ``blocks`` are as in :class:`SlotPlanes`."""
-        return SlotPlanes(lambda fact: tuple(self.column(c, fact) for c in columns),
-                          width, len(columns), blocks)
+        slot ``i`` of system ``s``; ``blocks`` are as in :class:`SlotPlanes`.
+        A fact the declaration does not list holds nowhere."""
+        index = self._index
+        return SlotPlanes(lambda fact: [c[index[fact]] for c in columns] if fact in index else (),
+                          width, len(columns), blocks, self._derived)
 
     def columns(self, systems, width: int | None = None) -> list[list[int]]:
         """The slot columns of ``systems``, each a sequence of fact sets (or

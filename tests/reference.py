@@ -21,9 +21,9 @@ from anoncheck.system import (ROLES, ObserverPartition, Run, ValidationError,
 
 
 class Reference:
-    """Truth run by run.  With ``derive`` (as for
-    :class:`~anoncheck.formula.Evaluator`) every formula is read on the
-    derived system, where base formulas keep their truth."""
+    """Truth run by run.  With ``derive``, a function returning the derived
+    system, every formula is read on that system, where base formulas keep
+    their truth."""
 
     all = True
 

@@ -165,8 +165,7 @@ def test_guarded_checkers_match_their_obligations(flavor):
     shape, one to four runs, single and random partitions; the equivalence's
     reformulation side is compared on its own.  Each is seen holding and
     failing."""
-    described = scenarios._FLAVORS[flavor]
-    infer_schema, derive = described.infer_schema, described.derive
+    infer_schema = scenarios._FLAVORS[flavor].infer_schema
     outcomes, runs_seen, split_seen = set(), set(), False
     for nr, np_, nc in SHAPES[flavor]:
         cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
@@ -183,7 +182,8 @@ def test_guarded_checkers_match_their_obligations(flavor):
         vectors = {name: c.holds(planes) for name, c in checkers.items()}
         for s, system in enumerate(systems):
             ctx = suite.context(system)
-            ref = reference.Reference(system, lambda: derive(system, infer_schema(system)))
+            ref = reference.Reference(
+                system, lambda: derive_sequential(system, infer_schema(system)))
             for name, checker in checkers.items():
                 got = checker.holds(ctx)
                 assert type(got) is bool
@@ -310,13 +310,12 @@ def test_derived_atom_tables_match_the_derivation(flavor):
             runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
                   for n, m in enumerate(fact_sets)])
         derived = derive(system, scenarios._FLAVORS[flavor].infer_schema(system))
-        columns = _transpose(fact_sets, len(facts))
+        planes = shape.batch([_transpose(fact_sets, len(facts))], 30)
         masks = Evaluator(derived)
         for agent in derived.agents:
             for action in derived.actions:
                 atom = Atom(agent, action)
-                assert shape.column(columns, (agent, action)) == masks.mask(atom), \
-                    (atom, nr, np_, nc)
+                assert planes.mask(atom) == masks.mask(atom), (atom, nr, np_, nc)
 
 
 @pytest.mark.parametrize("n_rows", [1, 2048, 14_400])

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -617,3 +619,73 @@ class TestVerdictAgreement:
                 system, minimally_anonymous(subject, Action.parse(str(action)), "j"))
             assert rc == (0 if expected.holds else 1)
             assert out.startswith(f"min-anon({subject}, {action}, j):")
+
+
+# -- the README's examples -------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks(language: str):
+    """The lines of each fenced block of README.md opened by ```language."""
+    blocks, block, opened = [], None, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if block is None:
+            if line.startswith("```"):
+                block, opened = [], line[3:]
+        elif line == "```":
+            if opened == language:
+                blocks.append(block)
+            block = None
+        else:
+            block.append(line)
+    return blocks
+
+
+def _readme_examples():
+    """(argv, the output lines shown under it) of every ``$ anoncheck``
+    line of README.md; a shell comment ends the command."""
+    examples = []
+    for block in _readme_blocks(""):
+        shown = None
+        for line in block:
+            if line.startswith("$ anoncheck "):
+                shown = []
+                examples.append((shlex.split(line.removeprefix("$ anoncheck "), comments=True),
+                                 shown))
+            elif shown is not None:
+                shown.append(line)
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_ten_cli_examples():
+    assert len(README_EXAMPLES) == 10
+    assert sum(not shown for _, shown in README_EXAMPLES) == 5
+
+
+@pytest.mark.parametrize("argv,shown", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_cli_example_prints_what_it_shows(argv, shown):
+    """The command runs without an error and prints the lines shown; a
+    ``...`` line stands for the rest of the output."""
+    rc, out, err = invoke(*argv)
+    assert rc in (0, 1) and err == ""
+    lines = out.splitlines()
+    cut = next((n for n, line in enumerate(shown) if line.strip() == "..."), None)
+    if cut is None:
+        assert not shown or lines == shown
+    else:
+        assert lines[:cut] == shown[:cut] and len(lines) > cut
+
+
+def test_readme_library_example_prints_what_it_shows():
+    """The ``python`` block runs and prints what its print lines' comments show."""
+    (block,) = _readme_blocks("python")
+    shown = [line.split("#", 1)[1].strip() for line in block if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile("\n".join(block), str(README), "exec"), {})
+    assert out.getvalue().splitlines() == shown

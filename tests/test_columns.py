@@ -300,9 +300,11 @@ def test_a_large_system_is_checked_without_its_rows(monkeypatch, tmp_path, capsy
 
 @pytest.mark.parametrize("flavor", sorted(_FLAVORS))
 def test_shape_terms_match_a_derived_catalog(flavor):
-    """Each atom's terms are the fact pairs on which the reference
-    derivation of a catalog, one run per set of at most two facts, makes
-    it hold, minimal under inclusion."""
+    """A shape's batch reads each atom as the OR of the ANDs of its terms:
+    the fact pairs on which the reference derivation of a catalog, one run
+    per set of at most two facts, makes it hold, minimal under inclusion.
+    A monotone OR of ANDs has one minimal set of terms, so random columns
+    tell any other set apart."""
     infer, _ = _FLAVORS[flavor]
     for sizes in ((1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 3, 3), (2, 1, 3)):
         shape = _shape(flavor, *sizes)
@@ -318,15 +320,14 @@ def test_shape_terms_match_a_derived_catalog(flavor):
                 holding.setdefault(fact, set()).add(pair)
         expected = {fact: {(a, b) for a, b in sets if a == b or not {(a, a), (b, b)} & sets}
                     for fact, sets in holding.items()}
-        terms = {fact: set(t) for fact, t in shape._terms.items() if t}
-        assert terms == expected, (flavor, sizes)
         rng = random.Random(str(sizes))
-        columns = [rng.getrandbits(64) for _ in facts]
-        for fact in _conjuncts(shape.ref, infer(shape.ref)):
+        columns = [rng.getrandbits(256) for _ in facts]
+        planes = shape.batch([columns], 256)
+        for fact in {*facts, *expected, *_conjuncts(shape.ref, infer(shape.ref))}:
             want = 0
             for a, b in expected.get(fact, ()):
                 want |= columns[a] & columns[b]
-            assert shape.column(columns, fact) == want
+            assert planes.fact(fact) == want, (flavor, sizes, fact)
 
 
 def test_evaluate_reads_every_run_from_one_mask():

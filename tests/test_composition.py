@@ -135,6 +135,12 @@ class TestParallelDerivation:
             derive_parallel(par_swap, schema)
 
 
+def test_one_derive_function_takes_either_schema(s12, s12_seq, par_swap, par_swap_joint):
+    assert derive_sequential is derive_parallel
+    assert derive_parallel(s12, standard_sequential_schema(s12)) == s12_seq
+    assert derive_sequential(par_swap, standard_parallel_schema(par_swap)) == par_swap_joint
+
+
 _FLAVORS = {"sequential": (standard_sequential_schema, derive_sequential),
             "parallel": (standard_parallel_schema, derive_parallel)}
 

@@ -18,6 +18,7 @@ from anoncheck import (Action, And, Atom, GenConfig, Implies, Knows, Not,
                        maximally_identified, maximally_onymous,
                        minimally_anonymous, minimally_private, private_up_to,
                        random_system, render, role_interchangeable, valid)
+from anoncheck import properties
 
 USE_K1 = Action.parse("use(k1)")
 USE_K2 = Action.parse("use(k2)")
@@ -125,6 +126,33 @@ class TestSpecValidation:
         spec = PropertySpec(PropertyKind.ANONYMOUS_UP_TO, "i1", USE_K1, "j",
                             anonymity_set=["i2", "i1"])
         assert spec.anonymity_set == ("i2", "i1")
+
+    @pytest.mark.parametrize("kind", list(PropertyKind))
+    def test_actions_as_text_pairs_or_actions_give_one_report(self, s12, kind):
+        """An action given as text, as a (family, param) pair or as an
+        Action, in the scrutinized action and in a set of actions, makes the
+        same spec and report, as build_system takes all three; malformed
+        text is rejected."""
+        field = properties._FORMS[kind].field
+        sets = {"anonymity_set": ("i1", "i2"), "privacy_set": (USE_K1, USE_K2),
+                "action_universe": (USE_K2, USE_K1)}
+
+        def spec(form):
+            given = {} if field is None else {
+                field: sets[field] if field == "anonymity_set" else map(form, sets[field])}
+            return PropertySpec(kind, "i1", form(USE_K1), "j", **given)
+
+        want = spec(lambda a: a)
+        for form in (str, tuple):
+            got = spec(form)
+            assert got == want and type(got.action) is Action
+            assert check_property(s12, got) == check_property(s12, want)
+        with pytest.raises(ValidationError, match=r"^malformed action 'use\(k1'$"):
+            PropertySpec(kind, "i1", "use(k1", "j", **({} if field is None else {
+                field: sets[field] if field == "anonymity_set" else ["use(k1"]}))
+        if field not in (None, "anonymity_set"):
+            with pytest.raises(ValidationError, match=r"^malformed action 'post\(\)'$"):
+                PropertySpec(kind, "i1", USE_K1, "j", **{field: [USE_K1, "post()"]})
 
     def test_undeclared_names_rejected_at_compile(self, s12):
         with pytest.raises(ValidationError, match="undeclared agent 'ghost'"):

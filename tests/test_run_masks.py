@@ -9,11 +9,12 @@ import reference
 from anoncheck import (CLAIMS, FIXTURE_NAMES, Atom, GenConfig, IndependenceKind,
                        StructuralCondition, StructuralKind, anonymous_up_to,
                        check_claim, check_independence, check_property,
-                       check_structural, evaluate, exhaustive_systems,
+                       check_structural, derive_sequential, evaluate, exhaustive_systems,
                        fixture_system, maximally_identified, maximally_onymous,
                        minimally_anonymous, minimally_private, mixer_chain,
                        private_up_to, random_system, role_interchangeable, valid)
 from anoncheck import scenarios
+from anoncheck.composition import _conjuncts
 from anoncheck.formula import (FALSE, TRUE, Evaluator, Iff, Implies, Knows, Not,
                                Or, Poss)
 from test_acceptance import _seeded_formula
@@ -72,7 +73,9 @@ def test_check_claim_reports_match_the_evaluator(flavor, monkeypatch):
     memo, so formulas shared between checkers cannot change its verdicts."""
     systems = _differential_systems(flavor)
     actual = [_reports(system, flavor) for system in systems]
-    monkeypatch.setattr(scenarios, "Evaluator", reference.Reference)
+    infer_schema = scenarios._FLAVORS[flavor].infer_schema
+    monkeypatch.setattr(scenarios, "Evaluator", lambda system, derived: reference.Reference(
+        system, lambda: reference.derive(system, infer_schema(system))))
     expected = [_reports(system, flavor) for system in systems]
     assert actual == expected
     verdicts = {r.verdict for reports in actual for r in reports}
@@ -142,13 +145,11 @@ def _conditions(schema):
 def test_entry_points_match_the_reference(name, system):
     """valid, evaluate, check_property (every kind), check_independence
     (every kind), check_structural (every condition) and derived atoms read
-    through Evaluator(system, derive)."""
+    through Evaluator(system, derived), computed from their conjunct pairs."""
     rng = random.Random(name)
     flavor = _flavor(system)
-    described = scenarios._FLAVORS[flavor]
-    infer_schema, derive = described.infer_schema, described.derive
-    schema = infer_schema(system)
-    derived = derive(system, schema)
+    schema = scenarios._FLAVORS[flavor].infer_schema(system)
+    derived = derive_sequential(system, schema)
     ref, derived_ref = reference.Reference(system), reference.Reference(derived)
     agents, actions = tuple(system.agents), tuple(system.actions)
 
@@ -179,7 +180,7 @@ def test_entry_points_match_the_reference(name, system):
             assert reference.outcome(got) == \
                 reference.check_structural(derived, schema, cond), cond
 
-    ev = Evaluator(system, lambda: derived)
+    ev = Evaluator(system, _conjuncts(system, schema))
     for agent in derived.agents:
         for action in derived.actions:
             atom = Atom(agent, action)

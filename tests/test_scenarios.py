@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import reference
 from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        HYPOTHESIS_IMPLICATIONS, PAPER_SYSTEM_NAMES, Action,
                        ClaimVerdict, GenConfig, IndependenceKind,
@@ -12,9 +13,20 @@ from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        exhaustive_systems, falsify, fixture_system,
                        maximally_onymous, mixer_chain, paper_system,
                        random_system, role_interchangeable, sweep)
-from anoncheck import scenarios
+from anoncheck import Atom, scenarios
+from anoncheck.composition import _conjuncts
 from anoncheck.scenarios import (CheckSuite, ClaimDef, standard_parallel_schema,
                                  standard_sequential_schema)
+
+
+def _sibling(system, run_ids):
+    """``system`` with only ``run_ids``, in that order, each block cut to them."""
+    return build_system(
+        name=f"{system.name}-sibling", agents=[(a, system.roles.get(a)) for a in system.agents],
+        actions=system.actions, runs=[(r, system.run(r).facts) for r in run_ids],
+        observers={j: [b for b in ([r for r in run_ids if r in block] for block in part.blocks)
+                       if b]
+                   for j, part in system.observers.items()})
 
 
 def facts_of(system, run_id):
@@ -249,8 +261,8 @@ class TestClaimRegistry:
 
     def test_only_parallel_claims_that_read_joint_facts_derive(self, par_swap, monkeypatch):
         calls = []
-        derive = scenarios.derive_parallel
-        monkeypatch.setattr(scenarios, "derive_parallel",
+        derive = scenarios.derive_sequential  # derive_parallel is the same function
+        monkeypatch.setattr(scenarios, "derive_sequential",
                             lambda *args: calls.append(args) or derive(*args))
         monkeypatch.setitem(CLAIMS, "AB.0", ClaimDef(
             "AB.0", "parallel", "a and b facts alone", ("a-privacy", "b-privacy"), "ab-identity"))
@@ -271,6 +283,43 @@ class TestClaimRegistry:
             check_claim("ZZ.9", s12)
         with pytest.raises(ValidationError, match="has no hypothesis 'no-such-hypothesis'"):
             check_claim("C3.2", paper_system("s1234"), drop=("no-such-hypothesis",))
+
+    @pytest.mark.parametrize("flavor", ["sequential", "parallel"])
+    def test_one_context_serves_every_system_of_a_declaration(self, flavor):
+        """A suite built on one system is the context of any other system of
+        its declaration: of universe systems and random draws with random
+        partitions of the 2/2/2 shape, and of each fixture's siblings with
+        runs dropped or reordered.  Every derived atom reads the other
+        system's derivation, by ``derive`` and by the reference."""
+        infer = scenarios._FLAVORS[flavor].infer_schema
+        universe = list(itertools.islice(exhaustive_systems(flavor), 0, None, 997))
+        draws = [random_system(GenConfig(partition="random", max_runs=5, seed=seed,
+                                         flavor=flavor, style=style))
+                 for seed in range(10) for style in ("uniform", "matching")]
+        groups = [(universe[0], universe[1:] + draws)]
+        for name in FIXTURE_NAMES:
+            if name.startswith("par_") == (flavor == "parallel"):
+                base = fixture_system(name)
+                ids = base.run_ids
+                orders = (ids[::-1], ids[1:] + ids[:1], ids[::2], ids[-1:])
+                groups.append((base, [_sibling(base, order) for order in orders]))
+        held = set()
+        for base, others in groups:
+            schema = infer(base)
+            suite = CheckSuite(flavor, schema, "j", base)
+            for other in others:
+                assert infer(other) == schema
+                ctx = suite.context(other)
+                derived = derive_sequential(other, schema)
+                ref = reference.Reference(reference.derive(other, schema))
+                for fact in _conjuncts(other, schema):
+                    mask = ctx.mask(Atom(*fact))
+                    assert mask == derived.holding(fact), (other.name, fact)
+                    assert [bool(mask >> i & 1) for i in range(len(other.run_ids))] == \
+                        ref.values(Atom(*fact)), (other.name, fact)
+                    held.add(mask == ctx._full)
+        assert held == {True, False}
+        assert any(len(s.observers["j"].blocks) > 1 for s in draws)
 
     def test_checkers_behind_a_wrapper_report_as_unwrapped(self, monkeypatch):
         """A checker read only through ``holds`` and ``first_failure``, as a
