@@ -17,6 +17,11 @@ observer partitions are shared unchanged, so formulas over pre-existing
 atoms keep their truth values.  Both definitions are Boolean combinations
 of base facts, so a derived fact's runs come from their run masks.
 
+A stage's facts are its subjects performing its actions.  One table,
+:func:`_stages`, gives each flavor's stages, and every builder of stage
+facts reads it: independence obligations, structural formulas and the
+claim checkers of ``scenarios``.
+
 Independence checks ask the observer's possibility operator to distribute
 over conjunctions of stage facts: every variant instantiates the one schema
 P[j] u & P[j] p -> P[j] (u & p), with u and p single, negated, paired or
@@ -24,9 +29,10 @@ disjoined facts of the two stages, and checks it on every run.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 from .formula import (And, Atom, Evaluator, Formula, Implies, Not, Poss,
                       _derived_mask, conj, disj, render)
@@ -205,7 +211,7 @@ derive_parallel = derive_sequential
 
 
 # ---------------------------------------------------------------------------
-# Independence
+# Stages
 
 
 def parallel_subjects(system: InterpretedSystem, observer: str) -> tuple[str, ...]:
@@ -213,6 +219,34 @@ def parallel_subjects(system: InterpretedSystem, observer: str) -> tuple[str, ..
     agents tagged ``real`` when any are, else every non-observer agent."""
     return system.agents_with_role("real") or tuple(
         a for a in system.agents if a != observer and system.roles.get(a) != "observer")
+
+
+#: One stage: the reference system its facts are read on (``base`` or
+#: ``derived``), the agents its facts are stated of (anonymity is up to
+#: them), and its actions (privacy and role interchangeability are up to them).
+_Stage = namedtuple("_Stage", "target subjects actions")
+
+
+def _stages(schema: SequentialSchema | ParallelSchema, system: InterpretedSystem,
+            observer: str | None) -> dict[str, _Stage]:
+    """The stages of ``schema``, by name: ``use``, ``post`` and ``submit``
+    of a sequential one; ``a``, ``b``, ``ab`` (each a action, then its b
+    action) and ``joint`` of a parallel one, whose subjects are
+    :func:`parallel_subjects` (the only use of ``system`` and ``observer``)."""
+    if isinstance(schema, SequentialSchema):
+        return {"use": _Stage("base", schema.first_agents, schema.first_actions),
+                "post": _Stage("base", schema.first_params, schema.second_actions),
+                "submit": _Stage("derived", schema.first_agents, schema.derived_actions)}
+    subjects = parallel_subjects(system, observer)
+    pairs = chain.from_iterable(zip(schema.actions_a, schema.actions_b))
+    return {"a": _Stage("base", subjects, schema.actions_a),
+            "b": _Stage("base", subjects, schema.actions_b),
+            "ab": _Stage("base", subjects, tuple(pairs)),
+            "joint": _Stage("derived", subjects, schema.derived_actions)}
+
+
+# ---------------------------------------------------------------------------
+# Independence
 
 
 def _distributes(j: str, u: Formula, p: Formula) -> Formula:
@@ -261,17 +295,17 @@ def _independence_pairs(system: InterpretedSystem,
     if kind is IndependenceKind.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
-        return ",", [((i, Atom(i, Action(schema.family_a, c))),
-                      (c, Atom(i, Action(schema.family_b, c))))
-                     for i, c in product(parallel_subjects(system, observer), schema.params)]
+        stages = _stages(schema, system, observer)
+        a, b = stages["a"], stages["b"]
+        return ",", [((i, Atom(i, u)), (v.param, Atom(i, v)))
+                     for i in a.subjects for u, v in zip(a.actions, b.actions)]
 
     if not isinstance(schema, SequentialSchema):
         raise ValidationError(f"{kind.value} independence needs a SequentialSchema")
-    stages = ([(f"{i},{k}", Atom(i, Action(schema.first_family, k)))
-               for i in schema.first_agents for k in schema.first_params],
-              [(f"{k},{c}", Atom(k, Action(schema.second_family, c)))
-               for k in schema.first_params for c in schema.second_params])
-    sep, (firsts, seconds) = _sequential_terms(kind, stages, bound)
+    stages = _stages(schema, system, observer)
+    facts = [[(f"{i},{act.param}", Atom(i, act)) for i in stage.subjects for act in stage.actions]
+             for stage in (stages["use"], stages["post"])]
+    sep, (firsts, seconds) = _sequential_terms(kind, facts, bound)
     return sep, product(firsts, seconds)
 
 
@@ -329,22 +363,25 @@ def check_independence(system: InterpretedSystem,
 def structural_formula(system: InterpretedSystem,
                        schema: SequentialSchema,
                        cond: StructuralCondition) -> Formula:
-    """Compile a structural condition to a modality-free formula."""
+    """Compile a structural condition to a modality-free formula over the
+    facts of the schema's stages (:func:`_stages`)."""
     kind = cond.kind
+    if not isinstance(kind, StructuralKind):
+        raise ValidationError(f"unknown structural kind {kind!r}")
+    if not isinstance(schema, SequentialSchema):
+        raise ValidationError(f"{kind.value} needs a SequentialSchema")
+    stages = _stages(schema, system, None)
+    use, post = stages["use"], stages["post"]
     if kind is StructuralKind.EXCLUSIVE_ACTION:
         if cond.action is None:
             raise ValidationError("exclusive-action needs an action")
         if not system.has_action(cond.action):
             raise ValidationError(f"undeclared action {cond.action}")
-        if cond.action.family == schema.second_family:
-            performers = schema.first_params
-        elif cond.action.family == schema.first_family:
-            performers = schema.first_agents
-        else:
-            performers = system.agents
-        pairs = combinations(performers, 2)
+        family = cond.action.family
+        performers = (post.subjects if family == schema.second_family else
+                      use.subjects if family == schema.first_family else system.agents)
         return conj(Not(And(Atom(x, cond.action), Atom(y, cond.action)))
-                    for x, y in pairs)
+                    for x, y in combinations(performers, 2))
     if kind is StructuralKind.EXCLUSIVE_AGENT:
         if cond.agent is None:
             raise ValidationError("exclusive-agent needs an agent")
@@ -352,36 +389,25 @@ def structural_formula(system: InterpretedSystem,
             raise ValidationError(f"undeclared agent {cond.agent!r}")
         family = cond.family or schema.first_family
         if family == schema.first_family:
-            acts = schema.first_actions
+            acts = use.actions
         elif family == schema.second_family:
-            acts = schema.second_actions
+            acts = post.actions
         else:
             acts = tuple(a for a in system.actions if a.family == family)
             if not acts:
                 raise ValidationError(f"no declared actions in family {family!r}")
         return conj(Not(And(Atom(cond.agent, a), Atom(cond.agent, b)))
                     for a, b in combinations(acts, 2))
+    links = tuple(zip(post.subjects, use.actions))  # each intermediary k and use(k)
     if kind is StructuralKind.EXHAUSTIVE_POSTING:
-        return conj(disj(Atom(k, Action(schema.second_family, c))
-                         for k in schema.first_params)
-                    for c in schema.second_params)
+        return conj(disj(Atom(k, p) for k in post.subjects) for p in post.actions)
     if kind is StructuralKind.EXHAUSTIVE_REGISTRATION:
-        return conj(disj(Atom(i, Action(schema.first_family, k))
-                         for k in schema.first_params)
-                    for i in schema.first_agents)
+        return conj(disj(Atom(i, u) for u in use.actions) for i in use.subjects)
     if kind is StructuralKind.BACKWARD_CAUSALITY:
-        return conj(Implies(Atom(k, Action(schema.second_family, c)),
-                            disj(Atom(i, Action(schema.first_family, k))
-                                 for i in schema.first_agents))
-                    for k in schema.first_params
-                    for c in schema.second_params)
-    if kind is StructuralKind.FORWARD_CAUSALITY:
-        return conj(Implies(Atom(i, Action(schema.first_family, k)),
-                            disj(Atom(k, Action(schema.second_family, c))
-                                 for c in schema.second_params))
-                    for i in schema.first_agents
-                    for k in schema.first_params)
-    raise ValidationError(f"unknown structural kind {kind!r}")
+        return conj(Implies(Atom(k, p), disj(Atom(i, u) for i in use.subjects))
+                    for k, u in links for p in post.actions)
+    return conj(Implies(Atom(i, u), disj(Atom(k, p) for p in post.actions))
+                for i in use.subjects for k, u in links)
 
 
 def check_structural(system: InterpretedSystem,

@@ -76,7 +76,9 @@ class PropertySpec:
     action_universe: tuple[Action, ...] | None = None
 
     def __post_init__(self):
-        form = _FORMS[self.kind]
+        form = _FORMS.get(self.kind)
+        if form is None:
+            raise ValidationError(f"unknown property kind {self.kind!r}")
         object.__setattr__(self, "action", _coerce_action(self.action))
         for field in _SET_FIELDS:
             value = getattr(self, field)
@@ -135,13 +137,11 @@ def _expand(system: InterpretedSystem, spec: PropertySpec) -> tuple[Fact, tuple]
         terms = [("P!", guard)]
     elif kind in (PropertyKind.MAXIMALLY_ONYMOUS, PropertyKind.MAXIMALLY_IDENTIFIED):
         terms = [("K", guard)]
-    elif kind is PropertyKind.ROLE_INTERCHANGEABLE:
+    else:  # role interchangeability
         universe = (system.actions if spec.action_universe is None
                     else _ordered(system.actions, spec.action_universe, "action", str))
         terms = [("->P&", (i2, a2), (i2, action), (subject, a2))
                  for i2 in system.agents if i2 != j for a2 in universe]
-    else:
-        raise ValidationError(f"unknown property kind {kind!r}")
     return guard, tuple(map(_shared, terms))
 
 

@@ -11,12 +11,12 @@ of generated systems, the exhaustive universe and then a random pool, and
 every generated system is assembled by one builder, :meth:`_Shape.system`.
 
 Hypotheses and conclusions are named checkers, looked up in one table per
-flavor (:data:`_FLAVORS`) that also gives its schema inference and
-stages: a ``<stage>-<property>`` checker asks one property of every
-(subject, action) of a stage, and independence and structural checkers name
-their kind.  A suite compiles them once per declaration shape: property and
-independence checkers keep only tables of fact and stage terms, and only a
-failure's report builds their formulas.  A checker that asks every
+flavor (:data:`_FLAVORS`) that also gives its schema inference: a
+``<stage>-<property>`` checker asks one property of every (subject, action)
+of a stage (``composition._stages``), and independence and structural
+checkers name their kind.  A suite compiles them once per declaration
+shape: property and independence checkers keep only tables of fact and
+stage terms, and only a failure's report builds their formulas.  A checker that asks every
 obligation to be valid is one :class:`_AllValid`: a context call that
 decides it and a report builder that lists its labelled obligations; a
 structural condition is decided as one conjunction of its obligations.
@@ -39,12 +39,11 @@ from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, groupby, islice, permutations
 from operator import methodcaller
 from pathlib import Path
-from typing import NamedTuple
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           StructuralCondition, StructuralKind, _conjuncts, _first_failure,
-                          _independence_pairs, derive_sequential,
-                          independence_obligations, parallel_subjects, structural_formula)
+                          _independence_pairs, _stages, derive_sequential,
+                          independence_obligations, structural_formula)
 from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared, conj
 from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
 from .sysfile import load_system
@@ -199,33 +198,6 @@ class _EquivalenceValid:
 # Checker tables
 
 
-class _Stage(NamedTuple):
-    """One stage of a claim flavor: the reference system its properties
-    compile against (``base`` or ``derived``), the agents they are stated
-    of, and its actions.  Anonymity is up to the stage's agents; privacy
-    and role interchangeability are up to its actions."""
-
-    target: str
-    subjects: tuple[str, ...]
-    actions: tuple[Action, ...]
-
-
-def _sequential_stages(schema: SequentialSchema, system, observer) -> dict[str, _Stage]:
-    return {"use": _Stage("base", schema.first_agents, schema.first_actions),
-            "post": _Stage("base", schema.first_params, schema.second_actions),
-            "submit": _Stage("derived", schema.first_agents, schema.derived_actions)}
-
-
-def _parallel_stages(schema: ParallelSchema, system, observer) -> dict[str, _Stage]:
-    """Stages a, b, joint, and ab: each a action, then its b action."""
-    subjects = parallel_subjects(system, observer)
-    pairs = chain.from_iterable(zip(schema.actions_a, schema.actions_b))
-    return {"a": _Stage("base", subjects, schema.actions_a),
-            "b": _Stage("base", subjects, schema.actions_b),
-            "ab": _Stage("base", subjects, tuple(pairs)),
-            "joint": _Stage("derived", subjects, schema.derived_actions)}
-
-
 class CheckSuite:
     """Compiles the named checkers for one declaration shape.
 
@@ -270,8 +242,8 @@ class CheckSuite:
 
     # -- builders ---------------------------------------------------------
 
-    def _stages(self) -> dict[str, _Stage]:
-        return _FLAVORS[self.flavor].stages(self.schema, self.ref_base, self.observer)
+    def _stages(self):
+        return _stages(self.schema, self.ref_base, self.observer)
 
     def _props(self, target: str, kind: PropertyKind, specs) -> _AllValid:
         ref = self.ref_base if target == "base" else self.ref_derived
@@ -297,12 +269,12 @@ class CheckSuite:
     def _structural(self, kind: StructuralKind) -> _AllValid:
         """Condition ``kind``: of each second-stage action if it is
         exclusive-action, of each first-stage agent if exclusive-agent."""
-        sch = self.schema
-        conds = ([StructuralCondition(kind, action=a) for a in sch.second_actions]
+        stages = self._stages()
+        conds = ([StructuralCondition(kind, action=a) for a in stages["post"].actions]
                  if kind is StructuralKind.EXCLUSIVE_ACTION else
-                 [StructuralCondition(kind, agent=i) for i in sch.first_agents]
+                 [StructuralCondition(kind, agent=i) for i in stages["use"].subjects]
                  if kind is StructuralKind.EXCLUSIVE_AGENT else [StructuralCondition(kind)])
-        obligations = tuple((cond.label, structural_formula(self.ref_base, sch, cond))
+        obligations = tuple((cond.label, structural_formula(self.ref_base, self.schema, cond))
                             for cond in conds)
         return _AllValid(methodcaller("holds", conj(f for _, f in obligations)),
                          partial(iter, obligations))
@@ -311,11 +283,12 @@ class CheckSuite:
         """Independence against its guarded reformulation: per (i2, k2, c),
         ``theta(i2, use(k2)) & theta(k2, post(c))`` implies, for every
         first-stage fact x, ``P[j] x -> P[j] (x & theta(k2, post(c)))``."""
-        sch = self.schema
-        uses = [(i, a) for i in sch.first_agents for a in sch.first_actions]
+        stages = self._stages()
+        use, post = stages["use"], stages["post"]
+        uses = [(i, a) for i in use.subjects for a in use.actions]
         rows = ((((i2, u), (k2, p)), tuple(_shared(("P->P&", x, (k2, p))) for x in uses))
-                for i2 in sch.first_agents for k2, u in zip(sch.first_params, sch.first_actions)
-                for p in sch.second_actions)
+                for i2 in use.subjects for k2, u in zip(post.subjects, use.actions)
+                for p in post.actions)
         return _EquivalenceValid(("independence", "reformulation"), self.checker("independence"),
                                  _guarded(self.observer, rows, "{0[0]},{1[0]},{1[1].param}"))
 
@@ -335,14 +308,14 @@ def _properties(stage: str, *kinds: PropertyKind) -> dict[str, tuple]:
             for kind in kinds}
 
 
-_Flavor = namedtuple("_Flavor", "infer_schema stages checkers")
+_Flavor = namedtuple("_Flavor", "infer_schema checkers")
 
-#: Each claim flavor, described once: how a system's schema is inferred, its
-#: stages, and every checker it offers, by name, as a :class:`CheckSuite`
-#: builder and the builder's arguments.
+#: Each claim flavor, described once: how a system's schema is inferred and
+#: every checker it offers, by name, as a :class:`CheckSuite` builder and
+#: the builder's arguments.
 _FLAVORS = {
     "sequential": _Flavor(
-        standard_sequential_schema, _sequential_stages, {
+        standard_sequential_schema, {
             "independence": (CheckSuite._independence, IndependenceKind.BASIC),
             "pairwise-independence": (CheckSuite._independence, IndependenceKind.PAIRWISE),
             "disjunctive-independence": (CheckSuite._independence, IndependenceKind.DISJUNCTIVE),
@@ -364,7 +337,7 @@ _FLAVORS = {
             "independence-reformulation-equivalence": (CheckSuite._reformulation_equivalence,),
         }),
     "parallel": _Flavor(
-        standard_parallel_schema, _parallel_stages, {
+        standard_parallel_schema, {
             "independence": (CheckSuite._independence, IndependenceKind.PARALLEL),
             **_properties("a", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
             **_properties("b", PropertyKind.PRIVATE_UP_TO, PropertyKind.ANONYMOUS_UP_TO),
@@ -519,35 +492,15 @@ class ClaimReport:
     items: tuple[tuple[int, str, bool, str | None], ...] = ()
 
 
-def _check_witness_claim(suite: CheckSuite, ctx: Evaluator,
-                         system: InterpretedSystem) -> ClaimReport:
-    """C3.1: the given system should witness all four items."""
-    anon = suite.checker("use-anonymity")
-    priv = suite.checker("post-privacy")
-    sub_anon = suite.checker("submit-anonymity")
-    sub_priv = suite.checker("submit-privacy")
-    i1 = anon.holds(ctx)
-    i2 = priv.holds(ctx)
-    f3 = sub_anon.first_failure(ctx)
-    f4 = sub_priv.first_failure(ctx)
-    items = (
-        (1, "every first-stage fact anonymous up to the first-stage population",
-         i1, None if i1 else anon.first_failure(ctx)),
-        (2, "every second-stage fact private up to the second-stage actions",
-         i2, None if i2 else priv.first_failure(ctx)),
-        (3, "some chained fact not anonymous", f3 is not None, f3),
-        (4, "some chained fact not private", f4 is not None, f4),
-    )
-    all_hold = all(h for _, _, h, _ in items)
-    verdict = ClaimVerdict.CONFIRMED if all_hold else ClaimVerdict.VACUOUS
-    return ClaimReport(
-        claim_id="C3.1", system_name=system.name,
-        hypotheses=(HypothesisOutcome("use-anonymity", i1, items[0][3]),
-                    HypothesisOutcome("post-privacy", i2, items[1][3])),
-        hypotheses_hold=i1 and i2,
-        conclusion=HypothesisOutcome("submit-exposure", f3 is not None and f4 is not None),
-        conclusion_holds=f3 is not None and f4 is not None,
-        verdict=verdict, items=items)
+#: The description of each item of C3.1's report: its hypotheses left
+#: after a drop, then its two exposures, each the first failure of a
+#: chained property.
+_WITNESS_ITEMS = {
+    "use-anonymity": "every first-stage fact anonymous up to the first-stage population",
+    "post-privacy": "every second-stage fact private up to the second-stage actions",
+    "submit-anonymity": "some chained fact not anonymous",
+    "submit-privacy": "some chained fact not private",
+}
 
 
 def _claim(claim_id: ClaimId, dropped=(), search: str | None = None) -> ClaimDef:
@@ -569,9 +522,10 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> Cla
 
     ``drop`` removes hypotheses by name before the verdict is computed,
     which is how hypothesis necessity is probed; a name given twice is
-    dropped, and reported, once.  Witness-only claims
-    (C3.1) report CONFIRMED when the system exhibits all items and VACUOUS
-    otherwise; existence statements cannot be refuted by a single system.
+    dropped, and reported, once.  Witness-only claims (C3.1) report
+    CONFIRMED when the hypotheses left hold and both exposures occur, and
+    VACUOUS otherwise; existence statements cannot be refuted by a single
+    system.
     """
     dropped = tuple(dict.fromkeys(drop))
     cdef = _claim(claim_id, dropped)
@@ -580,9 +534,6 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> Cla
     schema = _FLAVORS[cdef.flavor].infer_schema(system)
     suite = CheckSuite(cdef.flavor, schema, next(iter(system.observers)), system)
     ctx = suite.context(system)
-    if cdef.witness_only:
-        return _check_witness_claim(suite, ctx, system)
-
     outcomes = []
     hyps_hold = True
     for name in cdef.hypotheses:
@@ -592,18 +543,27 @@ def check_claim(claim_id: ClaimId, system: InterpretedSystem, *, drop=()) -> Cla
         ok = checker.holds(ctx)
         outcomes.append(HypothesisOutcome(name, ok, None if ok else checker.first_failure(ctx)))
         hyps_hold = hyps_hold and ok
-    conc = suite.checker(cdef.conclusion)
-    conc_ok = conc.holds(ctx)
-    conclusion = HypothesisOutcome(cdef.conclusion, conc_ok,
-                                   None if conc_ok else conc.first_failure(ctx))
+    items = ()
+    if cdef.witness_only:
+        failures = {name: suite.checker(name).first_failure(ctx)
+                    for name in ("submit-anonymity", "submit-privacy")}
+        exposures = [HypothesisOutcome(name, f is not None, f) for name, f in failures.items()]
+        items = tuple((n, _WITNESS_ITEMS[o.name], o.holds, o.detail)
+                      for n, o in enumerate(outcomes + exposures, 1))
+        conclusion = HypothesisOutcome(cdef.conclusion, all(o.holds for o in exposures))
+    else:
+        conc = suite.checker(cdef.conclusion)
+        conc_ok = conc.holds(ctx)
+        conclusion = HypothesisOutcome(cdef.conclusion, conc_ok,
+                                       None if conc_ok else conc.first_failure(ctx))
     if not hyps_hold:
         verdict = ClaimVerdict.VACUOUS
-    elif conc_ok:
+    elif conclusion.holds:
         verdict = ClaimVerdict.CONFIRMED
     else:
-        verdict = ClaimVerdict.REFUTED
+        verdict = ClaimVerdict.VACUOUS if cdef.witness_only else ClaimVerdict.REFUTED
     return ClaimReport(claim_id, system.name, tuple(outcomes), hyps_hold,
-                       conclusion, conc_ok, verdict, dropped)
+                       conclusion, conclusion.holds, verdict, dropped, items)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """A per-run evaluator written straight from the semantics, and the
-property, independence and structural checks restated on it: the
-reference that the bitmask evaluators are tested against.  Systems are
+property, independence and structural checks restated on it, with their
+obligations written out from the schema's fields: the reference that the
+bitmask evaluators and the stage table of ``composition`` are tested
+against.  Systems are
 restated as rows (:class:`RowSystem`), built, derived, rendered and
 encoded run by run, for the fact columns of ``InterpretedSystem`` and the
 column algebra of ``composition`` and ``sysfile``.
@@ -10,13 +12,14 @@ An atom reads ``run.facts``; ``K[j]``/``P[j]`` are ``all``/``any`` over
 on purpose and only fit for small systems and shallow formulas.
 """
 from collections import Counter, defaultdict
+from itertools import combinations, combinations_with_replacement, product
 
-from anoncheck.composition import (SequentialSchema, _distributes,
-                                   independence_obligations, structural_formula)
+from anoncheck.composition import (IndependenceKind, ParallelSchema, SequentialSchema,
+                                   StructuralKind)
 from anoncheck.formula import (And, Atom, Const, Iff, Implies, Knows, Not, Or,
-                               Poss, Verdict, _guarded_formula, render)
+                               Poss, Verdict, _guarded_formula, conj, disj, render)
 from anoncheck.properties import PropertyReport, _conjuncts
-from anoncheck.system import (ROLES, ObserverPartition, Run, ValidationError,
+from anoncheck.system import (ROLES, Action, ObserverPartition, Run, ValidationError,
                               _check_name, _coerce_action, _one_word)
 
 
@@ -102,6 +105,120 @@ def check_independence(system, observer, schema, kind, bound=2):
 def check_structural(system, schema, cond):
     f = structural_formula(system, schema, cond)
     return _first_failure(system, [(render(f), f)])
+
+
+# ---------------------------------------------------------------------------
+# Obligations, from the schema's fields
+
+
+def _distributes(j, u, p):
+    """``P[j] u & P[j] p -> P[j] (u & p)``."""
+    return Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p)))
+
+
+def independence_obligations(system, schema, observer, kind, bound=2):
+    """The (label, formula) list of an independence variant: the labelled
+    first-stage and second-stage terms of each pair, joined, and the
+    distribution of the observer's possibility over their conjunction."""
+    IK = IndependenceKind
+    if kind is IK.PARALLEL:
+        if not isinstance(schema, ParallelSchema):
+            raise ValidationError("parallel independence needs a ParallelSchema")
+        subjects = [a for a in system.agents if system.roles.get(a) == "real"] or [
+            a for a in system.agents if a != observer and system.roles.get(a) != "observer"]
+        pairs = [((i, Atom(i, Action(schema.family_a, c))),
+                  (c, Atom(i, Action(schema.family_b, c))))
+                 for i in subjects for c in schema.params]
+        return [(f"{l1},{l2}", _distributes(observer, u, p)) for (l1, u), (l2, p) in pairs]
+    if not isinstance(schema, SequentialSchema):
+        raise ValidationError(f"{kind.value} independence needs a SequentialSchema")
+    uses = [(f"{i},{k}", Atom(i, Action(schema.first_family, k)))
+            for i in schema.first_agents for k in schema.first_params]
+    posts = [(f"{k},{c}", Atom(k, Action(schema.second_family, c)))
+             for k in schema.first_params for c in schema.second_params]
+
+    def negated(facts):
+        return [("!" + label, Not(a)) for label, a in facts]
+
+    def paired(facts):
+        return [(f"{l1}+{l2}", And(a1, a2))
+                for (l1, a1), (l2, a2) in combinations_with_replacement(facts, 2)]
+
+    def disjoined(facts):
+        return [("|".join(label for label, _ in group), disj(a for _, a in group))
+                for n in range(1, min(bound, len(facts)) + 1)
+                for group in combinations(facts, n)]
+
+    sep = ","
+    if kind is IK.POS_NEG:
+        posts = negated(posts)
+    elif kind is IK.NEG_POS:
+        uses = negated(uses)
+    elif kind is IK.PAIRWISE:
+        sep, uses, posts = ";", paired(uses), paired(posts)
+    elif kind is IK.DISJUNCTIVE:
+        if bound < 1:
+            raise ValidationError("disjunct bound must be at least 1")
+        sep, uses, posts = ";", disjoined(uses), disjoined(posts)
+    elif kind is not IK.BASIC:
+        raise ValidationError(f"unknown independence kind {kind!r}")
+    return [(f"{l1}{sep}{l2}", _distributes(observer, u, p))
+            for (l1, u), (l2, p) in product(uses, posts)]
+
+
+def structural_formula(system, schema, cond):
+    """A structural condition's formula over the schema's stage facts."""
+    SK, kind = StructuralKind, cond.kind
+    if isinstance(kind, SK) and not isinstance(schema, SequentialSchema):
+        raise ValidationError(f"{kind.value} needs a SequentialSchema")
+    if kind is SK.EXCLUSIVE_ACTION:
+        if cond.action is None:
+            raise ValidationError("exclusive-action needs an action")
+        if not system.has_action(cond.action):
+            raise ValidationError(f"undeclared action {cond.action}")
+        if cond.action.family == schema.second_family:
+            performers = schema.first_params
+        elif cond.action.family == schema.first_family:
+            performers = schema.first_agents
+        else:
+            performers = system.agents
+        return conj(Not(And(Atom(x, cond.action), Atom(y, cond.action)))
+                    for x, y in combinations(performers, 2))
+    if kind is SK.EXCLUSIVE_AGENT:
+        if cond.agent is None:
+            raise ValidationError("exclusive-agent needs an agent")
+        if not system.has_agent(cond.agent):
+            raise ValidationError(f"undeclared agent {cond.agent!r}")
+        family = cond.family or schema.first_family
+        if family == schema.first_family:
+            acts = schema.first_actions
+        elif family == schema.second_family:
+            acts = schema.second_actions
+        else:
+            acts = tuple(a for a in system.actions if a.family == family)
+            if not acts:
+                raise ValidationError(f"no declared actions in family {family!r}")
+        return conj(Not(And(Atom(cond.agent, a), Atom(cond.agent, b)))
+                    for a, b in combinations(acts, 2))
+
+    def use(i, k):
+        return Atom(i, Action(schema.first_family, k))
+
+    def post(k, c):
+        return Atom(k, Action(schema.second_family, c))
+
+    agents, mids, params = schema.first_agents, schema.first_params, schema.second_params
+    if kind is SK.EXHAUSTIVE_POSTING:
+        return conj(disj(post(k, c) for k in mids) for c in params)
+    if kind is SK.EXHAUSTIVE_REGISTRATION:
+        return conj(disj(use(i, k) for k in mids) for i in agents)
+    if kind is SK.BACKWARD_CAUSALITY:
+        return conj(Implies(post(k, c), disj(use(i, k) for i in agents))
+                    for k in mids for c in params)
+    if kind is SK.FORWARD_CAUSALITY:
+        return conj(Implies(use(i, k), disj(post(k, c) for c in params))
+                    for i in agents for k in mids)
+    raise ValidationError(f"unknown structural kind {kind!r}")
 
 
 def outcome(report: PropertyReport):

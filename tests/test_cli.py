@@ -361,6 +361,11 @@ class TestCompose:
         assert rc == 0
         assert out == render_system(par_swap_joint)
 
+    def test_json_format(self, s12_seq):
+        rc, out, _ = invoke("compose", "s12", "seq => submit", "--format", "json")
+        assert rc == 0
+        assert json.loads(out) == to_json_dict(s12_seq)
+
     def test_error_exits(self, tmp_path):
         rc, _, err = invoke("compose", "s12", "seq use => submit")
         assert rc == 2 and "takes both stages or neither" in err
@@ -403,6 +408,30 @@ class TestClaims:
             "  item 4: some chained fact not private: yes"
             " [private-up-to(i1, submit(c1)) @ r1]",
         ]
+
+    def test_dropped_witness_hypothesis_is_listed_and_skipped(self):
+        """A dropped C3.1 hypothesis is neither checked nor an item; the
+        items are the hypotheses left, then the two exposures."""
+        rc, out, _ = invoke("claims", "run", "C3.1", "--drop", "use-anonymity")
+        assert rc == 0
+        assert out.splitlines() == [
+            "C3.1 on s12: confirmed (3/3 items)",
+            "  dropped hypotheses: use-anonymity",
+            "  hypothesis post-privacy: holds",
+            "  conclusion submit-exposure: holds",
+            "  item 1: every second-stage fact private up to the second-stage"
+            " actions: yes",
+            "  item 2: some chained fact not anonymous: yes"
+            " [anonymous-up-to(i1, submit(c1)) @ r1]",
+            "  item 3: some chained fact not private: yes"
+            " [private-up-to(i1, submit(c1)) @ r1]",
+        ]
+        rc, out, _ = invoke("claims", "run", "C3.1", "--drop", "use-anonymity",
+                            "--format", "json")
+        (report,) = json.loads(out)["claims"]
+        assert report["dropped"] == ["use-anonymity"]
+        assert [h["name"] for h in report["hypotheses"]] == ["post-privacy"]
+        assert [item["index"] for item in report["items"]] == [1, 2, 3]
 
     def test_base_only_claim_runs_on_a_composed_system(self, tmp_path):
         path = tmp_path / "derived.sys"
@@ -556,6 +585,8 @@ class TestSearch:
     def test_error_exits(self):
         rc, _, err = invoke("search", "C3.1")
         assert rc == 2 and "witness-only" in err
+        rc, out, err = invoke("search", "ZZ.1")
+        assert (rc, out, err) == (2, "", "error: unknown claim 'ZZ.1'\n")
         rc, _, err = invoke("search", "C3.2", "--drop-hypothesis", "zz")
         assert rc == 2 and "has no hypothesis 'zz'" in err
 
@@ -587,6 +618,13 @@ class TestSystemResolution:
         save_system(s12, path)
         rc, _, _ = invoke("check", str(path), "min-anon(i1, use(k1), j)")
         assert rc == 0
+
+    def test_bundled_file_name(self, tmp_path, monkeypatch):
+        """A bundled system is also found by its file name, from a
+        directory that has no file of that name."""
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = invoke("eval", "s12.sys", "theta(i1, use(k1))")
+        assert err == "" and (rc, out, err) == invoke("eval", "s12", "theta(i1, use(k1))")
 
     def test_missing_file(self):
         rc, _, err = invoke("eval", "missing.sys", "true")

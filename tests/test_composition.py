@@ -1,19 +1,22 @@
 """Sequential and parallel derivation, the independence variants, and the
 structural side conditions, with verdicts frozen on the bundled systems."""
 import dataclasses
+import itertools
 import random
 
 import pytest
 
+import reference
 from anoncheck import (Action, GenConfig, IndependenceKind, ParallelSchema,
                        SequentialSchema, StructuralCondition, StructuralKind,
                        ValidationError, build_system, check_independence,
                        check_structural, derive_parallel, derive_sequential,
                        exhaustive_systems, parallel_subjects, parse_system,
                        random_system, render_system)
-from anoncheck.formula import (And, Atom, Evaluator, Iff, Implies, Not, Poss, disj,
+from anoncheck.composition import independence_obligations, structural_formula
+from anoncheck.formula import (And, Atom, Evaluator, Iff, Implies, Not, Poss, conj, disj,
                                parse, render, valid)
-from anoncheck.scenarios import (FIXTURE_NAMES, fixture_system, paper_system,
+from anoncheck.scenarios import (FIXTURE_NAMES, _shape, fixture_system, paper_system,
                                  standard_parallel_schema,
                                  standard_sequential_schema)
 
@@ -424,3 +427,97 @@ class TestStructuralConditions:
             check_structural(s12, schema,
                              StructuralCondition(StructuralKind.EXCLUSIVE_ACTION,
                                                  action=Action.parse("fly(x)")))
+
+    def test_conditions_need_a_sequential_schema(self, par_swap):
+        schema = standard_parallel_schema(par_swap)
+        with pytest.raises(ValidationError, match="^exhaustive-posting needs a SequentialSchema$"):
+            check_structural(par_swap, schema,
+                             StructuralCondition(StructuralKind.EXHAUSTIVE_POSTING))
+        for kind in StructuralKind:
+            with pytest.raises(ValidationError, match=f"^{kind.value} needs a SequentialSchema$"):
+                structural_formula(par_swap, schema,
+                                   StructuralCondition(kind, Action.parse("act_a(c1)"), "i1"))
+
+    def test_action_exclusivity_outside_both_stages_ranges_over_every_agent(self, s56_seq):
+        """An action of neither stage may be performed by any declared agent."""
+        schema = standard_sequential_schema(s56_seq)
+        action = Action.parse("submit(c1)")
+        f = structural_formula(s56_seq, schema,
+                               StructuralCondition(StructuralKind.EXCLUSIVE_ACTION, action=action))
+        assert len(s56_seq.agents) > len(schema.first_agents) + len(schema.first_params)
+        assert f == conj(Not(And(Atom(x, action), Atom(y, action)))
+                         for x, y in itertools.combinations(s56_seq.agents, 2))
+
+    def test_unknown_kinds(self, s12):
+        schema = standard_sequential_schema(s12)
+        with pytest.raises(ValidationError, match="^unknown structural kind 'bogus'$"):
+            structural_formula(s12, schema, StructuralCondition("bogus"))
+        with pytest.raises(ValidationError, match="^unknown independence kind 'bogus'$"):
+            list(independence_obligations(s12, schema, "j", "bogus"))
+
+
+def _oracle_corpus():
+    """The bundled systems, the reference system of every pool shape and
+    20 random systems per flavor, each also derived."""
+    shapes = [("sequential", args) for args in itertools.product((1, 2, 3), repeat=3)]
+    shapes += [("parallel", (nr, 1, nc)) for nr in (1, 2, 3) for nc in (1, 2, 3)]
+    systems = [fixture_system(name) for name in FIXTURE_NAMES]
+    systems += [_shape(flavor, *args).ref for flavor, args in shapes]
+    systems += [random_system(GenConfig(n_real=1 + seed % 3, n_pseudo=1 + seed // 3 % 3,
+                                        n_articles=1 + seed // 9 % 3, max_runs=1 + seed % 4,
+                                        partition=("single", "random")[seed % 2],
+                                        style=("uniform", "matching")[seed // 2 % 2],
+                                        flavor=flavor, seed=4100 + seed))
+                for flavor in ("sequential", "parallel") for seed in range(20)]
+    for system in systems:
+        yield system
+        schema = next(_schemas(system), None)
+        if schema is not None:
+            yield derive_sequential(system, schema)
+
+
+def _schemas(system):
+    for infer in (standard_sequential_schema, standard_parallel_schema):
+        try:
+            yield infer(system)
+        except ValidationError:
+            pass
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the message of the ValidationError it raises."""
+    try:
+        return build()
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def test_obligations_match_the_reference():
+    """Every independence obligation list (label and formula, in order) and
+    structural formula, and every validation message, is the reference's,
+    which is written from the schema's fields."""
+    variants = [(kind, bound) for kind in IK
+                for bound in ((0, 1, 2, 3) if kind is IK.DISJUNCTIVE else (2,))]
+    outcomes = set()
+    for system in _oracle_corpus():
+        for schema in _schemas(system):
+            for kind, bound in variants:
+                got = _outcome(lambda: list(independence_obligations(
+                    system, schema, "j", kind, bound)))
+                assert got == _outcome(lambda: reference.independence_obligations(
+                    system, schema, "j", kind, bound)), (system.name, kind, bound)
+                outcomes.add((type(schema), kind, isinstance(got, str)))
+            conds = [StructuralCondition(kind) for kind in StructuralKind]
+            conds += [StructuralCondition(StructuralKind.EXCLUSIVE_ACTION, action=a)
+                      for a in system.actions]
+            conds += [StructuralCondition(StructuralKind.EXCLUSIVE_AGENT, agent=i, family=family)
+                      for i in system.agents for family in (None, "use", "post", "submit", "zz")]
+            for cond in conds:
+                got = _outcome(lambda: structural_formula(system, schema, cond))
+                assert got == _outcome(lambda: reference.structural_formula(
+                    system, schema, cond)), (system.name, cond)
+                outcomes.add((type(schema), cond.kind, isinstance(got, str)))
+    assert {(SequentialSchema, kind, False) for kind in StructuralKind} <= outcomes
+    assert {(ParallelSchema, kind, True) for kind in StructuralKind} <= outcomes
+    assert (ParallelSchema, IK.PARALLEL, False) in outcomes
+    assert (SequentialSchema, IK.PARALLEL, True) in outcomes

@@ -122,6 +122,10 @@ class TestSpecValidation:
             PropertySpec(PropertyKind.ROLE_INTERCHANGEABLE, "i1", USE_K1, "j",
                          privacy_set=(USE_K1,))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown property kind 'bogus'$"):
+            PropertySpec("bogus", "i1", "use(k1)", "j")
+
     def test_set_fields_coerced_to_tuples(self):
         spec = PropertySpec(PropertyKind.ANONYMOUS_UP_TO, "i1", USE_K1, "j",
                             anonymity_set=["i2", "i1"])
