@@ -276,14 +276,12 @@ def _sequential_terms(kind: IndependenceKind, stages, bound: int):
         return ";", [[(f"{l1}+{l2}", And(a1, a2))
                       for (l1, a1), (l2, a2) in combinations_with_replacement(facts, 2)]
                      for facts in stages]
-    if kind is IndependenceKind.DISJUNCTIVE:
-        if bound < 1:
-            raise ValidationError("disjunct bound must be at least 1")
-        return ";", [[("|".join(label for label, _ in group), disj(a for _, a in group))
-                      for n in range(1, min(bound, len(facts)) + 1)
-                      for group in combinations(facts, n)]
-                     for facts in stages]
-    raise ValidationError(f"unknown independence kind {kind!r}")
+    if bound < 1:  # DISJUNCTIVE: _independence_pairs passes no other kind
+        raise ValidationError("disjunct bound must be at least 1")
+    return ";", [[("|".join(label for label, _ in group), disj(a for _, a in group))
+                  for n in range(1, min(bound, len(facts)) + 1)
+                  for group in combinations(facts, n)]
+                 for facts in stages]
 
 
 def _independence_pairs(system: InterpretedSystem,
@@ -292,6 +290,8 @@ def _independence_pairs(system: InterpretedSystem,
     """The label separator and, per instantiation of
     :func:`independence_obligations` in its order, the ((label, u),
     (label, p)) stage terms, whose labels the separator joins."""
+    if not isinstance(kind, IndependenceKind):
+        raise ValidationError(f"unknown independence kind {kind!r}")
     if kind is IndependenceKind.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
@@ -365,6 +365,8 @@ def structural_formula(system: InterpretedSystem,
                        cond: StructuralCondition) -> Formula:
     """Compile a structural condition to a modality-free formula over the
     facts of the schema's stages (:func:`_stages`)."""
+    if not isinstance(cond, StructuralCondition):
+        raise ValidationError(f"unknown structural condition {cond!r}")
     kind = cond.kind
     if not isinstance(kind, StructuralKind):
         raise ValidationError(f"unknown structural kind {kind!r}")

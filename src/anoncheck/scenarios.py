@@ -36,8 +36,8 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, groupby, islice, permutations
-from operator import methodcaller
+from itertools import accumulate, combinations, groupby, islice, permutations
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
@@ -48,7 +48,8 @@ from .formula import Evaluator, SlotPlanes, _guarded_formula, _shared, conj
 from .properties import _FORMS, PropertyKind, PropertySpec, _expand, minimally_private
 from .sysfile import load_system
 from .system import (Action, InterpretedSystem, ObserverPartition,
-                     ValidationError, _mask, _transpose, build_system)
+                     ValidationError, _grid_columns, _mask, _transpose,
+                     build_system)
 
 ClaimId = str
 
@@ -830,15 +831,30 @@ def _shape_of(cfg: GenConfig) -> _Shape:
 
 
 @lru_cache(maxsize=None)
+def _universe_chunks(width: int):
+    """(system count, slot columns) per chunk of :data:`_CHUNK` systems of
+    the universe over ``width`` facts: a one-run system per fact set, then a
+    two-run system per pair of them, in lexicographic order.  Each slot is
+    cut from one bytes of every system's fact set there (a one-run system
+    repeats its run, as :meth:`_Shape.columns` pads), so ``width`` is at
+    most 8: above, ``bytes`` raises ``ValueError``."""
+    sets = range(1 << width)
+    slots = [b"".join(bytes(map(itemgetter(min(i, n - 1)), combinations(sets, n))) for n in (1, 2))
+             for i in (0, 1)]
+    total = len(slots[0])
+    return [(min(_CHUNK, total - start),
+             [_grid_columns(slot[start:start + _CHUNK][::-1], width) for slot in slots])
+            for start in range(0, total, _CHUNK)]
+
+
+@lru_cache(maxsize=None)
 def _universe(flavor: str):
-    """One flavor's exhaustive universe: the 2/2/2 shape, and (system count,
-    slot columns) per chunk of :data:`_CHUNK` systems.  Its systems are the
-    one-run systems ``x{m}``, one per fact set ``m`` of the shape, then
+    """One flavor's exhaustive universe: the 2/2/2 shape, and its
+    :func:`_universe_chunks`, built once per process for both flavors (each
+    has 8 facts).  Its systems are the one-run systems ``x{m}``, then
     ``x{a}-{b}`` for every ``a < b``, in one block."""
     shape = _shape(flavor, 2, 2, 2)
-    systems = chain.from_iterable(combinations(range(1 << len(shape.facts)), n) for n in (1, 2))
-    return shape, [(len(chunk), shape.columns(chunk))
-                   for chunk in iter(lambda: list(islice(systems, _CHUNK)), [])]
+    return shape, _universe_chunks(len(shape.facts))
 
 
 def _universe_system(shape: _Shape, columns, bit: int) -> InterpretedSystem:
@@ -851,7 +867,8 @@ def _universe_system(shape: _Shape, columns, bit: int) -> InterpretedSystem:
 
 def exhaustive_systems(flavor: str = "sequential"):
     """Every system over the 2/2/2 fact universe with at most two distinct
-    runs and a single observer block, in canonical order."""
+    runs and a single observer block, in canonical order, each read back
+    from the chunk columns :func:`_universe` shares between the flavors."""
     shape, chunks = _universe(flavor)
     for count, columns in chunks:
         yield from map(partial(_universe_system, shape, columns), range(count))

@@ -62,17 +62,24 @@ def _mask(bits) -> int:
 _BIT_DIGITS = [bytes(b"01"[value >> k & 1] for value in range(256)) for k in range(8)]
 
 
+def _grid_columns(grid, width: int) -> list[int]:
+    """The ``width`` columns of ``grid``, rows of ``(width + 7) // 8``
+    little-endian bytes, last row first: column ``b`` is bit ``b % 8`` of
+    every row's byte ``b // 8``, the last row its most significant bit."""
+    size = (width + 7) // 8
+    return [int(grid[b // 8::size].translate(_BIT_DIGITS[b % 8]), 2) for b in range(width)]
+
+
 def _transpose(rows: list[int], width: int) -> list[int]:
     """The ``width`` columns of the int ``rows`` (bit ``s`` of column ``b`` is
-    bit ``b`` of ``rows[s]``), emptying ``rows`` 1,024 rows at a time: as
-    bytes of one size, last row first, column ``b`` is bit ``b % 8`` of every
-    size-th byte from byte ``b // 8``, most significant row first."""
+    bit ``b`` of ``rows[s]``), emptying ``rows`` 1,024 rows at a time into
+    the :func:`_grid_columns` grid."""
     size = (width + 7) // 8
     grid = bytearray()
     while rows:
         grid += b"".join(map(int.to_bytes, reversed(rows[-1024:]), repeat(size), repeat("little")))
         del rows[-1024:]
-    return [int(grid[b // 8::size].translate(_BIT_DIGITS[b % 8]), 2) for b in range(width)]
+    return _grid_columns(grid, width)
 
 
 #: Roles an agent may be tagged with.  Tags are metadata used by schema

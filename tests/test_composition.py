@@ -448,12 +448,23 @@ class TestStructuralConditions:
         assert f == conj(Not(And(Atom(x, action), Atom(y, action)))
                          for x, y in itertools.combinations(s56_seq.agents, 2))
 
-    def test_unknown_kinds(self, s12):
+    def test_unknown_kinds(self, s12, par_swap):
+        """A kind or condition of the wrong type is a ValidationError on
+        either schema, never an AttributeError."""
         schema = standard_sequential_schema(s12)
         with pytest.raises(ValidationError, match="^unknown structural kind 'bogus'$"):
             structural_formula(s12, schema, StructuralCondition("bogus"))
-        with pytest.raises(ValidationError, match="^unknown independence kind 'bogus'$"):
-            list(independence_obligations(s12, schema, "j", "bogus"))
+        for text in ("exhaustive-action", StructuralKind.EXHAUSTIVE_POSTING):
+            with pytest.raises(ValidationError, match="^unknown structural condition "):
+                structural_formula(s12, schema, text)
+            with pytest.raises(ValidationError, match="^unknown structural condition "):
+                check_structural(s12, schema, text)
+        for system, schema in ((s12, schema), (par_swap, standard_parallel_schema(par_swap))):
+            for kind in ("bogus", "basic", "parallel"):
+                with pytest.raises(ValidationError, match=f"^unknown independence kind '{kind}'$"):
+                    list(independence_obligations(system, schema, "j", kind))
+                with pytest.raises(ValidationError, match=f"^unknown independence kind '{kind}'$"):
+                    check_independence(system, "j", schema, kind)
 
 
 def _oracle_corpus():

@@ -4,7 +4,10 @@ systems against build_system, and sweep/falsify results pinned before the
 universe was batched."""
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +39,40 @@ def test_checker_vectors_match_per_system_checks(flavor):
                 for name in names:
                     assert bool(vectors[name] >> bit & 1) is suite.checker(name).holds(one), \
                         (name, index)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_universe_chunks_equal_the_column_builder(flavor):
+    """Each chunk equals the columns ``_Shape.columns`` builds from that
+    chunk's fact sets: sixteen chunks of 2,048 systems, then one of 128, one
+    list shared by both flavors."""
+    shape, chunks = scenarios._universe(flavor)
+    systems = itertools.chain(itertools.combinations(range(256), 1),
+                              itertools.combinations(range(256), 2))
+    assert [count for count, _ in chunks] == [2048] * 16 + [128]
+    for count, columns in chunks:
+        chunk = list(itertools.islice(systems, scenarios._CHUNK))
+        assert (count, columns) == (len(chunk), shape.columns(chunk))
+    assert next(systems, None) is None
+    assert chunks is scenarios._universe("parallel")[1] is scenarios._universe("sequential")[1]
+
+
+def test_universe_chunks_refuse_more_than_eight_facts():
+    """One byte per fact set: a wider universe raises, it never wraps."""
+    with pytest.raises(ValueError, match="range"):
+        scenarios._universe_chunks(9)
+
+
+def test_universe_is_built_only_when_walked():
+    """Importing the package and a random-only sweep build no universe."""
+    code = ("import anoncheck\n"
+            "from anoncheck import scenarios\n"
+            "anoncheck.sweep(exhaustive=False, n_random=50)\n"
+            "print(scenarios._universe_chunks.cache_info().currsize)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=env).stdout
+    assert out == "0\n"
 
 
 def test_slot_planes_match_the_evaluator_on_universe_chunks():
