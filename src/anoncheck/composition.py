@@ -140,36 +140,41 @@ class StructuralCondition:
 
 
 def _validate(system: InterpretedSystem, schema: SequentialSchema | ParallelSchema) -> None:
-    """Every agent and action that ``schema`` names is declared."""
+    """Every agent and action that ``schema`` names is declared, and named
+    once: a parameter listed twice would derive its action twice."""
+    actions = schema.derived_actions
+    for n, action in enumerate(actions):
+        if action in actions[:n]:
+            raise ValidationError(f"duplicate action {action}")
     if isinstance(schema, ParallelSchema):
         for c in schema.params:
             for fam in (schema.family_a, schema.family_b):
                 if not system.has_action(Action(fam, c)):
                     raise ValidationError(f"undeclared action {Action(fam, c)}")
         return
-    for i in schema.first_agents:
+    for n, i in enumerate(schema.first_agents):
         if not system.has_agent(i):
             raise ValidationError(f"schema first-stage agent {i!r} is not declared")
-    for k in schema.first_params:
+        if i in schema.first_agents[:n]:
+            raise ValidationError(f"duplicate schema first-stage agent {i!r}")
+    for n, k in enumerate(schema.first_params):
         if not system.has_agent(k):
             raise ValidationError(
                 f"schema intermediary {k!r} must be a declared agent "
                 f"(it performs {schema.second_family} actions)")
         if not system.has_action(Action(schema.first_family, k)):
             raise ValidationError(f"undeclared action {Action(schema.first_family, k)}")
+        if k in schema.first_params[:n]:
+            raise ValidationError(f"duplicate schema intermediary {k!r}")
     for c in schema.second_params:
         if not system.has_action(Action(schema.second_family, c)):
             raise ValidationError(f"undeclared action {Action(schema.second_family, c)}")
 
 
 def _require_fresh(system: InterpretedSystem, schema) -> None:
-    """The derived actions must be undeclared and pairwise distinct."""
+    """The derived family must be undeclared."""
     if any(a.family == schema.derived_family for a in system.actions):
         raise ValidationError(f"derived family {schema.derived_family!r} already declared")
-    actions = schema.derived_actions
-    for n, action in enumerate(actions):
-        if action in actions[:n]:
-            raise ValidationError(f"duplicate action {action}")
 
 
 def _conjuncts(system: InterpretedSystem, schema) -> dict[Fact, tuple]:
@@ -196,7 +201,8 @@ def derive_sequential(system: InterpretedSystem,
 
     Skipping :func:`build_system` is safe: ``system`` passed it, run ids and
     partitions are kept, every new fact's performer is declared, and
-    :func:`_require_fresh` makes the appended actions new and distinct."""
+    :func:`_validate` and :func:`_require_fresh` make the appended actions
+    distinct and new."""
     _validate(system, schema)
     _require_fresh(system, schema)
     columns = {}

@@ -248,25 +248,28 @@ class _Vectors:
     :class:`SlotPlanes` share; each supplies its carrier.
 
     A formula's value is an int holding its truth at every point of the
-    carrier, ``_full`` being true everywhere.  A carrier supplies ``all``,
-    ``_fact(fact)`` (the points where an (agent, action) pair holds),
-    ``_possible(observer, x)`` (``P[observer]`` of ``x``) and ``_some(x)``,
-    the systems with a point in ``x``; ``K[j]`` is ``!P[j]!``.  ``&``,
-    ``|`` and ``->`` skip their right operand when the left one already
-    decides every point.  Every node's value is memoized; formulas are
-    hash-consed, so equal subformulas are one object and are evaluated
-    once.  Facts and fact terms are memoized too.  Names are not validated
-    (see :func:`check_names`).
+    carrier, ``_full`` being true everywhere.  ``columns`` maps each stored
+    (agent, action) pair to the points where it holds; a pair it does not
+    list holds nowhere.  A carrier supplies ``all``, ``_possible(observer,
+    x)`` (``P[observer]`` of ``x``) and ``_some(x)``, the systems with a
+    point in ``x``; ``K[j]`` is ``!P[j]!``.  ``&``, ``|`` and ``->`` skip
+    their right operand when the left one already decides every point.
+    Every node's value is memoized; formulas are hash-consed, so equal
+    subformulas are one object and are evaluated once.  Facts and fact
+    terms are memoized too.  Names are not validated (see
+    :func:`check_names`).
 
     ``derived`` maps each derived fact to its conjunct pairs, as
     ``composition._conjuncts`` gives them; such a fact is computed from
-    them by :func:`_derived_mask` when a formula reads it.
+    them by :func:`_derived_mask` when a formula reads it, whatever
+    ``columns`` holds for it.
     """
 
-    __slots__ = ("_full", "_derived", "_memo", "_facts", "_term_masks")
+    __slots__ = ("_full", "_columns", "_derived", "_memo", "_facts", "_term_masks")
 
-    def __init__(self, full: int, derived=None):
+    def __init__(self, full: int, columns, derived=None):
         self._full = full
+        self._columns = columns
         self._derived = derived or {}
         self._memo: dict[Formula, int] = {}
         self._facts: dict[tuple, int] = {}
@@ -278,7 +281,7 @@ class _Vectors:
         if x is None:
             pairs = self._derived.get(fact)
             x = self._facts[fact] = (
-                self._fact(fact) if pairs is None else _derived_mask(self.fact, pairs))
+                self._columns.get(fact, 0) if pairs is None else _derived_mask(self.fact, pairs))
         return x
 
     def mask(self, f: Formula) -> int:
@@ -392,7 +395,7 @@ class Evaluator(_Vectors):
 
     Bit ``i`` of a mask is the formula's truth at ``system.run_ids[i]``, so a
     formula is evaluated once per system, not once per run: an atom is the
-    mask of the runs holding its fact (:meth:`InterpretedSystem.holding`),
+    mask of the runs holding its fact, read off the system's fact columns,
     and ``P[j]`` is the union of the observer's blocks that the child's
     mask meets, read off the partition index in one pass over the runs
     (every run, if the mask is not empty and the partition one block).
@@ -409,7 +412,7 @@ class Evaluator(_Vectors):
     all = True
 
     def __init__(self, system: InterpretedSystem, derived=None):
-        super().__init__((1 << len(system.run_ids)) - 1, derived)
+        super().__init__((1 << len(system.run_ids)) - 1, system._holding, derived)
         self.system = system
         self._values: dict[Formula, bytes] = {}
 
@@ -432,9 +435,6 @@ class Evaluator(_Vectors):
     def _some(self, x: int) -> bool:
         return x != 0
 
-    def _fact(self, fact) -> int:
-        return self.system.holding(fact)
-
     def _possible(self, observer: str, x: int) -> int:
         if x == 0 or x == self._full:
             return x
@@ -448,47 +448,38 @@ class Evaluator(_Vectors):
 class SlotPlanes(_Vectors):
     """Evaluates formulas over a batch of systems at once, as slot planes.
 
-    A system's runs fill slots ``0`` to ``n - 1``, and a system with fewer
-    runs repeats its first run, in that run's block, which changes no
-    ``P``/``K`` value and no validity.  Bit ``s`` of plane ``i`` is the
-    formula's truth at slot ``i`` of system ``s``; the planes lie side by
-    side in one int, plane ``i`` at bit ``i * width``, so every connective
-    is one int operation.  Validity is the intersection of the planes.
+    A system's runs fill slots ``0`` to ``slots - 1``, and a system with
+    fewer runs repeats its first run, in that run's block, which changes no
+    ``P``/``K`` value and no validity.  Bit ``i * width + s`` of a value is
+    its truth at slot ``i`` of system ``s``: the planes of the slots lie
+    side by side in one int, so every connective is one int operation.
+    Validity is the intersection of the planes.
 
-    ``blocks`` gives every block's plane at each slot (bit ``s`` of plane
-    ``i``: slot ``i`` of system ``s`` lies in the block); by default one
-    block holds every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] &
-    c_k``, where ``same[i][k]`` holds the systems whose slots ``i`` and
-    ``k`` share a block.  Every modality reads this one partition, whatever
-    observer it names.  ``facts(fact)`` gives a declared (agent, action)
-    pair's planes; ``derived`` is a table of derived facts, each computed
-    from its conjunct pairs when a formula reads it (see :class:`_Vectors`).
+    ``facts`` maps each declared (agent, action) pair to its planes, in that
+    layout; ``blocks`` gives every block's planes the same way (slot ``i``
+    of system ``s`` lies in the block), and by default one block holds
+    every slot.  ``P[j]`` at slot ``i`` is ``OR_k same[i][k] & c_k``, where
+    ``same[i][k]`` holds the systems whose slots ``i`` and ``k`` share a
+    block.  Every modality reads this one partition, whatever observer it
+    names.  ``derived`` is a table of derived facts, each computed from its
+    conjunct pairs when a formula reads it (see :class:`_Vectors`).
     """
 
-    __slots__ = ("all", "_width", "_shifts", "_end", "_facts_of", "_mates")
+    __slots__ = ("all", "_shifts", "_end", "_mates")
 
     def __init__(self, facts, width: int, slots: int, blocks=None, derived=None):
-        super().__init__((1 << width * slots) - 1, derived)
+        super().__init__((1 << width * slots) - 1, facts, derived)
         #: Every system of the batch, as a vector.
         self.all = (1 << width) - 1
-        self._width = width
         self._shifts = range(width, width * slots, width)  # where planes 1.. start
         self._end = width * slots
-        self._facts_of = facts
-        packed = [self._full] if blocks is None else [self._pack(b) for b in blocks]
         # Per shift by d planes: plane i holds same[i][i + d (mod slots)].
         self._mates = []
         for shift in self._shifts:
             mates = 0
-            for block in packed:
+            for block in blocks or (self._full,):
                 mates |= block & self._rotate(block, shift)
             self._mates.append(mates)
-
-    def _pack(self, planes) -> int:
-        out = 0
-        for i, plane in enumerate(planes):
-            out |= plane << i * self._width
-        return out
 
     def _rotate(self, x: int, shift: int) -> int:
         """Plane ``i + d (mod slots)`` at plane ``i``, for ``shift = d *
@@ -500,9 +491,6 @@ class SlotPlanes(_Vectors):
         for shift in self._shifts:
             some |= x >> shift
         return some & self.all
-
-    def _fact(self, fact) -> int:
-        return self._pack(self._facts_of(fact))
 
     def _possible(self, observer: str, x: int) -> int:
         if not x:

@@ -743,11 +743,10 @@ _CHUNK = 2048
 
 
 class _Shape:
-    """One generated declaration shape: its facts, each fact's position
-    among them, its derived facts' conjunct pairs
-    (``composition._conjuncts``), which its batches compute derived facts
-    from, and its suite.  ``ref`` is the declaration, with every fact in its
-    one run, and ``bounds`` are its facts' :func:`_row_bounds`.
+    """One generated declaration shape: its facts, its derived facts'
+    conjunct pairs (``composition._conjuncts``), which its batches compute
+    derived facts from, and its suite.  ``ref`` is the declaration, with
+    every fact in its one run, and ``bounds`` are its facts' :func:`_row_bounds`.
     """
 
     def __init__(self, flavor: str, n_real: int, n_pseudo: int, n_articles: int):
@@ -758,7 +757,6 @@ class _Shape:
         self.ref = build_system(name="ref", agents=agents, actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
         schema = _FLAVORS[flavor].infer_schema(self.ref)
-        self._index = {fact: b for b, fact in enumerate(self.facts)}
         self._derived = _conjuncts(self.ref, schema)
         self._suite = CheckSuite(flavor, schema, "j", self.ref)
 
@@ -786,33 +784,24 @@ class _Shape:
             {fact: mask for fact, mask in zip(self.facts, columns) if mask},
             {"j": ObserverPartition("j", tuple(map(frozenset, blocks.values())))})
 
-    def batch(self, columns, width: int, blocks=None) -> SlotPlanes:
-        """``width`` systems: bit ``s`` of ``columns[i][b]`` is fact ``b`` at
-        slot ``i`` of system ``s``; ``blocks`` are as in :class:`SlotPlanes`.
-        A fact the declaration does not list holds nowhere."""
-        index = self._index
-        return SlotPlanes(lambda fact: [c[index[fact]] for c in columns] if fact in index else (),
-                          width, len(columns), blocks, self._derived)
-
-    def columns(self, systems, width: int | None = None) -> list[list[int]]:
-        """The slot columns of ``systems``, each a sequence of fact sets (or
-        of other masks of ``width`` bits): bit ``s`` of ``columns[i][b]`` is
-        bit ``b`` of run ``i`` of system ``s``, with a slot per run of the
-        longest.  A shorter system repeats its first run, which changes no
-        verdict (see :class:`SlotPlanes`)."""
-        slots = max(map(len, systems))
-        if min(map(len, systems)) < slots:
-            systems = [[*runs, *runs[:1] * (slots - len(runs))] for runs in systems]
-        return [_transpose([*sets], width or len(self.facts)) for sets in zip(*systems)]
+    def batch(self, planes, width: int, slots: int, blocks=None) -> SlotPlanes:
+        """``width`` systems of ``slots`` slots: bit ``i * width + s`` of
+        ``planes[b]`` is fact ``b`` at slot ``i`` of system ``s``, and
+        ``blocks`` are as in :class:`SlotPlanes`.  A fact the declaration
+        does not list holds nowhere."""
+        return SlotPlanes(dict(zip(self.facts, planes)), width, slots, blocks, self._derived)
 
     def drawn_batch(self, draws) -> SlotPlanes:
-        """The drawn systems (see :func:`_draw`) as one batch: a run in block
-        ``v`` of ``j`` is the mask ``1 << v``, so the columns of those masks
-        are each block's planes, slot by slot."""
-        runs, labels = zip(*draws)
-        n_blocks = 1 + max(map(max, labels))
-        in_block = self.columns([[1 << v for v in ls] for ls in labels], n_blocks)
-        return self.batch(self.columns(runs), len(draws), list(zip(*in_block)))
+        """The drawn systems (see :func:`_draw`) as one batch, transposed
+        slot-major (slot 0 of every system, then slot 1, ...; a shorter system
+        repeats its first run): their runs' fact sets give every fact's
+        planes, and the masks ``1 << v`` of runs in block ``v`` of ``j`` every block's."""
+        slots = max(len(runs) for runs, _ in draws)
+        rows = [(runs[i], 1 << labels[i]) if i < len(runs) else (runs[0], 1 << labels[0])
+                for i in range(slots) for runs, labels in draws]
+        facts, blocks = map(list, zip(*rows))
+        return self.batch(_transpose(facts, len(self.facts)), len(draws), slots,
+                          _transpose(blocks, max(blocks).bit_length()))
 
 
 @lru_cache(maxsize=64)
@@ -832,18 +821,19 @@ def _shape_of(cfg: GenConfig) -> _Shape:
 
 @lru_cache(maxsize=None)
 def _universe_chunks(width: int):
-    """(system count, slot columns) per chunk of :data:`_CHUNK` systems of
-    the universe over ``width`` facts: a one-run system per fact set, then a
-    two-run system per pair of them, in lexicographic order.  Each slot is
-    cut from one bytes of every system's fact set there (a one-run system
-    repeats its run, as :meth:`_Shape.columns` pads), so ``width`` is at
+    """(system count, planes) per chunk of :data:`_CHUNK` systems of the
+    universe over ``width`` facts: a one-run system per fact set, then a
+    two-run system per pair of them, in lexicographic order.  A chunk's
+    planes are laid out as :meth:`_Shape.batch` takes them, over two slots
+    (a one-run system repeats its run), and come from one grid: the bytes of
+    every system's fact set at slot 0, then at slot 1.  So ``width`` is at
     most 8: above, ``bytes`` raises ``ValueError``."""
     sets = range(1 << width)
     slots = [b"".join(bytes(map(itemgetter(min(i, n - 1)), combinations(sets, n))) for n in (1, 2))
              for i in (0, 1)]
     total = len(slots[0])
     return [(min(_CHUNK, total - start),
-             [_grid_columns(slot[start:start + _CHUNK][::-1], width) for slot in slots])
+             _grid_columns(b"".join(slot[start:start + _CHUNK] for slot in slots)[::-1], width))
             for start in range(0, total, _CHUNK)]
 
 
@@ -857,21 +847,21 @@ def _universe(flavor: str):
     return shape, _universe_chunks(len(shape.facts))
 
 
-def _universe_system(shape: _Shape, columns, bit: int) -> InterpretedSystem:
-    """System ``bit`` of a universe chunk, read back from its columns: its
-    runs are the distinct fact sets of its slots."""
-    sets = list(dict.fromkeys(sum((c >> bit & 1) << b for b, c in enumerate(slot))
-                              for slot in columns))
+def _universe_system(shape: _Shape, count: int, planes, bit: int) -> InterpretedSystem:
+    """System ``bit`` of a universe chunk of ``count`` systems, read back
+    from its planes: its runs are the distinct fact sets of its two slots."""
+    sets = list(dict.fromkeys(sum((p >> i * count + bit & 1) << b for b, p in enumerate(planes))
+                              for i in (0, 1)))
     return shape.system("x" + "-".join(map(str, sets)), sets, [0] * len(sets))
 
 
 def exhaustive_systems(flavor: str = "sequential"):
     """Every system over the 2/2/2 fact universe with at most two distinct
     runs and a single observer block, in canonical order, each read back
-    from the chunk columns :func:`_universe` shares between the flavors."""
+    from the chunk planes :func:`_universe` shares between the flavors."""
     shape, chunks = _universe(flavor)
-    for count, columns in chunks:
-        yield from map(partial(_universe_system, shape, columns), range(count))
+    for count, planes in chunks:
+        yield from map(partial(_universe_system, shape, count, planes), range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -959,9 +949,9 @@ def _batches(flavor: str, pool, exhaustive: bool = True):
     base = 0
     if exhaustive:
         shape, chunks = _universe(flavor)
-        for count, columns in chunks:
-            yield ("exhaustive", shape.suite(), shape.batch(columns, count),
-                   range(base, base + count), partial(_universe_system, shape, columns))
+        for count, planes in chunks:
+            yield ("exhaustive", shape.suite(), shape.batch(planes, count, 2),
+                   range(base, base + count), partial(_universe_system, shape, count, planes))
             base += count
     for shape, members in _pool_batches(pool):
         draws = [_draw(cfg, random.Random(seed), shape.bounds) for _, (cfg, seed) in members]

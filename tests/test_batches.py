@@ -310,7 +310,7 @@ def test_derived_atom_tables_match_the_derivation(flavor):
             runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
                   for n, m in enumerate(fact_sets)])
         derived = derive(system, scenarios._FLAVORS[flavor].infer_schema(system))
-        planes = shape.batch([_transpose(fact_sets, len(facts))], 30)
+        planes = shape.batch(_transpose(fact_sets, len(facts)), 30, 1)
         masks = Evaluator(derived)
         for agent in derived.agents:
             for action in derived.actions:
@@ -330,6 +330,34 @@ def test_transpose_matches_a_bit_by_bit_reference(width, n_rows):
     assert rows == []
     assert columns == [int("".join(str(row >> b & 1) for row in reversed(kept)), 2)
                        for b in range(width)]
+
+
+@pytest.mark.parametrize("n_systems", [1, 300])
+def test_drawn_batch_planes_match_a_bit_by_bit_reference(n_systems):
+    """Bit ``i * width + s`` of a fact's planes is the fact at slot ``i`` of
+    system ``s``, and ``P[j]`` there is whether the fact holds at a slot of
+    that system in the same block: ragged run counts, so a shorter system
+    repeats its first run and that run's block."""
+    rng = random.Random(n_systems)
+    shape = scenarios._shape("sequential", 2, 3, 2)
+    width = len(shape.facts)
+    draws = [([rng.getrandbits(width) for _ in range(n)], [rng.randrange(3) for _ in range(n)])
+             for n in [4] + [rng.randint(1, 4) for _ in range(n_systems - 1)]]
+    assert n_systems == 1 or {len(runs) for runs, _ in draws} == {1, 2, 3, 4}
+    ctx = shape.drawn_batch(draws)
+    padded = [[(runs[i], labels[i]) if i < len(runs) else (runs[0], labels[0])
+               for i in range(4)] for runs, labels in draws]
+    for b, fact in enumerate(shape.facts):
+        want_fact = want_possible = 0
+        for s, slots in enumerate(padded):
+            for i, (run, label) in enumerate(slots):
+                bit = 1 << i * n_systems + s
+                if run >> b & 1:
+                    want_fact |= bit
+                if any(r >> b & 1 and v == label for r, v in slots):
+                    want_possible |= bit
+        assert ctx.fact(fact) == want_fact, fact
+        assert ctx.mask(Poss("j", Atom(*fact))) == want_possible, fact
 
 
 def test_random_sweep_reproduces_the_benchmark_oracle():

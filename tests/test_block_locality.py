@@ -10,6 +10,7 @@ import pytest
 
 from anoncheck import CLAIMS, ClaimVerdict, check_claim, parse_system, scenarios
 from anoncheck.cli import main
+from anoncheck.system import _transpose
 from test_universe import FLAVORS, _checker_names
 
 
@@ -118,9 +119,8 @@ def _batch_verdict(claim, system, drop):
     shape = scenarios._shape("sequential", 2, 2, 2)
     masks = [sum(1 << b for b, fact in enumerate(shape.facts) if fact in run.facts)
              for run in system.runs]
-    columns = shape.columns([masks])
-    assert len(columns) == 4
-    ctx = shape.batch(columns, 1)
+    assert len(masks) == 4
+    ctx = shape.batch(_transpose(masks, len(shape.facts)), 1, 4)
     suite, cdef = shape.suite(), CLAIMS[claim]
     held = scenarios._held(lambda name: suite.checker(name).holds(ctx),
                            [n for n in cdef.hypotheses if n not in drop], ctx.all)

@@ -339,6 +339,16 @@ class TestIndep:
         assert rc == 2 and "has no declared partition" in err
 
 
+@pytest.mark.parametrize("system,schema,kind,error", [
+    ("s1234", "seq use:{k1} post:{c1,c1}", "basic", "duplicate action submit(c1)"),
+    ("s1234", "seq use:{k1,k1} post:{c1}", "basic", "duplicate schema intermediary 'k1'"),
+    ("par_swap", "par => joint : C={c1,c1}", "parallel", "duplicate action joint(c1)"),
+])
+def test_indep_and_compose_reject_a_repeated_schema_entry_alike(system, schema, kind, error):
+    assert invoke("indep", system, schema, kind) == (2, "", f"error: {error}\n")
+    assert invoke("compose", system, schema) == (2, "", f"error: {error}\n")
+
+
 class TestCompose:
     def test_sequential_to_stdout(self, s12):
         rc, out, _ = invoke("compose", "s12", "seq use post => submit")

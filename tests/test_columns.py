@@ -322,7 +322,7 @@ def test_shape_terms_match_a_derived_catalog(flavor):
                     for fact, sets in holding.items()}
         rng = random.Random(str(sizes))
         columns = [rng.getrandbits(256) for _ in facts]
-        planes = shape.batch([columns], 256)
+        planes = shape.batch(columns, 256, 1)
         for fact in {*facts, *expected, *_conjuncts(shape.ref, infer(shape.ref))}:
             want = 0
             for a, b in expected.get(fact, ()):

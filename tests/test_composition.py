@@ -138,6 +138,26 @@ class TestParallelDerivation:
             derive_parallel(par_swap, schema)
 
 
+@pytest.mark.parametrize("name,field,entries,error", [
+    ("s1234", "second_params", ("c1", "c1"), r"duplicate action submit\(c1\)"),
+    ("s1234", "first_params", ("k1", "k1"), "duplicate schema intermediary 'k1'"),
+    ("s1234", "first_agents", ("i2", "i1", "i2"), "duplicate schema first-stage agent 'i2'"),
+    ("par_swap", "params", ("c1", "c1"), r"duplicate action joint\(c1\)"),
+])
+def test_a_schema_entry_listed_twice_is_rejected_alike(name, field, entries, error):
+    """Independence and derivation both refuse a schema that names an entry
+    twice, with one error naming it."""
+    system = fixture_system(name)
+    flavor = "sequential" if name == "s1234" else "parallel"
+    infer = standard_sequential_schema if flavor == "sequential" else standard_parallel_schema
+    schema = dataclasses.replace(infer(system), **{field: entries})
+    kind = IK.BASIC if flavor == "sequential" else IK.PARALLEL
+    with pytest.raises(ValidationError, match=f"^{error}$"):
+        check_independence(system, "j", schema, kind)
+    with pytest.raises(ValidationError, match=f"^{error}$"):
+        derive_sequential(system, schema)
+
+
 def test_one_derive_function_takes_either_schema(s12, s12_seq, par_swap, par_swap_joint):
     assert derive_sequential is derive_parallel
     assert derive_parallel(s12, standard_sequential_schema(s12)) == s12_seq

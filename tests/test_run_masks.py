@@ -188,6 +188,26 @@ def test_entry_points_match_the_reference(name, system):
             assert [ev.evaluate(atom, run) for run in system.runs] == derived_ref.values(atom)
 
 
+def test_derived_atoms_come_from_their_pairs_not_the_stored_column():
+    """A derived fact is read from its conjunct pairs, whatever column the
+    system stores for it: here ``submit(c1)`` is stored where no pair holds
+    and left out where one does."""
+    from anoncheck import Action, SequentialSchema, build_system
+
+    system = build_system(
+        name="stale", agents=[("i1", "real"), ("k1", "pseudo"), ("j", "observer")],
+        actions=["use(k1)", "post(c1)", "submit(c1)"],
+        runs=[("r1", [("i1", "use(k1)"), ("k1", "post(c1)")]),
+              ("r2", [("i1", "submit(c1)")]), ("r3", [("i1", "use(k1)")])],
+        observers={"j": [["r1", "r2", "r3"]]})
+    schema = SequentialSchema("use", ("i1",), ("k1",), "post", ("c1",), "submit")
+    submit = Atom("i1", Action("submit", "c1"))
+    assert Evaluator(system).mask(submit) == 0b010
+    ev = Evaluator(system, _conjuncts(system, schema))
+    assert ev.mask(submit) == ev.fact(("i1", Action("submit", "c1"))) == 0b001
+    assert ev.mask(Poss("j", submit)) == 0b111 and ev.valid(submit).counterexample == "r2"
+
+
 def test_possible_on_one_block_reads_no_partition_index(monkeypatch):
     """On a one-block partition, ``P`` of a mask that is not empty is every
     run, found without spreading the mask over the block index; an unknown

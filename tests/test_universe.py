@@ -43,16 +43,23 @@ def test_checker_vectors_match_per_system_checks(flavor):
 
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_universe_chunks_equal_the_column_builder(flavor):
-    """Each chunk equals the columns ``_Shape.columns`` builds from that
-    chunk's fact sets: sixteen chunks of 2,048 systems, then one of 128, one
-    list shared by both flavors."""
+    """Each chunk's planes, bit by bit from that chunk's fact sets: bit ``i *
+    count + s`` of fact ``b``'s plane is bit ``b`` of system ``s``'s fact set
+    at slot ``i``, a one-run system repeating its run.  Sixteen chunks of
+    2,048 systems, then one of 128, one list shared by both flavors."""
     shape, chunks = scenarios._universe(flavor)
     systems = itertools.chain(itertools.combinations(range(256), 1),
                               itertools.combinations(range(256), 2))
     assert [count for count, _ in chunks] == [2048] * 16 + [128]
-    for count, columns in chunks:
+    for count, planes in chunks:
         chunk = list(itertools.islice(systems, scenarios._CHUNK))
-        assert (count, columns) == (len(chunk), shape.columns(chunk))
+        assert count == len(chunk) and len(planes) == len(shape.facts) == 8
+        for b, plane in enumerate(planes):
+            want = 0
+            for i in (0, 1):
+                for s, sets in enumerate(chunk):
+                    want |= (sets[min(i, len(sets) - 1)] >> b & 1) << i * count + s
+            assert plane == want, (count, b)
     assert next(systems, None) is None
     assert chunks is scenarios._universe("parallel")[1] is scenarios._universe("sequential")[1]
 
@@ -82,16 +89,17 @@ def test_slot_planes_match_the_evaluator_on_universe_chunks():
     shape, chunks = scenarios._universe("sequential")
     actions = tuple(shape.ref.actions)
     agents = ("i1", "i2", "k1", "k2", "j")
-    for count, columns in chunks[::9]:
-        planes = shape.batch(columns, count)
+    for count, planes in chunks[::9]:
+        batch = shape.batch(planes, count, 2)
         sample = range(0, count, 13)
-        evaluators = [Reference(scenarios._universe_system(shape, columns, s)) for s in sample]
+        evaluators = [Reference(scenarios._universe_system(shape, count, planes, s))
+                      for s in sample]
         for _ in range(25):
             f = _seeded_formula(rng, agents, actions, ("j",), 4)
             g = _seeded_formula(rng, agents, actions, ("j",), 3)
             for h in (f, Iff(f, g), Or(Not(f), TRUE), Implies(FALSE, g),
                       Knows("j", Implies(f, g)), Poss("j", And(f, Not(g)))):
-                vector = planes.holds(h)
+                vector = batch.holds(h)
                 assert [bool(vector >> s & 1) for s in sample] == \
                     [ev.holds(h) for ev in evaluators]
 
