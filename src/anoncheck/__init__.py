@@ -13,6 +13,7 @@ from .composition import (IndependenceKind, ParallelSchema, SequentialSchema,
                           check_independence, check_structural,
                           derive_parallel, derive_sequential,
                           independence_obligations, parallel_subjects,
+                          standard_parallel_schema, standard_sequential_schema,
                           structural_formula)
 from .formula import (TRUE, FALSE, And, Atom, Const, Evaluator, Formula, Iff,
                       Implies, Knows, Not, Or, ParseError, Poss, SlotPlanes,
@@ -23,14 +24,11 @@ from .properties import (PropertyKind, PropertyReport, PropertySpec,
                          maximally_identified, maximally_onymous,
                          minimally_anonymous, minimally_private,
                          private_up_to, role_interchangeable)
-from .scenarios import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
-                        HYPOTHESIS_IMPLICATIONS, PAPER_SYSTEM_NAMES,
-                        CheckSuite, ClaimDef, ClaimReport, ClaimVerdict,
-                        FalsifyResult, GenConfig, SweepReport,
-                        check_claim, exhaustive_systems, falsify,
-                        fixture_system, mixer_chain, paper_system,
-                        random_system, standard_parallel_schema,
-                        standard_sequential_schema, sweep)
+from .registry import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES, HYPOTHESIS_IMPLICATIONS,
+                       PAPER_SYSTEM_NAMES, CheckSuite, ClaimDef, ClaimReport, ClaimVerdict,
+                       check_claim, fixture_system, paper_system)
+from .scenarios import (FalsifyResult, GenConfig, SweepReport, exhaustive_systems, falsify,
+                        mixer_chain, random_system, sweep)
 from .sysfile import (SysFileError, from_json_dict, load_system, parse_system,
                       render_system, save_system, to_json_dict)
 from .system import (Action, InterpretedSystem, ObserverPartition, Run,

@@ -14,13 +14,14 @@ from dataclasses import replace as dc_replace
 from pathlib import Path
 
 from . import __version__
-from .composition import IndependenceKind, check_independence, derive_sequential
+from .composition import (IndependenceKind, check_independence, derive_sequential,
+                          standard_parallel_schema, standard_sequential_schema)
 from .formula import (Evaluator, ParseError, check_names,
                       parse as parse_formula, render)
 from .properties import _FORMS, PropertyReport, PropertySpec, check_property
-from .scenarios import (_FLAVORS, CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
-                        ClaimReport, ClaimVerdict, GenConfig, check_claim, falsify,
-                        fixture_system, standard_parallel_schema, standard_sequential_schema)
+from .registry import (_FLAVORS, CLAIMS, DATA_DIR, DEFAULT_SYSTEMS, FIXTURE_NAMES,
+                       ClaimReport, ClaimVerdict, check_claim, fixture_system)
+from .scenarios import GenConfig, falsify
 from .sysfile import SysFileError, load_system, render_system, save_system, to_json_dict
 from .system import _NAME_RE, Action, InterpretedSystem, ValidationError
 
@@ -349,6 +350,8 @@ def cmd_eval(args) -> int:
     formula = parse_formula(args.formula)
     ev = Evaluator(system)
     check_names(system, formula)
+    if args.run is not None:
+        system.position(args.run)  # an unknown run is rejected before any output
     # --run alone reads only the run it names
     wanted = system.run_ids if args.run is None or args.dot is not None else ()
     values = [(rid, ev.evaluate(formula, rid)) for rid in wanted]

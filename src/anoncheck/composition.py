@@ -20,7 +20,7 @@ of base facts, so a derived fact's runs come from their run masks.
 A stage's facts are its subjects performing its actions.  One table,
 :func:`_stages`, gives each flavor's stages, and every builder of stage
 facts reads it: independence obligations, structural formulas and the
-claim checkers of ``scenarios``.
+claim checkers of ``registry``.
 
 Independence checks ask the observer's possibility operator to distribute
 over conjunctions of stage facts: every variant instantiates the one schema
@@ -136,7 +136,44 @@ class StructuralCondition:
 
 
 # ---------------------------------------------------------------------------
-# Schema validation and derivation
+# Schema inference, validation and derivation
+
+
+def standard_sequential_schema(system: InterpretedSystem,
+                               first_family: str = "use",
+                               second_family: str = "post",
+                               derived_family: str = "submit") -> SequentialSchema:
+    """Infer the two-stage schema from a system's declaration.
+
+    The first-stage population is the agents tagged ``real`` (falling back
+    to the performers of first-family actions); intermediaries are the
+    parameters of the first-family actions; second-stage parameters come
+    from the second-family actions.
+    """
+    first_params = tuple(a.param for a in system.actions if a.family == first_family)
+    second_params = tuple(a.param for a in system.actions if a.family == second_family)
+    if not first_params or not second_params:
+        raise ValidationError(
+            f"cannot infer schema: no {first_family}/{second_family} actions declared")
+    first_agents = system.agents_with_role("real") or tuple(
+        a for a in system.agents
+        if any(system.holding((a, Action(first_family, k))) for k in first_params))
+    if not first_agents:
+        raise ValidationError("cannot infer schema: no first-stage agents")
+    return SequentialSchema(first_family, first_agents, first_params,
+                            second_family, second_params, derived_family)
+
+
+def standard_parallel_schema(system: InterpretedSystem,
+                             family_a: str = "act_a",
+                             family_b: str = "act_b",
+                             derived_family: str = "joint") -> ParallelSchema:
+    params = tuple(a.param for a in system.actions if a.family == family_a)
+    params_b = tuple(a.param for a in system.actions if a.family == family_b)
+    if not params or set(params) != set(params_b):
+        raise ValidationError(
+            f"cannot infer schema: {family_a}/{family_b} parameter sets differ")
+    return ParallelSchema(family_a, family_b, derived_family, params)
 
 
 def _validate(system: InterpretedSystem, schema: SequentialSchema | ParallelSchema) -> None:

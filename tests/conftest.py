@@ -1,10 +1,9 @@
 """Shared fixtures: the bundled demo systems and their derived forms."""
 import pytest
 
-from anoncheck.composition import derive_parallel, derive_sequential
-from anoncheck.scenarios import (fixture_system, paper_system,
-                                 standard_parallel_schema,
-                                 standard_sequential_schema)
+from anoncheck.composition import (derive_parallel, derive_sequential,
+                                   standard_parallel_schema, standard_sequential_schema)
+from anoncheck.registry import fixture_system, paper_system
 
 
 @pytest.fixture(scope="session")

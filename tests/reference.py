@@ -116,6 +116,25 @@ def _distributes(j, u, p):
     return Implies(And(Poss(j, u), Poss(j, p)), Poss(j, And(u, p)))
 
 
+def _parallel_subjects(system, observer):
+    """The agents tagged ``real``, else every agent but the observers."""
+    return [a for a in system.agents if system.roles.get(a) == "real"] or [
+        a for a in system.agents if a != observer and system.roles.get(a) != "observer"]
+
+
+def min_privacy_either_failure(system, schema, observer):
+    """The first (agent, parameter) of a parallel schema, as ``"i,c"``, at
+    which neither of its two actions ``a`` is minimally private, that is
+    ``theta(i, a) -> P[j] !theta(i, a)`` valid; None when there is none."""
+    ref = Reference(system)
+    for i in _parallel_subjects(system, observer):
+        for c in schema.params:
+            if not any(ref.holds(Implies(Atom(i, a), Poss(observer, Not(Atom(i, a)))))
+                       for a in (Action(schema.family_a, c), Action(schema.family_b, c))):
+                return f"{i},{c}"
+    return None
+
+
 def independence_obligations(system, schema, observer, kind, bound=2):
     """The (label, formula) list of an independence variant: the labelled
     first-stage and second-stage terms of each pair, joined, and the
@@ -124,11 +143,9 @@ def independence_obligations(system, schema, observer, kind, bound=2):
     if kind is IK.PARALLEL:
         if not isinstance(schema, ParallelSchema):
             raise ValidationError("parallel independence needs a ParallelSchema")
-        subjects = [a for a in system.agents if system.roles.get(a) == "real"] or [
-            a for a in system.agents if a != observer and system.roles.get(a) != "observer"]
         pairs = [((i, Atom(i, Action(schema.family_a, c))),
                   (c, Atom(i, Action(schema.family_b, c))))
-                 for i in subjects for c in schema.params]
+                 for i in _parallel_subjects(system, observer) for c in schema.params]
         return [(f"{l1},{l2}", _distributes(observer, u, p)) for (l1, u), (l2, p) in pairs]
     if not isinstance(schema, SequentialSchema):
         raise ValidationError(f"{kind.value} independence needs a SequentialSchema")

@@ -18,7 +18,7 @@ from anoncheck import (CLAIMS, Action, ClaimVerdict, GenConfig,
                        mixer_chain, paper_system, parse, private_up_to,
                        random_system, render, sweep)
 from anoncheck.formula import And, Atom, Evaluator, Iff, Implies, Knows, Not, Or, Poss
-from anoncheck.scenarios import standard_sequential_schema
+from anoncheck.composition import standard_sequential_schema
 
 SUB_C1 = Action.parse("submit(c1)")
 SUB_C2 = Action.parse("submit(c2)")

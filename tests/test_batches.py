@@ -15,7 +15,7 @@ from anoncheck import (CLAIMS, Atom, ClaimVerdict, Evaluator, GenConfig,
                        PropertySpec, build_system, check_claim, compile_property,
                        composition, derive_parallel, derive_sequential, falsify,
                        formula, independence_obligations, properties, random_system,
-                       scenarios, sweep, valid)
+                       registry, scenarios, sweep, valid)
 from anoncheck.composition import _independence_pairs
 from anoncheck.formula import FALSE, TRUE, Iff, Implies, Knows, Not, Or, Poss
 from anoncheck.system import _transpose
@@ -40,19 +40,19 @@ def _batch(cfgs):
 def _entries(flavor, *builders):
     """(name, builder arguments) of each of the flavor's checkers that one
     of ``builders`` builds."""
-    return [(name, args) for name, (build, *args) in scenarios._FLAVORS[flavor].checkers.items()
+    return [(name, args) for name, (build, *args) in registry._FLAVORS[flavor].checkers.items()
             if build in builders]
 
 
 def _independence_kinds(flavor):
     """Each independence checker's name and its kind, from its table entry."""
-    return {name: kind for name, (kind,) in _entries(flavor, scenarios.CheckSuite._independence)}
+    return {name: kind for name, (kind,) in _entries(flavor, registry.CheckSuite._independence)}
 
 
 def _independence_checkers(shape):
     """(kind, [(label, formula), ...]) per independence checker of the
     shape's suite."""
-    suite = shape.suite()
+    suite = shape.suite
     checkers = [(kind, suite.checker(name))
                 for name, kind in _independence_kinds(shape.flavor).items()]
     return [(kind, list(c.obligations())) for kind, c in checkers]
@@ -64,7 +64,7 @@ def test_shared_independence_checkers_match_the_obligations(flavor):
     checks exactly what :func:`independence_obligations` lists."""
     for shape_args in SHAPES[flavor]:
         shape = scenarios._shape(flavor, *shape_args)
-        schema = shape.suite().schema
+        schema = shape.suite.schema
         for kind, obligations in _independence_checkers(shape):
             assert obligations == list(independence_obligations(
                 shape.ref, schema, "j", kind)), (shape_args, kind)
@@ -89,7 +89,7 @@ def test_distributes_matches_the_obligations(flavor):
     vector is the verdict on system s of the evaluator, of the reference
     and of the obligation formulas, on pooled systems of every shape, one
     to four runs, single and random partitions."""
-    infer_schema = scenarios._FLAVORS[flavor].infer_schema
+    infer_schema = registry._FLAVORS[flavor].infer_schema
     outcomes, runs_seen, split_seen = set(), set(), False
     for nr, np_, nc in SHAPES[flavor]:
         cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
@@ -101,7 +101,7 @@ def test_distributes_matches_the_obligations(flavor):
         systems = [random_system(cfg) for cfg in cfgs]
         for kind in _independence_kinds(flavor).values():
             terms = tuple((u, p) for (_, u), (_, p) in _independence_pairs(
-                shape.ref, shape.suite().schema, "j", kind)[1])
+                shape.ref, shape.suite.schema, "j", kind)[1])
             vector = planes.distributes("j", terms)
             for s, system in enumerate(systems):
                 got = Evaluator(system).distributes("j", terms)
@@ -130,7 +130,7 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
     cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4, partition="random",
                       flavor=flavor, seed=seed) for seed in range(16)]
     shape, planes = _batch(cfgs)
-    suite = scenarios.CheckSuite(flavor, shape.suite().schema, "j", shape.ref)
+    suite = registry.CheckSuite(flavor, shape.suite.schema, "j", shape.ref)
     for name in _independence_kinds(flavor):
         checker = suite.checker(name)
         nodes = len(formula._NODES)
@@ -141,7 +141,7 @@ def test_independence_checkers_build_no_obligation(flavor, monkeypatch):
 def _guarded_names(flavor):
     """The checkers decided from fact-term rows: every property checker,
     the either/or one and the independence reformulation equivalence."""
-    cls = scenarios.CheckSuite
+    cls = registry.CheckSuite
     return [name for name, _ in _entries(flavor, cls._stage_property, cls._min_privacy_either,
                                          cls._reformulation_equivalence)]
 
@@ -149,10 +149,10 @@ def _guarded_names(flavor):
 def _obligation_verdict(checker, ref):
     """The checker restated on a :class:`reference.Reference`: the AND of
     its obligations' validity, or of the either/or of its alternatives'."""
-    if isinstance(checker, scenarios._AnyOfEachValid):
+    if isinstance(checker, registry._AnyOfEachValid):
         return all(any(_obligation_verdict(c, ref) for c in alternatives)
                    for _, alternatives in checker.items)
-    if isinstance(checker, scenarios._EquivalenceValid):
+    if isinstance(checker, registry._EquivalenceValid):
         return _obligation_verdict(checker.left, ref) is _obligation_verdict(checker.right, ref)
     return all(ref.valid(f).holds for _, f in checker.obligations())
 
@@ -165,7 +165,7 @@ def test_guarded_checkers_match_their_obligations(flavor):
     shape, one to four runs, single and random partitions; the equivalence's
     reformulation side is compared on its own.  Each is seen holding and
     failing."""
-    infer_schema = scenarios._FLAVORS[flavor].infer_schema
+    infer_schema = registry._FLAVORS[flavor].infer_schema
     outcomes, runs_seen, split_seen = set(), set(), False
     for nr, np_, nc in SHAPES[flavor]:
         cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4,
@@ -174,7 +174,7 @@ def test_guarded_checkers_match_their_obligations(flavor):
                           seed=9000 + 100 * nr + 10 * np_ + nc + seed)
                 for seed in range(6)]
         shape, planes = _batch(cfgs)
-        suite = shape.suite()
+        suite = shape.suite
         systems = [random_system(cfg) for cfg in cfgs]
         checkers = {name: suite.checker(name) for name in _guarded_names(flavor)}
         if flavor == "sequential":
@@ -202,8 +202,8 @@ def test_property_checker_obligations_are_the_compiled_properties(flavor):
     """A ``<stage>-<property>`` checker's obligations are its stage's
     compiled properties, labelled ``kind(subject, action)``."""
     for shape_args in SHAPES[flavor]:
-        suite = scenarios._shape(flavor, *shape_args).suite()
-        for name, (stage_name, kind) in _entries(flavor, scenarios.CheckSuite._stage_property):
+        suite = scenarios._shape(flavor, *shape_args).suite
+        for name, (stage_name, kind) in _entries(flavor, registry.CheckSuite._stage_property):
             stage = suite._stages()[stage_name]
             ref = suite.ref_base if stage.target == "base" else suite.ref_derived
             field = properties._FORMS[kind].field
@@ -223,7 +223,7 @@ def test_guarded_checkers_build_no_formula(flavor, monkeypatch):
     def refuse(*args):
         raise AssertionError("a formula was built")
 
-    for module in (properties, scenarios, formula):
+    for module in (properties, registry, formula):
         for name in ("compile_property", "_guarded_formula", "_term_formula"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
@@ -231,7 +231,7 @@ def test_guarded_checkers_build_no_formula(flavor, monkeypatch):
     cfgs = [GenConfig(n_real=nr, n_pseudo=np_, n_articles=nc, max_runs=4, partition="random",
                       flavor=flavor, seed=seed) for seed in range(16)]
     shape, planes = _batch(cfgs)
-    suite = scenarios.CheckSuite(flavor, shape.suite().schema, "j", shape.ref)
+    suite = registry.CheckSuite(flavor, shape.suite.schema, "j", shape.ref)
     suite.checker("independence")  # the equivalence's other side builds its stage terms
     for name in _guarded_names(flavor):
         nodes = len(formula._NODES)
@@ -254,7 +254,7 @@ def test_batch_vectors_match_per_system_checks(flavor):
                               flavor=flavor, seed=1000 * nr + 100 * np_ + 10 * nc + seed)
                     for style in ("uniform", "matching") for seed in range(3)]
             shape, ctx = _batch(cfgs)
-            suite = shape.suite()
+            suite = shape.suite
             systems = [random_system(cfg) for cfg in cfgs]
             for name in names:
                 vector = suite.checker(name).holds(ctx)
@@ -309,7 +309,7 @@ def test_derived_atom_tables_match_the_derivation(flavor):
             actions=ref.actions, observers={"j": [[f"r{n}" for n in range(30)]]},
             runs=[(f"r{n}", [f for b, f in enumerate(facts) if m >> b & 1])
                   for n, m in enumerate(fact_sets)])
-        derived = derive(system, scenarios._FLAVORS[flavor].infer_schema(system))
+        derived = derive(system, registry._FLAVORS[flavor].infer_schema(system))
         planes = shape.batch(_transpose(fact_sets, len(facts)), 30, 1)
         masks = Evaluator(derived)
         for agent in derived.agents:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import pytest
 
-from anoncheck import CLAIMS, ClaimVerdict, check_claim, parse_system, scenarios
+from anoncheck import CLAIMS, ClaimVerdict, check_claim, parse_system, registry, scenarios
 from anoncheck.cli import main
 from anoncheck.system import _transpose
 from test_universe import FLAVORS, _checker_names
@@ -16,10 +16,10 @@ from test_universe import FLAVORS, _checker_names
 
 def _formulas(checker):
     """The formulas whose validity the checker combines."""
-    if isinstance(checker, scenarios._AnyOfEachValid):
+    if isinstance(checker, registry._AnyOfEachValid):
         return [f for _, alternatives in checker.items for c in alternatives
                 for f in _formulas(c)]
-    if isinstance(checker, scenarios._EquivalenceValid):
+    if isinstance(checker, registry._EquivalenceValid):
         return _formulas(checker.left) + _formulas(checker.right)
     return [f for _, f in checker.obligations()]
 
@@ -47,7 +47,7 @@ def test_a_checker_holds_on_a_system_iff_on_each_block(flavor):
         if len(blocks) == 1:
             continue
         multi_block += 1
-        suite = shape.suite()
+        suite = shape.suite
         whole = suite.context(shape.system("whole", runs, labels))
         parts = [suite.context(shape.system(f"block{n}", block, [0] * len(block)))
                  for n, block in enumerate(blocks, start=1)]
@@ -56,7 +56,7 @@ def test_a_checker_holds_on_a_system_iff_on_each_block(flavor):
             for f in _formulas(checker):
                 assert whole.holds(f) is all(p.holds(f) for p in parts), (name, cfg)
             held, on_blocks = checker.holds(whole), all(checker.holds(p) for p in parts)
-            if isinstance(checker, scenarios._AllValid):
+            if isinstance(checker, registry._AllValid):
                 assert held is on_blocks, (name, cfg)
             if name in hypotheses:
                 assert on_blocks or not held, (name, cfg)
@@ -121,7 +121,7 @@ def _batch_verdict(claim, system, drop):
              for run in system.runs]
     assert len(masks) == 4
     ctx = shape.batch(_transpose(masks, len(shape.facts)), 1, 4)
-    suite, cdef = shape.suite(), CLAIMS[claim]
+    suite, cdef = shape.suite, CLAIMS[claim]
     held = scenarios._held(lambda name: suite.checker(name).holds(ctx),
                            [n for n in cdef.hypotheses if n not in drop], ctx.all)
     if not held:

@@ -15,7 +15,8 @@ from anoncheck import (Action, GenConfig, check_claim, check_property,
                        derive_sequential, minimally_anonymous, parse_system,
                        random_system, render_system, save_system)
 from anoncheck.cli import main
-from anoncheck.scenarios import CLAIMS, standard_sequential_schema
+from anoncheck.composition import standard_sequential_schema
+from anoncheck.registry import CLAIMS
 from anoncheck.sysfile import to_json_dict
 
 
@@ -89,6 +90,13 @@ class TestEval:
         assert rc == 2 and "'zz' has no declared partition" in err
         rc, _, err = invoke("eval", "s12", "true", "--run", "zz")
         assert rc == 2 and "unknown run 'zz'" in err
+        # with --dot, the run is rejected before any graph is printed or written
+        rc, out, err = invoke("eval", "s1234", "theta(i1, use(k1))", "--run", "r99", "--dot", "-")
+        assert (rc, out) == (2, "") and "unknown run 'r99'" in err
+        graph = tmp_path / "g.dot"
+        rc, _, err = invoke("eval", "s1234", "theta(i1, use(k1))", "--run", "r99",
+                            "--dot", str(graph))
+        assert rc == 2 and "unknown run 'r99'" in err and not graph.exists()
         missing = tmp_path / "missing" / "x.dot"
         rc, _, err = invoke("eval", "s12", "true", "--dot", str(missing))
         assert (rc, err) == (2, f"error: cannot write {missing}: No such file or directory\n")

@@ -12,11 +12,10 @@ from anoncheck import (GenConfig, anonymous_up_to, build_system, check_property,
                        maximally_onymous, mixer_chain, random_system, render_system,
                        save_system, to_json_dict)
 from anoncheck.cli import main
-from anoncheck.composition import _conjuncts
+from anoncheck.composition import _conjuncts, standard_parallel_schema, standard_sequential_schema
 from anoncheck.formula import Evaluator, parse
-from anoncheck.scenarios import (DATA_DIR, FIXTURE_NAMES, _draw, _shape, _shape_of,
-                                 fixture_system, standard_parallel_schema,
-                                 standard_sequential_schema)
+from anoncheck.registry import DATA_DIR, FIXTURE_NAMES, fixture_system
+from anoncheck.scenarios import _draw, _shape, _shape_of
 from anoncheck import system as system_module
 from anoncheck.system import Action, ValidationError
 

@@ -13,12 +13,12 @@ from anoncheck import (Action, GenConfig, IndependenceKind, ParallelSchema,
                        check_structural, derive_parallel, derive_sequential,
                        exhaustive_systems, parallel_subjects, parse_system,
                        random_system, render_system)
-from anoncheck.composition import independence_obligations, structural_formula
+from anoncheck.composition import (independence_obligations, standard_parallel_schema,
+                                   standard_sequential_schema, structural_formula)
 from anoncheck.formula import (And, Atom, Evaluator, Iff, Implies, Not, Poss, conj, disj,
                                parse, render, valid)
-from anoncheck.scenarios import (FIXTURE_NAMES, _shape, fixture_system, paper_system,
-                                 standard_parallel_schema,
-                                 standard_sequential_schema)
+from anoncheck.registry import FIXTURE_NAMES, fixture_system, paper_system
+from anoncheck.scenarios import _shape
 
 IK = IndependenceKind
 

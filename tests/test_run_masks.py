@@ -13,7 +13,7 @@ from anoncheck import (CLAIMS, FIXTURE_NAMES, Atom, GenConfig, IndependenceKind,
                        fixture_system, maximally_identified, maximally_onymous,
                        minimally_anonymous, minimally_private, mixer_chain,
                        private_up_to, random_system, role_interchangeable, valid)
-from anoncheck import scenarios
+from anoncheck import registry
 from anoncheck.composition import _conjuncts
 from anoncheck.formula import (FALSE, TRUE, Evaluator, Iff, Implies, Knows, Not,
                                Or, Poss)
@@ -73,13 +73,13 @@ def test_check_claim_reports_match_the_evaluator(flavor, monkeypatch):
     memo, so formulas shared between checkers cannot change its verdicts."""
     systems = _differential_systems(flavor)
     actual = [_reports(system, flavor) for system in systems]
-    infer_schema = scenarios._FLAVORS[flavor].infer_schema
-    monkeypatch.setattr(scenarios, "Evaluator", lambda system, derived: reference.Reference(
+    infer_schema = registry._FLAVORS[flavor].infer_schema
+    monkeypatch.setattr(registry, "Evaluator", lambda system, derived: reference.Reference(
         system, lambda: reference.derive(system, infer_schema(system))))
     expected = [_reports(system, flavor) for system in systems]
     assert actual == expected
     verdicts = {r.verdict for reports in actual for r in reports}
-    assert scenarios.ClaimVerdict.REFUTED in verdicts  # drops expose refutations
+    assert registry.ClaimVerdict.REFUTED in verdicts  # drops expose refutations
 
 
 # -- the entry points moved onto the Evaluator ---------------------------------
@@ -148,7 +148,7 @@ def test_entry_points_match_the_reference(name, system):
     through Evaluator(system, derived), computed from their conjunct pairs."""
     rng = random.Random(name)
     flavor = _flavor(system)
-    schema = scenarios._FLAVORS[flavor].infer_schema(system)
+    schema = registry._FLAVORS[flavor].infer_schema(system)
     derived = derive_sequential(system, schema)
     ref, derived_ref = reference.Reference(system), reference.Reference(derived)
     agents, actions = tuple(system.agents), tuple(system.actions)

@@ -13,10 +13,10 @@ from anoncheck import (CLAIMS, DEFAULT_SYSTEMS, FIXTURE_NAMES,
                        exhaustive_systems, falsify, fixture_system,
                        maximally_onymous, mixer_chain, paper_system,
                        random_system, role_interchangeable, sweep)
-from anoncheck import Atom, scenarios
+from anoncheck import Atom, registry
 from anoncheck.composition import _conjuncts
-from anoncheck.scenarios import (CheckSuite, ClaimDef, standard_parallel_schema,
-                                 standard_sequential_schema)
+from anoncheck.composition import standard_parallel_schema, standard_sequential_schema
+from anoncheck.registry import CheckSuite, ClaimDef
 
 
 def _sibling(system, run_ids):
@@ -156,9 +156,9 @@ class TestClaimRegistry:
         kind, or nothing for a checker written out as a builder."""
         def described(flavor):
             return {name: " ".join(arg.value if hasattr(arg, "value") else arg for arg in args)
-                    for name, (_, *args) in scenarios._FLAVORS[flavor].checkers.items()}
+                    for name, (_, *args) in registry._FLAVORS[flavor].checkers.items()}
 
-        assert list(scenarios._FLAVORS) == ["sequential", "parallel"]
+        assert list(registry._FLAVORS) == ["sequential", "parallel"]
         sequential = {
             "independence": "basic",
             "pairwise-independence": "pairwise",
@@ -251,8 +251,8 @@ class TestClaimRegistry:
 
     def test_only_claims_that_read_derived_facts_derive(self, s1234, monkeypatch):
         calls = []
-        derive = scenarios.derive_sequential
-        monkeypatch.setattr(scenarios, "derive_sequential",
+        derive = registry.derive_sequential
+        monkeypatch.setattr(registry, "derive_sequential",
                             lambda *args: calls.append(args) or derive(*args))
         assert check_claim("L3.1", s1234).verdict is ClaimVerdict.VACUOUS
         assert calls == []
@@ -261,8 +261,8 @@ class TestClaimRegistry:
 
     def test_only_parallel_claims_that_read_joint_facts_derive(self, par_swap, monkeypatch):
         calls = []
-        derive = scenarios.derive_sequential  # derive_parallel is the same function
-        monkeypatch.setattr(scenarios, "derive_sequential",
+        derive = registry.derive_sequential  # derive_parallel is the same function
+        monkeypatch.setattr(registry, "derive_sequential",
                             lambda *args: calls.append(args) or derive(*args))
         monkeypatch.setitem(CLAIMS, "AB.0", ClaimDef(
             "AB.0", "parallel", "a and b facts alone", ("a-privacy", "b-privacy"), "ab-identity"))
@@ -291,7 +291,7 @@ class TestClaimRegistry:
         partitions of the 2/2/2 shape, and of each fixture's siblings with
         runs dropped or reordered.  Every derived atom reads the other
         system's derivation, by ``derive`` and by the reference."""
-        infer = scenarios._FLAVORS[flavor].infer_schema
+        infer = registry._FLAVORS[flavor].infer_schema
         universe = list(itertools.islice(exhaustive_systems(flavor), 0, None, 997))
         draws = [random_system(GenConfig(partition="random", max_runs=5, seed=seed,
                                          flavor=flavor, style=style))
@@ -352,7 +352,7 @@ class TestClaimRegistry:
             return out
 
         unwrapped = reports()
-        monkeypatch.setattr(scenarios, "CheckSuite", WrappingSuite)
+        monkeypatch.setattr(registry, "CheckSuite", WrappingSuite)
         assert reports() == unwrapped
         report = check_claim("APPC-EQ", x1_16, drop=("backward-causality",))
         assert report.verdict is ClaimVerdict.REFUTED

@@ -16,7 +16,7 @@ from anoncheck import (FIXTURE_NAMES, GenConfig, SysFileError, build_system,
                        load_system, mixer_chain, parse_system, random_system,
                        render_system, save_system, to_json_dict)
 from anoncheck.cli import main
-from anoncheck.scenarios import standard_sequential_schema
+from anoncheck.composition import standard_sequential_schema
 
 import reference
 

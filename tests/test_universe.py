@@ -12,18 +12,19 @@ import sys
 import pytest
 
 from anoncheck import (CLAIMS, FALSE, TRUE, And, GenConfig, Iff,
-                       Implies, Knows, Not, Or, Poss, build_system,
+                       Implies, Knows, Not, Or, Poss, build_system, check_claim,
                        exhaustive_systems, falsify, random_system,
-                       render_system, scenarios, sweep, to_json_dict)
-from anoncheck.scenarios import ClaimDef
-from reference import Reference
+                       render_system, registry, scenarios, standard_parallel_schema,
+                       sweep, to_json_dict)
+from anoncheck.registry import ClaimDef
+from reference import Reference, min_privacy_either_failure
 from test_acceptance import _seeded_formula
 
 FLAVORS = ("sequential", "parallel")
 
 
 def _checker_names(flavor):
-    return list(scenarios._FLAVORS[flavor].checkers)
+    return list(registry._FLAVORS[flavor].checkers)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -109,13 +110,14 @@ def _assert_built(system, name, cfg, fact_sets, labels):
     with run fact sets ``fact_sets`` and block labels ``labels``, as it
     comes out of build_system: same name, equal, and rendered and saved
     alike."""
-    agents, actions, facts = scenarios._declaration(cfg)
-    runs = [(f"r{n}", [f for bit, f in enumerate(facts) if m >> bit & 1])
+    shape = scenarios._shape_of(cfg)
+    runs = [(f"r{n}", [f for bit, f in enumerate(shape.facts) if m >> bit & 1])
             for n, m in enumerate(fact_sets, start=1)]
     # Blocks out of canonical order, for build_system to sort.
     blocks = [[f"r{n}" for n, label in enumerate(labels, start=1) if label == block]
               for block in sorted(set(labels), reverse=True)]
-    built = build_system(name=name, agents=agents, actions=actions, runs=runs,
+    built = build_system(name=name, agents=[(a, shape.ref.roles.get(a)) for a in shape.ref.agents],
+                         actions=shape.ref.actions, runs=runs,
                          observers={"j": blocks})
     assert system.name == built.name and system == built
     assert render_system(system) == render_system(built)
@@ -272,6 +274,22 @@ def test_falsify_table_is_pinned():
             (cid, drop)
 
 
+def test_either_or_checker_names_the_first_item_with_no_alternative():
+    """``min-privacy-either`` fails at the first (agent, parameter) with
+    neither alternative minimally private, as the reference finds it on
+    every 37th parallel universe system, reaching each of the four items."""
+    x5 = next(itertools.islice(exhaustive_systems("parallel"), 5, None))
+    assert x5.name == "x5"
+    assert check_claim("CB.1", x5).hypotheses[0].detail == "i1,c1 (no alternative holds)"
+    seen = set()
+    for system in itertools.islice(exhaustive_systems("parallel"), 0, None, 37):
+        want = min_privacy_either_failure(system, standard_parallel_schema(system), "j")
+        detail = check_claim("CB.1", system).hypotheses[0].detail
+        assert detail == (want and f"{want} (no alternative holds)"), system.name
+        seen.add(want)
+    assert seen == {None, "i1,c1", "i1,c2", "i2,c1", "i2,c2"}
+
+
 def _reference_sweep(claims, systems):
     """Refutations and implication violations, one system at a time, over
     the (suite, system) pairs."""
@@ -305,10 +323,10 @@ def test_refutations_and_violations_keep_their_order(exhaustive, monkeypatch):
     claims = ["ZZ.1", "ZZ.2"]
     report = sweep(claims=claims, n_random=200, seed=3, exhaustive=exhaustive)
     shape, _ = scenarios._universe("sequential")
-    pool = ((scenarios._shape_of(cfg).suite(), random_system(cfg))
+    pool = ((scenarios._shape_of(cfg).suite, random_system(cfg))
             for cfg in scenarios._random_pool("sequential", 200, 3))
     systems = itertools.chain(
-        ((shape.suite(), s) for s in exhaustive_systems("sequential"))
+        ((shape.suite, s) for s in exhaustive_systems("sequential"))
         if exhaustive else (), pool)
     refutations, violations = _reference_sweep(claims, systems)
     cap = scenarios._MAX_REPORTED
