@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -133,106 +134,65 @@ def _collapse_braces(text: str) -> str:
     return "".join(ch for ch, depth in _nesting(text, "{}") if not (depth and ch.isspace()))
 
 
-def _stage_token(token: str, what: str) -> tuple[str, tuple[str, ...] | None]:
-    """Parse ``family``, ``family:{x,y}`` or ``family:LABEL={x,y}``.
-
-    The LABEL before ``=`` is decorative (it names the parameter set in the
-    schema notation) and is not interpreted.
-    """
-    if ":" not in token:
-        family, items = token, None
-    else:
-        family, rest = token.split(":", 1)
-        if "=" in rest.split("{", 1)[0]:
-            _, rest = rest.split("=", 1)
-        if not (rest.startswith("{") and rest.endswith("}")):
-            raise CliError(f"{what}: expected a braced list after ':', got {rest!r}")
-        items = tuple(s for s in rest[1:-1].split(",") if s)
-        if not items:
-            raise CliError(f"{what}: empty parameter set")
-    if not _NAME_RE.match(family):
-        raise CliError(f"{what}: bad family name {family!r}")
-    return family, items
+#: Each schema flavor by its first word: its name, the builder that infers
+#: the rest of the schema, the builder's default family names (the two
+#: stages', then the derived family's), and the schema field that a
+#: ``:[LABEL=]{x,y}`` after each of those names fills, if it may have one.
+_SCHEMA_WORDS = {
+    "seq": ("sequential", standard_sequential_schema, ("use", "post", "submit"),
+            ("first_params", "second_params", None)),
+    "par": ("parallel", standard_parallel_schema, ("act_a", "act_b", "joint"),
+            (None, None, "params")),
+}
 
 
 def parse_schema_text(text: str, system: InterpretedSystem):
     """Parse the schema surface syntax.  Returns ``(flavor, schema)``.
 
-    Sequential: ``seq use:I_P={k1,k2} post:C={c1,c2} => submit``; the stage
-    parameter sets and the whole stage list may be omitted, in which case
-    they are inferred from the system's declared actions (families default
-    to use/post, the derived family to submit).
+    One grammar serves both flavors::
 
-    Parallel: ``par act_a + act_b => joint : C={c1,c2}``; the trailing
-    parameter set is likewise optional, as is everything after ``par``.
+        seq [STAGE STAGE] [=> DERIVED]          STAGE: FAMILY[:[LABEL=]{x,y}]
+        par [FAMILY + FAMILY] [=> DERIVED [: [LABEL=]{x,y}]]
+
+    e.g. ``seq use:I_P={k1,k2} post:C={c1,c2} => submit`` and
+    ``par act_a + act_b => joint : C={c1,c2}``.  The LABEL names a parameter
+    set in the schema notation and is not interpreted.  Whatever is left out
+    is inferred from the system's declared actions: the families default to
+    use/post (act_a/act_b), the derived family to submit (joint), and each
+    parameter set to the parameters of its family's actions.
     """
-    text = _collapse_braces(text.strip())
-    tokens = text.split()
+    tokens = _collapse_braces(text.strip()).split()
     if not tokens:
         raise CliError("empty schema")
-    kind, rest = tokens[0], tokens[1:]
-
+    if tokens[0] not in _SCHEMA_WORDS:
+        raise CliError(f"schema must start with 'seq' or 'par', got {tokens[0]!r}")
+    flavor, build, names, fields = _SCHEMA_WORDS[tokens[0]]
+    stages, tail = tokens[1:], names[2]
+    if "=>" in stages:
+        arrow = stages.index("=>")
+        stages, tail = stages[:arrow], " ".join(stages[arrow + 1:])
+    if flavor == "parallel" and stages:
+        if len(stages) != 3 or stages[1] != "+":
+            raise CliError("parallel schema families must be written 'FAMILY_A + FAMILY_B'")
+        stages = stages[::2]
+    elif len(stages) not in (0, 2):
+        raise CliError("sequential schema takes both stages or neither, e.g. "
+                       "'seq use:I_P={k1,k2} post:C={c1,c2} => submit'")
+    families, sets = [], {}
+    for what, part, field in zip(("first stage", "second stage", "derived"),
+                                 [*(stages or names[:2]), tail], fields):
+        family, colon, braced = part.partition(":") if field else (part, "", "")
+        family = family.strip()
+        if not _NAME_RE.match(family):
+            raise CliError(f"bad {what} family name {family!r}")
+        families.append(family)
+        if colon:  # the LABEL= goes only where a brace follows it
+            braced = re.sub(r"^[^{=]*=(?=\{)", "", braced.strip())
+            sets[field] = tuple(_braced_list(braced, f"{what} parameter set"))
     try:
-        if kind == "seq":
-            derived = "submit"
-            if "=>" in rest:
-                arrow = rest.index("=>")
-                stage_toks, tail = rest[:arrow], rest[arrow + 1:]
-                if len(tail) != 1 or not _NAME_RE.match(tail[0]):
-                    raise CliError("expected one derived family name after '=>'")
-                derived = tail[0]
-            else:
-                stage_toks = rest
-            if len(stage_toks) not in (0, 2):
-                raise CliError(
-                    "sequential schema takes both stages or neither, e.g. "
-                    "'seq use:I_P={k1,k2} post:C={c1,c2} => submit'")
-            if stage_toks:
-                first, mids = _stage_token(stage_toks[0], "first stage")
-                second, params = _stage_token(stage_toks[1], "second stage")
-            else:
-                first, mids, second, params = "use", None, "post", None
-            schema = standard_sequential_schema(system, first, second, derived)
-            if mids is not None:
-                schema = dc_replace(schema, first_params=mids)
-            if params is not None:
-                schema = dc_replace(schema, second_params=params)
-            return "sequential", schema
-
-        if kind == "par":
-            derived, params = "joint", None
-            if "=>" in rest:
-                arrow = rest.index("=>")
-                fam_toks, tail = rest[:arrow], rest[arrow + 1:]
-                # tail: DERIVED  |  DERIVED : C={..}  |  DERIVED:{..} ...
-                tail_text = " ".join(tail)
-                if ":" in tail_text:
-                    head, _, setpart = tail_text.partition(":")
-                    derived = head.strip()
-                    _, params = _stage_token(f"x:{setpart.strip()}", "parameter set")
-                else:
-                    derived = tail_text.strip()
-                if not _NAME_RE.match(derived):
-                    raise CliError(f"bad derived family name {derived!r}")
-            else:
-                fam_toks = rest
-            if fam_toks and (len(fam_toks) != 3 or fam_toks[1] != "+"):
-                raise CliError("parallel schema families must be written "
-                               "'FAMILY_A + FAMILY_B'")
-            if fam_toks:
-                fam_a, fam_b = fam_toks[0], fam_toks[2]
-            else:
-                fam_a, fam_b = "act_a", "act_b"
-            for fam in (fam_a, fam_b):
-                if not _NAME_RE.match(fam):
-                    raise CliError(f"bad family name {fam!r}")
-            schema = standard_parallel_schema(system, fam_a, fam_b, derived)
-            if params is not None:
-                schema = dc_replace(schema, params=params)
-            return "parallel", schema
+        return flavor, dc_replace(build(system, *families), **sets)
     except ValidationError as exc:
         raise CliError(str(exc)) from None
-    raise CliError(f"schema must start with 'seq' or 'par', got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

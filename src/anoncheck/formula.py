@@ -19,6 +19,7 @@ index appears in the semantics.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import compress
 
@@ -557,42 +558,23 @@ _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Knows: 5, Poss: 5,
          Atom: 6, Const: 6}
 _BINARY = {Iff: " <-> ", Implies: " -> ", Or: " | ", And: " & "}
 _INFIX = {text.strip(): t for t, text in _BINARY.items()}
-_PUNCT = ("<->", "->", "(", ")", ",", "!", "&", "|", "[", "]")
+#: One token after any blanks: punctuation, a run of name characters (which
+#: must start with a letter or ``_``, and whose ``-`` never takes the ``->``
+#: that follows it), or any other character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(<->|->|[(),!&|\[\]])|((?:\w|-(?!>))+)|(\S))")
 
 
 class _Tokenizer:
     def __init__(self, text: str):
-        self.text = text
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, pos)
-        self._scan()
+        for m in _TOKEN.finditer(text):
+            punct, name, other = m.groups()
+            pos = m.start(m.lastindex)
+            if not (punct or name and (name[0].isalpha() or name[0] == "_")):
+                raise ParseError(f"unexpected character {(name or other)[0]!r}", pos)
+            self.tokens.append(("punct", punct, pos) if punct else ("name", name, pos))
+        self.tokens.append(("end", "", len(text)))
         self.index = 0
-
-    def _scan(self) -> None:
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            matched = False
-            for p in _PUNCT:
-                if text.startswith(p, i):
-                    self.tokens.append(("punct", p, i))
-                    i += len(p)
-                    matched = True
-                    break
-            if matched:
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] in "_-"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", "", n))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]

@@ -188,9 +188,10 @@ class CheckSuite:
         """The flavor's checker ``name`` (see :data:`_FLAVORS`), built once."""
         c = self._checkers.get(name)
         if c is None:
-            if name not in _FLAVORS[self.flavor].checkers:
+            checkers = _flavor(self.flavor).checkers
+            if name not in checkers:
                 raise ValidationError(f"unknown checker {name!r}")
-            build, *args = _FLAVORS[self.flavor].checkers[name]
+            build, *args = checkers[name]
             c = self._checkers[name] = build(self, *args)
         return c
 
@@ -301,6 +302,13 @@ _FLAVORS = {
             **_properties("ab", PropertyKind.MAXIMALLY_IDENTIFIED),
         }),
 }
+
+
+def _flavor(name: str) -> _Flavor:
+    """The claim flavor ``name``; :class:`ValidationError` if there is none."""
+    if name not in _FLAVORS:
+        raise ValidationError(f"unknown flavor {name!r}")
+    return _FLAVORS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from operator import itemgetter
 from .composition import _conjuncts
 from .formula import SlotPlanes
 from .registry import (_FLAVORS, CLAIMS, HYPOTHESIS_IMPLICATIONS, CheckSuite, ClaimId,
-                       ClaimReport, _claim, check_claim)
+                       ClaimReport, _claim, _flavor, check_claim)
 from .system import (Action, InterpretedSystem, ObserverPartition, ValidationError,
                      _grid_columns, _mask, _transpose, build_system)
 
@@ -58,8 +58,7 @@ class GenConfig:
             raise ValidationError("generator counts must be at least 1")
         if self.partition not in ("single", "random"):
             raise ValidationError(f"unknown partition policy {self.partition!r}")
-        if self.flavor not in _FLAVORS:
-            raise ValidationError(f"unknown flavor {self.flavor!r}")
+        _flavor(self.flavor)
         if self.style not in ("uniform", "matching"):
             raise ValidationError(f"unknown generator style {self.style!r}")
         if self.budget < 0:
@@ -158,7 +157,7 @@ class _Shape:
         self.bounds = _row_bounds(self.facts)
         self.ref = build_system(name="ref", agents=agents + [("j", "observer")], actions=actions,
                                 runs=[("r1", self.facts)], observers={"j": [["r1"]]})
-        schema = _FLAVORS[flavor].infer_schema(self.ref)
+        schema = _flavor(flavor).infer_schema(self.ref)
         self._derived = _conjuncts(self.ref, schema)
         self.suite = CheckSuite(flavor, schema, "j", self.ref)
 

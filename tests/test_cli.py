@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand, the three output formats, exit
 codes, and agreement between the CLI verdicts and the library checkers."""
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,9 +15,10 @@ import pytest
 from anoncheck import (Action, GenConfig, check_claim, check_property,
                        derive_sequential, minimally_anonymous, parse_system,
                        random_system, render_system, save_system)
-from anoncheck.cli import main
-from anoncheck.composition import standard_sequential_schema
-from anoncheck.registry import CLAIMS
+from anoncheck.cli import main, parse_schema_text
+from anoncheck.composition import (ParallelSchema, SequentialSchema,
+                                  standard_sequential_schema)
+from anoncheck.registry import CLAIMS, fixture_system
 from anoncheck.sysfile import to_json_dict
 
 
@@ -42,6 +44,10 @@ class TestEval:
         rc, out, _ = invoke("eval", "s12", "P[j] theta(i1, use(k1))")
         assert rc == 0
         assert out.splitlines()[-1] == "valid over all runs"
+
+    def test_dense_implication(self):
+        rc, out, _ = invoke("eval", "s12", "true->false")
+        assert (rc, out.splitlines()[-1]) == (1, "not valid (first false at r1)")
 
     def test_single_run(self):
         rc, out, _ = invoke("eval", "s12", "theta(i1, use(k1))", "--run", "r1")
@@ -355,6 +361,77 @@ class TestIndep:
 def test_indep_and_compose_reject_a_repeated_schema_entry_alike(system, schema, kind, error):
     assert invoke("indep", system, schema, kind) == (2, "", f"error: {error}\n")
     assert invoke("compose", system, schema) == (2, "", f"error: {error}\n")
+
+
+_S1234_SEQ = SequentialSchema("use", ("i1", "i2"), ("k1", "k2"), "post", ("c1", "c2"), "submit")
+_PAR_SWAP_PAR = ParallelSchema("act_a", "act_b", "joint", ("c1", "c2"))
+
+
+@pytest.mark.parametrize("system,text,expected", [
+    ("s1234", "seq", ("sequential", _S1234_SEQ)),
+    ("s1234", "seq => submit", ("sequential", _S1234_SEQ)),
+    ("s1234", "seq use post", ("sequential", _S1234_SEQ)),
+    ("s1234", "seq use:{k1,k2} post:{c1,c2} => submit", ("sequential", _S1234_SEQ)),
+    ("s1234", "seq use:I_P={k2} post:C={c1} => submit",
+     ("sequential", dataclasses.replace(_S1234_SEQ, first_params=("k2",), second_params=("c1",)))),
+    ("s1234", "seq use:{k1} post", ("sequential", dataclasses.replace(_S1234_SEQ, first_params=("k1",)))),
+    ("s1234", "seq use:{ k2 , k1 } post:C={c1,,c2}",
+     ("sequential", dataclasses.replace(_S1234_SEQ, first_params=("k2", "k1")))),
+    ("s1234", "seq use:{k1,,k2} post:{ c2 , c1 } => other",
+     ("sequential", dataclasses.replace(_S1234_SEQ, second_params=("c2", "c1"),
+                                        derived_family="other"))),
+    ("par_swap", "par", ("parallel", _PAR_SWAP_PAR)),
+    ("par_swap", "par act_a + act_b", ("parallel", _PAR_SWAP_PAR)),
+    ("par_swap", "par act_a + act_b => joint", ("parallel", _PAR_SWAP_PAR)),
+    ("par_swap", "par => joint : C={c1}", ("parallel", dataclasses.replace(_PAR_SWAP_PAR, params=("c1",)))),
+    ("par_swap", "par => joint:{c1}", ("parallel", dataclasses.replace(_PAR_SWAP_PAR, params=("c1",)))),
+    ("par_swap", "par act_a + act_b => both : C={ c2 , c1 }",
+     ("parallel", ParallelSchema("act_a", "act_b", "both", ("c2", "c1")))),
+    ("par_swap", "par act_b + act_a => joint : {c2}", ("parallel", ParallelSchema("act_b", "act_a", "joint", ("c2",)))),
+])
+def test_schema_text_is_pinned(system, text, expected):
+    assert parse_schema_text(text, fixture_system(system)) == expected
+
+
+@pytest.mark.parametrize("system,text,error", [
+    ("s1234", "", "empty schema"),
+    ("s1234", "   ", "empty schema"),
+    ("s1234", "chain use post", "schema must start with 'seq' or 'par', got 'chain'"),
+    ("s1234", "seq use", "sequential schema takes both stages or neither, e.g. "
+                         "'seq use:I_P={k1,k2} post:C={c1,c2} => submit'"),
+    ("s1234", "seq use post more => submit", "sequential schema takes both stages or neither, e.g. "
+                                             "'seq use:I_P={k1,k2} post:C={c1,c2} => submit'"),
+    ("par_swap", "par act_a act_b", "parallel schema families must be written 'FAMILY_A + FAMILY_B'"),
+    ("par_swap", "par act_a - act_b => joint",
+     "parallel schema families must be written 'FAMILY_A + FAMILY_B'"),
+    ("par_swap", "par => 9x", "bad derived family name '9x'"),
+    ("par_swap", "par => joint : C={c1} x", None),
+    ("par_swap", "par => joint : C= {c1}", None),
+    ("par_swap", "par => joint : {}", None),
+    ("par_swap", "par => a b", None),
+    ("par_swap", "par =>", None),
+    ("par_swap", "par act_a:{c1} + act_b", None),
+    ("par_swap", "par 9x + act_b", None),
+    ("s1234", "seq use post =>", None),
+    ("s1234", "seq use post => a b", None),
+    ("s1234", "seq use post => 9x", None),
+    ("s1234", "seq use post => submit : C={c1}", None),
+    ("s1234", "seq use post => submit:{c1}", None),
+    ("s1234", "seq 9x post", None),
+    ("s1234", "seq use -x", None),
+    ("s1234", "seq use:k1 post", None),
+    ("s1234", "seq use:{} post", None),
+    ("s1234", "seq use:{k1} post:", None),
+    ("s1234", "seq use:a=b={k1} post", None),
+    ("s1234", "seq use:{k1}x post", None),
+])
+def test_schema_text_errors_exit_2(system, text, error):
+    """Bad schema text exits 2 from both commands that read it; the message
+    is pinned where it names the grammar rather than one token."""
+    for argv in (("compose", system, text), ("indep", system, text, "basic")):
+        rc, out, err = invoke(*argv)
+        assert (rc, out) == (2, ""), argv
+        assert err == f"error: {error}\n" if error else err.startswith("error: "), argv
 
 
 class TestCompose:

@@ -3,6 +3,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,53 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse("true & ???")
         assert err.value.position == 7
+
+    @pytest.mark.parametrize("text,message,position", [
+        ("9x", "unexpected character '9'", 0),
+        ("-x", "unexpected character '-'", 0),
+        ("²x", "unexpected character '²'", 0),
+        ("true & 9x", "unexpected character '9'", 7),
+        ("theta(i1, use(-k))", "unexpected character '-'", 14),
+        ("true <- false", "unexpected character '<'", 5),
+        ("true -> x-", "unexpected name 'x-' (expected theta, true, false)", 8),
+    ])
+    def test_names_start_with_a_letter_or_underscore(self, text, message, position):
+        """A name goes on with letters, digits, ``_`` or ``-``, but starts with
+        a letter or ``_``: a digit, ``-`` or other numeral there is reported."""
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+    @pytest.mark.parametrize("dense,spaced", [
+        ("true->false", "true -> false"),
+        ("!true->false", "!true -> false"),
+        ("K[j]true->P[j]false", "K[j] true -> P[j] false"),
+        ("theta(a-b, c-)->theta(a-, c-d)", "theta(a-b, c-) -> theta(a-, c-d)"),
+    ])
+    def test_a_name_leaves_the_arrow_after_it(self, dense, spaced):
+        """A ``-`` inside a name never takes the ``->`` that follows it."""
+        assert parse(dense) is parse(spaced)
+
+    @pytest.mark.parametrize("text,formula", [
+        ("theta(i1, use(k²))", Atom("i1", Action("use", "k²"))),
+        ("theta(é1, use(k1))", Atom("é1", Action("use", "k1"))),
+        ("theta(a-b, c-d)", Atom("a-b", Action("c-d", ""))),
+        ("theta(_, use(_9))", Atom("_", Action("use", "_9"))),
+        ("true　&\x1ctrue", And(TRUE, TRUE)),
+        ("　true\x1c", TRUE),
+    ])
+    def test_unicode_names_and_blanks(self, text, formula):
+        """Name characters are those of ``str.isalnum`` and ``_`` and ``-``;
+        blanks are those of ``str.isspace``."""
+        assert parse(text) is formula
+
+    def test_regex_classes_match_the_str_predicates(self):
+        """On every code point, the ``re`` classes ``\\s`` and ``\\w`` that the
+        tokenizer reads agree with ``str.isspace`` and with ``str.isalnum``
+        or ``_``."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every) == [ch for ch in every if ch.isspace()]
+        assert re.findall(r"\w", every) == [ch for ch in every if ch.isalnum() or ch == "_"]
 
     def test_negations_past_the_recursion_limit(self):
         f = TRUE

@@ -446,6 +446,15 @@ class TestGenerators:
         with pytest.raises(ValidationError, match="unknown generator style 'dense'"):
             GenConfig(style="dense")
 
+    def test_unknown_flavor_is_a_validation_error_everywhere(self, s1234):
+        """The universe and a suite's checkers name an unknown flavor as the
+        generator's configuration does, rather than failing a lookup."""
+        with pytest.raises(ValidationError, match="^unknown flavor 'bogus'$"):
+            next(exhaustive_systems("bogus"))
+        suite = CheckSuite("bogus", standard_sequential_schema(s1234), "j", s1234)
+        with pytest.raises(ValidationError, match="^unknown flavor 'bogus'$"):
+            suite.checker("independence")
+
     def test_matching_style_invariant(self):
         for seed in range(40):
             sys = random_system(GenConfig(seed=seed, style="matching", max_runs=3))
